@@ -5,18 +5,22 @@ decomposition, its 4-vertex bag, and optionally a distinguished triple inside
 the bag.  Inside/outside membership is computed from the decomposition (bag
 membership along the union of branches whose bags contain the triple), not
 from graph reachability; on valid decompositions the two coincide and the test
-suite asserts that coincidence.
+suite asserts that coincidence.  Bulk classification uses BagMasks, each
+node's bag, components of G - bag and triple inside sets as bitmasks, computed
+once: fencing and posture are then mask tests, with no components or parts
+rebuilt per cycle; the route-level functions here remain the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable
 
 from .cycles import Cycle, PathSegment, parts
 from .decomposition import TreeDecomposition, branch_union
-from .graph import Graph, separates
+from .graph import Graph, component_masks, separates, vertex_mask
 
 __all__ = [
     "Side",
@@ -24,12 +28,14 @@ __all__ = [
     "Posture",
     "BagContext",
     "CyclePosture",
+    "BagMasks",
     "k_intersect",
     "cross_or_fence",
     "s_equivalent",
     "vertex_side",
     "path_side",
     "cycle_posture",
+    "bag_masks",
 ]
 
 
@@ -161,3 +167,43 @@ def cycle_posture(ctx: BagContext, c: Cycle) -> CyclePosture:
     if all(s is Side.OUTSIDE for s in sides):
         return CyclePosture(Posture.OUTSIDE, count, inter)
     return CyclePosture(Posture.JUMP, count, inter)
+
+
+@dataclass(frozen=True)
+class BagMasks:
+    """Bitmask facts of one node of a full width-3 decomposition: the bag, the
+    components of G - bag, and the inside set of each of the bag's triples."""
+
+    bag: int
+    components: tuple[int, ...]
+    inside: dict[tuple[int, ...], int]
+
+    def fenced(self, c: Cycle) -> bool:
+        """``cross_or_fence`` against the bag is FENCED: the vertices of c off
+        the bag meet at most one component of G - bag."""
+        off = c.mask & ~self.bag
+        return sum(1 for comp in self.components if comp & off) <= 1
+
+    def posture(self, c: Cycle, delta: tuple[int, ...]) -> Posture:
+        """The tag of ``cycle_posture`` against a triple that c meets at least
+        twice.  A part is inside iff it is an edge within the triple or meets the
+        inside set: on a valid decomposition no component of G - bag straddles
+        that set and the fourth bag vertex has no inside neighbour, so each part
+        off the bag lies wholly on one side."""
+        if not c.mask & ~self.bag:
+            return Posture.INSIDE
+        dmask = vertex_mask(delta)
+        off = c.mask & ~dmask
+        if not off & ~self.inside[delta]:
+            return Posture.INSIDE
+        seq = c.vertices
+        if off & self.inside[delta] or any((dmask >> u) & (dmask >> v) & 1 for u, v in zip(seq, seq[1:] + seq[:1])):
+            return Posture.JUMP
+        return Posture.OUTSIDE
+
+
+def bag_masks(g: Graph, ctx: BagContext) -> BagMasks:
+    """The mask facts of the node of ``ctx``, whose triple, if any, is ignored."""
+    bag = vertex_mask(ctx.bag)
+    inside = {delta: vertex_mask(ctx.with_delta(delta).inside_vertices()) for delta in combinations(ctx.bag, 3)}
+    return BagMasks(bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)

@@ -18,6 +18,7 @@ from .decomposition import exact_treewidth, full_tree_decomposition
 from .generate import GenerationError
 from .graph import is_biconnected, parse_graph6
 from .harness import (
+    CAP_ERRORS,
     DEFAULT_CHECKS,
     EXIT_CONFIG,
     CampaignOptions,
@@ -76,13 +77,13 @@ def _workers(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
     try:
+        opts = _campaign_options(args, checks)  # rejects unknown check names
         tasks = _tasks_from_args(args)
     except (OSError, ValueError, GenerationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
-    opts = _campaign_options(args, checks)
     out = _open_out(args)
     try:
         code, summary = run_verify(tasks, opts, out, args.counterexample_dir, _workers(args))
@@ -113,7 +114,8 @@ def cmd_conjecture(args) -> int:
             out.close()
     print(
         f"conjecture: {summary.total} graphs, {summary.ok} consistent, "
-        f"{summary.counterexamples} counterexamples, {summary.errors} errors",
+        f"{summary.counterexamples} counterexamples, {summary.out_of_scope} out-of-scope, "
+        f"{summary.errors} errors",
         file=sys.stderr,
     )
     return code
@@ -233,7 +235,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_generate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CAP_ERRORS as exc:  # a single graph beyond a cap, as inspect and directed-forest take
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ checks require the complete family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .decomposition import DecompositionError, TreeDecomposition, validate
-from .graph import Graph
+from .graph import Graph, vertex_mask
 
 __all__ = [
     "Cycle",
@@ -73,13 +74,13 @@ class Cycle:
     def __len__(self):
         return len(self.vertices)
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset[int]:
-        cached = getattr(self, "_vset", None)
-        if cached is None:
-            cached = frozenset(self.vertices)
-            object.__setattr__(self, "_vset", cached)
-        return cached
+        return frozenset(self.vertices)
+
+    @cached_property
+    def mask(self) -> int:
+        return vertex_mask(self.vertices)
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         seq = self.vertices

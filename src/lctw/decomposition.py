@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, separates
+from .graph import Graph, component_masks, separates
 
 __all__ = [
     "TreeDecomposition",
@@ -146,28 +146,6 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     return out
 
 
-def _subset_components(nbr_mask, s_mask: int):
-    """Connected components of the induced subgraph on bitmask s_mask."""
-    comps = []
-    rem = s_mask
-    while rem:
-        start = rem & -rem
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= nbr_mask[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & s_mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
 def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with an optimal decomposition.
 
@@ -191,7 +169,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, Tr
     for s_mask in range(1, size):
         best = n + 1
         bestv = -1
-        for comp in _subset_components(nbr, s_mask):
+        for comp in component_masks(g, s_mask):
             outside = 0
             c = comp
             while c:

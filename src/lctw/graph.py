@@ -16,8 +16,9 @@ __all__ = [
     "write_graph6",
     "is_biconnected",
     "components_after_removal",
+    "component_masks",
     "separates",
-    "vset",
+    "vertex_mask",
 ]
 
 GRAPH6_MAX_N = 62  # single-byte size form only
@@ -31,9 +32,9 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def vset(vertices: Iterable[int]) -> tuple[int, ...]:
-    """Normalize a vertex collection to a sorted duplicate-free tuple."""
-    return tuple(sorted(set(vertices)))
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Bitmask of a vertex collection: bit v set iff v is in it."""
+    return sum(1 << v for v in set(vertices))
 
 
 class Graph:
@@ -207,21 +208,28 @@ def components_after_removal(g: Graph, s: Iterable[int]) -> tuple[tuple[int, ...
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
         s_mask |= 1 << v
-    alive = ((1 << g.n) - 1) & ~s_mask
-    blocks = []
-    while alive:
-        start = alive & -alive
-        comp = start
-        frontier = start
+    return tuple(tuple(_bits(comp)) for comp in component_masks(g, ((1 << g.n) - 1) & ~s_mask))
+
+
+def component_masks(g: Graph, mask: int) -> list[int]:
+    """Connected components of the subgraph induced on a vertex bitmask, as
+    bitmasks ordered by minimum vertex."""
+    nbr_mask = g.nbr_mask
+    comps = []
+    rem = mask
+    while rem:
+        comp = frontier = rem & -rem
         while frontier:
             nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.nbr_mask[v]
-            frontier = nxt & alive & ~comp
+            while frontier:
+                low = frontier & -frontier
+                nxt |= nbr_mask[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & mask & ~comp
             comp |= frontier
-        blocks.append(tuple(_bits(comp)))
-        alive &= ~comp
-    return tuple(blocks)
+        comps.append(comp)
+        rem &= ~comp
+    return comps
 
 
 def separates(g: Graph, s: Iterable[int], x: Iterable[int]) -> bool:

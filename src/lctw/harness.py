@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from hashlib import sha1
 from itertools import combinations
 from multiprocessing import Pool
 
-from .classify import BagContext, Fencing, cross_or_fence
+from .classify import BagContext
 from .cycles import (
     Cycle,
     EnumerationBudgetExceeded,
@@ -34,19 +35,17 @@ from .decomposition import (
     TreewidthCapExceeded,
     branch_at,
     branch_of_route,
-    check_separator_property,
     exact_treewidth,
     full_tree_decomposition,
     has_treewidth_at_most_2,
     validate,
 )
-from .generate import GenSpec, GenerationError, exhaustive_small, generate_partial_k_tree
-from .graph import Graph, is_biconnected, parse_graph6, write_graph6
+from .generate import GenSpec, exhaustive_small, generate_partial_k_tree
+from .graph import Graph, components_after_removal, is_biconnected, parse_graph6, vertex_mask, write_graph6
 from .transversal import (
     FAIL,
     PASS,
     PREMISE_NOT_MET,
-    build_families,
     check_escape_cycle,
     check_equivalent_two_cross_jump,
     check_fenced_or_shared,
@@ -54,6 +53,7 @@ from .transversal import (
     check_pairwise_and_common,
     compute_lct,
     conjecture_scan,
+    node_families,
 )
 
 SCHEMA = "lctw.report/1"
@@ -65,7 +65,9 @@ EXIT_CHECK_FAILURE = 3
 EXIT_COUNTEREXAMPLE = 4
 
 DEFAULT_CHECKS = ("shared_vertex", "pairwise_overlap", "fenced_or_shared", "edge_separator", "families", "min_length_side", "two_cross_jump")
-OPTIONAL_CHECKS = ("jump_families", "escape_cycle", "dforest", "td_oracle")
+
+# Caps and budgets a graph can exceed; its record is out-of-scope, not an error.
+CAP_ERRORS = (EnumerationCapExceeded, EnumerationBudgetExceeded, TreewidthCapExceeded)
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,11 @@ class CampaignOptions:
     treewidth_cap: int = 24
     max_steps: int | None = None
     strict_preconditions: bool = False
+
+    def __post_init__(self):
+        unknown = [name for name in self.checks if name not in CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks {unknown}; known: {','.join(CHECKS)}")
 
 
 @dataclass(frozen=True)
@@ -202,99 +209,75 @@ def _plain(x):
 
 
 def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
-    """Exhaustive separator-property sweep over all tree edges and vertex pairs."""
+    """Exhaustive separator-property sweep over all tree edges and vertex pairs:
+    with the components of G minus the shared bag found once per tree edge, a
+    pair violates the property when both vertices lie in one component."""
     violations = []
     pairs = 0
     for a, b in sorted(td.tree_edges):
+        shared = set(td.bags[a]) & set(td.bags[b])
+        component = {v: i for i, block in enumerate(components_after_removal(g, shared)) for v in block}
+        side = {a: sorted(branch_at(td, a, b).vertices), b: sorted(branch_at(td, b, a).vertices)}
         for t, tp in ((a, b), (b, a)):
-            side_u = branch_at(td, t, tp).vertices  # already excludes the bag of t
-            side_v = branch_at(td, tp, t).vertices
-            for u in sorted(side_u):
-                for v in sorted(side_v):
+            for u in side[t]:
+                for v in side[tp]:
                     pairs += 1
-                    if not check_separator_property(g, td, (t, tp), u, v):
+                    if component[u] == component[v]:
                         violations.append((t, tp, u, v))
     status = PASS if not violations else FAIL
     return {"status": status, "pairs": pairs, "violations": _plain(violations)}
 
 
-def check_family_consistency(g: Graph, td: TreeDecomposition, cycles) -> dict:
-    """Per-node sanity of the cycle families: the 2-crossing and fenced families
-    are disjoint, and every jump meets its triple 2 or 3 times."""
+def check_family_consistency(td: TreeDecomposition, families) -> dict:
+    """Per node, the premise of the mask posture: no component of G - bag
+    straddles the inside set of a triple, so the inside sets read off the
+    decomposition agree with graph reachability, whole components at a time."""
     for t in range(td.node_count):
-        ctx = BagContext(td, t)
-        fams = build_families(g, ctx, cycles)
-        overlap = set(fams.x2) & set(fams.fenced3)
-        if overlap:
-            return {"status": FAIL, "detail": f"node {t}: crossing and fenced families overlap"}
-        for delta, tf in fams.by_triple.items():
-            for pair, members in tf.jump2.items():
-                for c in members:
-                    if len(c.vertex_set & set(delta)) != 2:
-                        return {"status": FAIL, "detail": f"node {t}: bad 2-jump count"}
-            for c in tf.jump3:
-                if len(c.vertex_set & set(delta)) != 3:
-                    return {"status": FAIL, "detail": f"node {t}: bad 3-jump count"}
+        masks = families(t).masks
+        for delta, inside in masks.inside.items():
+            if any(comp & inside and comp & ~inside for comp in masks.components):
+                return {"status": FAIL, "detail": f"node {t}: a component straddles the inside set of {list(delta)}"}
     return {"status": PASS}
 
 
-def check_jump_families_instance(g: Graph, td: TreeDecomposition, cycles) -> dict:
-    """Pairwise-intersection and common-vertex checks at every premise-satisfying
-    (node, triple); cheap exact-intersection prefilter before posture work."""
-    contexts = premises = fails = 0
-    first_fail = None
+def _context_sweep(td: TreeDecomposition, cycles, check) -> dict:
+    """Run a check at every (node, triple) whose premise can hold and count the
+    contexts that meet it.  A context is skipped before any family is built when
+    a pair of its triple is not where some longest cycle meets the triple."""
+    premises = 0
+    out: dict = {}
     for t in range(td.node_count):
-        bag = td.bags[t]
-        for delta in combinations(bag, 3):
-            contexts += 1
-            dset = set(delta)
-            hit_pairs = {tuple(sorted(c.vertex_set & dset)) for c in cycles}
-            if any((p[0], p[1]) not in hit_pairs for p in combinations(delta, 2)):
-                continue  # some pair has no 2-intersecting cycle at all
-            ctx = BagContext(td, t, delta)
-            outcome = check_pairwise_and_common(g, ctx, cycles)
+        for delta in combinations(td.bags[t], 3):
+            dmask = vertex_mask(delta)
+            hits = {c.mask & dmask for c in cycles}
+            if any(dmask ^ (1 << v) not in hits for v in delta):
+                continue
+            outcome = check(BagContext(td, t, delta))
             if outcome.status == PREMISE_NOT_MET:
                 continue
             premises += 1
             if outcome.status == FAIL:
-                fails += 1
-                if first_fail is None:
-                    first_fail = {"node": t, "delta": list(delta), "detail": outcome.detail}
-    status = FAIL if fails else (PASS if premises else PREMISE_NOT_MET)
-    out = {"status": status, "contexts": contexts, "premise_met": premises}
-    if first_fail:
-        out["first_failure"] = first_fail
+                out.setdefault("first_failure", {"node": t, "delta": list(delta), "detail": outcome.detail})
+    status = FAIL if "first_failure" in out else (PASS if premises else PREMISE_NOT_MET)
+    return {**out, "status": status, "premise_met": premises}
+
+
+def check_jump_families_instance(g: Graph, td: TreeDecomposition, cycles, families) -> dict:
+    """Pairwise-intersection and common-vertex checks at every premise-satisfying
+    (node, triple); cheap exact-intersection prefilter before posture work."""
+    out = _context_sweep(td, cycles, lambda ctx: check_pairwise_and_common(g, ctx, cycles, families))
+    out["contexts"] = 4 * td.node_count  # four triples in each 4-vertex bag
     return out
 
 
-def check_escape_cycle_instance(g: Graph, td: TreeDecomposition, cycles, result) -> dict:
+def check_escape_cycle_instance(g: Graph, td: TreeDecomposition, cycles, result, families) -> dict:
     """Escape-cycle check at every premise-satisfying triple."""
-    premises = fails = 0
-    first_fail = None
-    if result.lct > 1:
-        for t in range(td.node_count):
-            for delta in combinations(td.bags[t], 3):
-                dset = set(delta)
-                hit_pairs = {tuple(sorted(c.vertex_set & dset)) for c in cycles}
-                if any((p[0], p[1]) not in hit_pairs for p in combinations(delta, 2)):
-                    continue
-                ctx = BagContext(td, t, delta)
-                outcome = check_escape_cycle(g, ctx, cycles, result)
-                if outcome.status == PREMISE_NOT_MET:
-                    continue
-                premises += 1
-                if outcome.status == FAIL:
-                    fails += 1
-                    if first_fail is None:
-                        first_fail = {"node": t, "delta": list(delta)}
-    status = FAIL if fails else (PASS if premises else PREMISE_NOT_MET)
-    out = {"status": status, "premise_met": premises}
-    if first_fail:
-        out["first_failure"] = first_fail
-    return out
+    return _context_sweep(td, cycles, lambda ctx: check_escape_cycle(g, ctx, cycles, result, families))
 
 
-def directed_forest_diagnostic(g: Graph, td: TreeDecomposition | None = None, cycles=None) -> dict:
+def directed_forest_diagnostic(
+    g: Graph, td: TreeDecomposition | None = None, cycles=None, families=None
+) -> dict:
     """Build the auxiliary directed forest over decomposition edges and follow it.
 
     An arc t -> t' exists when some longest cycle fenced by the bag of t,
@@ -311,19 +294,12 @@ def directed_forest_diagnostic(g: Graph, td: TreeDecomposition | None = None, cy
         td = full_tree_decomposition(g, 3)
     if cycles is None:
         cycles = enumerate_longest_cycles(g)
+    families = families or node_families(g, td, cycles)
     result = compute_lct(g, family=cycles)
-    fenced: dict[int, list] = {}
-    for t in range(td.node_count):
-        bag = set(td.bags[t])
-        fenced[t] = [
-            c
-            for c in cycles
-            if len(c.vertex_set & bag) <= 3 and cross_or_fence(g, c, bag) is Fencing.FENCED
-        ]
     arcs = []
     for a, b in sorted(td.tree_edges):
         for t, tp in ((a, b), (b, a)):
-            for c in fenced[t]:
+            for c in families(t).fenced3:
                 br = branch_of_route(td, t, c.vertices)
                 if tp in br.nodes:
                     arcs.append((t, tp))
@@ -334,7 +310,7 @@ def directed_forest_diagnostic(g: Graph, td: TreeDecomposition | None = None, cy
         "lct": result.lct,
         "arc_count": len(arcs),
         "arcs": [list(a) for a in arcs],
-        "fenced_family_sizes": [len(fenced[t]) for t in range(td.node_count)],
+        "fenced_family_sizes": [len(families(t).fenced3) for t in range(td.node_count)],
     }
     if not arcs:
         out["halt"] = "empty-forest: no fenced cycle selects a branch"
@@ -354,9 +330,9 @@ def directed_forest_diagnostic(g: Graph, td: TreeDecomposition | None = None, cy
         out["halt"] = "no-directed-path: arcs exist but none can be chained"
         return out
     t, tp = path[-2], path[-1]
-    cyc_c = next(c for c in fenced[t] if tp in branch_of_route(td, t, c.vertices).nodes)
+    cyc_c = next(c for c in families(t).fenced3 if tp in branch_of_route(td, t, c.vertices).nodes)
     cyc_d = next(
-        (d for d in fenced[tp] if t in branch_of_route(td, tp, d.vertices).nodes), None
+        (d for d in families(tp).fenced3 if t in branch_of_route(td, tp, d.vertices).nodes), None
     )
     out["last_arc"] = [t, tp]
     if cyc_d is None:
@@ -381,6 +357,58 @@ def directed_forest_diagnostic(g: Graph, td: TreeDecomposition | None = None, cy
     else:
         out["halt"] = "contradiction configuration candidate: inspect manually"
     return out
+
+
+_GraphFacts = namedtuple("_GraphFacts", "g biconn tw_eq_3 cycles result td3 families")  # what checks read
+
+
+def _pairwise_overlap(f: _GraphFacts) -> dict:
+    pairs = combinations(f.cycles.cycles, 2)
+    bad = next(((c.vertices, d.vertices) for c, d in pairs if len(c.vertex_set & d.vertex_set) < 2), None)
+    return {"status": PASS} if bad is None else {"status": FAIL, "witness": _plain(bad)}
+
+
+def _fenced_or_shared(f: _GraphFacts) -> dict:
+    if f.result.lct == 1:
+        return {"status": PASS, "detail": "all longest cycles share a vertex"}
+    rep = check_fenced_or_shared(f.g, f.td3, f.cycles, f.result, f.families)
+    return {"status": PASS if rep.ok else FAIL, "failing_nodes": list(rep.failing_nodes)}
+
+
+def _dforest(f: _GraphFacts) -> dict:
+    if not f.tw_eq_3:
+        return {"status": PREMISE_NOT_MET, "detail": "treewidth below 3"}
+    diag = directed_forest_diagnostic(f.g, f.td3, f.cycles, f.families)
+    return {"status": PASS, "halt": diag["halt"], "arcs": diag["arc_count"]}
+
+
+def _td_oracle(f: _GraphFacts) -> dict:
+    dp_len = longest_cycle_length_td(f.g, f.td3)
+    return {"status": PASS if dp_len == f.cycles.length else FAIL, "dp": dp_len, "enum": f.cycles.length}
+
+
+# Check name -> (scope gate, check).  evaluate_task resolves each gate to the
+# record of a check out of the graph's scope, or to None when the check runs.
+# Lambdas look library functions up at each call, so patched bindings apply.
+CHECKS = {
+    "shared_vertex": ("partial_3_tree", lambda f: {"status": PASS if f.result.lct == 1 else FAIL}),
+    "pairwise_overlap": ("cycle", _pairwise_overlap),
+    "fenced_or_shared": ("decomposition", _fenced_or_shared),
+    "edge_separator": ("decomposition", lambda f: check_edge_separators(f.g, f.td3)),
+    "families": ("decomposition", lambda f: check_family_consistency(f.td3, f.families)),
+    "min_length_side": (
+        "lct",
+        lambda f: _outcome_dict(check_min_cycle_length_premise(f.biconn, f.tw_eq_3, f.result.lct, f.cycles.length)),
+    ),
+    "two_cross_jump": (
+        "td3",
+        lambda f: _outcome_dict(check_equivalent_two_cross_jump(f.g, f.td3, f.cycles, f.result.lct, f.families)),
+    ),
+    "jump_families": ("decomposition", lambda f: check_jump_families_instance(f.g, f.td3, f.cycles, f.families)),
+    "escape_cycle": ("decomposition", lambda f: check_escape_cycle_instance(f.g, f.td3, f.cycles, f.result, f.families)),
+    "dforest": ("decomposition", _dforest),
+    "td_oracle": ("decomposition", _td_oracle),
+}
 
 
 def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
@@ -440,81 +468,23 @@ def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
             except DecompositionError as exc:
                 td3_error = str(exc)
 
+        out_of_scope = {"status": "out-of-scope"}
+        no_td3 = {"status": PREMISE_NOT_MET, "detail": td3_error or "no width-3 decomposition (n < 4)"}
+        scoped = in_scope and result is not None
+        gates = {
+            "cycle": None if result else {**out_of_scope, "detail": "needs a 2-connected graph with a cycle"},
+            "lct": None if result else out_of_scope,
+            "partial_3_tree": None if scoped else {**out_of_scope, "detail": "needs a 2-connected partial 3-tree with a cycle"},
+            "td3": None if scoped and td3 else out_of_scope,
+            "decomposition": (None if td3 else no_td3) if scoped else out_of_scope,
+        }
+        # node_families is lazy: only checks past the decomposition gates call it
+        facts = _GraphFacts(g, biconn, tw_eq_3, cycles, result, td3, node_families(g, td3, cycles))
         for name in opts.checks:
-            if name == "shared_vertex":
-                if not (in_scope and result):
-                    checks[name] = {"status": "out-of-scope", "detail": "needs a 2-connected partial 3-tree with a cycle"}
-                else:
-                    checks[name] = {"status": PASS if result.lct == 1 else FAIL}
-            elif name == "pairwise_overlap":
-                if not (biconn and cycles and cycles.length):
-                    checks[name] = {"status": "out-of-scope", "detail": "needs a 2-connected graph with a cycle"}
-                else:
-                    bad = next(
-                        (
-                            (c.vertices, d.vertices)
-                            for c, d in combinations(cycles.cycles, 2)
-                            if len(c.vertex_set & d.vertex_set) < 2
-                        ),
-                        None,
-                    )
-                    checks[name] = (
-                        {"status": PASS}
-                        if bad is None
-                        else {"status": FAIL, "witness": _plain(bad)}
-                    )
-            elif name in ("fenced_or_shared", "edge_separator", "families", "jump_families", "escape_cycle", "dforest", "td_oracle"):
-                if not in_scope or result is None:
-                    checks[name] = {"status": "out-of-scope"}
-                    continue
-                if td3 is None:
-                    checks[name] = {"status": PREMISE_NOT_MET, "detail": td3_error or "no width-3 decomposition (n < 4)"}
-                    continue
-                if name == "fenced_or_shared":
-                    if result.lct == 1:
-                        checks[name] = {"status": PASS, "detail": "all longest cycles share a vertex"}
-                    else:
-                        rep = check_fenced_or_shared(g, td3, cycles, result)
-                        checks[name] = {
-                            "status": PASS if rep.ok else FAIL,
-                            "failing_nodes": list(rep.failing_nodes),
-                        }
-                elif name == "edge_separator":
-                    checks[name] = check_edge_separators(g, td3)
-                elif name == "families":
-                    checks[name] = check_family_consistency(g, td3, cycles)
-                elif name == "jump_families":
-                    checks[name] = check_jump_families_instance(g, td3, cycles)
-                elif name == "escape_cycle":
-                    checks[name] = check_escape_cycle_instance(g, td3, cycles, result)
-                elif name == "dforest":
-                    if tw_eq_3:
-                        diag = directed_forest_diagnostic(g, td3, cycles)
-                        checks[name] = {"status": PASS, "halt": diag["halt"], "arcs": diag["arc_count"]}
-                    else:
-                        checks[name] = {"status": PREMISE_NOT_MET, "detail": "treewidth below 3"}
-                elif name == "td_oracle":
-                    dp_len = longest_cycle_length_td(g, td3)
-                    ok = dp_len == cycles.length
-                    checks[name] = {"status": PASS if ok else FAIL, "dp": dp_len, "enum": cycles.length}
-            elif name == "min_length_side":
-                if result is None:
-                    checks[name] = {"status": "out-of-scope"}
-                else:
-                    checks[name] = _outcome_dict(
-                        check_min_cycle_length_premise(biconn, tw_eq_3, result.lct, cycles.length)
-                    )
-            elif name == "two_cross_jump":
-                if result is None or td3 is None:
-                    checks[name] = {"status": "out-of-scope"}
-                else:
-                    checks[name] = _outcome_dict(
-                        check_equivalent_two_cross_jump(g, td3, cycles, result.lct)
-                    )
-            else:
-                raise ValueError(f"unknown check {name!r}")
+            gate, check = CHECKS[name]
+            checks[name] = dict(gates[gate]) if gates[gate] else check(facts)
         record["status"] = "fail" if any(c.get("status") == FAIL for c in checks.values()) else "ok"
-    except (EnumerationCapExceeded, EnumerationBudgetExceeded, TreewidthCapExceeded, GenerationError) as exc:
+    except CAP_ERRORS as exc:
         record["status"] = "out-of-scope"
         record["error"] = str(exc)
     record["ms"] = int((time.monotonic() - started) * 1000)
@@ -558,7 +528,7 @@ def evaluate_conjecture_task(task: dict, opts: CampaignOptions) -> dict:
         if finding.refutation:
             record["refutation"] = _plain(finding.refutation)
     except Exception as exc:
-        record["status"] = "error"
+        record["status"] = "out-of-scope" if isinstance(exc, CAP_ERRORS) else "error"
         record["error"] = str(exc)
     record["ms"] = int((time.monotonic() - started) * 1000)
     return record
@@ -617,6 +587,8 @@ def run_conjecture(tasks, opts: CampaignOptions, out_stream, ce_dir=None, worker
         summary.total += 1
         if record.get("status") == "error":
             summary.errors += 1
+        elif record.get("status") == "out-of-scope":
+            summary.out_of_scope += 1
         elif record.get("finding") == "COUNTEREXAMPLE":
             summary.counterexamples += 1
             code = EXIT_COUNTEREXAMPLE

@@ -15,20 +15,15 @@ premise-empty side conditions separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
+from typing import Callable
 
-from .classify import (
-    BagContext,
-    Fencing,
-    Posture,
-    cross_or_fence,
-    cycle_posture,
-    k_intersect,
-    s_equivalent,
-)
+from .classify import BagContext, BagMasks, Posture, bag_masks, s_equivalent
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
     Cycle,
+    EnumerationCapExceeded,
     LongestCycleSet,
     enumerate_longest_cycles,
 )
@@ -37,7 +32,7 @@ from .decomposition import (
     branch_of_vertex,
     branch_union,
 )
-from .graph import Graph, components_after_removal, is_biconnected, separates
+from .graph import Graph, components_after_removal, is_biconnected, separates, vertex_mask
 
 __all__ = [
     "PASS",
@@ -53,6 +48,7 @@ __all__ = [
     "ConjectureFinding",
     "compute_lct",
     "build_families",
+    "node_families",
     "check_fenced_or_shared",
     "component_family",
     "check_pairwise_and_common",
@@ -95,17 +91,10 @@ def compute_lct(
         family = enumerate_longest_cycles(g, cap=cap, max_steps=max_steps)
     if family.length == 0:
         raise ValueError("graph is acyclic: transversal number undefined")
-    masks = []
-    for c in family.cycles:
-        m = 0
-        for v in c.vertices:
-            m |= 1 << v
-        masks.append(m)
+    masks = [c.mask for c in family.cycles]
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
-            probe = 0
-            for v in combo:
-                probe |= 1 << v
+            probe = vertex_mask(combo)
             if all(m & probe for m in masks):
                 return TransversalResult(size, combo, family)
     raise AssertionError("unreachable: the full vertex set hits every cycle")
@@ -131,51 +120,59 @@ class TripleFamilies:
 @dataclass(frozen=True)
 class CycleFamilies:
     """Longest-cycle families at one bag: the 2-crossing set, the fenced
-    at-most-3-intersecting set, and per-triple exact/jump families."""
+    at-most-3-intersecting set, and per-triple exact/jump families, with the
+    bag's mask facts they were classified from."""
 
     ctx: BagContext
     x2: tuple[Cycle, ...]
     fenced3: tuple[Cycle, ...]
     by_triple: dict[tuple[int, ...], TripleFamilies]
+    masks: BagMasks
 
 
 def build_families(g: Graph, ctx: BagContext, cycles: LongestCycleSet | None = None) -> CycleFamilies:
     """Classify every longest cycle against one bag and all four of its triples."""
     if cycles is None:
         cycles = enumerate_longest_cycles(g)
-    bag = set(ctx.bag)
+    masks = bag_masks(g, ctx)
     x2: list[Cycle] = []
     fenced3: list[Cycle] = []
     for c in cycles:
-        count, _ = k_intersect(c, bag)
-        fen = cross_or_fence(g, c, bag)
-        if fen is Fencing.CROSSES and count == 2:
+        count = (c.mask & masks.bag).bit_count()
+        fenced = masks.fenced(c)
+        if not fenced and count == 2:
             x2.append(c)
-        elif fen is Fencing.FENCED and count <= 3:
+        elif fenced and count <= 3:
             fenced3.append(c)
     by_triple: dict[tuple[int, ...], TripleFamilies] = {}
     for delta in combinations(ctx.bag, 3):
-        dctx = ctx.with_delta(delta)
-        dset = set(delta)
-        exact3 = tuple(c for c in cycles if c.vertex_set & bag == dset)
+        dmask = vertex_mask(delta)
+        exact3 = tuple(c for c in cycles if c.mask & masks.bag == dmask)
         jump2: dict[tuple[int, int], list[Cycle]] = {p: [] for p in combinations(delta, 2)}
         jump3: list[Cycle] = []
         for c in cycles:
-            count, inter = k_intersect(c, dset)
-            if count < 2:
+            hit = c.mask & dmask
+            if hit.bit_count() < 2 or masks.posture(c, delta) is not Posture.JUMP:
                 continue
-            if cycle_posture(dctx, c).tag is Posture.JUMP:
-                if count == 2:
-                    jump2[inter].append(c)
-                else:
-                    jump3.append(c)
+            if hit == dmask:
+                jump3.append(c)
+            else:
+                jump2[tuple(v for v in delta if hit >> v & 1)].append(c)
         by_triple[delta] = TripleFamilies(
             delta,
             exact3,
             {p: tuple(v) for p, v in jump2.items()},
             tuple(jump3),
         )
-    return CycleFamilies(ctx, tuple(x2), tuple(fenced3), by_triple)
+    return CycleFamilies(ctx, tuple(x2), tuple(fenced3), by_triple, masks)
+
+
+def node_families(
+    g: Graph, td: TreeDecomposition, cycles: LongestCycleSet | None
+) -> Callable[[int], CycleFamilies]:
+    """The families at node t of td as a function of t, built on first use and
+    kept, so that all checks of one graph share one build per node."""
+    return cache(lambda t: build_families(g, BagContext(td, t), cycles))
 
 
 @dataclass(frozen=True)
@@ -197,6 +194,7 @@ def check_fenced_or_shared(
     td: TreeDecomposition,
     cycles: LongestCycleSet | None = None,
     result: TransversalResult | None = None,
+    families: Callable[[int], CycleFamilies] | None = None,
 ) -> FencedOrSharedReport:
     """At every bag: lct == 1, or some longest cycle is fenced by the bag and
     meets it at most three times.  A failing node would contradict the theory
@@ -209,21 +207,10 @@ def check_fenced_or_shared(
         cycles = enumerate_longest_cycles(g)
     if result is None:
         result = compute_lct(g, family=cycles)
-    if result.lct == 1:
-        statuses = tuple(PASS for _ in range(td.node_count))
-        return FencedOrSharedReport(1, statuses, ())
-    statuses = []
-    failing = []
-    for t in range(td.node_count):
-        bag = set(td.bags[t])
-        ok = any(
-            cross_or_fence(g, c, bag) is Fencing.FENCED and len(c.vertex_set & bag) <= 3
-            for c in cycles
-        )
-        statuses.append(PASS if ok else FAIL)
-        if not ok:
-            failing.append(t)
-    return FencedOrSharedReport(result.lct, tuple(statuses), tuple(failing))
+    families = families or node_families(g, td, cycles)
+    statuses = tuple(PASS if result.lct == 1 or families(t).fenced3 else FAIL for t in range(td.node_count))
+    failing = tuple(t for t, status in enumerate(statuses) if status == FAIL)
+    return FencedOrSharedReport(result.lct, statuses, failing)
 
 
 @dataclass(frozen=True)
@@ -252,7 +239,10 @@ def component_family(g: Graph, ctx: BagContext) -> ComponentFamily:
 
 
 def check_pairwise_and_common(
-    g: Graph, ctx: BagContext, cycles: LongestCycleSet | None = None
+    g: Graph,
+    ctx: BagContext,
+    cycles: LongestCycleSet | None = None,
+    families: Callable[[int], CycleFamilies] | None = None,
 ) -> CheckOutcome:
     """When all three 2-jump families at the triple are nonempty, verify that
 
@@ -262,9 +252,8 @@ def check_pairwise_and_common(
     """
     if ctx.delta is None:
         raise ValueError("check needs a distinguished triple")
-    if cycles is None:
-        cycles = enumerate_longest_cycles(g)
-    fams = build_families(g, ctx, cycles).by_triple[ctx.delta]
+    node = (families or node_families(g, ctx.td, cycles))(ctx.t)
+    fams = node.by_triple[ctx.delta]
     if any(not fams.jump2[p] for p in fams.jump2):
         empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
         return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}")
@@ -290,16 +279,16 @@ def check_pairwise_and_common(
             "no qualifying component carries all pairwise intersections",
             (bad[0].vertices, bad[1].vertices),
         )
-    common = set(ctx.inside_vertices())
+    common = node.masks.inside[ctx.delta]
     for c in family:
-        common &= c.vertex_set
+        common &= c.mask
     if not common:
         return CheckOutcome(
             FAIL,
             "jump families share no vertex inside the triple",
             (witness_component,),
         )
-    return CheckOutcome(PASS, witness=(witness_component, min(common)))
+    return CheckOutcome(PASS, witness=(witness_component, (common & -common).bit_length() - 1))  # least vertex
 
 
 def check_escape_cycle(
@@ -307,6 +296,7 @@ def check_escape_cycle(
     ctx: BagContext,
     cycles: LongestCycleSet | None = None,
     result: TransversalResult | None = None,
+    families: Callable[[int], CycleFamilies] | None = None,
 ) -> CheckOutcome:
     """When lct > 1 and every pair of the triple has a 2-jumping longest cycle,
     some longest cycle meets the bag at most once, or is outside the triple,
@@ -320,26 +310,24 @@ def check_escape_cycle(
         result = compute_lct(g, family=cycles)
     if result.lct <= 1:
         return CheckOutcome(PREMISE_NOT_MET, "all longest cycles share a vertex (lct = 1)")
-    fams = build_families(g, ctx, cycles).by_triple[ctx.delta]
+    node = (families or node_families(g, ctx.td, cycles))(ctx.t)
+    fams = node.by_triple[ctx.delta]
     if any(not fams.jump2[p] for p in fams.jump2):
         empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
         return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}")
-    dset = set(ctx.delta)
+    dmask = vertex_mask(ctx.delta)
     for c in cycles:
-        if len(c.vertex_set & set(ctx.bag)) <= 1:
+        if (c.mask & node.masks.bag).bit_count() <= 1:
             return CheckOutcome(PASS, "a longest cycle meets the bag at most once", (c.vertices,))
-        if len(c.vertex_set & dset) < 2:
+        count = (c.mask & dmask).bit_count()
+        if count < 2:
             continue
-        posture = cycle_posture(ctx, c)
-        if posture.tag is Posture.OUTSIDE:
+        tag = node.masks.posture(c, ctx.delta)
+        if tag is Posture.OUTSIDE:
             return CheckOutcome(PASS, "a longest cycle is outside the triple", (c.vertices,))
-        if posture.tag is Posture.INSIDE and posture.intersect_count == 2:
+        if tag is Posture.INSIDE and count == 2:
             return CheckOutcome(PASS, "an inside longest cycle meets the triple twice", (c.vertices,))
-        if (
-            posture.tag is Posture.INSIDE
-            and posture.intersect_count == 3
-            and not separates(g, dset, c.vertex_set)
-        ):
+        if tag is Posture.INSIDE and count == 3 and not separates(g, ctx.delta, c.vertex_set):
             return CheckOutcome(
                 PASS, "an inside longest cycle meets the triple thrice, fenced by it", (c.vertices,)
             )
@@ -372,6 +360,8 @@ def conjecture_scan(
     """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal."""
     if not is_biconnected(g):
         raise ValueError("conjecture scan requires a 2-connected graph")
+    if g.n > cap:  # before the 2^n treewidth program, which would only end in this refusal
+        raise EnumerationCapExceeded(f"enumeration needs n <= {cap}, got {g.n}")
     if not treewidth_known:
         from .decomposition import exact_treewidth
 
@@ -407,6 +397,7 @@ def check_equivalent_two_cross_jump(
     td: TreeDecomposition,
     cycles: LongestCycleSet,
     lct: int,
+    families: Callable[[int], CycleFamilies] | None = None,
 ) -> CheckOutcome:
     """When lct > 1 and all 2-crossing longest cycles at a bag meet it in the
     same pair, each of them must jump both triples containing that pair.
@@ -415,15 +406,12 @@ def check_equivalent_two_cross_jump(
     all longest cycles intersect."""
     if lct <= 1:
         return CheckOutcome(VACUOUS_PASS, "premise empty: lct = 1")
+    families = families or node_families(g, td, cycles)
     met_anywhere = False
     for t in range(td.node_count):
-        ctx = BagContext(td, t)
+        fams = families(t)
         bag = set(td.bags[t])
-        x2 = [
-            c
-            for c in cycles
-            if len(c.vertex_set & bag) == 2 and cross_or_fence(g, c, bag) is Fencing.CROSSES
-        ]
+        x2 = fams.x2
         if not x2:
             continue
         if not all(s_equivalent(x2[0], c, bag) for c in x2[1:]):
@@ -433,7 +421,7 @@ def check_equivalent_two_cross_jump(
         triples = [tuple(sorted(set(pair) | {w})) for w in td.bags[t] if w not in pair]
         for c in x2:
             for delta in triples:
-                if cycle_posture(ctx.with_delta(delta), c).tag is not Posture.JUMP:
+                if c not in fams.by_triple[delta].jump2[pair]:
                     return CheckOutcome(
                         FAIL,
                         f"2-crossing cycle fails to jump triple {delta} at node {t}",

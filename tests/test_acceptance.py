@@ -23,6 +23,7 @@ Each test prints one PASS/FAIL line and enforces its stated tolerance:
 10. the campaign of criterion 1 is byte-deterministic modulo timing fields.
 """
 
+import hashlib
 import io
 import json
 import time
@@ -50,6 +51,7 @@ from lctw.transversal import compute_lct
 WORKERS = 2
 CRIT1_RANDOM = "k=3,n=9..14,count=1000,p=0.25"
 CRIT1_SEED = 20260808
+CRIT1_DIGEST = "a5d69c60ce3b7d9ed01c5c74502aeff2968a8bd44de99b58272c28eaecd2d091"
 CRIT8_SPEC = "k=3,n=5..9,count=10000,p=0.45"
 CRIT8_SEED = 206
 CRIT9_SPEC = "k=4,n=8..13,count=1000,p=0.3"
@@ -66,6 +68,16 @@ def corpus_tasks_c1():
     exhaustive = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=8"))
     rand = corpus_tasks(parse_corpus_spec(CRIT1_RANDOM, seed=CRIT1_SEED))
     return exhaustive, rand
+
+
+def _strip(text):
+    """The report with the timing field ``ms`` dropped from every record."""
+    out = []
+    for line in text.splitlines():
+        r = json.loads(line)
+        r.pop("ms", None)
+        out.append(json.dumps(r, sort_keys=True))
+    return "\n".join(out)
 
 
 def _run_campaign(tasks):
@@ -103,6 +115,12 @@ def test_criterion_01_all_longest_cycles_share_a_vertex(campaign_c1):
         f"({campaign_c1['n_exhaustive']} exhaustive + 1000 random), transversal 1 on all, "
         f"{campaign_c1['seconds']:.0f}s",
     )
+
+
+def test_criterion_01_behaviour_digest(campaign_c1):
+    # the frozen behaviour anchor: any change to a record, ms aside, moves it
+    digest = hashlib.sha256(_strip(campaign_c1["text"]).encode()).hexdigest()
+    assert digest == CRIT1_DIGEST
 
 
 def test_criterion_02_pairwise_intersection_arbitrary_graphs():
@@ -253,14 +271,5 @@ def test_criterion_09_two_vertex_transversal_scan(tmp_path):
 def test_criterion_10_report_determinism(campaign_c1, corpus_tasks_c1):
     exhaustive, rand = corpus_tasks_c1
     code, summary, text = _run_campaign(exhaustive + rand)
-
-    def strip(text):
-        out = []
-        for line in text.splitlines():
-            r = json.loads(line)
-            r.pop("ms", None)
-            out.append(json.dumps(r, sort_keys=True))
-        return "\n".join(out)
-
-    ok = strip(text) == strip(campaign_c1["text"])
+    ok = _strip(text) == _strip(campaign_c1["text"])
     _announce(10, ok, "two identically-seeded campaign runs agree byte-for-byte modulo timings")

@@ -239,3 +239,24 @@ def test_inside_membership_matches_reachability(small_corpus):
                     if br.nodes <= bu.nodes:
                         expect.update(block)
                 assert inside == expect
+
+
+def test_bag_masks_match_route_classification(small_corpus):
+    # the mask fencing and posture against cross_or_fence and cycle_posture,
+    # every longest cycle at every node and triple
+    from lctw.classify import bag_masks
+
+    checked = 0
+    for g, natural in small_corpus:
+        td = full_tree_decomposition(g, 3, base=natural)
+        lcs = enumerate_longest_cycles(g)
+        for t in range(td.node_count):
+            ctx = BagContext(td, t)
+            masks = bag_masks(g, ctx)
+            for c in lcs:
+                assert masks.fenced(c) == (cross_or_fence(g, c, ctx.bag) is Fencing.FENCED)
+                for delta in combinations(ctx.bag, 3):
+                    if len(c.vertex_set & set(delta)) >= 2:
+                        assert masks.posture(c, delta) is cycle_posture(ctx.with_delta(delta), c).tag
+                        checked += 1
+    assert checked > 1000

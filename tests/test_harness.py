@@ -8,13 +8,18 @@ from lctw.cli import main
 from lctw.fixtures import complete_graph, petersen
 from lctw.graph import parse_graph6, write_graph6
 from lctw.harness import (
+    CHECKS,
+    DEFAULT_CHECKS,
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG,
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     CampaignOptions,
+    check_edge_separators,
+    check_family_consistency,
     corpus_tasks,
     directed_forest_diagnostic,
+    evaluate_conjecture_task,
     evaluate_task,
     parse_corpus_spec,
     run_conjecture,
@@ -22,7 +27,7 @@ from lctw.harness import (
     verify_conjecture_bundle,
     write_conjecture_bundle,
 )
-from lctw.transversal import TransversalResult
+from lctw.transversal import TransversalResult, node_families
 
 
 def _records(buf):
@@ -296,3 +301,115 @@ def test_cli_conjecture(tmp_path):
 def test_cli_generation_retry_exhaustion_is_config_error():
     rc = main(["verify", "--generate", "k=3,n=10,count=3,p=0.85", "--seed", "1", "--workers", "1"])
     assert rc == EXIT_CONFIG
+
+
+def _chain_with_uncovered_edge():
+    """Three bags in a path, each a clique, plus the edge (0, 5) that no bag
+    covers: the decomposition is invalid for the graph, so separators leak."""
+    from lctw.decomposition import TreeDecomposition
+    from lctw.graph import Graph
+
+    bags = [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]
+    edges = {(u, v) for bag in bags for u in bag for v in bag if u < v} | {(0, 5)}
+    return Graph(6, edges), TreeDecomposition(bags, [(0, 1), (1, 2)])
+
+
+def _separator_reference(g, td):
+    """The sweep stated pair by pair with check_separator_property."""
+    from lctw.decomposition import branch_at, check_separator_property
+
+    pairs, violations = 0, []
+    for a, b in sorted(td.tree_edges):
+        for t, tp in ((a, b), (b, a)):
+            for u in sorted(branch_at(td, t, tp).vertices):
+                for v in sorted(branch_at(td, tp, t).vertices):
+                    pairs += 1
+                    if not check_separator_property(g, td, (t, tp), u, v):
+                        violations.append([t, tp, u, v])
+    return {"status": "fail" if violations else "pass", "pairs": pairs, "violations": violations}
+
+
+def test_edge_separator_sweep_matches_pairwise_reference(small_corpus):
+    from lctw.decomposition import full_tree_decomposition
+
+    for g, natural in small_corpus:
+        td = full_tree_decomposition(g, 3, base=natural)
+        assert check_edge_separators(g, td) == _separator_reference(g, td)
+    g, td = _chain_with_uncovered_edge()
+    sweep = check_edge_separators(g, td)
+    assert sweep == _separator_reference(g, td)
+    assert sweep["status"] == "fail" and len(sweep["violations"]) > 1
+
+
+def test_families_check_flags_a_straddling_component():
+    from lctw.cycles import enumerate_longest_cycles
+
+    g, td = _chain_with_uncovered_edge()
+    # at node 1 the component {0, 5} of G - bag meets the inside set {0,1,2,3}
+    # of triple (1, 2, 3) and its complement
+    out = check_family_consistency(td, node_families(g, td, enumerate_longest_cycles(g)))
+    assert out["status"] == "fail" and out["detail"].startswith("node 1:")
+
+
+@pytest.mark.parametrize("checks", [DEFAULT_CHECKS, ("jump_families", "escape_cycle"), tuple(CHECKS)])
+def test_families_built_at_most_once_per_node(monkeypatch, checks):
+    import lctw.transversal as transversal
+
+    built = []
+    real = transversal.build_families
+
+    def counting(g, ctx, cycles=None):
+        built.append(ctx.t)
+        return real(g, ctx, cycles)
+
+    monkeypatch.setattr(transversal, "build_families", counting)
+    # a graph where the jump premise holds at two contexts and dforest runs
+    rec = evaluate_task({"graph6": "HSxoOEB"}, CampaignOptions(checks=checks))
+    assert rec["status"] == "ok"
+    assert built and len(built) == len(set(built))
+
+
+def test_unknown_check_is_rejected_up_front():
+    with pytest.raises(ValueError, match="bogus"):
+        CampaignOptions(checks=("shared_vertex", "bogus"))
+
+
+def test_cap_overrun_is_out_of_scope_in_both_evaluators(monkeypatch):
+    from lctw.generate import GenSpec, generate_partial_k_tree
+
+    g, td = generate_partial_k_tree(GenSpec(n=20, k=3, seed=1, delete_probability=0.25, require_biconnected=True))
+    blob = {"bags": [list(b) for b in td.bags], "edges": [list(e) for e in sorted(td.tree_edges)]}
+    rec = evaluate_task({"graph6": write_graph6(g), "td": blob}, CampaignOptions())
+    assert rec["status"] == "out-of-scope" and "n <= 18" in rec["error"]
+
+    def no_treewidth(*args, **kwargs):
+        raise AssertionError("the cap is checked before exact treewidth")
+
+    monkeypatch.setattr("lctw.decomposition.exact_treewidth", no_treewidth)
+    task = {"graph6": write_graph6(g)}  # no td: the scan would need exact treewidth
+    assert evaluate_conjecture_task(task, CampaignOptions())["status"] == "out-of-scope"
+    code, summary = run_conjecture([task], CampaignOptions(), io.StringIO(), workers=1)
+    assert code == EXIT_OK and summary.out_of_scope == 1 and summary.errors == 0
+
+
+def test_cli_verify_unknown_check_is_config_error(capsys):
+    rc = main(["verify", "--checks", "shared_vertex,bogus", "--generate", "k=3,n=8,count=2", "--workers", "2"])
+    assert rc == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "bogus" in err
+
+
+def _three_tree_26():
+    from lctw.generate import GenSpec, generate_k_tree
+
+    return write_graph6(generate_k_tree(GenSpec(n=26, k=3, seed=0))[0])
+
+
+def test_cli_inspect_beyond_treewidth_cap_is_config_error(capsys):
+    assert main(["inspect", _three_tree_26()]) == EXIT_CONFIG
+    assert "treewidth" in capsys.readouterr().err
+
+
+def test_cli_directed_forest_beyond_cap_is_config_error(capsys):
+    assert main(["directed-forest", _three_tree_26()]) == EXIT_CONFIG
+    assert "treewidth" in capsys.readouterr().err

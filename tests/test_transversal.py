@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from lctw.classify import BagContext
+from lctw.classify import BagContext, Fencing, Posture, cross_or_fence, cycle_posture, k_intersect
 from lctw.cycles import enumerate_longest_cycles
 from lctw.decomposition import TreeDecomposition, exact_treewidth, full_tree_decomposition
 from lctw.fixtures import complete_graph, path_graph
@@ -66,6 +68,47 @@ def test_build_families_disjoint_and_consistent(fig):
                     assert c.vertex_set & set(delta) == set(pair)
             for c in tf.jump3:
                 assert c.vertex_set & set(delta) == set(delta)
+
+
+def _route_families(g, td, t, cycles):
+    """build_families stated on routes, as before the mask classification:
+    k_intersect, cross_or_fence and cycle_posture per cycle."""
+    ctx = BagContext(td, t)
+    bag = set(ctx.bag)
+    x2, fenced3 = [], []
+    for c in cycles:
+        count, _ = k_intersect(c, bag)
+        fen = cross_or_fence(g, c, bag)
+        if fen is Fencing.CROSSES and count == 2:
+            x2.append(c)
+        elif fen is Fencing.FENCED and count <= 3:
+            fenced3.append(c)
+    by_triple = {}
+    for delta in combinations(ctx.bag, 3):
+        jump2 = {p: [] for p in combinations(delta, 2)}
+        jump3 = []
+        for c in cycles:
+            count, inter = k_intersect(c, delta)
+            if count >= 2 and cycle_posture(ctx.with_delta(delta), c).tag is Posture.JUMP:
+                (jump2[inter] if count == 2 else jump3).append(c)
+        exact3 = tuple(c for c in cycles if c.vertex_set & bag == set(delta))
+        by_triple[delta] = (exact3, {p: tuple(v) for p, v in jump2.items()}, tuple(jump3))
+    return tuple(x2), tuple(fenced3), by_triple
+
+
+def test_build_families_matches_route_reference(small_corpus, fig, k23):
+    fg, _ = fig
+    cases = [(g, full_tree_decomposition(g, 3, base=natural)) for g, natural in small_corpus]
+    cases += [(fg, full_tree_decomposition(fg, 3)), k23]
+    nodes = 0
+    for g, td in cases:
+        lcs = enumerate_longest_cycles(g)
+        for t in range(td.node_count):
+            fams = build_families(g, BagContext(td, t), lcs)
+            by_triple = {d: (tf.exact3, tf.jump2, tf.jump3) for d, tf in fams.by_triple.items()}
+            assert (fams.x2, fams.fenced3, by_triple) == _route_families(g, td, t, lcs)
+            nodes += 1
+    assert nodes > 300
 
 
 def test_build_families_k23(k23):
