@@ -49,7 +49,6 @@ from .graph import (
 )
 from .transversal import (
     CheckOutcome,
-    ComponentFamily,
     ConjectureFinding,
     CycleFamilies,
     TransversalResult,
@@ -57,7 +56,6 @@ from .transversal import (
     check_escape_cycle,
     check_fenced_or_shared,
     check_pairwise_and_common,
-    component_family,
     compute_lct,
     conjecture_scan,
 )

@@ -3,9 +3,9 @@ independent length oracle over tree decompositions, and the segment algebra
 (parts between marked vertices, tails at a vertex, path/cycle concatenation).
 
 Enumeration is complete by contract: every longest cycle is returned, in
-canonical form, and pruning is reachability-based so it never cuts a valid
-completion.  Budgets fail loudly rather than sampling, because downstream
-checks require the complete family.
+canonical form, by one search pass that prunes only branches unable to reach
+the best length so far, which never exceeds the longest.  Budgets fail loudly
+rather than sampling, because downstream checks require the complete family.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ class PathSegment:
 class LongestCycleSet:
     """The complete family of longest cycles of one graph.
 
-    length == 0 with no cycles iff the graph is acyclic.  ``steps`` records the
-    search effort so reports can carry the enumeration budget actually used.
+    length == 0 with no cycles iff the graph is acyclic.  ``steps`` counts the
+    successors the search pass tried, the quantity a ``max_steps`` budget bounds.
     """
 
     length: int
@@ -153,93 +153,73 @@ def enumerate_longest_cycles(
 ) -> LongestCycleSet:
     """All distinct longest cycles of g, canonically deduplicated and sorted.
 
-    Backtracking from the minimum-id vertex of each cycle.  A branch is pruned
-    only when the vertices still reachable from the head cannot bring the path
-    up to the target length, or cannot reconnect to the start; both bounds are
-    sound for completeness.  Finding the maximum length first and then
-    re-enumerating at that exact length keeps the best-length bound out of the
-    completeness-critical pass.
+    One backtracking pass over paths rooted at each cycle's minimum vertex keeps
+    the best length closed so far and the cycles of that length (in the
+    direction whose second vertex is below its last), dropping them when a
+    longer cycle closes.  A branch is pruned only when the free vertices, or
+    those reachable from the head through free ones, cannot bring the path up to
+    the best, or when the head cannot reconnect to the root.  The best never
+    exceeds the longest length L, so no branch that could close a longest cycle
+    is cut and the family is complete.  Roots stop once fewer than best vertices
+    remain from the root up.
     """
     if g.n > cap:
         raise EnumerationCapExceeded(f"enumeration needs n <= {cap}, got {g.n}")
-    counter = [0]
-    best = _search(g, None, counter, max_steps)
-    if best == 0:
-        return LongestCycleSet(0, (), steps=counter[0])
-    found: set[tuple[int, ...]] = set()
-    _search(g, best, counter, max_steps, found)
-    cycles = tuple(sorted(Cycle(seq) for seq in found))
-    return LongestCycleSet(best, cycles, steps=counter[0])
-
-
-def _search(g, target, counter, max_steps, sink=None) -> int:
-    """One backtracking pass over paths rooted at each cycle's minimum vertex.
-
-    With target=None returns the maximum cycle length; with a target collects
-    into ``sink`` every cycle of exactly that length (direction-deduplicated by
-    requiring second vertex < last vertex at closing time).
-    """
     n = g.n
     nbr = g.nbr_mask
     best = 0
+    found: list[tuple[int, ...]] = []
+    steps = 0
     for s in range(n):
+        if n - s < best:
+            break  # a cycle rooted at s uses only vertices >= s
         if len(g.adj[s]) < 2:
             continue
         s_bit = 1 << s
         allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
         path = [s]
         used = s_bit
-        stack = [iter([v for v in g.adj[s] if v > s])]
+        stack = [nbr[s] & allowed]  # untried successors per path vertex
         while stack:
-            advanced = False
-            for w in stack[-1]:
-                counter[0] += 1
-                if max_steps is not None and counter[0] > max_steps:
-                    raise EnumerationBudgetExceeded(
-                        f"enumeration exceeded {max_steps} steps; no partial results"
-                    )
-                wb = 1 << w
-                if nbr[w] & s_bit and len(path) >= 2:
-                    clen = len(path) + 1
-                    if target is None:
-                        if clen > best:
-                            best = clen
-                    elif clen == target and path[1] < w:
-                        sink.add(tuple(path) + (w,))
-                goal = target if target is not None else best + 1
-                if target is not None and len(path) + 1 >= target:
-                    continue  # any closure after extending would exceed the target
-                free = allowed & ~used & ~wb
-                if len(path) + 1 + bin(free).count("1") < goal:
-                    continue
-                # Vertices reachable from w through unused ids bound the extension.
-                comp = wb
-                frontier = wb
-                while frontier:
-                    nxt = 0
-                    f = frontier
-                    while f:
-                        low = f & -f
-                        nxt |= nbr[low.bit_length() - 1]
-                        f ^= low
-                    frontier = nxt & free & ~comp
-                    comp |= frontier
-                if not comp & nbr[s]:
-                    continue  # no way back to the start
-                if len(path) + bin(comp).count("1") < goal:
-                    continue
-                path.append(w)
-                used |= wb
-                stack.append(iter([x for x in g.adj[w] if (allowed >> x) & 1 and not (used >> x) & 1]))
-                advanced = True
-                break
-            if not advanced:
+            untried = stack[-1]
+            if not untried:
                 stack.pop()
-                if len(path) > 1:
-                    used &= ~(1 << path.pop())
-        if target is None and best >= n:
-            break
-    return best
+                used &= ~(1 << path.pop())
+                continue
+            wb = untried & -untried
+            stack[-1] = untried ^ wb
+            steps += 1
+            if max_steps is not None and steps > max_steps:
+                raise EnumerationBudgetExceeded(
+                    f"enumeration exceeded {max_steps} steps; no partial results"
+                )
+            w = wb.bit_length() - 1
+            size = len(path) + 1  # path vertices once w is appended
+            if nbr[w] & s_bit and size >= 3:
+                if size > best:
+                    best = size
+                    found = []
+                if size == best and path[1] < w:
+                    found.append(tuple(path) + (w,))
+            free = allowed & ~used & ~wb
+            if size + free.bit_count() < best:
+                continue
+            # Vertices reachable from w through free ones bound the extension.
+            comp = frontier = wb
+            while frontier:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= nbr[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & free & ~comp
+                comp |= frontier
+            if not comp & nbr[s] or len(path) + comp.bit_count() < best:
+                continue  # no way back to the root, or too few vertices left
+            path.append(w)
+            used |= wb
+            stack.append(nbr[w] & free)
+    return LongestCycleSet(best, tuple(sorted(Cycle(seq) for seq in found)), steps=steps)
 
 
 def parts(c: Cycle, s) -> list[PathSegment]:

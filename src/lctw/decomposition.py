@@ -176,7 +176,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, Tr
                 low = c & -c
                 outside |= nbr[low.bit_length() - 1]
                 c ^= low
-            q = bin(outside & ~s_mask).count("1")
+            q = (outside & ~s_mask).bit_count()
             c = comp
             while c:
                 low = c & -c

@@ -34,7 +34,10 @@ class Graph6Error(ValueError):
 
 def vertex_mask(vertices: Iterable[int]) -> int:
     """Bitmask of a vertex collection: bit v set iff v is in it."""
-    return sum(1 << v for v in set(vertices))
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 class Graph:

@@ -433,6 +433,8 @@ def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
         biconn = is_biconnected(g)
         if base_td is not None:
             tw_le_3 = True  # a valid width-<=3 decomposition certifies it
+        elif biconn and g.n > opts.enumeration_cap:  # the 2^n program would only end in this refusal
+            raise EnumerationCapExceeded(f"enumeration needs n <= {opts.enumeration_cap}, got {g.n}")
         elif g.n <= opts.treewidth_cap:
             width, base_td = exact_treewidth(g, cap=opts.treewidth_cap)
             tw_le_3 = width <= 3

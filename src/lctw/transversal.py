@@ -27,12 +27,8 @@ from .cycles import (
     LongestCycleSet,
     enumerate_longest_cycles,
 )
-from .decomposition import (
-    TreeDecomposition,
-    branch_of_vertex,
-    branch_union,
-)
-from .graph import Graph, components_after_removal, is_biconnected, separates, vertex_mask
+from .decomposition import TreeDecomposition
+from .graph import Graph, is_biconnected, separates, vertex_mask
 
 __all__ = [
     "PASS",
@@ -42,7 +38,6 @@ __all__ = [
     "TransversalResult",
     "CycleFamilies",
     "TripleFamilies",
-    "ComponentFamily",
     "FencedOrSharedReport",
     "CheckOutcome",
     "ConjectureFinding",
@@ -50,7 +45,6 @@ __all__ = [
     "build_families",
     "node_families",
     "check_fenced_or_shared",
-    "component_family",
     "check_pairwise_and_common",
     "check_escape_cycle",
     "conjecture_scan",
@@ -213,31 +207,6 @@ def check_fenced_or_shared(
     return FencedOrSharedReport(result.lct, statuses, failing)
 
 
-@dataclass(frozen=True)
-class ComponentFamily:
-    """Components of G minus the bag whose branch lies in the triple's branch
-    union, with the anchoring neighbor node of each component."""
-
-    components: tuple[tuple[int, ...], ...]
-    anchors: tuple[int, ...]  # neighbor node of t holding each component's branch
-
-
-def component_family(g: Graph, ctx: BagContext) -> ComponentFamily:
-    if ctx.delta is None:
-        raise ValueError("component families need a distinguished triple")
-    bu = branch_union(ctx.td, ctx.t, ctx.delta)
-    comps = []
-    anchors = []
-    for block in components_after_removal(g, ctx.bag):
-        br = branch_of_vertex(ctx.td, ctx.t, block[0])
-        if not br.nodes <= bu.nodes:
-            continue
-        neighbor = next(u for u in ctx.td.node_adj[ctx.t] if u in br.nodes)
-        comps.append(block)
-        anchors.append(neighbor)
-    return ComponentFamily(tuple(comps), tuple(anchors))
-
-
 def check_pairwise_and_common(
     g: Graph,
     ctx: BagContext,
@@ -258,28 +227,20 @@ def check_pairwise_and_common(
         empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
         return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}")
     family = fams.jump_union()
-    comp_fam = component_family(g, ctx)
-    witness_component = None
-    for block in comp_fam.components:
-        bset = set(block)
-        if all(
-            c.vertex_set & d.vertex_set & bset
-            for c, d in combinations(family, 2)
-        ):
-            witness_component = block
-            break
-    if witness_component is None:
-        bad = next(
-            (c, d)
-            for c, d in combinations(family, 2)
-            if not any(c.vertex_set & d.vertex_set & set(b) for b in comp_fam.components)
-        )
+    inside = node.masks.inside[ctx.delta]
+    blocks = [b for b in node.masks.components if b & inside]  # components in the triple's branch union
+    pairs = list(combinations(family, 2))
+    meets = [c.mask & d.mask for c, d in pairs]
+    block = next((b for b in blocks if all(m & b for m in meets)), None)
+    if block is None:
+        c, d = next(p for p, m in zip(pairs, meets) if not any(m & b for b in blocks))
         return CheckOutcome(
             FAIL,
             "no qualifying component carries all pairwise intersections",
-            (bad[0].vertices, bad[1].vertices),
+            (c.vertices, d.vertices),
         )
-    common = node.masks.inside[ctx.delta]
+    witness_component = tuple(v for v in range(g.n) if block >> v & 1)
+    common = inside
     for c in family:
         common &= c.mask
     if not common:

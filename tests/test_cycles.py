@@ -74,11 +74,20 @@ def test_enumerate_matches_bruteforce():
         blen, bset = brute_force_longest_cycles(g)
         assert lcs.length == blen
         assert set(lcs.cycles) == bset
-    for seed in (3, 4):
-        g = random_graph(random.Random(seed), 10, 0.3)
+    graphs = [random_graph(random.Random(seed), 10, 0.3) for seed in (3, 4)]
+    graphs += [complete_graph(k) for k in range(3, 8)]  # Hamiltonian: the root bound ends the search at vertex 0
+    for g in graphs:
         lcs = enumerate_longest_cycles(g)
         blen, bset = brute_force_longest_cycles(g)
         assert (lcs.length, set(lcs.cycles)) == (blen, bset)
+
+
+def test_step_budget_boundary(petersen_graph, small_corpus):
+    for g in [petersen_graph] + [g for g, _ in small_corpus[:4]]:
+        lcs = enumerate_longest_cycles(g)
+        assert enumerate_longest_cycles(g, max_steps=lcs.steps).cycles == lcs.cycles
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_longest_cycles(g, max_steps=lcs.steps - 1)
 
 
 def test_enumerate_deterministic_order(petersen_graph):

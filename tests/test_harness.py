@@ -386,7 +386,10 @@ def test_cap_overrun_is_out_of_scope_in_both_evaluators(monkeypatch):
         raise AssertionError("the cap is checked before exact treewidth")
 
     monkeypatch.setattr("lctw.decomposition.exact_treewidth", no_treewidth)
-    task = {"graph6": write_graph6(g)}  # no td: the scan would need exact treewidth
+    monkeypatch.setattr("lctw.harness.exact_treewidth", no_treewidth)
+    task = {"graph6": write_graph6(g)}  # no td: both evaluators would need exact treewidth
+    rec = evaluate_task(task, CampaignOptions())
+    assert rec["status"] == "out-of-scope" and "n <= 18" in rec["error"]
     assert evaluate_conjecture_task(task, CampaignOptions())["status"] == "out-of-scope"
     code, summary = run_conjecture([task], CampaignOptions(), io.StringIO(), workers=1)
     assert code == EXIT_OK and summary.out_of_scope == 1 and summary.errors == 0

@@ -19,7 +19,6 @@ from lctw.transversal import (
     check_fenced_or_shared,
     check_min_cycle_length_premise,
     check_pairwise_and_common,
-    component_family,
     compute_lct,
     conjecture_scan,
 )
@@ -141,25 +140,6 @@ def test_check_fenced_or_shared_preconditions(petersen_graph, c5):
     _, tdp = exact_treewidth(petersen_graph)
     with pytest.raises(ValueError):
         check_fenced_or_shared(petersen_graph, tdp)  # width 4 decomposition
-
-
-def test_component_family_cases(k23, fig):
-    g, td = k23
-    fam = component_family(g, BagContext(td, 1, (0, 1, 2)))
-    assert fam.components == ((3,),) and fam.anchors == (0,)
-    # triple whose branch union is empty -> empty family
-    fam2 = component_family(g, BagContext(td, 1, (0, 1, 4)))
-    assert fam2.components == ()
-    # fixture: components at the clique bag filtered by branch containment
-    gf, nm = fig
-    tdf = full_tree_decomposition(gf, 3)
-    t = tdf.bags.index((0, 1, 2, 3))
-    ctx = BagContext(tdf, t, tuple(sorted((nm["b"], nm["c"], nm["d"]))))
-    fam3 = component_family(gf, ctx)
-    all_blocks = {(nm["v1"],), (nm["v2"],), (nm["v3"], nm["v4"]), (nm["v5"],)}
-    assert set(fam3.components) <= all_blocks
-    for block, anchor in zip(fam3.components, fam3.anchors):
-        assert anchor in tdf.node_adj[t]
 
 
 def test_check_pairwise_and_common_k23(k23):
