@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -79,23 +80,16 @@ class BagContext:
     def bag(self) -> tuple[int, ...]:
         return self.td.bags[self.t]
 
-    def with_delta(self, delta: Iterable[int]) -> "BagContext":
-        return BagContext(self.td, self.t, tuple(delta))
-
+    @cached_property
     def inside_vertices(self) -> frozenset[int]:
         """Vertices of the triple plus everything in a bag of its branch union."""
         if self.delta is None:
             raise ValueError("context has no distinguished triple")
-        cached = getattr(self, "_inside", None)
-        if cached is not None:
-            return cached
         bu = branch_union(self.td, self.t, self.delta)
         inside = set(self.delta)
         for x in bu.nodes:
             inside.update(self.td.bags[x])
-        result = frozenset(inside)
-        object.__setattr__(self, "_inside", result)
-        return result
+        return frozenset(inside)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def s_equivalent(x: Cycle | PathSegment, y: Cycle | PathSegment, s: Iterable[int
 
 def vertex_side(ctx: BagContext, v: int) -> Side:
     """Inside iff v belongs to the triple or appears in a bag of its branch union."""
-    return Side.INSIDE if v in ctx.inside_vertices() else Side.OUTSIDE
+    return Side.INSIDE if v in ctx.inside_vertices else Side.OUTSIDE
 
 
 def path_side(ctx: BagContext, p: PathSegment) -> Side:
@@ -143,7 +137,7 @@ def path_side(ctx: BagContext, p: PathSegment) -> Side:
     a, b = p.ends
     if a == b or a not in dset or b not in dset or len(p.vertex_set & dset) != 2:
         raise ValueError("segment must meet the triple exactly at its two distinct endpoints")
-    inside = ctx.inside_vertices()
+    inside = ctx.inside_vertices
     return Side.INSIDE if all(v in inside for v in p.vertices) else Side.OUTSIDE
 
 
@@ -205,5 +199,8 @@ class BagMasks:
 def bag_masks(g: Graph, ctx: BagContext) -> BagMasks:
     """The mask facts of the node of ``ctx``, whose triple, if any, is ignored."""
     bag = vertex_mask(ctx.bag)
-    inside = {delta: vertex_mask(ctx.with_delta(delta).inside_vertices()) for delta in combinations(ctx.bag, 3)}
+    inside = {
+        delta: vertex_mask(delta) | vertex_mask(branch_union(ctx.td, ctx.t, delta).vertices)
+        for delta in combinations(ctx.bag, 3)
+    }
     return BagMasks(bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)

@@ -88,7 +88,7 @@ class TreeDecomposition:
 
 
 def validate(g: Graph, td: TreeDecomposition) -> list[str]:
-    """Check the three decomposition conditions plus tree shape and fullness.
+    """Check the three decomposition conditions plus tree shape.
 
     Returns a list of violation strings (empty means valid); each violation
     names the failed condition and a witness.  Violations are data, not errors.
@@ -134,15 +134,6 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
                     stack.append(w)
         if len(reach) != len(holding):
             out.append(f"subtree-connectivity: nodes holding vertex {v} are disconnected")
-    if td.is_full:
-        k = td.width
-        for t, bag in enumerate(td.bags):
-            if len(bag) != k + 1:
-                out.append(f"fullness: node {t} bag has size {len(bag)}, expected {k + 1}")
-        for a, b in sorted(td.tree_edges):
-            inter = len(bag_sets[a] & bag_sets[b])
-            if inter != k:
-                out.append(f"fullness: edge ({a},{b}) shares {inter} vertices, expected {k}")
     return out
 
 

@@ -47,13 +47,12 @@ class GenSpec:
     n: int
     k: int
     seed: int = 0
-    mode: str = "random"  # random | exhaustive
     delete_probability: float = 0.0
     require_biconnected: bool = False
     retry_budget: int = 200
 
     def __post_init__(self):
-        if self.mode == "random" and self.n < self.k + 1:
+        if self.n < self.k + 1:
             raise GenerationError(f"k-tree generation needs n >= k+1, got n={self.n}, k={self.k}")
         if not 0.0 <= self.delete_probability < 1.0:
             raise GenerationError(f"delete probability must be in [0,1), got {self.delete_probability}")
@@ -204,7 +203,7 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
         raise GenerationError(f"need n_max >= k+1, got n_max={n_max}, k={k}")
     for n in range(k, n_max + 1):
         visited: set[tuple[int, int]] = set()
-        found: list[Graph] = []
+        found: list[tuple[int, Graph]] = []
         stack = [t for t in _all_k_trees(n, k) if is_biconnected(t)]
         while stack:
             g = stack.pop()
@@ -212,10 +211,10 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
             if key in visited:
                 continue
             visited.add(key)
-            found.append(g)
+            found.append((key[1], g))
             for e in sorted(g.edges):
                 h = Graph(n, g.edges - {e})
                 if is_biconnected(h):
                     stack.append(h)
-        found.sort(key=lambda g: canonical_key(g)[1])
-        yield from found
+        found.sort(key=lambda kg: kg[0])  # keys are unique per class
+        yield from (g for _, g in found)

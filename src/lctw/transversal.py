@@ -15,7 +15,7 @@ premise-empty side conditions separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable
 
@@ -98,74 +98,63 @@ def compute_lct(
 class TripleFamilies:
     """Families attached to one triple of a bag."""
 
-    triple: tuple[int, ...]
     exact3: tuple[Cycle, ...]  # longest cycles meeting the bag exactly at the triple
     jump2: dict[tuple[int, int], tuple[Cycle, ...]]  # 2-jump families per pair
     jump3: tuple[Cycle, ...]  # 3-jump family
-
-    def jump_union(self) -> tuple[Cycle, ...]:
-        out: list[Cycle] = []
-        for pair in sorted(self.jump2):
-            out.extend(self.jump2[pair])
-        out.extend(self.jump3)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
 class CycleFamilies:
     """Longest-cycle families at one bag: the 2-crossing set, the fenced
-    at-most-3-intersecting set, and per-triple exact/jump families, with the
-    bag's mask facts they were classified from."""
+    at-most-3-intersecting set, and per-triple exact/jump families.  Only the
+    bag's mask facts are built up front; each family is classified from them
+    on first read and kept."""
 
     ctx: BagContext
-    x2: tuple[Cycle, ...]
-    fenced3: tuple[Cycle, ...]
-    by_triple: dict[tuple[int, ...], TripleFamilies]
+    cycles: LongestCycleSet
     masks: BagMasks
 
+    @cached_property
+    def x2(self) -> tuple[Cycle, ...]:
+        return tuple(c for c in self.cycles if not self.masks.fenced(c) and (c.mask & self.masks.bag).bit_count() == 2)
 
-def build_families(g: Graph, ctx: BagContext, cycles: LongestCycleSet | None = None) -> CycleFamilies:
-    """Classify every longest cycle against one bag and all four of its triples."""
-    if cycles is None:
-        cycles = enumerate_longest_cycles(g)
-    masks = bag_masks(g, ctx)
-    x2: list[Cycle] = []
-    fenced3: list[Cycle] = []
-    for c in cycles:
-        count = (c.mask & masks.bag).bit_count()
-        fenced = masks.fenced(c)
-        if not fenced and count == 2:
-            x2.append(c)
-        elif fenced and count <= 3:
-            fenced3.append(c)
-    by_triple: dict[tuple[int, ...], TripleFamilies] = {}
-    for delta in combinations(ctx.bag, 3):
-        dmask = vertex_mask(delta)
-        exact3 = tuple(c for c in cycles if c.mask & masks.bag == dmask)
-        jump2: dict[tuple[int, int], list[Cycle]] = {p: [] for p in combinations(delta, 2)}
-        jump3: list[Cycle] = []
-        for c in cycles:
-            hit = c.mask & dmask
-            if hit.bit_count() < 2 or masks.posture(c, delta) is not Posture.JUMP:
-                continue
-            if hit == dmask:
-                jump3.append(c)
-            else:
-                jump2[tuple(v for v in delta if hit >> v & 1)].append(c)
-        by_triple[delta] = TripleFamilies(
-            delta,
-            exact3,
-            {p: tuple(v) for p, v in jump2.items()},
-            tuple(jump3),
-        )
-    return CycleFamilies(ctx, tuple(x2), tuple(fenced3), by_triple, masks)
+    @cached_property
+    def fenced3(self) -> tuple[Cycle, ...]:
+        return tuple(c for c in self.cycles if self.masks.fenced(c) and (c.mask & self.masks.bag).bit_count() <= 3)
+
+    @cached_property
+    def by_triple(self) -> dict[tuple[int, ...], TripleFamilies]:
+        masks = self.masks
+        by_triple: dict[tuple[int, ...], TripleFamilies] = {}
+        for delta in combinations(self.ctx.bag, 3):
+            dmask = vertex_mask(delta)
+            exact3 = tuple(c for c in self.cycles if c.mask & masks.bag == dmask)
+            jump2: dict[tuple[int, int], list[Cycle]] = {p: [] for p in combinations(delta, 2)}
+            jump3: list[Cycle] = []
+            for c in self.cycles:
+                hit = c.mask & dmask
+                if hit.bit_count() < 2 or masks.posture(c, delta) is not Posture.JUMP:
+                    continue
+                if hit == dmask:
+                    jump3.append(c)
+                else:
+                    jump2[tuple(v for v in delta if hit >> v & 1)].append(c)
+            by_triple[delta] = TripleFamilies(exact3, {p: tuple(v) for p, v in jump2.items()}, tuple(jump3))
+        return by_triple
+
+
+def build_families(g: Graph, ctx: BagContext, cycles: LongestCycleSet) -> CycleFamilies:
+    """The families of every longest cycle against one bag and all four of its
+    triples: the bag's masks now, each family on first read."""
+    return CycleFamilies(ctx, cycles, bag_masks(g, ctx))
 
 
 def node_families(
     g: Graph, td: TreeDecomposition, cycles: LongestCycleSet | None
 ) -> Callable[[int], CycleFamilies]:
     """The families at node t of td as a function of t, built on first use and
-    kept, so that all checks of one graph share one build per node."""
+    kept, so that all checks of one graph share one build per node and each
+    family is classified at most once per node, when a check first reads it."""
     return cache(lambda t: build_families(g, BagContext(td, t), cycles))
 
 
@@ -221,12 +210,14 @@ def check_pairwise_and_common(
     """
     if ctx.delta is None:
         raise ValueError("check needs a distinguished triple")
+    if cycles is None:
+        cycles = enumerate_longest_cycles(g)
     node = (families or node_families(g, ctx.td, cycles))(ctx.t)
     fams = node.by_triple[ctx.delta]
     if any(not fams.jump2[p] for p in fams.jump2):
         empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
         return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}")
-    family = fams.jump_union()
+    family = [c for p in sorted(fams.jump2) for c in fams.jump2[p]] + list(fams.jump3)
     inside = node.masks.inside[ctx.delta]
     blocks = [b for b in node.masks.components if b & inside]  # components in the triple's branch union
     pairs = list(combinations(family, 2))

@@ -257,6 +257,6 @@ def test_bag_masks_match_route_classification(small_corpus):
                 assert masks.fenced(c) == (cross_or_fence(g, c, ctx.bag) is Fencing.FENCED)
                 for delta in combinations(ctx.bag, 3):
                     if len(c.vertex_set & set(delta)) >= 2:
-                        assert masks.posture(c, delta) is cycle_posture(ctx.with_delta(delta), c).tag
+                        assert masks.posture(c, delta) is cycle_posture(BagContext(td, t, delta), c).tag
                         checked += 1
     assert checked > 1000

@@ -27,7 +27,7 @@ from lctw.harness import (
     verify_conjecture_bundle,
     write_conjecture_bundle,
 )
-from lctw.transversal import TransversalResult, node_families
+from lctw.transversal import PASS, PREMISE_NOT_MET, TransversalResult, node_families
 
 
 def _records(buf):
@@ -358,7 +358,7 @@ def test_families_built_at_most_once_per_node(monkeypatch, checks):
     built = []
     real = transversal.build_families
 
-    def counting(g, ctx, cycles=None):
+    def counting(g, ctx, cycles):
         built.append(ctx.t)
         return real(g, ctx, cycles)
 
@@ -367,6 +367,25 @@ def test_families_built_at_most_once_per_node(monkeypatch, checks):
     rec = evaluate_task({"graph6": "HSxoOEB"}, CampaignOptions(checks=checks))
     assert rec["status"] == "ok"
     assert built and len(built) == len(set(built))
+
+
+def test_default_checks_classify_no_cycle(monkeypatch):
+    # with lct = 1 the default checks stop at their premise and read only the
+    # node masks: no family is classified, so fencing and posture never run
+    from lctw.classify import BagMasks
+
+    def refuse(*args):
+        raise AssertionError("a family was classified")
+
+    monkeypatch.setattr(BagMasks, "fenced", refuse)
+    monkeypatch.setattr(BagMasks, "posture", refuse)
+    tasks = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=6")) + [{"graph6": "HSxoOEB"}]
+    records = [evaluate_task(task, CampaignOptions(checks=DEFAULT_CHECKS)) for task in tasks]
+    assert [rec["status"] for rec in records] == ["ok"] * len(tasks)
+    # the triangle has no width-3 decomposition, every other graph has one
+    families = [(rec["n"], rec["checks"]["families"]["status"]) for rec in records]
+    assert families == [(n, PASS if n >= 4 else PREMISE_NOT_MET) for n, _ in families]
+    assert sum(n >= 4 for n, _ in families) > 40
 
 
 def test_unknown_check_is_rejected_up_front():

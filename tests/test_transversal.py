@@ -88,7 +88,7 @@ def _route_families(g, td, t, cycles):
         jump3 = []
         for c in cycles:
             count, inter = k_intersect(c, delta)
-            if count >= 2 and cycle_posture(ctx.with_delta(delta), c).tag is Posture.JUMP:
+            if count >= 2 and cycle_posture(BagContext(td, t, delta), c).tag is Posture.JUMP:
                 (jump2[inter] if count == 2 else jump3).append(c)
         exact3 = tuple(c for c in cycles if c.vertex_set & bag == set(delta))
         by_triple[delta] = (exact3, {p: tuple(v) for p, v in jump2.items()}, tuple(jump3))
