@@ -13,8 +13,8 @@ import json
 import sys
 
 from .classify import BagContext
-from .cycles import enumerate_longest_cycles
-from .decomposition import exact_treewidth, full_tree_decomposition
+from .cycles import check_enumeration_cap, enumerate_longest_cycles
+from .decomposition import check_treewidth_cap, exact_treewidth, full_tree_decomposition
 from .generate import GenerationError
 from .graph import is_biconnected, parse_graph6
 from .harness import (
@@ -130,6 +130,8 @@ def cmd_inspect(args) -> int:
     print(f"graph6: {args.graph6.strip()}")
     print(f"n: {g.n}  m: {g.m}")
     print(f"biconnected: {'yes' if is_biconnected(g) else 'no'}")
+    check_treewidth_cap(g.n)  # both caps before the 2^n treewidth program, in the order the steps meet them
+    check_enumeration_cap(g.n, args.max_n)
     width, _ = exact_treewidth(g)
     print(f"treewidth: {width}")
     if g.n >= max(4, width + 1):

@@ -3,9 +3,21 @@ independent length oracle over tree decompositions, and the segment algebra
 (parts between marked vertices, tails at a vertex, path/cycle concatenation).
 
 Enumeration is complete by contract: every longest cycle is returned, in
-canonical form, by one search pass that prunes only branches unable to reach
-the best length so far, which never exceeds the longest.  Budgets fail loudly
-rather than sampling, because downstream checks require the complete family.
+canonical form, by one search pass that prunes only branches unable to close a
+cycle of the best length so far, which never exceeds the longest.  Its three
+cuts are exact for that reason:
+
+* one orientation: a cycle is walked only in the direction whose last vertex
+  lies above its second, so the path may close only on a root neighbour above
+  the second vertex; the other direction closes the same cycle;
+* reachability: the path can grow only by vertices reachable from its head
+  through free ones, and must close on one of them;
+* tight-case degree: when the path needs every reachable vertex to reach the
+  best, each of them but the head is interior to the closing path, so it needs
+  two neighbours among the reachable vertices and the root.
+
+Budgets fail loudly rather than sampling, because downstream checks require the
+complete family.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ __all__ = [
     "LongestCycleSet",
     "EnumerationCapExceeded",
     "EnumerationBudgetExceeded",
+    "check_enumeration_cap",
     "enumerate_longest_cycles",
     "longest_cycle_length_td",
     "parts",
@@ -30,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 18
+TABLE_BITS = 9  # vertices per subset table of the enumeration: 2^9 entries each
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -38,6 +52,13 @@ class EnumerationCapExceeded(RuntimeError):
 
 class EnumerationBudgetExceeded(RuntimeError):
     """Step budget ran out; no partial result is returned."""
+
+
+def check_enumeration_cap(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Refuse n vertices as enumeration would; callers run this before costlier
+    steps (exact treewidth) that would only end in the same refusal."""
+    if n > cap:
+        raise EnumerationCapExceeded(f"enumeration needs n <= {cap}, got {n}")
 
 
 def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -154,37 +175,50 @@ def enumerate_longest_cycles(
     """All distinct longest cycles of g, canonically deduplicated and sorted.
 
     One backtracking pass over paths rooted at each cycle's minimum vertex keeps
-    the best length closed so far and the cycles of that length (in the
-    direction whose second vertex is below its last), dropping them when a
-    longer cycle closes.  A branch is pruned only when the free vertices, or
-    those reachable from the head through free ones, cannot bring the path up to
-    the best, or when the head cannot reconnect to the root.  The best never
-    exceeds the longest length L, so no branch that could close a longest cycle
-    is cut and the family is complete.  Roots stop once fewer than best vertices
-    remain from the root up.
+    the best length closed so far and the cycles of that length, dropping them
+    when a longer cycle closes.  Each cycle is walked in one direction only: once
+    the second vertex is fixed, the path may close only on a root neighbour
+    above it (``target``), so a root needs two neighbours above it and a second
+    vertex needs a nonempty ``target``.  A step to a new head is cut when the
+    vertices reachable from it through free ones cannot bring the path up to
+    the best, or include no ``target`` vertex; or, in the tight case where the
+    path needs all of them to reach the best, when one of them other than the
+    head has fewer than two neighbours among them and the root, since it would
+    be interior to the closing path.  Each cut removes only branches that close
+    no cycle of at least the best length, and the best never exceeds the
+    longest length L, so no longest cycle is lost and the family is complete.
+    Roots stop once fewer than best vertices remain from the root up.
+
+    Reachability and the degree test read per-half subset tables
+    (``_subset_tables``): one breadth-first level is two lookups.  A half wider
+    than ``TABLE_BITS`` (n > 18) is split again, so the tables hold
+    O(n 2^TABLE_BITS) entries whatever the cap.
     """
-    if g.n > cap:
-        raise EnumerationCapExceeded(f"enumeration needs n <= {cap}, got {g.n}")
+    check_enumeration_cap(g.n, cap)
     n = g.n
     nbr = g.nbr_mask
+    h = n // 2
+    low_half = (1 << h) - 1
+    (ones0, twos0), (ones1, twos1) = _subset_tables(nbr[:h]), _subset_tables(nbr[h:])
     best = 0
     found: list[tuple[int, ...]] = []
     steps = 0
     for s in range(n):
         if n - s < best:
             break  # a cycle rooted at s uses only vertices >= s
-        if len(g.adj[s]) < 2:
-            continue
         s_bit = 1 << s
-        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
+        allowed = ((1 << n) - 1) & ~((s_bit << 1) - 1)  # vertices > s
+        if (nbr[s] & allowed).bit_count() < 2:
+            continue  # no second vertex with a last vertex above it
         path = [s]
         used = s_bit
+        target = 0  # root neighbours above path[1]: the possible last vertices
         stack = [nbr[s] & allowed]  # untried successors per path vertex
         while stack:
             untried = stack[-1]
             if not untried:
                 stack.pop()
-                used &= ~(1 << path.pop())
+                used ^= 1 << path.pop()
                 continue
             wb = untried & -untried
             stack[-1] = untried ^ wb
@@ -193,33 +227,70 @@ def enumerate_longest_cycles(
                 raise EnumerationBudgetExceeded(
                     f"enumeration exceeded {max_steps} steps; no partial results"
                 )
-            w = wb.bit_length() - 1
-            size = len(path) + 1  # path vertices once w is appended
-            if nbr[w] & s_bit and size >= 3:
-                if size > best:
-                    best = size
+            depth = len(path)  # path vertices before wb
+            if depth == 1:
+                target = nbr[s] & -(wb << 1)
+                if not target:
+                    continue
+            elif wb & target:
+                if depth + 1 > best:
+                    best = depth + 1
                     found = []
-                if size == best and path[1] < w:
-                    found.append(tuple(path) + (w,))
+                if depth + 1 == best:
+                    found.append((*path, wb.bit_length() - 1))
+            # Vertices reachable from wb through free ones bound the extension.
             free = allowed & ~used & ~wb
-            if size + free.bit_count() < best:
-                continue
-            # Vertices reachable from w through free ones bound the extension.
-            comp = frontier = wb
-            while frontier:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= nbr[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = nxt & free & ~comp
-                comp |= frontier
-            if not comp & nbr[s] or len(path) + comp.bit_count() < best:
-                continue  # no way back to the root, or too few vertices left
-            path.append(w)
+            comp = wb
+            while True:
+                grown = comp | (ones0[comp & low_half] | ones1[comp >> h]) & free
+                if grown == comp:
+                    break
+                comp = grown
+            room = depth + comp.bit_count() - best
+            if room < 0 or not comp & target:
+                continue  # too few vertices left, or no way back to the root
+            if not room:  # every reachable vertex must be on the closing path
+                lo, hi = (comp | s_bit) & low_half, (comp | s_bit) >> h
+                if comp & ~wb & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi]):
+                    continue
+            path.append(wb.bit_length() - 1)
             used |= wb
-            stack.append(nbr[w] & free)
+            stack.append(nbr[path[-1]] & free)
     return LongestCycleSet(best, tuple(sorted(Cycle(seq) for seq in found)), steps=steps)
+
+
+def _subset_tables(masks: tuple[int, ...]) -> tuple:
+    """Tables over every subset X of len(masks) consecutive vertices, indexed by
+    X's bits relative to the first: ones[X] is the union of the neighbourhoods
+    ``masks`` of X, twos[X] the vertices with at least two neighbours in X.
+    Over more than ``TABLE_BITS`` vertices both are ``_JoinedTable``s of the
+    two halves' tables, so they hold O(len(masks) 2^TABLE_BITS) entries."""
+    if len(masks) > TABLE_BITS:
+        h = len(masks) // 2
+        halves = _subset_tables(masks[:h]), _subset_tables(masks[h:])
+        return _JoinedTable(h, halves, False), _JoinedTable(h, halves, True)
+    ones, twos = [0], [0]
+    for m in masks:
+        twos += [t | o & m for o, t in zip(ones, twos)]
+        ones += [o | m for o in ones]
+    return ones, twos
+
+
+class _JoinedTable:
+    """``ones`` or ``twos`` over a subset, read from the tables of its low
+    ``h`` vertices and of the rest, as the enumeration reads its two halves."""
+
+    __slots__ = ("h", "low", "halves", "twos")
+
+    def __init__(self, h: int, halves, twos: bool):
+        self.h, self.low, self.halves, self.twos = h, (1 << h) - 1, halves, twos
+
+    def __getitem__(self, x: int) -> int:
+        (ones0, twos0), (ones1, twos1) = self.halves
+        lo, hi = x & self.low, x >> self.h
+        if self.twos:
+            return twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi]
+        return ones0[lo] | ones1[hi]
 
 
 def parts(c: Cycle, s) -> list[PathSegment]:

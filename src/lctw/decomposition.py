@@ -24,6 +24,7 @@ __all__ = [
     "DecompositionError",
     "TreewidthCapExceeded",
     "validate",
+    "check_treewidth_cap",
     "exact_treewidth",
     "has_treewidth_at_most_2",
     "full_tree_decomposition",
@@ -137,6 +138,12 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     return out
 
 
+def check_treewidth_cap(n: int, cap: int = DEFAULT_TREEWIDTH_CAP) -> None:
+    """Refuse n vertices as exact treewidth would."""
+    if n > cap:
+        raise TreewidthCapExceeded(f"exact treewidth needs n <= {cap}, got {n}")
+
+
 def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with an optimal decomposition.
 
@@ -145,8 +152,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, Tr
     outside neighbors of v's component in G[S].  2^n states, so n is capped.
     """
     n = g.n
-    if n > cap:
-        raise TreewidthCapExceeded(f"exact treewidth needs n <= {cap}, got {n}")
+    check_treewidth_cap(n, cap)
     if n == 0:
         raise DecompositionError("treewidth of the empty graph is undefined here")
     if n == 1:

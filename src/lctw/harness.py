@@ -23,9 +23,11 @@ from multiprocessing import Pool
 
 from .classify import BagContext
 from .cycles import (
+    DEFAULT_ENUMERATION_CAP,
     Cycle,
     EnumerationBudgetExceeded,
     EnumerationCapExceeded,
+    check_enumeration_cap,
     enumerate_longest_cycles,
     longest_cycle_length_td,
 )
@@ -35,6 +37,7 @@ from .decomposition import (
     TreewidthCapExceeded,
     branch_at,
     branch_of_route,
+    check_treewidth_cap,
     exact_treewidth,
     full_tree_decomposition,
     has_treewidth_at_most_2,
@@ -291,6 +294,10 @@ def directed_forest_diagnostic(
     if has_treewidth_at_most_2(g):
         raise ValueError("diagnostic requires treewidth exactly 3")
     if td is None:
+        # both caps before the 2^n treewidth program, in the order the steps meet them
+        check_treewidth_cap(g.n)
+        if cycles is None:
+            check_enumeration_cap(g.n)
         td = full_tree_decomposition(g, 3)
     if cycles is None:
         cycles = enumerate_longest_cycles(g)
@@ -431,10 +438,10 @@ def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
         if base_td is not None and (base_td.width > 3 or validate(g, base_td)):
             base_td = None  # width certificate useless or invalid; recompute
         biconn = is_biconnected(g)
+        if base_td is None and biconn:  # the 2^n program would only end in this refusal
+            check_enumeration_cap(g.n, opts.enumeration_cap)
         if base_td is not None:
             tw_le_3 = True  # a valid width-<=3 decomposition certifies it
-        elif biconn and g.n > opts.enumeration_cap:  # the 2^n program would only end in this refusal
-            raise EnumerationCapExceeded(f"enumeration needs n <= {opts.enumeration_cap}, got {g.n}")
         elif g.n <= opts.treewidth_cap:
             width, base_td = exact_treewidth(g, cap=opts.treewidth_cap)
             tw_le_3 = width <= 3
@@ -595,7 +602,7 @@ def run_conjecture(tasks, opts: CampaignOptions, out_stream, ce_dir=None, worker
             summary.counterexamples += 1
             code = EXIT_COUNTEREXAMPLE
             if ce_dir:
-                summary.bundles.append(write_conjecture_bundle(ce_dir, record))
+                summary.bundles.append(write_conjecture_bundle(ce_dir, record, opts.enumeration_cap))
         else:
             summary.ok += 1
         out_stream.write(json.dumps(record, sort_keys=True) + "\n")
@@ -625,12 +632,13 @@ def write_failure_bundle(ce_dir, record) -> str:
     return path
 
 
-def write_conjecture_bundle(ce_dir, record) -> str:
+def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
     """Self-contained counterexample evidence: graph6, the longest-cycle family,
-    and for every vertex pair one longest cycle avoiding it."""
+    and for every vertex pair one longest cycle avoiding it.  ``cap`` is the
+    campaign's enumeration cap, under which the record was found."""
     path = _bundle_path(ce_dir, record)
     g = parse_graph6(record["graph6"])
-    cycles = enumerate_longest_cycles(g)
+    cycles = enumerate_longest_cycles(g, cap=cap)
     lines = [
         BUNDLE_SCHEMA,
         "kind: conjecture-counterexample",

@@ -23,8 +23,8 @@ from .classify import BagContext, BagMasks, Posture, bag_masks, s_equivalent
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
     Cycle,
-    EnumerationCapExceeded,
     LongestCycleSet,
+    check_enumeration_cap,
     enumerate_longest_cycles,
 )
 from .decomposition import TreeDecomposition
@@ -312,8 +312,7 @@ def conjecture_scan(
     """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal."""
     if not is_biconnected(g):
         raise ValueError("conjecture scan requires a 2-connected graph")
-    if g.n > cap:  # before the 2^n treewidth program, which would only end in this refusal
-        raise EnumerationCapExceeded(f"enumeration needs n <= {cap}, got {g.n}")
+    check_enumeration_cap(g.n, cap)  # before the 2^n treewidth program, which would only end in this refusal
     if not treewidth_known:
         from .decomposition import exact_treewidth
 

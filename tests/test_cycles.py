@@ -1,10 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lctw.cycles as cycles_module
 from lctw.cycles import (
     Cycle,
     EnumerationBudgetExceeded,
@@ -18,6 +21,7 @@ from lctw.cycles import (
 )
 from lctw.decomposition import DecompositionError, TreeDecomposition, exact_treewidth, full_tree_decomposition
 from lctw.fixtures import complete_graph, cycle_graph, path_graph
+from lctw.generate import GenSpec, generate_partial_k_tree
 from lctw.graph import Graph
 
 
@@ -80,6 +84,58 @@ def test_enumerate_matches_bruteforce():
         lcs = enumerate_longest_cycles(g)
         blen, bset = brute_force_longest_cycles(g)
         assert (lcs.length, set(lcs.cycles)) == (blen, bset)
+
+
+def networkx_longest_cycles(g):
+    """Independent oracle: networkx's simple cycles, kept at the longest length."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    cycles = [c for c in nx.simple_cycles(h) if len(c) >= 3]
+    best = max(map(len, cycles), default=0)
+    return best, {Cycle(tuple(c)) for c in cycles if len(c) == best}
+
+
+def partial_4_trees(count):
+    for i in range(count):
+        spec = GenSpec(n=9 + i % 4, k=4, seed=4000 + i, delete_probability=0.3, require_biconnected=True)
+        yield generate_partial_k_tree(spec)[0]
+
+
+def test_enumerate_matches_networkx_on_partial_4_trees():
+    # Mostly Hamiltonian, so the tight-case degree cut decides many branches;
+    # odd and even n split the subset tables into unequal and equal halves.
+    hamiltonian = 0
+    for g in partial_4_trees(40):
+        lcs = enumerate_longest_cycles(g)
+        assert (lcs.length, set(lcs.cycles)) == networkx_longest_cycles(g)
+        hamiltonian += lcs.length == g.n
+    assert hamiltonian >= 25  # 29 of 40
+    # Degenerate tables: empty halves, and graphs whose search closes nothing.
+    for g in [Graph(0, []), Graph(1, []), Graph(2, [(0, 1)]), path_graph(7), Graph(6, [(0, 1), (1, 2), (3, 4)])]:
+        lcs = enumerate_longest_cycles(g)
+        assert (lcs.length, lcs.cycles) == (0, ()) and networkx_longest_cycles(g) == (0, set())
+
+
+def test_enumerate_with_narrow_tables_matches_networkx(monkeypatch):
+    # Two-vertex tables nest joined tables at n = 9..12 as n > 18 does at the
+    # default width.
+    monkeypatch.setattr(cycles_module, "TABLE_BITS", 2)
+    for g in partial_4_trees(12):
+        lcs = enumerate_longest_cycles(g)
+        assert (lcs.length, set(lcs.cycles)) == networkx_longest_cycles(g)
+
+
+def test_enumerate_beyond_default_cap_in_bounded_memory():
+    # 2^20-entry half tables at n = 40 would take over 100 MB
+    tracemalloc.start()
+    try:
+        lcs = enumerate_longest_cycles(cycle_graph(40), cap=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lcs.length, lcs.cycles) == (40, (Cycle(tuple(range(40))),))
+    assert peak < 2_000_000
 
 
 def test_step_budget_boundary(petersen_graph, small_corpus):

@@ -5,7 +5,8 @@ import pytest
 
 import lctw.harness as harness
 from lctw.cli import main
-from lctw.fixtures import complete_graph, petersen
+from lctw.cycles import EnumerationCapExceeded
+from lctw.fixtures import complete_graph, cycle_graph, petersen
 from lctw.graph import parse_graph6, write_graph6
 from lctw.harness import (
     CHECKS,
@@ -150,6 +151,23 @@ def test_fake_counterexample_exit_code_and_fraud_detection(tmp_path, monkeypatch
     assert summary.counterexamples == 1 and summary.bundles
     ok, detail = verify_conjecture_bundle(summary.bundles[0])
     assert not ok and "lct" in detail
+
+
+def test_conjecture_bundle_enumerates_under_the_campaign_cap(tmp_path, monkeypatch):
+    # a counterexample beyond the default cap of 18 but within the campaign's
+    from lctw.transversal import ConjectureFinding
+
+    def fake_scan(g, **kw):
+        return ConjectureFinding("COUNTEREXAMPLE", 3, 19, 1, (0, 1, 2))
+
+    monkeypatch.setattr(harness, "conjecture_scan", fake_scan)
+    tasks = [{"graph6": write_graph6(cycle_graph(19))}]
+    opts = CampaignOptions(enumeration_cap=20)
+    code, summary = run_conjecture(tasks, opts, io.StringIO(), ce_dir=str(tmp_path), workers=1)
+    assert code == EXIT_COUNTEREXAMPLE
+    lines = open(summary.bundles[0]).read().splitlines()
+    cycles = lines[lines.index("cycles:") + 1 : lines.index("refutation:")]
+    assert cycles == ["  " + " ".join(map(str, range(19)))]
 
 
 def test_bundle_roundtrip_on_true_values(tmp_path):
@@ -435,3 +453,22 @@ def test_cli_inspect_beyond_treewidth_cap_is_config_error(capsys):
 def test_cli_directed_forest_beyond_cap_is_config_error(capsys):
     assert main(["directed-forest", _three_tree_26()]) == EXIT_CONFIG
     assert "treewidth" in capsys.readouterr().err
+
+
+def test_enumeration_cap_is_checked_before_treewidth(monkeypatch, capsys):
+    from lctw.generate import GenSpec, generate_k_tree
+
+    g = generate_k_tree(GenSpec(n=20, k=3, seed=0))[0]
+
+    def no_treewidth(*args, **kwargs):
+        raise AssertionError("the enumeration cap is checked before exact treewidth")
+
+    monkeypatch.setattr("lctw.decomposition.exact_treewidth", no_treewidth)
+    monkeypatch.setattr("lctw.cli.exact_treewidth", no_treewidth)
+    with pytest.raises(EnumerationCapExceeded):
+        directed_forest_diagnostic(g)
+    assert main(["inspect", write_graph6(g)]) == EXIT_CONFIG
+    assert main(["inspect", write_graph6(g), "--max-n", "19"]) == EXIT_CONFIG
+    assert main(["directed-forest", write_graph6(g)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("enumeration needs n <=") == 3
