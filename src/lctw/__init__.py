@@ -35,6 +35,7 @@ from .decomposition import (
     exact_treewidth,
     full_tree_decomposition,
     has_treewidth_at_most_2,
+    require_valid,
     validate,
 )
 from .generate import GenSpec, canonical_key, exhaustive_small, generate_k_tree, generate_partial_k_tree

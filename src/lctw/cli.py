@@ -132,11 +132,11 @@ def cmd_inspect(args) -> int:
     print(f"biconnected: {'yes' if is_biconnected(g) else 'no'}")
     check_treewidth_cap(g.n)  # both caps before the 2^n treewidth program, in the order the steps meet them
     check_enumeration_cap(g.n, args.max_n)
-    width, _ = exact_treewidth(g)
+    width, optimal = exact_treewidth(g)
     print(f"treewidth: {width}")
     if g.n >= max(4, width + 1):
         k = max(3, width)
-        td = full_tree_decomposition(g, k)
+        td = full_tree_decomposition(g, k, base=optimal)
         print(f"full decomposition (width {k}):")
         for t, bag in enumerate(td.bags):
             print(f"  node {t}: {{{','.join(map(str, bag))}}}")

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
-from .decomposition import DecompositionError, TreeDecomposition, validate
+from .decomposition import TreeDecomposition, require_valid
 from .graph import Graph, vertex_mask
 
 __all__ = [
@@ -378,10 +379,9 @@ def longest_cycle_length_td(g: Graph, td: TreeDecomposition) -> int:
     matchings on partial-path endpoints plus vertex degrees in {0,1,2} and a
     closed-cycle bit; transitions follow a nice refinement with explicit
     edge-introduce nodes.  Time is exponential only in the decomposition width.
+    td must pass ``require_valid``.
     """
-    problems = validate(g, td)
-    if problems:
-        raise DecompositionError(f"invalid decomposition: {problems[0]}")
+    require_valid(g, td)
     ops = _nice_ops(g, td)
     stack: list[dict] = []
     for kind, payload, bag in ops:
@@ -406,62 +406,48 @@ def longest_cycle_length_td(g: Graph, td: TreeDecomposition) -> int:
 
 
 def _nice_ops(g: Graph, td: TreeDecomposition):
-    """Post-order op list (kind, payload, bag) for the nice refinement."""
-    root = 0
-    order = []
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        t = stack.pop()
-        order.append(t)
+    """Post-order op list (kind, payload, bag) for the nice refinement rooted
+    at node 0; every bag is a sorted tuple."""
+
+    def moves(src, dst):  # forget src - dst, then introduce dst - src
+        cur = set(src)
+        out = []
+        for v in sorted(cur - set(dst)):
+            cur.discard(v)
+            out.append(("forget", v, tuple(sorted(cur))))
+        for v in sorted(set(dst) - cur):
+            cur.add(v)
+            out.append(("intro", v, tuple(sorted(cur))))
+        return out
+
+    order = [0]
+    parent = {0: None}
+    for t in order:  # breadth-first, so reversed order builds children first
         for w in td.node_adj[t]:
             if w != parent[t]:
                 parent[w] = t
-                stack.append(w)
-    children: dict[int, list[int]] = {t: [] for t in order}
-    for t in order[1:]:
-        children[parent[t]].append(t)
-
+                order.append(w)
     built: dict[int, list] = {}
     for t in reversed(order):
-        bag = tuple(td.bags[t])
-        subs = []
-        for c in sorted(children[t]):
-            sub = built.pop(c)
-            cur = set(td.bags[c])
-            for v in sorted(set(td.bags[c]) - set(bag)):
-                cur.discard(v)
-                sub.append(("forget", v, tuple(sorted(cur))))
-            for v in sorted(set(bag) - set(td.bags[c])):
-                cur.add(v)
-                sub.append(("intro", v, tuple(sorted(cur))))
-            subs.append(sub)
-        if not subs:
-            ops = [("leaf", None, ())]
-            cur = set()
-            for v in bag:
-                cur.add(v)
-                ops.append(("intro", v, tuple(sorted(cur))))
-        else:
-            ops = subs[0]
-            for sub in subs[1:]:
-                ops = ops + sub + [("join", None, bag)]
+        bag = td.bags[t]
+        subs = [built.pop(c) + moves(td.bags[c], bag) for c in td.node_adj[t] if c != parent[t]]
+        ops = subs[0] if subs else [("leaf", None, ())] + moves((), bag)
+        for sub in subs[1:]:
+            ops = ops + sub + [("join", None, bag)]
         built[t] = ops
-    ops = built[root]
-    cur = set(td.bags[root])
-    for v in sorted(td.bags[root]):
-        cur.discard(v)
-        ops.append(("forget", v, tuple(sorted(cur))))
+    ops = built[0] + moves(td.bags[0], ())
 
-    # Place each edge once, at the first post-order op whose bag has both ends.
-    for u, v in sorted(g.edges):
-        for i, (kind, payload, bag) in enumerate(ops):
-            if u in bag and v in bag:
-                ops.insert(i + 1, ("edge", (u, v), bag))
-                break
-        else:
-            raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
-    return ops
+    # Place each edge once, right after the first post-order op whose bag has
+    # both ends; a valid decomposition leaves none unplaced.
+    unplaced = set(g.edges)
+    placed = []
+    for op in ops:
+        placed.append(op)
+        for uv in combinations(op[2], 2):
+            if uv in unplaced:
+                unplaced.remove(uv)
+                placed.append(("edge", uv, op[2]))
+    return placed
 
 
 def _dp_intro(states, v, bag):

@@ -24,6 +24,7 @@ __all__ = [
     "DecompositionError",
     "TreewidthCapExceeded",
     "validate",
+    "require_valid",
     "check_treewidth_cap",
     "exact_treewidth",
     "has_treewidth_at_most_2",
@@ -55,9 +56,11 @@ class TreeDecomposition:
     Nodes are ids 0..len(bags)-1; ``tree_edges`` holds unordered node pairs.
     ``width`` is max bag size minus one.  ``is_full`` is derived: every bag has
     width+1 vertices and every tree edge shares exactly width vertices.
+    ``valid_for`` is the graph this decomposition last passed ``require_valid``
+    for, or None.
     """
 
-    __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj")
+    __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj", "valid_for")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
         self.bags = tuple(tuple(sorted(set(b))) for b in bags)
@@ -79,6 +82,7 @@ class TreeDecomposition:
         self.is_full = all(len(b) == k + 1 for b in self.bags) and all(
             len(set(self.bags[a]) & set(self.bags[b])) == k for a, b in norm
         )
+        self.valid_for = None
 
     @property
     def node_count(self) -> int:
@@ -93,49 +97,59 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
 
     Returns a list of violation strings (empty means valid); each violation
     names the failed condition and a witness.  Violations are data, not errors.
+    This is the unmemoised oracle: it checks afresh on every call.  Consumers
+    that need a valid decomposition call ``require_valid`` instead.
     """
     out = []
     nodes = td.node_count
     if len(td.tree_edges) != nodes - 1:
         out.append(f"tree-shape: {nodes} nodes need {nodes - 1} edges, found {len(td.tree_edges)}")
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in td.node_adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != nodes:
-        out.append(f"tree-shape: tree is disconnected (reached {len(seen)} of {nodes} nodes)")
+    reached = len(_reach(td, 0, range(nodes)))
+    if reached != nodes:
+        out.append(f"tree-shape: tree is disconnected (reached {reached} of {nodes} nodes)")
+    holders: dict[int, list[int]] = {v: [] for v in range(g.n)}  # vertex -> nodes holding it
     for t, bag in enumerate(td.bags):
         for v in bag:
-            if not 0 <= v < g.n:
+            if v in holders:
+                holders[v].append(t)
+            else:
                 out.append(f"bag-range: node {t} holds out-of-range vertex {v}")
-    covered = set()
-    for bag in td.bags:
-        covered.update(bag)
-    for v in range(g.n):
-        if v not in covered:
-            out.append(f"vertex-cover: vertex {v} is in no bag")
-    bag_sets = [set(b) for b in td.bags]
-    for u, v in sorted(g.edges):
-        if not any(u in bs and v in bs for bs in bag_sets):
-            out.append(f"edge-cover: edge ({u},{v}) is in no bag")
-    for v in range(g.n):
-        holding = [t for t in range(nodes) if v in bag_sets[t]]
-        if not holding:
-            continue
-        reach = {holding[0]}
-        stack = [holding[0]]
-        holding_set = set(holding)
-        while stack:
-            for w in td.node_adj[stack.pop()]:
-                if w in holding_set and w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        if len(reach) != len(holding):
-            out.append(f"subtree-connectivity: nodes holding vertex {v} are disconnected")
+    out += [f"vertex-cover: vertex {v} is in no bag" for v, ts in holders.items() if not ts]
+    out += [
+        f"edge-cover: edge ({u},{v}) is in no bag"
+        for u, v in sorted(g.edges)
+        if set(holders[u]).isdisjoint(holders[v])
+    ]
+    out += [
+        f"subtree-connectivity: nodes holding vertex {v} are disconnected"
+        for v, ts in holders.items()
+        if ts and len(_reach(td, ts[0], set(ts))) != len(ts)
+    ]
     return out
+
+
+def _reach(td: TreeDecomposition, start: int, inside) -> set[int]:
+    """Tree nodes reachable from ``start`` through nodes in ``inside``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in td.node_adj[stack.pop()]:
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def require_valid(g: Graph, td: TreeDecomposition) -> None:
+    """Raise ``DecompositionError`` naming the first violation unless td is
+    valid for g.  Only a full passing ``validate`` marks td valid for this
+    graph object (graphs are immutable), so asking again costs nothing."""
+    if td.valid_for is g:
+        return
+    problems = validate(g, td)
+    if problems:
+        raise DecompositionError(f"invalid decomposition: {problems[0]}")
+    td.valid_for = g
 
 
 def check_treewidth_cap(n: int, cap: int = DEFAULT_TREEWIDTH_CAP) -> None:
@@ -212,13 +226,10 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
             for b in higher:
                 if a != b:
                     adj[a].add(b)
-    node_of = {v: i for i, v in enumerate(order)}
     edges = []
-    for i, v in enumerate(order):
-        higher = higher_of[i]
+    for i, higher in enumerate(higher_of):
         if higher:
-            parent = min(higher, key=lambda u: pos[u])
-            edges.append((i, node_of[parent]))
+            edges.append((i, min(pos[u] for u in higher)))  # the node of the earliest-eliminated higher vertex
         elif i + 1 < len(order):
             edges.append((i, i + 1))  # keep the tree connected across components
     return TreeDecomposition(bags, edges)
@@ -269,9 +280,10 @@ def full_tree_decomposition(
     """A width-k decomposition with all bags of size k+1 and adjacent bags sharing k.
 
     Requires tw(g) <= k and n >= k+1.  ``base`` may supply a starting
-    decomposition (e.g. the natural one from a generated k-tree); otherwise an
-    optimal one is computed.  When tw(g) < k the bags are padded up to width
-    exactly k by the same deterministic rules.
+    decomposition (e.g. the natural one from a generated k-tree), which must
+    pass ``require_valid``; otherwise an optimal one is computed.  When
+    tw(g) < k the bags are padded up to width exactly k by the same
+    deterministic rules.
     """
     if g.n < k + 1:
         raise DecompositionError(
@@ -285,8 +297,7 @@ def full_tree_decomposition(
     else:
         if base.width > k:
             raise DecompositionError(f"base decomposition width {base.width} exceeds {k}")
-        if validate(g, base):
-            raise DecompositionError("base decomposition is not valid for this graph")
+        require_valid(g, base)
 
     bags = {i: set(b) for i, b in enumerate(base.bags)}
     nbrs = {i: set(base.node_adj[i]) for i in range(base.node_count)}
@@ -358,14 +369,10 @@ def full_tree_decomposition(
             out_edges.add((prev, b))
 
     relabel = {t: i for i, t in enumerate(sorted(out_bags))}
-    td = TreeDecomposition(
+    return TreeDecomposition(
         [sorted(out_bags[t]) for t in sorted(out_bags)],
         [(relabel[a], relabel[b]) for a, b in out_edges],
     )
-    problems = validate(g, td)
-    if problems or not td.is_full or td.width != k:
-        raise DecompositionError(f"full decomposition construction failed: {problems}")
-    return td
 
 
 @dataclass(frozen=True)

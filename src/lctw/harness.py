@@ -41,7 +41,7 @@ from .decomposition import (
     exact_treewidth,
     full_tree_decomposition,
     has_treewidth_at_most_2,
-    validate,
+    require_valid,
 )
 from .generate import GenSpec, exhaustive_small, generate_partial_k_tree
 from .graph import Graph, components_after_removal, is_biconnected, parse_graph6, vertex_mask, write_graph6
@@ -186,10 +186,20 @@ def file_tasks(path: str) -> list[dict]:
     return tasks
 
 
-def _deserialize_td(blob) -> TreeDecomposition:
-    return TreeDecomposition(
-        [tuple(b) for b in blob["bags"]], [tuple(e) for e in blob["edges"]]
-    )
+def _task_td(g: Graph, task: dict, max_width: int) -> TreeDecomposition | None:
+    """The task's decomposition once it passes ``require_valid`` for g with
+    width <= max_width, else None: the caller computes one.  Only a malformed
+    blob raises."""
+    if not task.get("td"):
+        return None
+    td = TreeDecomposition(task["td"]["bags"], task["td"]["edges"])
+    if td.width > max_width:
+        return None
+    try:
+        require_valid(g, td)
+    except DecompositionError:
+        return None
+    return td
 
 
 def _outcome_dict(outcome) -> dict:
@@ -421,33 +431,25 @@ CHECKS = {
 def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
     """Run the configured checks on one graph; returns a self-contained record."""
     started = time.monotonic()
-    record: dict = {"schema": SCHEMA, "source": task.get("source", "")}
+    record: dict = {"schema": SCHEMA, "source": task.get("source", ""), "graph6": task.get("graph6", "")}
     try:
         g = parse_graph6(task["graph6"])
-    except Exception as exc:
-        record.update({"graph6": task.get("graph6", ""), "status": "error", "error": str(exc)})
+        record.update({"graph6": write_graph6(g), "n": g.n, "m": g.m})
+        base_td = _task_td(g, task, 3)
+    except Exception as exc:  # an unreadable graph or decomposition blob
+        record.update({"status": "error", "error": str(exc)})
         record["ms"] = int((time.monotonic() - started) * 1000)
         return record
-    record["graph6"] = write_graph6(g)
-    record["n"] = g.n
-    record["m"] = g.m
     checks: dict[str, dict] = {}
     record["checks"] = checks
     try:
-        base_td = _deserialize_td(task["td"]) if task.get("td") else None
-        if base_td is not None and (base_td.width > 3 or validate(g, base_td)):
-            base_td = None  # width certificate useless or invalid; recompute
         biconn = is_biconnected(g)
         if base_td is None and biconn:  # the 2^n program would only end in this refusal
             check_enumeration_cap(g.n, opts.enumeration_cap)
-        if base_td is not None:
-            tw_le_3 = True  # a valid width-<=3 decomposition certifies it
-        elif g.n <= opts.treewidth_cap:
+        if base_td is None:
             width, base_td = exact_treewidth(g, cap=opts.treewidth_cap)
-            tw_le_3 = width <= 3
             record["tw"] = width
-        else:
-            raise TreewidthCapExceeded(f"n={g.n} beyond treewidth cap {opts.treewidth_cap}")
+        tw_le_3 = base_td.width <= 3  # a valid decomposition's width bounds the treewidth; an optimal one's is it
         tw_eq_3 = tw_le_3 and not has_treewidth_at_most_2(g)
         record["biconnected"] = biconn
         record["tw_le_3"] = tw_le_3
@@ -517,13 +519,7 @@ def evaluate_conjecture_task(task: dict, opts: CampaignOptions) -> dict:
         g = parse_graph6(task["graph6"])
         record["graph6"] = write_graph6(g)
         record["n"] = g.n
-        td_known = False
-        if task.get("td"):
-            base = _deserialize_td(task["td"])
-            td_known = base.width <= 4 and not validate(g, base)
-        finding = conjecture_scan(
-            g, cap=opts.enumeration_cap, max_steps=opts.max_steps, treewidth_known=td_known
-        )
+        finding = conjecture_scan(g, cap=opts.enumeration_cap, max_steps=opts.max_steps, td=_task_td(g, task, 4))
         record.update(
             {
                 "finding": finding.status,
@@ -635,7 +631,8 @@ def write_failure_bundle(ce_dir, record) -> str:
 def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
     """Self-contained counterexample evidence: graph6, the longest-cycle family,
     and for every vertex pair one longest cycle avoiding it.  ``cap`` is the
-    campaign's enumeration cap, under which the record was found."""
+    campaign's enumeration cap, under which the record was found; the bundle
+    records it for re-verification."""
     path = _bundle_path(ce_dir, record)
     g = parse_graph6(record["graph6"])
     cycles = enumerate_longest_cycles(g, cap=cap)
@@ -646,6 +643,7 @@ def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) 
         f"lct: {record['lct']}",
         f"longest-cycle-length: {record['L']}",
         f"longest-cycle-count: {record['longest_cycles']}",
+        f"enumeration-cap: {cap}",
         "cycles:",
     ]
     lines.extend("  " + " ".join(map(str, c.vertices)) for c in cycles)
@@ -659,7 +657,8 @@ def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) 
 
 def verify_conjecture_bundle(path: str) -> tuple[bool, str]:
     """Re-verify a counterexample bundle from scratch: recompute the family and
-    transversal number, and check every refutation line against the family."""
+    transversal number under the bundle's enumeration cap (18 when it names
+    none), and check every refutation line against the family."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != BUNDLE_SCHEMA:
@@ -686,7 +685,7 @@ def verify_conjecture_bundle(path: str) -> tuple[bool, str]:
             key, val = ln.split(": ", 1)
             fields[key] = val
     g = parse_graph6(fields["graph6"])
-    family = enumerate_longest_cycles(g)
+    family = enumerate_longest_cycles(g, cap=int(fields.get("enumeration-cap", DEFAULT_ENUMERATION_CAP)))
     res = compute_lct(g, family=family)
     if res.lct != int(fields["lct"]):
         return False, f"recomputed lct {res.lct} != bundled {fields['lct']}"

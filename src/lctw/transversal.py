@@ -27,7 +27,7 @@ from .cycles import (
     check_enumeration_cap,
     enumerate_longest_cycles,
 )
-from .decomposition import TreeDecomposition
+from .decomposition import TreeDecomposition, exact_treewidth, require_valid
 from .graph import Graph, is_biconnected, separates, vertex_mask
 
 __all__ = [
@@ -307,18 +307,23 @@ def conjecture_scan(
     g: Graph,
     cap: int = DEFAULT_ENUMERATION_CAP,
     max_steps: int | None = None,
-    treewidth_known: bool = False,
+    td: TreeDecomposition | None = None,
 ) -> ConjectureFinding:
-    """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal."""
+    """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal.
+
+    A given ``td`` certifies the bound: it must pass ``require_valid`` (free
+    when a pass is remembered on it) and have width <= 4.  Without one the
+    exact treewidth is computed."""
     if not is_biconnected(g):
         raise ValueError("conjecture scan requires a 2-connected graph")
     check_enumeration_cap(g.n, cap)  # before the 2^n treewidth program, which would only end in this refusal
-    if not treewidth_known:
-        from .decomposition import exact_treewidth
-
+    if td is None:
         width, _ = exact_treewidth(g)
-        if width > 4:
-            raise ValueError(f"conjecture scan requires treewidth <= 4, got {width}")
+    else:
+        require_valid(g, td)
+        width = td.width
+    if width > 4:
+        raise ValueError(f"conjecture scan requires treewidth <= 4, got a decomposition of width {width}")
     res = compute_lct(g, cap=cap, max_steps=max_steps)
     if res.lct <= 2:
         return ConjectureFinding("consistent", res.lct, res.family.length, len(res.family), res.witness)

@@ -15,6 +15,7 @@ from lctw.decomposition import (
     exact_treewidth,
     full_tree_decomposition,
     has_treewidth_at_most_2,
+    require_valid,
     validate,
 )
 from lctw.fixtures import complete_graph, path_graph
@@ -140,6 +141,44 @@ def test_full_tree_decomposition_errors():
         full_tree_decomposition(complete_graph(3), 3)  # n < k+1
     with pytest.raises(DecompositionError):
         full_tree_decomposition(complete_graph(5), 3)  # tw exceeds k
+
+
+def test_full_tree_decomposition_refuses_an_invalid_base(k4):
+    missing_edge = TreeDecomposition([(0, 1, 2), (1, 2, 3)], [(0, 1)])  # edge (0,3) in no bag
+    with pytest.raises(DecompositionError, match="invalid decomposition: edge-cover"):
+        full_tree_decomposition(k4, 3, base=missing_edge)
+    assert missing_edge.valid_for is None
+
+
+def test_require_valid_remembers_a_pass_per_graph(monkeypatch):
+    import lctw.decomposition as decomposition
+
+    g, td = generate_k_tree(GenSpec(n=7, k=3, seed=4))
+    calls = []
+    real = decomposition.validate
+
+    def counting(graph, dec):
+        calls.append(graph)
+        return real(graph, dec)
+
+    monkeypatch.setattr(decomposition, "validate", counting)
+    require_valid(g, td)
+    require_valid(g, td)
+    full_tree_decomposition(g, 3, base=td)
+    assert calls == [g] and td.valid_for is g
+    # one more edge, between two vertices no bag holds together: the mark
+    # belongs to g, so td is checked afresh for h and refused
+    u, v = next(
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+        if not any(u in bag and v in bag for bag in td.bags)
+    )
+    h = Graph(g.n, set(g.edges) | {(u, v)})
+    with pytest.raises(DecompositionError, match=f"edge-cover: edge \\({u},{v}\\)"):
+        require_valid(h, td)
+    assert calls == [g, h] and td.valid_for is g
+    # the oracle itself is not memoised
+    assert real(h, td) == [f"edge-cover: edge ({u},{v}) is in no bag"]
+    assert real(g, td) == [] and real(g, td) == []
 
 
 def test_full_tree_decomposition_from_generated_k_trees():

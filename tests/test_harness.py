@@ -6,7 +6,7 @@ import pytest
 import lctw.harness as harness
 from lctw.cli import main
 from lctw.cycles import EnumerationCapExceeded
-from lctw.fixtures import complete_graph, cycle_graph, petersen
+from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
 from lctw.graph import parse_graph6, write_graph6
 from lctw.harness import (
     CHECKS,
@@ -168,6 +168,10 @@ def test_conjecture_bundle_enumerates_under_the_campaign_cap(tmp_path, monkeypat
     lines = open(summary.bundles[0]).read().splitlines()
     cycles = lines[lines.index("cycles:") + 1 : lines.index("refutation:")]
     assert cycles == ["  " + " ".join(map(str, range(19)))]
+    assert "enumeration-cap: 20" in lines
+    # re-verified under the bundled cap, the fake lct of 3 is exposed
+    ok, detail = verify_conjecture_bundle(summary.bundles[0])
+    assert not ok and "lct" in detail
 
 
 def test_bundle_roundtrip_on_true_values(tmp_path):
@@ -418,12 +422,15 @@ def test_cap_overrun_is_out_of_scope_in_both_evaluators(monkeypatch):
     blob = {"bags": [list(b) for b in td.bags], "edges": [list(e) for e in sorted(td.tree_edges)]}
     rec = evaluate_task({"graph6": write_graph6(g), "td": blob}, CampaignOptions())
     assert rec["status"] == "out-of-scope" and "n <= 18" in rec["error"]
+    rec = evaluate_task({"graph6": write_graph6(path_graph(25))}, CampaignOptions())  # not 2-connected
+    assert rec["status"] == "out-of-scope" and "exact treewidth needs n <= 24" in rec["error"]
 
     def no_treewidth(*args, **kwargs):
         raise AssertionError("the cap is checked before exact treewidth")
 
     monkeypatch.setattr("lctw.decomposition.exact_treewidth", no_treewidth)
     monkeypatch.setattr("lctw.harness.exact_treewidth", no_treewidth)
+    monkeypatch.setattr("lctw.transversal.exact_treewidth", no_treewidth)
     task = {"graph6": write_graph6(g)}  # no td: both evaluators would need exact treewidth
     rec = evaluate_task(task, CampaignOptions())
     assert rec["status"] == "out-of-scope" and "n <= 18" in rec["error"]
@@ -472,3 +479,65 @@ def test_enumeration_cap_is_checked_before_treewidth(monkeypatch, capsys):
     assert main(["directed-forest", write_graph6(g)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("enumeration needs n <=") == 3
+
+
+MALFORMED_TD = [({"edges": []}, "'bags'"), ({"bags": [[0, 1, 2, 3, 4]], "edges": [[0, 5]]}, "bad tree edge (0,5)")]
+
+
+@pytest.mark.parametrize("blob, error", MALFORMED_TD)
+def test_malformed_td_blob_is_an_error_record_in_both_evaluators(blob, error):
+    task = {"graph6": write_graph6(complete_graph(5)), "td": blob}
+    for evaluate in (evaluate_task, evaluate_conjecture_task):
+        rec = evaluate(task, CampaignOptions())
+        assert rec["status"] == "error" and rec["error"] == error
+
+
+def test_malformed_td_blob_does_not_abort_a_campaign():
+    good = {"graph6": write_graph6(complete_graph(5))}
+    buf = io.StringIO()
+    code, summary = run_verify([good, {**good, "td": MALFORMED_TD[0][0]}], CampaignOptions(), buf, workers=2)
+    assert summary.total == 2 and summary.errors == 1 and summary.ok == 1
+    assert [r["status"] for r in _records(buf)] == ["ok", "error"]
+
+
+def test_cli_inspect_computes_treewidth_once(monkeypatch, capsys):
+    import lctw.cli
+    import lctw.decomposition
+
+    calls = []
+    real = lctw.decomposition.exact_treewidth
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lctw.decomposition, "exact_treewidth", counting)
+    monkeypatch.setattr(lctw.cli, "exact_treewidth", counting)
+    assert main(["inspect", "IheA@GUAo"]) == 0
+    assert len(calls) == 1
+    assert "full decomposition (width 4):" in capsys.readouterr().out  # Petersen
+
+
+def test_each_decomposition_is_validated_at_most_once_per_graph(monkeypatch):
+    import importlib
+
+    import lctw.decomposition
+
+    verify_tasks = corpus_tasks(parse_corpus_spec("k=3,n=8..12,count=20,p=0.25", seed=5))
+    verify_tasks += corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=5"))
+    conjecture_tasks = corpus_tasks(parse_corpus_spec("k=4,n=8..11,count=20,p=0.3", seed=5))
+    calls = []
+    real = lctw.decomposition.validate
+
+    def counting(g, td):
+        calls.append(g)
+        return real(g, td)
+
+    for name in ("lctw", "lctw.decomposition", "lctw.cycles", "lctw.classify", "lctw.transversal",
+                 "lctw.harness", "lctw.generate", "lctw.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "validate", counting, raising=False)
+    code, summary = run_verify(verify_tasks, CampaignOptions(), io.StringIO(), workers=1)
+    assert summary.ok == len(verify_tasks) == 33
+    code, summary = run_conjecture(conjecture_tasks, CampaignOptions(), io.StringIO(), workers=1)
+    assert summary.ok == len(conjecture_tasks)
+    assert 0 < len(calls) <= len(verify_tasks) + len(conjecture_tasks)

@@ -4,7 +4,7 @@ import pytest
 
 from lctw.classify import BagContext, Fencing, Posture, cross_or_fence, cycle_posture, k_intersect
 from lctw.cycles import enumerate_longest_cycles
-from lctw.decomposition import TreeDecomposition, exact_treewidth, full_tree_decomposition
+from lctw.decomposition import DecompositionError, TreeDecomposition, exact_treewidth, full_tree_decomposition
 from lctw.fixtures import complete_graph, path_graph
 from lctw.generate import GenSpec, generate_partial_k_tree
 from lctw.graph import Graph
@@ -169,8 +169,8 @@ def test_check_escape_cycle_premises(k4, k23):
 
 
 def test_conjecture_scan_consistent(small_corpus, petersen_graph):
-    for g, _ in small_corpus[:10]:
-        finding = conjecture_scan(g, treewidth_known=True)
+    for g, natural in small_corpus[:10]:
+        finding = conjecture_scan(g, td=natural)
         assert finding.status == "consistent" and finding.lct == 1
     finding = conjecture_scan(petersen_graph)
     assert finding.status == "consistent" and finding.lct == 2
@@ -183,11 +183,19 @@ def test_conjecture_scan_preconditions():
         conjecture_scan(complete_graph(6))  # treewidth 5
 
 
+def test_conjecture_scan_refuses_an_invalid_or_wide_td(k4):
+    with pytest.raises(DecompositionError, match="invalid decomposition"):
+        conjecture_scan(k4, td=TreeDecomposition([(0, 1, 2), (1, 2, 3)], [(0, 1)]))  # edge (0,3) uncovered
+    with pytest.raises(ValueError, match="width <= 4"):
+        k6 = complete_graph(6)
+        conjecture_scan(k6, td=TreeDecomposition([tuple(range(6))], []))
+
+
 def test_conjecture_scan_partial_4_trees():
     for seed in range(10):
         spec = GenSpec(n=10, k=4, seed=seed, delete_probability=0.3, require_biconnected=True)
-        g, _ = generate_partial_k_tree(spec)
-        finding = conjecture_scan(g, treewidth_known=True)
+        g, natural = generate_partial_k_tree(spec)
+        finding = conjecture_scan(g, td=natural)
         assert finding.status == "consistent"
         assert finding.lct <= 2
 
