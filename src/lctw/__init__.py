@@ -52,6 +52,7 @@ from .transversal import (
     CheckOutcome,
     ConjectureFinding,
     CycleFamilies,
+    GraphFacts,
     TransversalResult,
     build_families,
     check_escape_cycle,

@@ -12,11 +12,9 @@ import argparse
 import json
 import sys
 
-from .classify import BagContext
-from .cycles import check_enumeration_cap, enumerate_longest_cycles
-from .decomposition import check_treewidth_cap, exact_treewidth, full_tree_decomposition
+from .decomposition import full_tree_decomposition
 from .generate import GenerationError
-from .graph import is_biconnected, parse_graph6
+from .graph import parse_graph6
 from .harness import (
     CAP_ERRORS,
     DEFAULT_CHECKS,
@@ -29,7 +27,7 @@ from .harness import (
     run_conjecture,
     run_verify,
 )
-from .transversal import build_families, compute_lct
+from .transversal import GraphFacts
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
@@ -129,36 +127,32 @@ def cmd_inspect(args) -> int:
         return EXIT_CONFIG
     print(f"graph6: {args.graph6.strip()}")
     print(f"n: {g.n}  m: {g.m}")
-    print(f"biconnected: {'yes' if is_biconnected(g) else 'no'}")
-    check_treewidth_cap(g.n)  # both caps before the 2^n treewidth program, in the order the steps meet them
-    check_enumeration_cap(g.n, args.max_n)
-    width, optimal = exact_treewidth(g)
+    facts = GraphFacts(g, enumeration_cap=args.max_n)
+    print(f"biconnected: {'yes' if facts.biconnected else 'no'}")
+    width = facts.td.width
     print(f"treewidth: {width}")
-    if g.n >= max(4, width + 1):
-        k = max(3, width)
-        td = full_tree_decomposition(g, k, base=optimal)
-        print(f"full decomposition (width {k}):")
+    td = facts.td3 if width <= 3 else full_tree_decomposition(g, width, base=facts.td)  # width <= n - 1
+    if td is not None:
+        print(f"full decomposition (width {td.width}):")
         for t, bag in enumerate(td.bags):
             print(f"  node {t}: {{{','.join(map(str, bag))}}}")
         if td.tree_edges:
             print("  edges: " + " ".join(f"{a}-{b}" for a, b in sorted(td.tree_edges)))
     else:
-        td = None
-        print("full decomposition: none (graph smaller than any width-3 bag)")
-    lcs = enumerate_longest_cycles(g, cap=args.max_n)
-    if lcs.length == 0:
+        print(f"full decomposition: none ({facts.td3_error})")
+    if facts.cycles.length == 0:
         print("longest cycle: none (acyclic)")
         return 0
-    print(f"longest cycle length: {lcs.length}")
-    print(f"longest cycles: {len(lcs.cycles)}")
-    res = compute_lct(g, family=lcs)
+    print(f"longest cycle length: {facts.cycles.length}")
+    print(f"longest cycles: {len(facts.cycles)}")
+    res = facts.lct
     print(f"lct: {res.lct}  witness: {{{','.join(map(str, res.witness))}}}")
     if args.families:
-        if td is None or td.width != 3 or not td.is_full:
+        if width > 3 or td is None:
             print("families: need a full width-3 decomposition (treewidth <= 3, n >= 4)")
             return 0
-        for t in range(td.node_count):
-            fams = build_families(g, BagContext(td, t), lcs)
+        for t in range(td.node_count):  # td is td3
+            fams = facts.families(t)
             print(f"node {t} bag {{{','.join(map(str, td.bags[t]))}}}:")
             print(f"  2-crossing: {len(fams.x2)}  fenced<=3: {len(fams.fenced3)}")
             for delta, tf in sorted(fams.by_triple.items()):
@@ -172,8 +166,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_directed_forest(args) -> int:
     try:
-        g = parse_graph6(args.graph6)
-        diag = directed_forest_diagnostic(g)
+        diag = directed_forest_diagnostic(GraphFacts(parse_graph6(args.graph6)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,16 +7,17 @@ reproducible byte-for-byte for a fixed config and seed, except the timing
 field "ms".  Workers fan out over graphs; results merge back in input order
 through a single writer, so worker count never changes report content.
 
-Exit codes: 0 all checks passed or premise-not-met, 2 configuration error,
-3 check failure, 4 conjecture counterexample found.
+Exit codes: 0 all checks passed or premise-not-met, 2 configuration error
+or a record with status error, 3 check failure, 4 conjecture counterexample
+found.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from hashlib import sha1
 from itertools import combinations
 from multiprocessing import Pool
@@ -27,7 +28,6 @@ from .cycles import (
     Cycle,
     EnumerationBudgetExceeded,
     EnumerationCapExceeded,
-    check_enumeration_cap,
     enumerate_longest_cycles,
     longest_cycle_length_td,
 )
@@ -37,18 +37,16 @@ from .decomposition import (
     TreewidthCapExceeded,
     branch_at,
     branch_of_route,
-    check_treewidth_cap,
-    exact_treewidth,
-    full_tree_decomposition,
     has_treewidth_at_most_2,
     require_valid,
 )
 from .generate import GenSpec, exhaustive_small, generate_partial_k_tree
-from .graph import Graph, components_after_removal, is_biconnected, parse_graph6, vertex_mask, write_graph6
+from .graph import Graph, components_after_removal, parse_graph6, vertex_mask, write_graph6
 from .transversal import (
     FAIL,
     PASS,
     PREMISE_NOT_MET,
+    GraphFacts,
     check_escape_cycle,
     check_equivalent_two_cross_jump,
     check_fenced_or_shared,
@@ -56,7 +54,6 @@ from .transversal import (
     check_pairwise_and_common,
     compute_lct,
     conjecture_scan,
-    node_families,
 )
 
 SCHEMA = "lctw.report/1"
@@ -253,19 +250,21 @@ def check_family_consistency(td: TreeDecomposition, families) -> dict:
     return {"status": PASS}
 
 
-def _context_sweep(td: TreeDecomposition, cycles, check) -> dict:
-    """Run a check at every (node, triple) whose premise can hold and count the
-    contexts that meet it.  A context is skipped before any family is built when
-    a pair of its triple is not where some longest cycle meets the triple."""
+def _context_sweep(facts: GraphFacts, check) -> dict:
+    """Run a check at every (node, triple) of facts.td3 whose premise can hold
+    and count the contexts that meet it.  A context is skipped before any
+    family is built when a pair of its triple is not where some longest cycle
+    meets the triple."""
+    td = facts.td3
     premises = 0
     out: dict = {}
     for t in range(td.node_count):
         for delta in combinations(td.bags[t], 3):
             dmask = vertex_mask(delta)
-            hits = {c.mask & dmask for c in cycles}
+            hits = {c.mask & dmask for c in facts.cycles}
             if any(dmask ^ (1 << v) not in hits for v in delta):
                 continue
-            outcome = check(BagContext(td, t, delta))
+            outcome = check(facts, BagContext(td, t, delta))
             if outcome.status == PREMISE_NOT_MET:
                 continue
             premises += 1
@@ -275,23 +274,22 @@ def _context_sweep(td: TreeDecomposition, cycles, check) -> dict:
     return {**out, "status": status, "premise_met": premises}
 
 
-def check_jump_families_instance(g: Graph, td: TreeDecomposition, cycles, families) -> dict:
+def check_jump_families_instance(facts: GraphFacts) -> dict:
     """Pairwise-intersection and common-vertex checks at every premise-satisfying
     (node, triple); cheap exact-intersection prefilter before posture work."""
-    out = _context_sweep(td, cycles, lambda ctx: check_pairwise_and_common(g, ctx, cycles, families))
-    out["contexts"] = 4 * td.node_count  # four triples in each 4-vertex bag
+    out = _context_sweep(facts, check_pairwise_and_common)
+    out["contexts"] = 4 * facts.td3.node_count  # four triples in each 4-vertex bag
     return out
 
 
-def check_escape_cycle_instance(g: Graph, td: TreeDecomposition, cycles, result, families) -> dict:
+def check_escape_cycle_instance(facts: GraphFacts) -> dict:
     """Escape-cycle check at every premise-satisfying triple."""
-    return _context_sweep(td, cycles, lambda ctx: check_escape_cycle(g, ctx, cycles, result, families))
+    return _context_sweep(facts, check_escape_cycle)
 
 
-def directed_forest_diagnostic(
-    g: Graph, td: TreeDecomposition | None = None, cycles=None, families=None
-) -> dict:
-    """Build the auxiliary directed forest over decomposition edges and follow it.
+def directed_forest_diagnostic(facts: GraphFacts) -> dict:
+    """Build the auxiliary directed forest over the decomposition edges of
+    facts.td3 and follow it.
 
     An arc t -> t' exists when some longest cycle fenced by the bag of t,
     meeting it at most three times, lives in the branch toward t'.  The last
@@ -299,20 +297,13 @@ def directed_forest_diagnostic(
     cycles; on a genuine width-3 graph that configuration never completes, and
     the diagnostic records where the construction halts.
     """
-    if not is_biconnected(g):
+    g = facts.g
+    if not facts.biconnected:
         raise ValueError("diagnostic requires a 2-connected graph")
-    if has_treewidth_at_most_2(g):
-        raise ValueError("diagnostic requires treewidth exactly 3")
+    td = None if has_treewidth_at_most_2(g) else facts.td3
     if td is None:
-        # both caps before the 2^n treewidth program, in the order the steps meet them
-        check_treewidth_cap(g.n)
-        if cycles is None:
-            check_enumeration_cap(g.n)
-        td = full_tree_decomposition(g, 3)
-    if cycles is None:
-        cycles = enumerate_longest_cycles(g)
-    families = families or node_families(g, td, cycles)
-    result = compute_lct(g, family=cycles)
+        raise ValueError("diagnostic requires treewidth exactly 3")
+    families = facts.families
     arcs = []
     for a, b in sorted(td.tree_edges):
         for t, tp in ((a, b), (b, a)):
@@ -324,7 +315,7 @@ def directed_forest_diagnostic(
     out = {
         "schema": SCHEMA,
         "graph6": write_graph6(g),
-        "lct": result.lct,
+        "lct": facts.lct.lct,
         "arc_count": len(arcs),
         "arcs": [list(a) for a in arcs],
         "fenced_family_sizes": [len(families(t).fenced3) for t in range(td.node_count)],
@@ -366,7 +357,7 @@ def directed_forest_diagnostic(
         "intersection_in_shared": inter <= shared,
         "intersection_at_least_2": len(inter) >= 2,
     }
-    if result.lct == 1:
+    if facts.lct.lct == 1:
         out["halt"] = (
             "all longest cycles share a vertex: no longest cycle avoiding a shared "
             "bag vertex exists, so the contradiction step cannot proceed"
@@ -376,162 +367,72 @@ def directed_forest_diagnostic(
     return out
 
 
-_GraphFacts = namedtuple("_GraphFacts", "g biconn tw_eq_3 cycles result td3 families")  # what checks read
-
-
-def _pairwise_overlap(f: _GraphFacts) -> dict:
+def _pairwise_overlap(f: GraphFacts) -> dict:
     pairs = combinations(f.cycles.cycles, 2)
     bad = next(((c.vertices, d.vertices) for c, d in pairs if len(c.vertex_set & d.vertex_set) < 2), None)
     return {"status": PASS} if bad is None else {"status": FAIL, "witness": _plain(bad)}
 
 
-def _fenced_or_shared(f: _GraphFacts) -> dict:
-    if f.result.lct == 1:
+def _fenced_or_shared(f: GraphFacts) -> dict:
+    if f.lct.lct == 1:
         return {"status": PASS, "detail": "all longest cycles share a vertex"}
-    rep = check_fenced_or_shared(f.g, f.td3, f.cycles, f.result, f.families)
+    rep = check_fenced_or_shared(f)
     return {"status": PASS if rep.ok else FAIL, "failing_nodes": list(rep.failing_nodes)}
 
 
-def _dforest(f: _GraphFacts) -> dict:
+def _dforest(f: GraphFacts) -> dict:
     if not f.tw_eq_3:
         return {"status": PREMISE_NOT_MET, "detail": "treewidth below 3"}
-    diag = directed_forest_diagnostic(f.g, f.td3, f.cycles, f.families)
+    diag = directed_forest_diagnostic(f)
     return {"status": PASS, "halt": diag["halt"], "arcs": diag["arc_count"]}
 
 
-def _td_oracle(f: _GraphFacts) -> dict:
-    dp_len = longest_cycle_length_td(f.g, f.td3)
+def _td_oracle(f: GraphFacts) -> dict:
+    dp_len = longest_cycle_length_td(f.g, f.td)  # td passed require_valid when td3 was built on it
     return {"status": PASS if dp_len == f.cycles.length else FAIL, "dp": dp_len, "enum": f.cycles.length}
 
 
-# Check name -> (scope gate, check).  evaluate_task resolves each gate to the
+# Check name -> (scope gate, check).  _verify_graph resolves each gate to the
 # record of a check out of the graph's scope, or to None when the check runs.
 # Lambdas look library functions up at each call, so patched bindings apply.
 CHECKS = {
-    "shared_vertex": ("partial_3_tree", lambda f: {"status": PASS if f.result.lct == 1 else FAIL}),
+    "shared_vertex": ("partial_3_tree", lambda f: {"status": PASS if f.lct.lct == 1 else FAIL}),
     "pairwise_overlap": ("cycle", _pairwise_overlap),
     "fenced_or_shared": ("decomposition", _fenced_or_shared),
     "edge_separator": ("decomposition", lambda f: check_edge_separators(f.g, f.td3)),
     "families": ("decomposition", lambda f: check_family_consistency(f.td3, f.families)),
     "min_length_side": (
         "lct",
-        lambda f: _outcome_dict(check_min_cycle_length_premise(f.biconn, f.tw_eq_3, f.result.lct, f.cycles.length)),
+        lambda f: _outcome_dict(check_min_cycle_length_premise(f.biconnected, f.tw_eq_3, f.lct.lct, f.cycles.length)),
     ),
-    "two_cross_jump": (
-        "td3",
-        lambda f: _outcome_dict(check_equivalent_two_cross_jump(f.g, f.td3, f.cycles, f.result.lct, f.families)),
-    ),
-    "jump_families": ("decomposition", lambda f: check_jump_families_instance(f.g, f.td3, f.cycles, f.families)),
-    "escape_cycle": ("decomposition", lambda f: check_escape_cycle_instance(f.g, f.td3, f.cycles, f.result, f.families)),
+    "two_cross_jump": ("td3", lambda f: _outcome_dict(check_equivalent_two_cross_jump(f))),
+    "jump_families": ("decomposition", lambda f: check_jump_families_instance(f)),
+    "escape_cycle": ("decomposition", lambda f: check_escape_cycle_instance(f)),
     "dforest": ("decomposition", _dforest),
     "td_oracle": ("decomposition", _td_oracle),
 }
 
 
-def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
-    """Run the configured checks on one graph; returns a self-contained record."""
+def _evaluate(task: dict, opts: CampaignOptions, fields: tuple[str, ...], max_width: int, body) -> dict:
+    """The record frame both evaluators share: parse the graph, record its
+    graph6 form and ``fields``, take the task's decomposition when it is valid
+    with width <= max_width, run ``body`` on the graph's facts and time it all.
+    A cap or budget refusal makes the record out-of-scope; any other
+    exception, an unreadable graph or decomposition blob included, makes it an
+    error.  A graph6 string that does not parse is kept as given."""
     started = time.monotonic()
     record: dict = {"schema": SCHEMA, "source": task.get("source", ""), "graph6": task.get("graph6", "")}
     try:
         g = parse_graph6(task["graph6"])
-        record.update({"graph6": write_graph6(g), "n": g.n, "m": g.m})
-        base_td = _task_td(g, task, 3)
-    except Exception as exc:  # an unreadable graph or decomposition blob
-        record.update({"status": "error", "error": str(exc)})
-        record["ms"] = int((time.monotonic() - started) * 1000)
-        return record
-    checks: dict[str, dict] = {}
-    record["checks"] = checks
-    try:
-        biconn = is_biconnected(g)
-        if base_td is None and biconn:  # the 2^n program would only end in this refusal
-            check_enumeration_cap(g.n, opts.enumeration_cap)
-        if base_td is None:
-            width, base_td = exact_treewidth(g, cap=opts.treewidth_cap)
-            record["tw"] = width
-        tw_le_3 = base_td.width <= 3  # a valid decomposition's width bounds the treewidth; an optimal one's is it
-        tw_eq_3 = tw_le_3 and not has_treewidth_at_most_2(g)
-        record["biconnected"] = biconn
-        record["tw_le_3"] = tw_le_3
-        record["tw_eq_3"] = tw_eq_3
-        in_scope = biconn and tw_le_3
-        if opts.strict_preconditions and not in_scope:
-            record["status"] = "out-of-scope"
-            record["ms"] = int((time.monotonic() - started) * 1000)
-            return record
-
-        cycles = None
-        result = None
-        if biconn:
-            cycles = enumerate_longest_cycles(g, cap=opts.enumeration_cap, max_steps=opts.max_steps)
-            if cycles.length:
-                result = compute_lct(g, family=cycles)
-                record["L"] = cycles.length
-                record["longest_cycles"] = len(cycles)
-                record["lct"] = result.lct
-                record["lct_witness"] = list(result.witness)
-
-        td3 = None
-        td3_error = None
-        if in_scope and g.n >= 4:
-            try:
-                td3 = full_tree_decomposition(g, 3, base=base_td)
-            except DecompositionError as exc:
-                td3_error = str(exc)
-
-        out_of_scope = {"status": "out-of-scope"}
-        no_td3 = {"status": PREMISE_NOT_MET, "detail": td3_error or "no width-3 decomposition (n < 4)"}
-        scoped = in_scope and result is not None
-        gates = {
-            "cycle": None if result else {**out_of_scope, "detail": "needs a 2-connected graph with a cycle"},
-            "lct": None if result else out_of_scope,
-            "partial_3_tree": None if scoped else {**out_of_scope, "detail": "needs a 2-connected partial 3-tree with a cycle"},
-            "td3": None if scoped and td3 else out_of_scope,
-            "decomposition": (None if td3 else no_td3) if scoped else out_of_scope,
-        }
-        # node_families is lazy: only checks past the decomposition gates call it
-        facts = _GraphFacts(g, biconn, tw_eq_3, cycles, result, td3, node_families(g, td3, cycles))
-        for name in opts.checks:
-            gate, check = CHECKS[name]
-            checks[name] = dict(gates[gate]) if gates[gate] else check(facts)
-        record["status"] = "fail" if any(c.get("status") == FAIL for c in checks.values()) else "ok"
-    except CAP_ERRORS as exc:
-        record["status"] = "out-of-scope"
-        record["error"] = str(exc)
-    record["ms"] = int((time.monotonic() - started) * 1000)
-    return record
-
-
-def _verify_worker(args):
-    task, opts = args
-    return evaluate_task(task, opts)
-
-
-def _conjecture_worker(args):
-    task, opts = args
-    return evaluate_conjecture_task(task, opts)
-
-
-def evaluate_conjecture_task(task: dict, opts: CampaignOptions) -> dict:
-    started = time.monotonic()
-    record: dict = {"schema": SCHEMA, "source": task.get("source", "")}
-    try:
-        g = parse_graph6(task["graph6"])
-        record["graph6"] = write_graph6(g)
-        record["n"] = g.n
-        finding = conjecture_scan(g, cap=opts.enumeration_cap, max_steps=opts.max_steps, td=_task_td(g, task, 4))
-        record.update(
-            {
-                "finding": finding.status,
-                "lct": finding.lct,
-                "L": finding.length,
-                "longest_cycles": finding.cycle_count,
-                "witness": list(finding.witness),
-                "status": "ok",
-            }
+        record.update({"graph6": write_graph6(g), **{name: getattr(g, name) for name in fields}})
+        facts = GraphFacts(
+            g,
+            _task_td(g, task, max_width),
+            enumeration_cap=opts.enumeration_cap,
+            treewidth_cap=opts.treewidth_cap,
+            max_steps=opts.max_steps,
         )
-        if finding.refutation:
-            record["refutation"] = _plain(finding.refutation)
+        body(facts, record, opts)
     except Exception as exc:
         record["status"] = "out-of-scope" if isinstance(exc, CAP_ERRORS) else "error"
         record["error"] = str(exc)
@@ -539,14 +440,73 @@ def evaluate_conjecture_task(task: dict, opts: CampaignOptions) -> dict:
     return record
 
 
-def _run_tasks(tasks, opts, worker, workers: int):
-    args = [(t, opts) for t in tasks]
+def _verify_graph(facts: GraphFacts, record: dict, opts: CampaignOptions) -> None:
+    checks: dict[str, dict] = {}
+    record["checks"] = checks
+    td = facts.td
+    if facts.given_td is None:
+        record["tw"] = td.width  # td is optimal
+    biconn = facts.biconnected
+    tw_le_3 = td.width <= 3  # a valid decomposition's width bounds the treewidth; an optimal one's is it
+    in_scope = biconn and tw_le_3
+    record.update({"biconnected": biconn, "tw_le_3": tw_le_3, "tw_eq_3": facts.tw_eq_3})
+    if opts.strict_preconditions and not in_scope:
+        record["status"] = "out-of-scope"
+        return
+    if biconn:  # a 2-connected graph has a cycle
+        result = facts.lct
+        record.update({"L": facts.cycles.length, "longest_cycles": len(facts.cycles), "lct": result.lct})
+        record["lct_witness"] = list(result.witness)
+    td3 = facts.td3 if in_scope else None
+    out_of_scope = {"status": "out-of-scope"}
+    no_td3 = {"status": PREMISE_NOT_MET, "detail": facts.td3_error}
+    partial_3_tree = "needs a 2-connected partial 3-tree with a cycle"
+    gates = {
+        "cycle": None if biconn else {**out_of_scope, "detail": "needs a 2-connected graph with a cycle"},
+        "lct": None if biconn else out_of_scope,
+        "partial_3_tree": None if in_scope else {**out_of_scope, "detail": partial_3_tree},
+        "td3": None if td3 else out_of_scope,
+        "decomposition": (None if td3 else no_td3) if in_scope else out_of_scope,
+    }
+    for name in opts.checks:
+        gate, check = CHECKS[name]
+        checks[name] = dict(gates[gate]) if gates[gate] else check(facts)
+    record["status"] = "fail" if any(c.get("status") == FAIL for c in checks.values()) else "ok"
+
+
+def _scan_graph(facts: GraphFacts, record: dict, opts: CampaignOptions) -> None:
+    finding = conjecture_scan(facts)
+    record.update(
+        {
+            "finding": finding.status,
+            "lct": finding.lct,
+            "L": finding.length,
+            "longest_cycles": finding.cycle_count,
+            "witness": list(finding.witness),
+            "status": "ok",
+        }
+    )
+    if finding.refutation:
+        record["refutation"] = _plain(finding.refutation)
+
+
+def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
+    """Run the configured checks on one graph; returns a self-contained record."""
+    return _evaluate(task, opts, ("n", "m"), 3, _verify_graph)
+
+
+def evaluate_conjecture_task(task: dict, opts: CampaignOptions) -> dict:
+    """Scan one graph for a two-vertex transversal; returns a self-contained record."""
+    return _evaluate(task, opts, ("n",), 4, _scan_graph)
+
+
+def _run_tasks(tasks, opts, evaluate, workers: int):
+    evaluate_one = partial(evaluate, opts=opts)
     if workers <= 1:
-        for a in args:
-            yield worker(a)
+        yield from map(evaluate_one, tasks)
         return
     with Pool(workers) as pool:
-        yield from pool.imap(worker, args, chunksize=8)
+        yield from pool.imap(evaluate_one, tasks, chunksize=8)
 
 
 @dataclass
@@ -561,48 +521,38 @@ class CampaignSummary:
     bundles: list = field(default_factory=list)
 
 
-def run_verify(tasks, opts: CampaignOptions, out_stream, ce_dir=None, workers: int = 1):
+# Record outcome -> the summary count it adds to; any other outcome is ok.
+_TALLY = {"fail": "failed", "COUNTEREXAMPLE": "counterexamples", "out-of-scope": "out_of_scope", "error": "errors"}
+
+
+def _run_campaign(tasks, opts, evaluate, out_stream, ce_dir, workers, bundle):
+    """Evaluate every task, tally and write its record, and persist a failing
+    or counterexample record with ``bundle`` when ``ce_dir`` is set.  The exit
+    code is 4 on a counterexample, else 3 on a check failure, else 2 on an
+    error record, else 0."""
     summary = CampaignSummary()
-    code = EXIT_OK
-    for record in _run_tasks(tasks, opts, _verify_worker, workers):
+    for record in _run_tasks(tasks, opts, evaluate, workers):
         summary.total += 1
-        status = record.get("status")
-        if status == "fail":
-            summary.failed += 1
-            code = EXIT_CHECK_FAILURE
-            if ce_dir:
-                summary.bundles.append(write_failure_bundle(ce_dir, record))
-        elif status == "out-of-scope":
-            summary.out_of_scope += 1
-        elif status == "error":
-            summary.errors += 1
-        else:
-            summary.ok += 1
+        count = _TALLY.get(record.get("finding")) or _TALLY.get(record.get("status"), "ok")
+        setattr(summary, count, getattr(summary, count) + 1)
+        if ce_dir and count in ("failed", "counterexamples"):
+            summary.bundles.append(bundle(ce_dir, record))
         for name, chk in record.get("checks", {}).items():
             if chk.get("status") == "vacuous-pass":
                 summary.vacuous[name] = summary.vacuous.get(name, 0) + 1
         out_stream.write(json.dumps(record, sort_keys=True) + "\n")
-    return code, summary
+    if summary.counterexamples or summary.failed:
+        return (EXIT_COUNTEREXAMPLE if summary.counterexamples else EXIT_CHECK_FAILURE), summary
+    return (EXIT_CONFIG if summary.errors else EXIT_OK), summary
+
+
+def run_verify(tasks, opts: CampaignOptions, out_stream, ce_dir=None, workers: int = 1):
+    return _run_campaign(tasks, opts, evaluate_task, out_stream, ce_dir, workers, write_failure_bundle)
 
 
 def run_conjecture(tasks, opts: CampaignOptions, out_stream, ce_dir=None, workers: int = 1):
-    summary = CampaignSummary()
-    code = EXIT_OK
-    for record in _run_tasks(tasks, opts, _conjecture_worker, workers):
-        summary.total += 1
-        if record.get("status") == "error":
-            summary.errors += 1
-        elif record.get("status") == "out-of-scope":
-            summary.out_of_scope += 1
-        elif record.get("finding") == "COUNTEREXAMPLE":
-            summary.counterexamples += 1
-            code = EXIT_COUNTEREXAMPLE
-            if ce_dir:
-                summary.bundles.append(write_conjecture_bundle(ce_dir, record, opts.enumeration_cap))
-        else:
-            summary.ok += 1
-        out_stream.write(json.dumps(record, sort_keys=True) + "\n")
-    return code, summary
+    bundle = partial(write_conjecture_bundle, cap=opts.enumeration_cap)
+    return _run_campaign(tasks, opts, evaluate_conjecture_task, out_stream, ce_dir, workers, bundle)
 
 
 def _bundle_path(ce_dir, record) -> str:

@@ -6,6 +6,11 @@ triples, and so on in lexicographic order, so the reported witness is the
 lexicographically least among the minimum-size transversals and minimality is
 verified exhaustively by construction.
 
+Every fact a check reads is derived once per graph by ``GraphFacts``: its
+2-connectivity, a decomposition, the longest cycles, lct, the full width-3
+decomposition and the per-bag families.  The checkers and the conjecture scan
+take that object.
+
 Checkers return outcomes, not booleans: "premise-not-met" is a first-class
 result distinct from pass/fail so that a checker never reports a spurious
 failure on an instance outside its hypotheses, and "vacuous-pass" counts
@@ -27,7 +32,16 @@ from .cycles import (
     check_enumeration_cap,
     enumerate_longest_cycles,
 )
-from .decomposition import TreeDecomposition, exact_treewidth, require_valid
+from .decomposition import (
+    DEFAULT_TREEWIDTH_CAP,
+    DecompositionError,
+    TreeDecomposition,
+    check_treewidth_cap,
+    exact_treewidth,
+    full_tree_decomposition,
+    has_treewidth_at_most_2,
+    require_valid,
+)
 from .graph import Graph, is_biconnected, separates, vertex_mask
 
 __all__ = [
@@ -41,6 +55,7 @@ __all__ = [
     "FencedOrSharedReport",
     "CheckOutcome",
     "ConjectureFinding",
+    "GraphFacts",
     "compute_lct",
     "build_families",
     "node_families",
@@ -74,15 +89,9 @@ class CheckOutcome:
     witness: tuple = ()
 
 
-def compute_lct(
-    g: Graph,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    max_steps: int | None = None,
-    family: LongestCycleSet | None = None,
-) -> TransversalResult:
-    """Exact lct with the lexicographically least minimum witness."""
-    if family is None:
-        family = enumerate_longest_cycles(g, cap=cap, max_steps=max_steps)
+def compute_lct(g: Graph, family: LongestCycleSet) -> TransversalResult:
+    """Exact lct over g's longest cycles, with the lexicographically least
+    minimum witness."""
     if family.length == 0:
         raise ValueError("graph is acyclic: transversal number undefined")
     masks = [c.mask for c in family.cycles]
@@ -158,6 +167,80 @@ def node_families(
     return cache(lambda t: build_families(g, BagContext(td, t), cycles))
 
 
+class GraphFacts:
+    """The per-graph facts every check reads, each derived on first read and
+    kept, so each is computed at most once per graph.
+
+    ``td``, when given, must pass ``require_valid`` for g; without one an
+    optimal decomposition is computed.  The caps and the step budget apply to
+    the exact treewidth program and the cycle enumeration; ``max_steps=None``
+    leaves the enumeration unbudgeted."""
+
+    def __init__(
+        self,
+        g: Graph,
+        td: TreeDecomposition | None = None,
+        *,
+        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+        treewidth_cap: int = DEFAULT_TREEWIDTH_CAP,
+        max_steps: int | None = None,
+    ):
+        self.g = g
+        self.given_td = td
+        self.enumeration_cap = enumeration_cap
+        self.treewidth_cap = treewidth_cap
+        self.max_steps = max_steps
+        self.td3_error = ""  # why td3 is None, once td3 is read
+
+    @cached_property
+    def biconnected(self) -> bool:
+        return is_biconnected(self.g)
+
+    @cached_property
+    def td(self) -> TreeDecomposition:
+        """The given decomposition, else an optimal one, whose width is then the
+        treewidth.  The one cap rule: before the 2^n treewidth program, refuse
+        n beyond the treewidth cap, then, when the graph is 2-connected and so
+        its cycles are enumerated next, beyond the enumeration cap."""
+        if self.given_td is not None:
+            require_valid(self.g, self.given_td)
+            return self.given_td
+        check_treewidth_cap(self.g.n, self.treewidth_cap)
+        if self.biconnected:
+            check_enumeration_cap(self.g.n, self.enumeration_cap)
+        return exact_treewidth(self.g, cap=self.treewidth_cap)[1]
+
+    @cached_property
+    def tw_eq_3(self) -> bool:
+        return self.td.width <= 3 and not has_treewidth_at_most_2(self.g)
+
+    @cached_property
+    def cycles(self) -> LongestCycleSet:
+        return enumerate_longest_cycles(self.g, cap=self.enumeration_cap, max_steps=self.max_steps)
+
+    @cached_property
+    def lct(self) -> TransversalResult:
+        return compute_lct(self.g, family=self.cycles)
+
+    @cached_property
+    def td3(self) -> TreeDecomposition | None:
+        """The full width-3 decomposition built on td, or None with the reason
+        in ``td3_error``."""
+        if self.g.n < 4:
+            self.td3_error = "no width-3 decomposition (n < 4)"
+            return None
+        try:
+            return full_tree_decomposition(self.g, 3, base=self.td)
+        except DecompositionError as exc:
+            self.td3_error = str(exc)
+            return None
+
+    @cached_property
+    def families(self) -> Callable[[int], CycleFamilies]:
+        """The families at each node of td3, as ``node_families`` shares them."""
+        return node_families(self.g, self.td3, self.cycles)
+
+
 @dataclass(frozen=True)
 class FencedOrSharedReport:
     """Per-node disjunction outcomes: transversal number 1, or a fenced longest
@@ -172,47 +255,34 @@ class FencedOrSharedReport:
         return not self.failing_nodes
 
 
-def check_fenced_or_shared(
-    g: Graph,
-    td: TreeDecomposition,
-    cycles: LongestCycleSet | None = None,
-    result: TransversalResult | None = None,
-    families: Callable[[int], CycleFamilies] | None = None,
-) -> FencedOrSharedReport:
-    """At every bag: lct == 1, or some longest cycle is fenced by the bag and
-    meets it at most three times.  A failing node would contradict the theory
-    this tool checks, so failures carry the node id."""
-    if not is_biconnected(g):
+def check_fenced_or_shared(facts: GraphFacts) -> FencedOrSharedReport:
+    """At every bag of ``facts.td3``: lct == 1, or some longest cycle is fenced
+    by the bag and meets it at most three times.  A failing node would
+    contradict the theory this tool checks, so failures carry the node id."""
+    if not facts.biconnected:
         raise ValueError("check requires a 2-connected graph")
-    if not td.is_full or td.width != 3:
+    if facts.td3 is None:
         raise ValueError("check requires a full width-3 decomposition")
-    if cycles is None:
-        cycles = enumerate_longest_cycles(g)
-    if result is None:
-        result = compute_lct(g, family=cycles)
-    families = families or node_families(g, td, cycles)
-    statuses = tuple(PASS if result.lct == 1 or families(t).fenced3 else FAIL for t in range(td.node_count))
+    lct = facts.lct.lct
+    statuses = tuple(PASS if lct == 1 or facts.families(t).fenced3 else FAIL for t in range(facts.td3.node_count))
     failing = tuple(t for t, status in enumerate(statuses) if status == FAIL)
-    return FencedOrSharedReport(result.lct, statuses, failing)
+    return FencedOrSharedReport(lct, statuses, failing)
 
 
-def check_pairwise_and_common(
-    g: Graph,
-    ctx: BagContext,
-    cycles: LongestCycleSet | None = None,
-    families: Callable[[int], CycleFamilies] | None = None,
-) -> CheckOutcome:
+def _require_triple(facts: GraphFacts, ctx: BagContext) -> None:
+    if ctx.delta is None or ctx.td is not facts.td3:
+        raise ValueError("check needs a distinguished triple at a node of facts.td3")
+
+
+def check_pairwise_and_common(facts: GraphFacts, ctx: BagContext) -> CheckOutcome:
     """When all three 2-jump families at the triple are nonempty, verify that
 
     (i) some qualifying component contains a vertex of every pairwise
         intersection of the jump-family cycles, and
     (ii) a single vertex inside the triple lies on all of them.
     """
-    if ctx.delta is None:
-        raise ValueError("check needs a distinguished triple")
-    if cycles is None:
-        cycles = enumerate_longest_cycles(g)
-    node = (families or node_families(g, ctx.td, cycles))(ctx.t)
+    _require_triple(facts, ctx)
+    node = facts.families(ctx.t)
     fams = node.by_triple[ctx.delta]
     if any(not fams.jump2[p] for p in fams.jump2):
         empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
@@ -230,7 +300,7 @@ def check_pairwise_and_common(
             "no qualifying component carries all pairwise intersections",
             (c.vertices, d.vertices),
         )
-    witness_component = tuple(v for v in range(g.n) if block >> v & 1)
+    witness_component = tuple(v for v in range(facts.g.n) if block >> v & 1)
     common = inside
     for c in family:
         common &= c.mask
@@ -243,32 +313,21 @@ def check_pairwise_and_common(
     return CheckOutcome(PASS, witness=(witness_component, (common & -common).bit_length() - 1))  # least vertex
 
 
-def check_escape_cycle(
-    g: Graph,
-    ctx: BagContext,
-    cycles: LongestCycleSet | None = None,
-    result: TransversalResult | None = None,
-    families: Callable[[int], CycleFamilies] | None = None,
-) -> CheckOutcome:
+def check_escape_cycle(facts: GraphFacts, ctx: BagContext) -> CheckOutcome:
     """When lct > 1 and every pair of the triple has a 2-jumping longest cycle,
     some longest cycle meets the bag at most once, or is outside the triple,
     or is inside and meets it twice, or is inside, meets it three times and is
     fenced by it."""
-    if ctx.delta is None:
-        raise ValueError("check needs a distinguished triple")
-    if cycles is None:
-        cycles = enumerate_longest_cycles(g)
-    if result is None:
-        result = compute_lct(g, family=cycles)
-    if result.lct <= 1:
+    _require_triple(facts, ctx)
+    if facts.lct.lct <= 1:
         return CheckOutcome(PREMISE_NOT_MET, "all longest cycles share a vertex (lct = 1)")
-    node = (families or node_families(g, ctx.td, cycles))(ctx.t)
+    node = facts.families(ctx.t)
     fams = node.by_triple[ctx.delta]
     if any(not fams.jump2[p] for p in fams.jump2):
         empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
         return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}")
     dmask = vertex_mask(ctx.delta)
-    for c in cycles:
+    for c in facts.cycles:
         if (c.mask & node.masks.bag).bit_count() <= 1:
             return CheckOutcome(PASS, "a longest cycle meets the bag at most once", (c.vertices,))
         count = (c.mask & dmask).bit_count()
@@ -279,7 +338,7 @@ def check_escape_cycle(
             return CheckOutcome(PASS, "a longest cycle is outside the triple", (c.vertices,))
         if tag is Posture.INSIDE and count == 2:
             return CheckOutcome(PASS, "an inside longest cycle meets the triple twice", (c.vertices,))
-        if tag is Posture.INSIDE and count == 3 and not separates(g, ctx.delta, c.vertex_set):
+        if tag is Posture.INSIDE and count == 3 and not separates(facts.g, ctx.delta, c.vertex_set):
             return CheckOutcome(
                 PASS, "an inside longest cycle meets the triple thrice, fenced by it", (c.vertices,)
             )
@@ -303,32 +362,21 @@ class ConjectureFinding:
     refutation: tuple[tuple[int, int, tuple[int, ...]], ...] = field(default=())
 
 
-def conjecture_scan(
-    g: Graph,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    max_steps: int | None = None,
-    td: TreeDecomposition | None = None,
-) -> ConjectureFinding:
+def conjecture_scan(facts: GraphFacts) -> ConjectureFinding:
     """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal.
 
-    A given ``td`` certifies the bound: it must pass ``require_valid`` (free
-    when a pass is remembered on it) and have width <= 4.  Without one the
-    exact treewidth is computed."""
-    if not is_biconnected(g):
+    ``facts.td`` certifies the bound: a given decomposition must have width
+    <= 4; without one the exact treewidth must be."""
+    if not facts.biconnected:
         raise ValueError("conjecture scan requires a 2-connected graph")
-    check_enumeration_cap(g.n, cap)  # before the 2^n treewidth program, which would only end in this refusal
-    if td is None:
-        width, _ = exact_treewidth(g)
-    else:
-        require_valid(g, td)
-        width = td.width
+    width = facts.td.width
     if width > 4:
         raise ValueError(f"conjecture scan requires treewidth <= 4, got a decomposition of width {width}")
-    res = compute_lct(g, cap=cap, max_steps=max_steps)
+    res = facts.lct
     if res.lct <= 2:
         return ConjectureFinding("consistent", res.lct, res.family.length, len(res.family), res.witness)
     refutation = []
-    for u, v in combinations(range(g.n), 2):
+    for u, v in combinations(range(facts.g.n), 2):
         missed = next(c for c in res.family if u not in c.vertex_set and v not in c.vertex_set)
         refutation.append((u, v, missed.vertices))
     return ConjectureFinding(
@@ -348,24 +396,19 @@ def check_min_cycle_length_premise(
     return CheckOutcome(PASS if length >= 5 else FAIL, f"longest cycle length {length}")
 
 
-def check_equivalent_two_cross_jump(
-    g: Graph,
-    td: TreeDecomposition,
-    cycles: LongestCycleSet,
-    lct: int,
-    families: Callable[[int], CycleFamilies] | None = None,
-) -> CheckOutcome:
-    """When lct > 1 and all 2-crossing longest cycles at a bag meet it in the
-    same pair, each of them must jump both triples containing that pair.
+def check_equivalent_two_cross_jump(facts: GraphFacts) -> CheckOutcome:
+    """When lct > 1 and all 2-crossing longest cycles at a bag of
+    ``facts.td3`` meet it in the same pair, each of them must jump both
+    triples containing that pair.
 
     Premise-gated like the length side condition; vacuous on every graph where
     all longest cycles intersect."""
-    if lct <= 1:
+    if facts.lct.lct <= 1:
         return CheckOutcome(VACUOUS_PASS, "premise empty: lct = 1")
-    families = families or node_families(g, td, cycles)
+    td = facts.td3
     met_anywhere = False
     for t in range(td.node_count):
-        fams = families(t)
+        fams = facts.families(t)
         bag = set(td.bags[t])
         x2 = fams.x2
         if not x2:

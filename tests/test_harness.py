@@ -4,6 +4,7 @@ import json
 import pytest
 
 import lctw.harness as harness
+import lctw.transversal as transversal
 from lctw.cli import main
 from lctw.cycles import EnumerationCapExceeded
 from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
@@ -28,7 +29,7 @@ from lctw.harness import (
     verify_conjecture_bundle,
     write_conjecture_bundle,
 )
-from lctw.transversal import PASS, PREMISE_NOT_MET, TransversalResult, node_families
+from lctw.transversal import PASS, PREMISE_NOT_MET, GraphFacts, TransversalResult, node_families
 
 
 def _records(buf):
@@ -63,6 +64,44 @@ def test_evaluate_task_parse_error():
     assert "offset" in rec["error"]
 
 
+def test_conjecture_parse_error_keeps_the_graph6_input():
+    rec = evaluate_conjecture_task({"graph6": "~nope", "source": "t"}, CampaignOptions())
+    assert rec["status"] == "error" and rec["graph6"] == "~nope"
+    assert "offset" in rec["error"]
+
+
+@pytest.mark.parametrize("run", [run_verify, run_conjecture])
+def test_error_records_exit_with_the_config_code(run):
+    code, summary = run([{"graph6": "~nope"}], CampaignOptions(), io.StringIO(), workers=1)
+    assert code == EXIT_CONFIG and summary.errors == 1 and summary.ok == 0
+
+
+def test_failures_and_counterexamples_take_precedence_over_errors(monkeypatch):
+    from lctw.transversal import ConjectureFinding
+
+    def mutated(graph, **kw):
+        return TransversalResult(2, (0, 1), kw["family"])
+
+    def fake_scan(facts):
+        return ConjectureFinding("COUNTEREXAMPLE", 3, 4, 3, (0, 1, 2))
+
+    monkeypatch.setattr(transversal, "compute_lct", mutated)
+    monkeypatch.setattr(harness, "conjecture_scan", fake_scan)
+    tasks = [{"graph6": "~nope"}, {"graph6": write_graph6(complete_graph(4))}]
+    code, summary = run_verify(tasks, CampaignOptions(), io.StringIO(), workers=1)
+    assert code == EXIT_CHECK_FAILURE and summary.errors == summary.failed == 1
+    code, summary = run_conjecture(tasks, CampaignOptions(), io.StringIO(), workers=1)
+    assert code == EXIT_COUNTEREXAMPLE and summary.errors == summary.counterexamples == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+def test_cli_campaign_with_an_error_record_exits_2(tmp_path, capsys, command):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("~nope\n")
+    assert main([command, "--corpus", str(corpus), "--workers", "1"]) == EXIT_CONFIG
+    assert "1 errors" in capsys.readouterr().err
+
+
 def test_run_verify_exhaustive_small_corpus():
     tasks = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=5"))
     buf = io.StringIO()
@@ -93,13 +132,13 @@ def test_lenient_mode_runs_applicable_checks(petersen_graph):
 def test_injected_fault_yields_failure_and_bundle(tmp_path, monkeypatch, fig):
     g, _ = fig
 
-    real = harness.compute_lct
+    real = transversal.compute_lct
 
     def mutated(graph, **kw):
         res = real(graph, **kw)
         return TransversalResult(2, res.witness, res.family)
 
-    monkeypatch.setattr(harness, "compute_lct", mutated)
+    monkeypatch.setattr(transversal, "compute_lct", mutated)
     tasks = [{"graph6": write_graph6(g)}]
     buf = io.StringIO()
     code, summary = run_verify(tasks, CampaignOptions(), buf, ce_dir=str(tmp_path), workers=1)
@@ -210,14 +249,14 @@ def test_report_determinism_across_workers():
 
 def test_directed_forest_diagnostic_instances(fig):
     g, _ = fig
-    diag = directed_forest_diagnostic(g)
+    diag = directed_forest_diagnostic(GraphFacts(g))
     # Hamiltonian longest cycles meet every bag four times: empty forest
     assert diag["arc_count"] == 0
     assert "empty-forest" in diag["halt"]
     assert diag["lct"] == 1
     # frozen instance with one arc and no returning cycle
     g2 = parse_graph6("GntWr_")
-    diag2 = directed_forest_diagnostic(g2)
+    diag2 = directed_forest_diagnostic(GraphFacts(g2))
     assert diag2["arc_count"] >= 1
     assert "no-returning-cycle" in diag2["halt"]
 
@@ -230,7 +269,7 @@ def test_directed_forest_corpus_sweep_statistics(small_corpus):
     for g, natural in small_corpus:
         if not is_biconnected(g) or has_treewidth_at_most_2(g):
             continue
-        diag = directed_forest_diagnostic(g)
+        diag = directed_forest_diagnostic(GraphFacts(g))
         key = diag["halt"].split(":")[0]
         halts[key] = halts.get(key, 0) + 1
         # on genuine width-3 graphs the construction never completes the
@@ -243,9 +282,9 @@ def test_directed_forest_preconditions(c5):
     from lctw.fixtures import path_graph
 
     with pytest.raises(ValueError):
-        directed_forest_diagnostic(path_graph(4))
+        directed_forest_diagnostic(GraphFacts(path_graph(4)))
     with pytest.raises(ValueError):
-        directed_forest_diagnostic(c5)  # treewidth 2
+        directed_forest_diagnostic(GraphFacts(c5))  # treewidth 2
 
 
 def test_cli_inspect_and_exit_codes(capsys):
@@ -429,7 +468,6 @@ def test_cap_overrun_is_out_of_scope_in_both_evaluators(monkeypatch):
         raise AssertionError("the cap is checked before exact treewidth")
 
     monkeypatch.setattr("lctw.decomposition.exact_treewidth", no_treewidth)
-    monkeypatch.setattr("lctw.harness.exact_treewidth", no_treewidth)
     monkeypatch.setattr("lctw.transversal.exact_treewidth", no_treewidth)
     task = {"graph6": write_graph6(g)}  # no td: both evaluators would need exact treewidth
     rec = evaluate_task(task, CampaignOptions())
@@ -471,9 +509,9 @@ def test_enumeration_cap_is_checked_before_treewidth(monkeypatch, capsys):
         raise AssertionError("the enumeration cap is checked before exact treewidth")
 
     monkeypatch.setattr("lctw.decomposition.exact_treewidth", no_treewidth)
-    monkeypatch.setattr("lctw.cli.exact_treewidth", no_treewidth)
+    monkeypatch.setattr("lctw.transversal.exact_treewidth", no_treewidth)
     with pytest.raises(EnumerationCapExceeded):
-        directed_forest_diagnostic(g)
+        directed_forest_diagnostic(GraphFacts(g))
     assert main(["inspect", write_graph6(g)]) == EXIT_CONFIG
     assert main(["inspect", write_graph6(g), "--max-n", "19"]) == EXIT_CONFIG
     assert main(["directed-forest", write_graph6(g)]) == EXIT_CONFIG
@@ -501,7 +539,6 @@ def test_malformed_td_blob_does_not_abort_a_campaign():
 
 
 def test_cli_inspect_computes_treewidth_once(monkeypatch, capsys):
-    import lctw.cli
     import lctw.decomposition
 
     calls = []
@@ -512,7 +549,7 @@ def test_cli_inspect_computes_treewidth_once(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lctw.decomposition, "exact_treewidth", counting)
-    monkeypatch.setattr(lctw.cli, "exact_treewidth", counting)
+    monkeypatch.setattr(transversal, "exact_treewidth", counting)
     assert main(["inspect", "IheA@GUAo"]) == 0
     assert len(calls) == 1
     assert "full decomposition (width 4):" in capsys.readouterr().out  # Petersen
@@ -541,3 +578,81 @@ def test_each_decomposition_is_validated_at_most_once_per_graph(monkeypatch):
     code, summary = run_conjecture(conjecture_tasks, CampaignOptions(), io.StringIO(), workers=1)
     assert summary.ok == len(conjecture_tasks)
     assert 0 < len(calls) <= len(verify_tasks) + len(conjecture_tasks)
+    # the decomposition DP of td_oracle reads a decomposition already checked
+    calls.clear()
+    opts = CampaignOptions(checks=DEFAULT_CHECKS + ("td_oracle",))
+    code, summary = run_verify(verify_tasks, opts, io.StringIO(), workers=1)
+    assert summary.ok == len(verify_tasks)
+    assert 0 < len(calls) <= len(verify_tasks)
+
+
+def _refusal_from_verify(g6, capsys):
+    rec = evaluate_task({"graph6": g6}, CampaignOptions())
+    assert rec["status"] == "out-of-scope"
+    return rec["error"]
+
+
+def _refusal_from_conjecture(g6, capsys):
+    rec = evaluate_conjecture_task({"graph6": g6}, CampaignOptions())
+    assert rec["status"] == "out-of-scope"
+    return rec["error"]
+
+
+def _refusal_from_cli(command):
+    def refusal(g6, capsys):
+        assert main([command, g6]) == EXIT_CONFIG
+        return capsys.readouterr().err
+
+    return refusal
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [_refusal_from_verify, _refusal_from_conjecture, _refusal_from_cli("inspect"), _refusal_from_cli("directed-forest")],
+    ids=["evaluate_task", "evaluate_conjecture_task", "inspect", "directed-forest"],
+)
+@pytest.mark.parametrize(
+    "n, refusal", [(26, "exact treewidth needs n <= 24, got 26"), (20, "enumeration needs n <= 18, got 20")]
+)
+def test_one_cap_rule_at_every_entry_point(monkeypatch, capsys, entry, n, refusal):
+    # a 3-tree is 3-connected: beyond the treewidth cap it gets that refusal,
+    # within it but beyond the enumeration cap the enumeration refusal, and
+    # the 2^n treewidth program never runs
+    from lctw.generate import GenSpec, generate_k_tree
+
+    def no_treewidth(*args, **kwargs):
+        raise AssertionError("exact treewidth ran beyond a cap")
+
+    monkeypatch.setattr("lctw.decomposition.exact_treewidth", no_treewidth)
+    monkeypatch.setattr("lctw.transversal.exact_treewidth", no_treewidth)
+    assert refusal in entry(write_graph6(generate_k_tree(GenSpec(n=n, k=3, seed=0))[0]), capsys)
+
+
+def test_each_graph_fact_is_computed_once(monkeypatch):
+    # every check on a graph where the jump premise holds and dforest runs
+    counts = {}
+    for name in ("is_biconnected", "exact_treewidth", "enumerate_longest_cycles", "compute_lct",
+                 "full_tree_decomposition"):
+        real = getattr(transversal, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(transversal, name, counting)
+    rec = evaluate_task({"graph6": "HSxoOEB"}, CampaignOptions(checks=tuple(CHECKS)))
+    assert rec["status"] == "ok" and rec["checks"]["dforest"]["status"] == PASS
+    assert counts == dict.fromkeys(counts, 1) and len(counts) == 5
+
+
+def test_checkers_refuse_a_context_of_another_decomposition(fig):
+    from lctw.classify import BagContext
+    from lctw.decomposition import full_tree_decomposition
+    from lctw.transversal import check_escape_cycle, check_pairwise_and_common
+
+    g, _ = fig
+    facts = GraphFacts(g)
+    other = BagContext(full_tree_decomposition(g, 3), 0, (0, 1, 2))
+    for check in (check_pairwise_and_common, check_escape_cycle):
+        with pytest.raises(ValueError, match="facts.td3"):
+            check(facts, other)

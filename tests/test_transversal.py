@@ -13,6 +13,7 @@ from lctw.transversal import (
     PASS,
     PREMISE_NOT_MET,
     VACUOUS_PASS,
+    GraphFacts,
     build_families,
     check_escape_cycle,
     check_equivalent_two_cross_jump,
@@ -32,14 +33,14 @@ def k23():
 
 
 def test_compute_lct_trivial(k4, c5):
-    res = compute_lct(c5)
+    res = compute_lct(c5, enumerate_longest_cycles(c5))
     assert res.lct == 1 and res.witness == (0,)  # unique cycle: hit anywhere
-    res = compute_lct(k4)
+    res = compute_lct(k4, enumerate_longest_cycles(k4))
     assert res.lct == 1  # every vertex lies on all three Hamiltonian cycles
 
 
 def test_compute_lct_petersen(petersen_graph):
-    res = compute_lct(petersen_graph)
+    res = compute_lct(petersen_graph, enumerate_longest_cycles(petersen_graph))
     assert res.lct == 2
     assert res.witness == (0, 1)  # lexicographically least among minima
     assert res.family.length == 9 and len(res.family) == 20
@@ -51,7 +52,7 @@ def test_compute_lct_petersen(petersen_graph):
 
 def test_compute_lct_acyclic_error():
     with pytest.raises(ValueError):
-        compute_lct(path_graph(4))
+        compute_lct(path_graph(4), enumerate_longest_cycles(path_graph(4)))
 
 
 def test_build_families_disjoint_and_consistent(fig):
@@ -123,79 +124,80 @@ def test_build_families_k23(k23):
 def test_check_fenced_or_shared_fixture(fig):
     g, _ = fig
     td = full_tree_decomposition(g, 3)
-    rep = check_fenced_or_shared(g, td)
+    rep = check_fenced_or_shared(GraphFacts(g, td))
     assert rep.ok and rep.lct == 1 and len(rep.per_node) == 6
 
 
 def test_check_fenced_or_shared_corpus(small_corpus):
     for g, natural in small_corpus[:25]:
         td = full_tree_decomposition(g, 3, base=natural)
-        assert check_fenced_or_shared(g, td).ok
+        assert check_fenced_or_shared(GraphFacts(g, td)).ok
 
 
 def test_check_fenced_or_shared_preconditions(petersen_graph, c5):
     td = full_tree_decomposition(c5, 3)
     with pytest.raises(ValueError):
-        check_fenced_or_shared(path_graph(4), td)  # not 2-connected
+        check_fenced_or_shared(GraphFacts(path_graph(4), td))  # not 2-connected
     _, tdp = exact_treewidth(petersen_graph)
     with pytest.raises(ValueError):
-        check_fenced_or_shared(petersen_graph, tdp)  # width 4 decomposition
+        check_fenced_or_shared(GraphFacts(petersen_graph, tdp))  # width 4 decomposition
 
 
 def test_check_pairwise_and_common_k23(k23):
     g, td = k23
-    out = check_pairwise_and_common(g, BagContext(td, 1, (0, 1, 2)))
+    facts = GraphFacts(g, td)
+    out = check_pairwise_and_common(facts, BagContext(facts.td3, 1, (0, 1, 2)))
     assert out.status == PASS
     component, common_vertex = out.witness
     assert component == (3,) and common_vertex == 3
 
 
 def test_check_pairwise_and_common_premise_not_met(k4, k23):
-    td = TreeDecomposition([(0, 1, 2, 3)], [])
-    out = check_pairwise_and_common(k4, BagContext(td, 0, (0, 1, 2)))
+    facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
+    out = check_pairwise_and_common(facts, BagContext(facts.td3, 0, (0, 1, 2)))
     assert out.status == PREMISE_NOT_MET
-    g, td23 = k23
-    out = check_pairwise_and_common(g, BagContext(td23, 1, (0, 1, 4)))
+    facts = GraphFacts(*k23)
+    out = check_pairwise_and_common(facts, BagContext(facts.td3, 1, (0, 1, 4)))
     assert out.status == PREMISE_NOT_MET
 
 
 def test_check_escape_cycle_premises(k4, k23):
-    td = TreeDecomposition([(0, 1, 2, 3)], [])
-    out = check_escape_cycle(k4, BagContext(td, 0, (0, 1, 2)))
+    facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
+    out = check_escape_cycle(facts, BagContext(facts.td3, 0, (0, 1, 2)))
     assert out.status == PREMISE_NOT_MET  # lct = 1
-    g, td23 = k23
-    out = check_escape_cycle(g, BagContext(td23, 1, (0, 1, 2)))
+    facts = GraphFacts(*k23)
+    out = check_escape_cycle(facts, BagContext(facts.td3, 1, (0, 1, 2)))
     assert out.status == PREMISE_NOT_MET  # lct = 1 again
 
 
 def test_conjecture_scan_consistent(small_corpus, petersen_graph):
     for g, natural in small_corpus[:10]:
-        finding = conjecture_scan(g, td=natural)
+        finding = conjecture_scan(GraphFacts(g, natural))
         assert finding.status == "consistent" and finding.lct == 1
-    finding = conjecture_scan(petersen_graph)
+    finding = conjecture_scan(GraphFacts(petersen_graph))
     assert finding.status == "consistent" and finding.lct == 2
 
 
 def test_conjecture_scan_preconditions():
     with pytest.raises(ValueError):
-        conjecture_scan(path_graph(5))
+        conjecture_scan(GraphFacts(path_graph(5)))
     with pytest.raises(ValueError):
-        conjecture_scan(complete_graph(6))  # treewidth 5
+        conjecture_scan(GraphFacts(complete_graph(6)))  # treewidth 5
 
 
 def test_conjecture_scan_refuses_an_invalid_or_wide_td(k4):
     with pytest.raises(DecompositionError, match="invalid decomposition"):
-        conjecture_scan(k4, td=TreeDecomposition([(0, 1, 2), (1, 2, 3)], [(0, 1)]))  # edge (0,3) uncovered
+        conjecture_scan(GraphFacts(k4, TreeDecomposition([(0, 1, 2), (1, 2, 3)], [(0, 1)])))  # edge (0,3) uncovered
     with pytest.raises(ValueError, match="width <= 4"):
         k6 = complete_graph(6)
-        conjecture_scan(k6, td=TreeDecomposition([tuple(range(6))], []))
+        conjecture_scan(GraphFacts(k6, TreeDecomposition([tuple(range(6))], [])))
 
 
 def test_conjecture_scan_partial_4_trees():
     for seed in range(10):
         spec = GenSpec(n=10, k=4, seed=seed, delete_probability=0.3, require_biconnected=True)
         g, natural = generate_partial_k_tree(spec)
-        finding = conjecture_scan(g, td=natural)
+        finding = conjecture_scan(GraphFacts(g, natural))
         assert finding.status == "consistent"
         assert finding.lct <= 2
 
@@ -211,6 +213,7 @@ def test_min_cycle_length_premise_gate():
 def test_two_cross_jump_vacuous(fig):
     g, _ = fig
     td = full_tree_decomposition(g, 3)
-    lcs = enumerate_longest_cycles(g)
-    out = check_equivalent_two_cross_jump(g, td, lcs, lct=1)
+    facts = GraphFacts(g, td)
+    assert facts.lct.lct == 1
+    out = check_equivalent_two_cross_jump(facts)
     assert out.status == VACUOUS_PASS
