@@ -18,10 +18,19 @@ cuts are exact for that reason:
 
 Budgets fail loudly rather than sampling, because downstream checks require the
 complete family.
+
+The length oracle, ``longest_cycle_length_td``, is a dynamic program over a
+nice refinement of a tree decomposition and shares nothing with the search.
+Its state is ``(ends, closed)``: per bag vertex, free, interior, or a path end
+naming the vertex at that path's other end; ``closed`` marks one finished
+cycle.  One link step adds a path step between two bag vertices.  It is the
+whole edge introduce, and a join links each right-side path into the left
+state.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -372,37 +381,33 @@ def join(p: PathSegment, q: PathSegment) -> PathSegment | Cycle | None:
 
 # --- Longest-cycle length via dynamic programming over a nice refinement ---
 
+FREE, INNER = -1, -2  # ``ends`` entries of a vertex of degree 0 and of degree 2
+
+
 def longest_cycle_length_td(g: Graph, td: TreeDecomposition) -> int:
     """Length of a longest cycle computed over a tree decomposition.
 
-    Independent of the backtracking enumerator: per-bag states are perfect
-    matchings on partial-path endpoints plus vertex degrees in {0,1,2} and a
-    closed-cycle bit; transitions follow a nice refinement with explicit
-    edge-introduce nodes.  Time is exponential only in the decomposition width.
-    td must pass ``require_valid``.
+    Independent of the backtracking enumerator.  A state is ``(ends, closed)``
+    with one ``ends`` entry per bag vertex: ``FREE`` (degree 0), ``INNER``
+    (degree 2), or, for a path end, the vertex at that path's other end;
+    ``closed`` marks one finished cycle.  Each state keeps the most edges of
+    any partial solution it describes.  One link step (``_link``) adds a path
+    step between two bag vertices; it is the whole edge introduce, and a join
+    links each right-side path into the left state.  Transitions follow a nice
+    refinement with explicit edge-introduce nodes, so time is exponential only
+    in the decomposition width.  td must pass ``require_valid``.
     """
     require_valid(g, td)
-    ops = _nice_ops(g, td)
     stack: list[dict] = []
-    for kind, payload, bag in ops:
+    for kind, payload, bag in _nice_ops(g, td):
         if kind == "leaf":
-            stack.append({((), (), False): 0})
-        elif kind == "intro":
-            stack.append(_dp_intro(stack.pop(), payload, bag))
-        elif kind == "forget":
-            stack.append(_dp_forget(stack.pop(), payload, bag))
-        elif kind == "edge":
-            stack.append(_dp_edge(stack.pop(), payload, bag))
-        else:  # join
+            stack.append({((), False): 0})
+        elif kind == "join":
             right = stack.pop()
-            left = stack.pop()
-            stack.append(_dp_join(left, right, bag))
-    final = stack.pop()
-    best = 0
-    for (degs, matching, closed), length in final.items():
-        if closed and length > best:
-            best = length
-    return best
+            stack.append(_dp_join(stack.pop(), right, bag))
+        else:
+            stack.append(_UNARY[kind](stack.pop(), payload, bag))
+    return stack.pop().get(((), True), 0)
 
 
 def _nice_ops(g: Graph, td: TreeDecomposition):
@@ -450,149 +455,78 @@ def _nice_ops(g: Graph, td: TreeDecomposition):
     return placed
 
 
+def _put(out: dict, state, length: int) -> None:
+    if state is not None and out.get(state, -1) < length:
+        out[state] = length
+
+
+def _link(state, bag, u, v):
+    """The state after a path step between bag vertices u and v, or None when
+    the step is impossible: at an interior vertex, on a closed state, or
+    closing a cycle while another path is open."""
+    ends, closed = state
+    pu, pv = bag.index(u), bag.index(v)
+    a, b = ends[pu], ends[pv]
+    if closed or a == INNER or b == INNER:
+        return None
+    ends = list(ends)
+    ends[pu] = ends[pv] = INNER
+    if a == v:  # u and v end one path: the step closes it
+        return None if any(e >= 0 for e in ends) else (tuple(ends), True)
+    # The joined path runs from x to y; a free u or v is one of them.
+    x, y = (u if a == FREE else a), (v if b == FREE else b)
+    ends[bag.index(x)], ends[bag.index(y)] = y, x
+    return tuple(ends), False
+
+
 def _dp_intro(states, v, bag):
     pos = bag.index(v)
-    out = {}
-    for (degs, matching, closed), length in states.items():
-        key = (degs[:pos] + (0,) + degs[pos:], matching, closed)
-        if out.get(key, -1) < length:
-            out[key] = length
-    return out
+    return {
+        (ends[:pos] + (FREE,) + ends[pos:], closed): length
+        for (ends, closed), length in states.items()
+    }
 
 
 def _dp_forget(states, v, bag):
-    # bag here is the post-forget bag
-    pos = tuple(sorted(bag + (v,))).index(v)
-    out = {}
-    for (degs, matching, closed), length in states.items():
-        if degs[pos] == 1:
-            continue  # a dangling path endpoint can never be completed
-        key = (degs[:pos] + degs[pos + 1:], matching, closed)
-        if out.get(key, -1) < length:
-            out[key] = length
+    pos = bisect_left(bag, v)  # bag here is the post-forget bag
+    out: dict = {}
+    for (ends, closed), length in states.items():
+        if ends[pos] < 0:  # a path end can never be completed once forgotten
+            _put(out, (ends[:pos] + ends[pos + 1:], closed), length)
     return out
 
 
 def _dp_edge(states, uv, bag):
-    u, v = uv
-    pu, pv = bag.index(u), bag.index(v)
     out = dict(states)
-
-    def put(key, length):
-        if out.get(key, -1) < length:
-            out[key] = length
-
-    for (degs, matching, closed), length in states.items():
-        if closed or degs[pu] >= 2 or degs[pv] >= 2:
-            continue
-        du, dv = degs[pu], degs[pv]
-        dl = list(degs)
-        dl[pu] += 1
-        dl[pv] += 1
-        ndegs = tuple(dl)
-        if du == 0 and dv == 0:
-            nm = tuple(sorted(matching + ((min(u, v), max(u, v)),)))
-            put((ndegs, nm, False), length + 1)
-        elif du == 1 and dv == 1:
-            partner = dict(matching) | {b: a for a, b in matching}
-            if partner[u] == v:
-                if len(matching) == 1:
-                    put((ndegs, (), True), length + 1)
-            else:
-                x, y = partner[u], partner[v]
-                nm = tuple(
-                    sorted(
-                        tuple(p for p in matching if u not in p and v not in p)
-                        + ((min(x, y), max(x, y)),)
-                    )
-                )
-                put((ndegs, nm, False), length + 1)
-        else:
-            end, fresh = (u, v) if du == 1 else (v, u)
-            partner = dict(matching) | {b: a for a, b in matching}
-            x = partner[end]
-            nm = tuple(
-                sorted(
-                    tuple(p for p in matching if end not in p)
-                    + ((min(x, fresh), max(x, fresh)),)
-                )
-            )
-            put((ndegs, nm, False), length + 1)
+    for state, length in states.items():
+        _put(out, _link(state, bag, *uv), length + 1)
     return out
 
 
 def _dp_join(left, right, bag):
-    out = {}
-
-    def put(key, length):
-        if out.get(key, -1) < length:
-            out[key] = length
-
-    for (degs1, m1, closed1), l1 in left.items():
-        for (degs2, m2, closed2), l2 in right.items():
-            if closed1 and closed2:
+    out: dict = {}
+    for state2, l2 in right.items():
+        ends2, closed2 = state2
+        inner = [i for i, e in enumerate(ends2) if e == INNER]
+        paths = [(v, w) for v, w in zip(bag, ends2) if w > v]  # each path once
+        for state1, l1 in left.items():
+            ends1, closed1 = state1
+            if closed1 or closed2:  # a closed side joins only an empty side
+                if 0 in (l1, l2):
+                    _put(out, state1 if closed1 else state2, l1 + l2)
                 continue
-            if closed1 or closed2:
-                other_degs, other_len = (degs2, l2) if closed1 else (degs1, l1)
-                if other_len == 0 and all(d == 0 for d in other_degs):
-                    key = (degs1, m1, True) if closed1 else (degs2, m2, True)
-                    put(key, l1 + l2)
+            if any(ends1[i] != FREE for i in inner):
                 continue
-            degs = tuple(a + b for a, b in zip(degs1, degs2))
-            if any(d > 2 for d in degs):
-                continue
-            chains, loops = _trace_links(m1, m2)
-            if loops > 1:
-                continue  # two disjoint closed loops can never merge back
-            if loops == 1:
-                if chains:
-                    continue  # a pending path can never rejoin a closed cycle
-                put((degs, (), True), l1 + l2)
-            else:
-                nm = tuple(sorted((min(a, b), max(a, b)) for a, b in chains))
-                put((degs, nm, False), l1 + l2)
+            ends = list(ends1)
+            for i in inner:
+                ends[i] = INNER
+            state = (tuple(ends), False)
+            for v, w in paths:
+                state = _link(state, bag, v, w)
+                if state is None:
+                    break
+            _put(out, state, l1 + l2)
     return out
 
 
-def _trace_links(m1, m2):
-    """Chase the union of two endpoint matchings into chains and closed loops.
-
-    Each matching contributes at most one link per vertex, so the union has
-    maximum degree 2: its components are open chains (returned as endpoint
-    pairs) and closed loops (counted).
-    """
-    links: dict[int, list[int]] = {}
-    for a, b in list(m1) + list(m2):
-        links.setdefault(a, []).append(b)
-        links.setdefault(b, []).append(a)
-    seen = set()
-    chains = []
-    loops = 0
-    for start in sorted(links):
-        if start in seen or len(links[start]) != 1:
-            continue
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            options = list(links[cur])
-            if prev is not None:
-                options.remove(prev)
-            if not options:
-                break
-            prev, cur = cur, options[0]
-            seen.add(cur)
-            if len(links[cur]) == 1:
-                break
-        chains.append((start, cur))
-    for start in sorted(links):
-        if start in seen:
-            continue
-        loops += 1
-        prev, cur = None, start
-        while True:
-            seen.add(cur)
-            a, b = links[cur]
-            prev, cur = cur, (b if a == prev else a)
-            if cur == start:
-                break
-    return chains, loops
+_UNARY = {"intro": _dp_intro, "forget": _dp_forget, "edge": _dp_edge}

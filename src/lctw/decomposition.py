@@ -281,9 +281,9 @@ def full_tree_decomposition(
 
     Requires tw(g) <= k and n >= k+1.  ``base`` may supply a starting
     decomposition (e.g. the natural one from a generated k-tree), which must
-    pass ``require_valid``; otherwise an optimal one is computed.  When
-    tw(g) < k the bags are padded up to width exactly k by the same
-    deterministic rules.
+    pass ``require_valid``; otherwise an optimal one is computed.  A base that
+    is already full of width k is returned as is.  When tw(g) < k the bags are
+    padded up to width exactly k by the same deterministic rules.
     """
     if g.n < k + 1:
         raise DecompositionError(
@@ -298,6 +298,8 @@ def full_tree_decomposition(
         if base.width > k:
             raise DecompositionError(f"base decomposition width {base.width} exceeds {k}")
         require_valid(g, base)
+        if base.is_full and base.width == k:
+            return base  # nothing to contract, pad or splice
 
     bags = {i: set(b) for i, b in enumerate(base.bags)}
     nbrs = {i: set(base.node_adj[i]) for i in range(base.node_count)}

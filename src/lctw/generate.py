@@ -16,7 +16,7 @@ claimed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -65,8 +65,14 @@ def generate_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
     random existing k-clique, adding a bag (clique + vertex) hung off a node
     whose bag contains that clique.
     """
-    rng = random.Random(spec.seed)
-    k, n = spec.k, spec.n
+    edges, bags, tree_edges = _k_tree(spec.n, spec.k, spec.seed)
+    return Graph(spec.n, edges), TreeDecomposition(bags, tree_edges)
+
+
+def _k_tree(n: int, k: int, seed: int) -> tuple[list, list, list]:
+    """``generate_k_tree``'s edges (each as (u, v) with u < v), bags and tree
+    edges, before any object is built from them."""
+    rng = random.Random(seed)
     base = tuple(range(k))
     edges = [(u, v) for u, v in combinations(base, 2)]
     cliques = [base]
@@ -84,9 +90,7 @@ def generate_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
             newq = tuple(sorted(sub + (v,)))
             cliques.append(newq)
             clique_home[newq] = node
-    g = Graph(n, edges)
-    td = TreeDecomposition(bags, tree_edges)
-    return g, td
+    return edges, bags, tree_edges
 
 
 def generate_partial_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
@@ -95,16 +99,16 @@ def generate_partial_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
     Edges are dropped independently with the configured probability.  When
     2-connectivity is required, failed draws are retried with fresh derived
     seeds up to the retry budget; exhausting it signals an overly aggressive
-    deletion policy.
+    deletion policy.  Each draw builds only the kept graph; the decomposition
+    is built once, for the accepted draw.
     """
     rng = random.Random(spec.seed)
     for _ in range(max(1, spec.retry_budget)):
-        kt, td = generate_k_tree(replace(spec, seed=rng.getrandbits(64)))
-        kept = [e for e in sorted(kt.edges) if rng.random() >= spec.delete_probability]
-        g = Graph(spec.n, kept)
+        edges, bags, tree_edges = _k_tree(spec.n, spec.k, rng.getrandbits(64))
+        g = Graph(spec.n, [e for e in sorted(edges) if rng.random() >= spec.delete_probability])
         if spec.require_biconnected and not is_biconnected(g):
             continue
-        return g, td
+        return g, TreeDecomposition(bags, tree_edges)
     raise GenerationError(
         f"no 2-connected draw within {spec.retry_budget} retries "
         f"(n={spec.n}, k={spec.k}, p={spec.delete_probability})"
@@ -205,8 +209,12 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
         visited: set[tuple[int, int]] = set()
         found: list[tuple[int, Graph]] = []
         stack = [t for t in _all_k_trees(n, k) if is_biconnected(t)]
+        walked: set[frozenset] = set()  # edge sets already keyed
         while stack:
             g = stack.pop()
+            if g.edges in walked:
+                continue  # its class is already visited
+            walked.add(g.edges)
             key = canonical_key(g)
             if key in visited:
                 continue

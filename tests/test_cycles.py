@@ -97,16 +97,17 @@ def networkx_longest_cycles(g):
 
 
 def partial_4_trees(count):
+    """Random 2-connected partial 4-trees with their natural decompositions."""
     for i in range(count):
         spec = GenSpec(n=9 + i % 4, k=4, seed=4000 + i, delete_probability=0.3, require_biconnected=True)
-        yield generate_partial_k_tree(spec)[0]
+        yield generate_partial_k_tree(spec)
 
 
 def test_enumerate_matches_networkx_on_partial_4_trees():
     # Mostly Hamiltonian, so the tight-case degree cut decides many branches;
     # odd and even n split the subset tables into unequal and equal halves.
     hamiltonian = 0
-    for g in partial_4_trees(40):
+    for g, _ in partial_4_trees(40):
         lcs = enumerate_longest_cycles(g)
         assert (lcs.length, set(lcs.cycles)) == networkx_longest_cycles(g)
         hamiltonian += lcs.length == g.n
@@ -121,7 +122,7 @@ def test_enumerate_with_narrow_tables_matches_networkx(monkeypatch):
     # Two-vertex tables nest joined tables at n = 9..12 as n > 18 does at the
     # default width.
     monkeypatch.setattr(cycles_module, "TABLE_BITS", 2)
-    for g in partial_4_trees(12):
+    for g, _ in partial_4_trees(12):
         lcs = enumerate_longest_cycles(g)
         assert (lcs.length, set(lcs.cycles)) == networkx_longest_cycles(g)
 
@@ -271,10 +272,33 @@ def test_td_dp_invalid_decomposition(k4):
         longest_cycle_length_td(k4, bad)
 
 
+def two_triangles():
+    """Triangles {0,1,2} and {3,4,5} joined by edge (2,3), with each triangle in
+    its own child of the bag (2,3): the join sees a closed side on both."""
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+    return g, TreeDecomposition([(2, 3), (0, 1, 2), (3, 4, 5)], [(0, 1), (0, 2)])
+
+
+def test_td_dp_two_closed_sides_do_not_join():
+    g, td = two_triangles()
+    assert longest_cycle_length_td(g, td) == 3 == enumerate_longest_cycles(g).length
+
+
 def test_td_dp_matches_enumeration_on_corpus(small_corpus):
-    for g, natural in small_corpus:
+    for g, natural in small_corpus + list(partial_4_trees(40)):
         lcs = enumerate_longest_cycles(g)
         assert longest_cycle_length_td(g, natural) == lcs.length
+
+
+def test_td_dp_is_independent_of_enumeration(monkeypatch, petersen_graph):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the DP oracle must not call into the enumerator")
+
+    monkeypatch.setattr(cycles_module, "enumerate_longest_cycles", refuse)
+    monkeypatch.setattr(cycles_module, "_subset_tables", refuse)
+    _, td = exact_treewidth(petersen_graph)
+    assert longest_cycle_length_td(petersen_graph, td) == 9
+    assert longest_cycle_length_td(*two_triangles()) == 3
 
 
 def test_td_dp_matches_enumeration_arbitrary():

@@ -196,6 +196,17 @@ def test_full_tree_decomposition_random_partial(small_corpus):
         assert validate(g, td) == [] and td.is_full and td.width == 3
 
 
+def test_full_tree_decomposition_returns_a_full_base_as_is(small_corpus):
+    # a full width-3 base has nothing to contract, pad or splice
+    for g, natural in small_corpus:
+        assert natural.is_full and natural.width == 3
+        assert full_tree_decomposition(g, 3, base=natural) is natural
+    # a full base of a smaller width is padded as before
+    g, natural = generate_k_tree(GenSpec(n=6, k=2, seed=3))
+    td = full_tree_decomposition(g, 3, base=natural)
+    assert td is not natural and td.is_full and td.width == 3
+
+
 def test_branch_at_path_decomposition():
     g = path_graph(5)
     td = TreeDecomposition([(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (1, 2), (2, 3)])

@@ -164,3 +164,45 @@ def test_exhaustive_small_caps():
         list(exhaustive_small(EXHAUSTIVE_CAP + 1, 3))
     with pytest.raises(GenerationError):
         list(exhaustive_small(3, 3))  # k > n_max - 1
+
+
+def test_exhaustive_small_keys_each_labelled_graph_once(monkeypatch):
+    import lctw.generate as generate
+
+    calls = []
+    real = generate.canonical_key
+
+    def counting(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(generate, "canonical_key", counting)
+    graphs = list(exhaustive_small(7, 3))
+    assert len(graphs) == 382
+    assert len(calls) == 2339  # 3197 when a labelled graph reached twice is keyed twice
+
+
+def test_generate_partial_k_tree_builds_one_decomposition(monkeypatch):
+    import lctw.generate as generate
+
+    built = []
+    real = generate.TreeDecomposition
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generate, "TreeDecomposition", counting)
+    draws = []
+    real_k_tree = generate._k_tree
+
+    def recording(*args):
+        draws.append(args)
+        return real_k_tree(*args)
+
+    monkeypatch.setattr(generate, "_k_tree", recording)
+    spec = GenSpec(n=12, k=3, seed=3, delete_probability=0.45, require_biconnected=True)
+    g, td = generate_partial_k_tree(spec)
+    assert len(draws) > 1 and len(built) == 1  # rejected draws build no decomposition
+    kt, natural = generate_k_tree(GenSpec(n=12, k=3, seed=draws[-1][2]))
+    assert g.edges <= kt.edges and td.bags == natural.bags and td.tree_edges == natural.tree_edges
