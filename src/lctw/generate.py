@@ -7,10 +7,14 @@ fully determines the output.  Every generated k-tree ships with its natural
 full decomposition (one bag per added vertex), which remains valid for any
 spanning subgraph.
 
-Exhaustive corpora are deduplicated by exact canonical labeling, which is
-brute force with prefix pruning and therefore capped at 8 vertices; above
-that, duplicates would only cost redundant checks and exhaustiveness is not
-claimed.
+Exhaustive corpora are deduplicated by an exact key: colour refinement splits
+the vertices into canonical classes, and a backtracking search takes the
+maximal adjacency string over the orders that list those classes in colour
+order.  Each class found is sorted by ``canonical_key``, the same search over
+all orders.  Both searches keep only maximal rows, cut prefixes below the best
+string and try one of each set of twins; the cost of ``canonical_key`` still
+grows with the automorphism group, so exhaustive corpora are capped at 8
+vertices.  Above that, exhaustiveness is not claimed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .decomposition import TreeDecomposition
 from .graph import Graph, is_biconnected
@@ -118,17 +122,69 @@ def generate_partial_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
 def canonical_key(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> tuple[int, int]:
     """Exact isomorphism key: (n, lexicographically maximal adjacency string).
 
-    Backtracking over vertex orderings, keeping at every level only the
-    candidates whose adjacency row to the already-placed prefix is maximal;
-    equal-row candidates are all explored, so the result is exact.  Cost grows
-    with the automorphism group, hence the vertex cap.
+    Backtracking over all vertex orderings (``_max_string`` with one class
+    holding every vertex).  Cost grows with the automorphism group, hence the
+    vertex cap; twin pruning takes the symmetric groups of twins off it.  The
+    exhaustive walk sorts its classes by this key but deduplicates on the
+    cheaper ``_class_key``.
     """
     n = g.n
     if n > max_n:
         raise GenerationError(f"canonical labeling is capped at n <= {max_n}, got {n}")
-    if n <= 1:
-        return n, 0
+    return n, _max_string(g, [range(n)])
+
+
+def _class_key(g: Graph) -> tuple[int, int]:
+    """Exact isomorphism key: (n, maximal adjacency string over the orders that
+    list the colour classes of ``_colour_classes`` in colour order).
+
+    The classes are canonical, so isomorphic graphs search the same orders up
+    to relabelling; the string determines the adjacency matrix, so
+    non-isomorphic graphs differ.  Not equal to ``canonical_key``, but it
+    induces the same partition at a fraction of the search.
+    """
+    return g.n, _max_string(g, _colour_classes(g))
+
+
+def _colour_classes(g: Graph) -> list[list[int]]:
+    """The stable colour-refinement partition of the vertices, in colour order.
+
+    The first colours are the degrees.  Each round names a vertex's colour by
+    the rank of its signature (old colour, sorted neighbour colours) among the
+    round's distinct signatures, so colours depend on the graph only, not on
+    its labelling.  A round that splits no class is stable.
+    """
+    colour = [len(nbrs) for nbrs in g.adj]
+    count = len(set(colour))
+    while True:
+        get = colour.__getitem__
+        sigs = [(colour[v], tuple(sorted(map(get, nbrs)))) for v, nbrs in enumerate(g.adj)]
+        names = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colour = [names[sig] for sig in sigs]
+        if len(names) == count:
+            break
+        count = len(names)
+    classes: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(colour):
+        classes[c].append(v)
+    return classes
+
+
+def _max_string(g: Graph, classes: Sequence[Sequence[int]]) -> int:
+    """The lexicographically maximal adjacency string (the rows of the upper
+    triangle, row d holding the adjacency of the d-th vertex to the earlier
+    ones) over the vertex orders that list ``classes`` one after another.
+
+    Backtracking that keeps at every level only the candidates of the current
+    class whose row is maximal, cuts a prefix below the best completed
+    string's, and tries only one of each set of twins: swapping two unplaced
+    twins (neighbourhoods equal outside the pair) is an automorphism fixing the
+    prefix, so their subtrees give the same strings.
+    """
+    n = g.n
     masks = g.nbr_mask
+    pools = [cls for cls in classes for _ in cls]  # the class each position draws from
+    total = n * (n - 1) // 2
     best = -1
 
     def rec(perm: tuple[int, ...], placed: int, bits: int):
@@ -138,28 +194,33 @@ def canonical_key(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> tuple[int, int]:
             if bits > best:
                 best = bits
             return
-        rows: dict[int, list[int]] = {}
-        for v in range(n):
+        maxrow, cands = -1, []
+        for v in pools[depth]:
             if (placed >> v) & 1:
                 continue
             row = 0
             mv = masks[v]
             for u in perm:
                 row = (row << 1) | ((mv >> u) & 1)
-            rows.setdefault(row, []).append(v)
-        maxrow = max(rows)
+            if row > maxrow:
+                maxrow, cands = row, [v]
+            elif row == maxrow:
+                cands.append(v)
         nbits = (bits << depth) | maxrow
-        # prune against the best completed string's prefix
-        if best >= 0:
-            done = depth * (depth + 1) // 2
-            total = n * (n - 1) // 2
-            if nbits < (best >> (total - done)):
-                return
-        for v in rows[maxrow]:
-            rec(perm + (v,), placed | (1 << v), nbits)
+        if nbits < best >> (total - depth * (depth + 1) // 2):
+            return
+        tried: list[int] = []
+        for v in cands:
+            mv = masks[v]
+            for u in tried:
+                if mv & ~(1 << u) == masks[u] & ~(1 << v):
+                    break  # v is a twin of u
+            else:
+                tried.append(v)
+                rec(perm + (v,), placed | (1 << v), nbits)
 
     rec((), 0, 0)
-    return n, best
+    return best
 
 
 def _all_k_trees(n: int, k: int) -> list[Graph]:
@@ -178,28 +239,29 @@ def _all_k_trees(n: int, k: int) -> list[Graph]:
                 nxt.append((new_edges, new_cliques))
         states = nxt
     seen_labeled = set()
-    seen_canon = set()
+    seen_classes = set()
     out = []
     for edges, _ in states:
         if edges in seen_labeled:
             continue
         seen_labeled.add(edges)
         g = Graph(n, edges)
-        key = canonical_key(g)
-        if key not in seen_canon:
-            seen_canon.add(key)
+        key = _class_key(g)
+        if key not in seen_classes:
+            seen_classes.add(key)
             out.append(g)
     return out
 
 
 def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
     """All k-trees on <= n_max vertices and all their 2-connected spanning
-    subgraphs, deduplicated by canonical isomorphism form.
+    subgraphs, one per isomorphism class, sorted by ``canonical_key``.
 
     Every intermediate graph between a k-tree and a 2-connected spanning
     subgraph is itself 2-connected (it still contains the subgraph), so a
     depth-first edge-deletion walk pruned at the first loss of 2-connectivity
-    reaches every class.
+    reaches every class.  The walk deduplicates on ``_class_key`` and computes
+    the sort key once per class, for its first-reached representative.
     """
     if n_max > EXHAUSTIVE_CAP:
         raise GenerationError(f"exhaustive corpora are capped at n <= {EXHAUSTIVE_CAP}")
@@ -215,13 +277,16 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
             if g.edges in walked:
                 continue  # its class is already visited
             walked.add(g.edges)
-            key = canonical_key(g)
+            key = _class_key(g)
             if key in visited:
                 continue
             visited.add(key)
-            found.append((key[1], g))
+            found.append((canonical_key(g)[1], g))
             for e in sorted(g.edges):
-                h = Graph(n, g.edges - {e})
+                rest = g.edges - {e}
+                if rest in walked:
+                    continue
+                h = Graph(n, rest)
                 if is_biconnected(h):
                     stack.append(h)
         found.sort(key=lambda kg: kg[0])  # keys are unique per class

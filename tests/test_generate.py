@@ -1,19 +1,73 @@
+import hashlib
 import itertools
 import random
+import sys
 
+import networkx as nx
 import pytest
 
 from lctw.decomposition import exact_treewidth, validate
+from lctw.fixtures import complete_graph, cycle_graph, path_graph
 from lctw.generate import (
     EXHAUSTIVE_CAP,
     GenerationError,
     GenSpec,
+    _class_key,
+    _colour_classes,
     canonical_key,
     exhaustive_small,
     generate_k_tree,
     generate_partial_k_tree,
 )
 from lctw.graph import Graph, is_biconnected, write_graph6
+
+
+def _complement(g):
+    return Graph(g.n, [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)])
+
+
+def _symmetric_graphs():
+    """Vertex-transitive graphs: colour refinement leaves one class, so the
+    search alone must absorb the symmetry."""
+    cube = Graph(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)])
+    k44 = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    wagner = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    return [cycle_graph(8), cube, k44, k33, wagner, _complement(cycle_graph(8))]
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _random_graph(n, p, rng):
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph(n, [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1])
+
+
+def _search_nodes(key, g):
+    """Number of backtracking nodes (calls of the search's inner ``rec``) that
+    ``key(g)`` visits."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec" and frame.f_code.co_filename.endswith("generate.py"):
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        key(g)
+    finally:
+        sys.setprofile(None)
+    return nodes
 
 
 def test_genspec_validation():
@@ -86,14 +140,45 @@ def test_generate_partial_k_tree_deterministic_stream():
 
 def test_canonical_key_permutation_invariant():
     rng = random.Random(1)
-    for _ in range(150):
-        n = rng.randint(1, 7)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-        g = Graph(n, edges)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
-        assert canonical_key(g) == canonical_key(h)
+    graphs = [_random_graph(rng.randint(1, 7), 0.4, rng) for _ in range(150)]
+    graphs += [_random_graph(n, p, rng) for n in (7, 8) for p in (0.3, 0.5, 0.7) for _ in range(20)]
+    graphs += _symmetric_graphs()
+    for g in graphs:
+        for _ in range(3):
+            h = _relabelled(g, rng)
+            assert canonical_key(g) == canonical_key(h)
+            assert _class_key(g) == _class_key(h)
+
+
+def test_class_key_and_canonical_key_partition_all_small_graphs():
+    # frozen class counts of all graphs on n = 1..6 vertices
+    for n, expect in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]:
+        pairing = {}
+        for g in _labelled_graphs(n):
+            pairing.setdefault(_class_key(g), set()).add(canonical_key(g))
+        assert len(pairing) == expect
+        assert all(len(canon) == 1 for canon in pairing.values())
+        assert len(set().union(*pairing.values())) == expect
+
+
+def test_colour_classes_are_stable():
+    rng = random.Random(4)
+    graphs = [path_graph(6), cycle_graph(7), complete_graph(5)] + _symmetric_graphs()
+    graphs += [_random_graph(n, p, rng) for n in (6, 7, 8) for p in (0.3, 0.5) for _ in range(15)]
+    for g in graphs:
+        classes = _colour_classes(g)
+        assert sorted(v for cls in classes for v in cls) == list(range(g.n))
+        # equitable: within a class, every vertex has as many neighbours in each class
+        for cls in classes:
+            for other in classes:
+                assert len({sum(g.has_edge(v, u) for u in other) for v in cls}) == 1
+    assert _colour_classes(path_graph(6)) == [[0, 5], [1, 4], [2, 3]]  # two rounds past the degrees
+
+
+def test_twin_pruning_searches_one_order_of_k8_and_its_complement():
+    for g in (complete_graph(8), Graph(8, [])):
+        assert _search_nodes(canonical_key, g) == 9  # one node per depth 0..8
+        assert _search_nodes(_class_key, g) == 9
 
 
 def test_canonical_key_separates_nonisomorphic():
@@ -169,17 +254,65 @@ def test_exhaustive_small_caps():
 def test_exhaustive_small_keys_each_labelled_graph_once(monkeypatch):
     import lctw.generate as generate
 
-    calls = []
-    real = generate.canonical_key
+    calls = {"canonical_key": 0, "_class_key": 0, "is_biconnected": 0}
+    for name in calls:
+        real = getattr(generate, name)
 
-    def counting(g, *args):
-        calls.append(g)
-        return real(g, *args)
+        def counting(g, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(g, *args)
 
-    monkeypatch.setattr(generate, "canonical_key", counting)
+        monkeypatch.setattr(generate, name, counting)
     graphs = list(exhaustive_small(7, 3))
     assert len(graphs) == 382
-    assert len(calls) == 2339  # 3197 when a labelled graph reached twice is keyed twice
+    # 3197 class keys when a labelled graph reached twice is keyed twice
+    # 4237 connectivity tests when a child already walked is built and tested again
+    assert calls == {"canonical_key": 382, "_class_key": 2339, "is_biconnected": 3379}
+
+
+def test_exhaustive_small_order_pin():
+    text = "\n".join(write_graph6(g) for g in exhaustive_small(7, 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "353ce0fa521d1427232739ffdc016e5e717db7858d9f0894d5863b97874bf5fc"
+    )
+
+
+def _degree_bucket(g):
+    return g.n, g.m, tuple(sorted(g.degree(v) for v in range(g.n)))
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_exhaustive_representatives_pairwise_non_isomorphic():
+    buckets = {}
+    for g in exhaustive_small(7, 3):
+        buckets.setdefault(_degree_bucket(g), []).append(_nx(g))
+    assert sum(map(len, buckets.values())) == 382
+    for reps in buckets.values():
+        for a, b in itertools.combinations(reps, 2):
+            assert not nx.is_isomorphic(a, b)
+
+
+def test_exhaustive_walk_graphs_isomorphic_to_their_representative(monkeypatch):
+    import lctw.generate as generate
+
+    walked = []
+    real = generate._class_key
+
+    def recording(g):
+        walked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(generate, "_class_key", recording)
+    reps = {real(g): g for g in exhaustive_small(6, 3)}
+    assert len(reps) == 60 and len(walked) > len(reps)
+    for g in walked:
+        assert nx.is_isomorphic(_nx(g), _nx(reps[_class_key(g)]))
 
 
 def test_generate_partial_k_tree_builds_one_decomposition(monkeypatch):
