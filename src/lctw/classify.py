@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .cycles import Cycle, PathSegment, parts
-from .decomposition import TreeDecomposition, branch_union
+from .decomposition import TreeDecomposition, branch_union, side_masks
 from .graph import Graph, component_masks, separates, vertex_mask
 
 __all__ = [
@@ -197,10 +197,13 @@ class BagMasks:
 
 
 def bag_masks(g: Graph, ctx: BagContext) -> BagMasks:
-    """The mask facts of the node of ``ctx``, whose triple, if any, is ignored."""
+    """The mask facts of the node of ``ctx``, whose triple, if any, is ignored.
+    A full decomposition's adjacent bags share a triple, so each neighbour u
+    adds its side off the bag, ``side_masks(td)[t, u] & ~bag``, to the inside
+    set of one triple: the triple's ``branch_union`` as masks."""
+    td, t = ctx.td, ctx.t
     bag = vertex_mask(ctx.bag)
-    inside = {
-        delta: vertex_mask(delta) | vertex_mask(branch_union(ctx.td, ctx.t, delta).vertices)
-        for delta in combinations(ctx.bag, 3)
-    }
+    inside = {delta: vertex_mask(delta) for delta in combinations(ctx.bag, 3)}
+    for u in td.node_adj[t]:
+        inside[tuple(v for v in td.bags[u] if bag >> v & 1)] |= side_masks(td)[t, u] & ~bag
     return BagMasks(bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)

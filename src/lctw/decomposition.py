@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, component_masks, separates
+from .graph import Graph, component_masks, separates, vertex_mask
 
 __all__ = [
     "TreeDecomposition",
@@ -33,6 +33,7 @@ __all__ = [
     "branch_of_vertex",
     "branch_union",
     "branch_of_route",
+    "side_masks",
     "check_separator_property",
 ]
 
@@ -57,10 +58,10 @@ class TreeDecomposition:
     ``width`` is max bag size minus one.  ``is_full`` is derived: every bag has
     width+1 vertices and every tree edge shares exactly width vertices.
     ``valid_for`` is the graph this decomposition last passed ``require_valid``
-    for, or None.
+    for, or None; ``sides`` is its ``side_masks`` table once read, or None.
     """
 
-    __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj", "valid_for")
+    __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj", "valid_for", "sides")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
         self.bags = tuple(tuple(sorted(set(b))) for b in bags)
@@ -83,6 +84,7 @@ class TreeDecomposition:
             len(set(self.bags[a]) & set(self.bags[b])) == k for a, b in norm
         )
         self.valid_for = None
+        self.sides = None
 
     @property
     def node_count(self) -> int:
@@ -104,7 +106,7 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     nodes = td.node_count
     if len(td.tree_edges) != nodes - 1:
         out.append(f"tree-shape: {nodes} nodes need {nodes - 1} edges, found {len(td.tree_edges)}")
-    reached = len(_reach(td, 0, range(nodes)))
+    reached = len(_reach(td, 0))
     if reached != nodes:
         out.append(f"tree-shape: tree is disconnected (reached {reached} of {nodes} nodes)")
     holders: dict[int, list[int]] = {v: [] for v in range(g.n)}  # vertex -> nodes holding it
@@ -128,13 +130,14 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     return out
 
 
-def _reach(td: TreeDecomposition, start: int, inside) -> set[int]:
-    """Tree nodes reachable from ``start`` through nodes in ``inside``."""
+def _reach(td: TreeDecomposition, start: int, inside=None, avoid: int = -1) -> set[int]:
+    """Tree nodes reachable from ``start`` without entering node ``avoid``,
+    through nodes in ``inside`` when it is given."""
     seen = {start}
     stack = [start]
     while stack:
         for w in td.node_adj[stack.pop()]:
-            if w in inside and w not in seen:
+            if w != avoid and w not in seen and (inside is None or w in inside):
                 seen.add(w)
                 stack.append(w)
     return seen
@@ -244,7 +247,6 @@ def has_treewidth_at_most_2(g: Graph) -> bool:
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     queue = sorted(adj)
     while queue:
-        nxt = []
         progressed = False
         for v in queue:
             if v not in adj:
@@ -263,8 +265,6 @@ def has_treewidth_at_most_2(g: Graph) -> bool:
                 adj[y].add(x)
                 del adj[v]
                 progressed = True
-            else:
-                nxt.append(v)
         if not progressed:
             return False
         queue = sorted(adj)
@@ -402,17 +402,6 @@ class BranchUnion:
     vertices: frozenset[int]
 
 
-def _component_of(td: TreeDecomposition, t: int, start: int) -> frozenset[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in td.node_adj[stack.pop()]:
-            if w != t and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
 def _branch_vertices(td: TreeDecomposition, t: int, nodes: frozenset[int]) -> frozenset[int]:
     verts = set()
     for x in nodes:
@@ -424,7 +413,7 @@ def branch_at(td: TreeDecomposition, t: int, other: int) -> Branch:
     """The component of T - t containing node ``other``."""
     if other == t:
         raise DecompositionError("branch undefined: node coincides with the removed node")
-    nodes = _component_of(td, t, other)
+    nodes = frozenset(_reach(td, other, avoid=t))
     return Branch(t, nodes, _branch_vertices(td, t, nodes))
 
 
@@ -450,7 +439,7 @@ def branch_union(td: TreeDecomposition, t: int, delta: Iterable[int]) -> BranchU
     nodes: set[int] = set()
     for u in td.node_adj[t]:
         if dset <= set(td.bags[u]):
-            nodes.update(_component_of(td, t, u))
+            nodes.update(_reach(td, u, avoid=t))
     fnodes = frozenset(nodes)
     return BranchUnion(t, fnodes, _branch_vertices(td, t, fnodes))
 
@@ -472,6 +461,19 @@ def branch_of_route(td: TreeDecomposition, t: int, vertices: Iterable[int]) -> B
                 f"route spans several branches at node {t}: {outside[0]} vs {v}"
             )
     return br
+
+
+def side_masks(td: TreeDecomposition) -> dict[tuple[int, int], int]:
+    """For every directed tree edge (t, u), the mask of the vertices in the
+    bags on u's side of T - t; masked with ``~bag(t)`` it is the vertex set of
+    ``branch_at(td, t, u)``.  Built on first read and kept on td (immutable)."""
+    if td.sides is None:
+        td.sides = {
+            (t, u): vertex_mask(v for x in _reach(td, u, avoid=t) for v in td.bags[x])
+            for t, nbrs in enumerate(td.node_adj)
+            for u in nbrs
+        }
+    return td.sides
 
 
 def check_separator_property(

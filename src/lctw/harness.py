@@ -35,13 +35,11 @@ from .decomposition import (
     DecompositionError,
     TreeDecomposition,
     TreewidthCapExceeded,
-    branch_at,
-    branch_of_route,
-    has_treewidth_at_most_2,
     require_valid,
+    side_masks,
 )
 from .generate import GenSpec, exhaustive_small, generate_partial_k_tree
-from .graph import Graph, components_after_removal, parse_graph6, vertex_mask, write_graph6
+from .graph import Graph, component_masks, parse_graph6, vertex_mask, write_graph6
 from .transversal import (
     FAIL,
     PASS,
@@ -100,6 +98,24 @@ class CorpusSpec:
     retry_budget: int = 200
 
 
+def _n_range(val: str) -> dict:
+    lo, hi = val.split("..") if ".." in val else (val, val)
+    return {"n_lo": int(lo), "n_hi": int(hi)}
+
+
+# Corpus spec key -> the CorpusSpec fields its value sets.
+_SPEC_KEYS = {
+    "k": lambda val: {"k": int(val)},
+    "n": _n_range,
+    "count": lambda val: {"count": int(val)},
+    "p": lambda val: {"delete_probability": float(val)},
+    "biconnected": lambda val: {"require_biconnected": val not in ("0", "false", "no")},
+    "seed": lambda val: {"seed": int(val)},
+    "nmax": lambda val: {"n_max_exhaustive": int(val)},
+    "retries": lambda val: {"retry_budget": int(val)},
+}
+
+
 def parse_corpus_spec(text: str, seed: int = 0) -> CorpusSpec:
     """Parse 'k=3,n=9..14,count=1000,p=0.25' style corpus descriptions."""
     fields: dict[str, str] = {}
@@ -114,28 +130,9 @@ def parse_corpus_spec(text: str, seed: int = 0) -> CorpusSpec:
     mode = fields.pop("mode", "random")
     kw: dict = {"mode": mode, "seed": seed}
     for key, val in fields.items():
-        if key == "k":
-            kw["k"] = int(val)
-        elif key == "n":
-            if ".." in val:
-                lo, hi = val.split("..")
-                kw["n_lo"], kw["n_hi"] = int(lo), int(hi)
-            else:
-                kw["n_lo"] = kw["n_hi"] = int(val)
-        elif key == "count":
-            kw["count"] = int(val)
-        elif key == "p":
-            kw["delete_probability"] = float(val)
-        elif key == "biconnected":
-            kw["require_biconnected"] = val not in ("0", "false", "no")
-        elif key == "seed":
-            kw["seed"] = int(val)
-        elif key == "nmax":
-            kw["n_max_exhaustive"] = int(val)
-        elif key == "retries":
-            kw["retry_budget"] = int(val)
-        else:
+        if key not in _SPEC_KEYS:
             raise ValueError(f"unknown corpus spec key {key!r}")
+        kw.update(_SPEC_KEYS[key](val))
     return CorpusSpec(**kw)
 
 
@@ -220,19 +217,23 @@ def _plain(x):
 
 def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
     """Exhaustive separator-property sweep over all tree edges and vertex pairs:
-    with the components of G minus the shared bag found once per tree edge, a
-    pair violates the property when both vertices lie in one component."""
+    the branch of t toward t' is ``side_masks(td)[t, t'] & ~bag(t)``, and a pair
+    violates the property when both vertices lie in one component of G minus
+    the shared bag, so only an edge with a component meeting both sides lists pairs."""
+    sides = side_masks(td)
     violations = []
     pairs = 0
     for a, b in sorted(td.tree_edges):
-        shared = set(td.bags[a]) & set(td.bags[b])
-        component = {v: i for i, block in enumerate(components_after_removal(g, shared)) for v in block}
-        side = {a: sorted(branch_at(td, a, b).vertices), b: sorted(branch_at(td, b, a).vertices)}
+        bag_a, bag_b = vertex_mask(td.bags[a]), vertex_mask(td.bags[b])
+        side = {a: sides[a, b] & ~bag_a, b: sides[b, a] & ~bag_b}
+        pairs += 2 * side[a].bit_count() * side[b].bit_count()
+        leaks = [c for c in component_masks(g, ((1 << g.n) - 1) & ~(bag_a & bag_b)) if c & side[a] and c & side[b]]
+        if not leaks:
+            continue
         for t, tp in ((a, b), (b, a)):
-            for u in side[t]:
-                for v in side[tp]:
-                    pairs += 1
-                    if component[u] == component[v]:
+            for u in range(g.n):
+                for v in range(g.n):
+                    if side[t] >> u & side[tp] >> v & 1 and any(c >> u & c >> v & 1 for c in leaks):
                         violations.append((t, tp, u, v))
     status = PASS if not violations else FAIL
     return {"status": status, "pairs": pairs, "violations": _plain(violations)}
@@ -297,24 +298,24 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
     cycles; on a genuine width-3 graph that configuration never completes, and
     the diagnostic records where the construction halts.
     """
-    g = facts.g
     if not facts.biconnected:
         raise ValueError("diagnostic requires a 2-connected graph")
-    td = None if has_treewidth_at_most_2(g) else facts.td3
+    td = facts.td3 if facts.tw_eq_3 else None
     if td is None:
         raise ValueError("diagnostic requires treewidth exactly 3")
     families = facts.families
-    arcs = []
-    for a, b in sorted(td.tree_edges):
-        for t, tp in ((a, b), (b, a)):
-            for c in families(t).fenced3:
-                br = branch_of_route(td, t, c.vertices)
-                if tp in br.nodes:
-                    arcs.append((t, tp))
-                    break
+    sides = side_masks(td)
+
+    def toward(t: int, tp: int) -> Cycle | None:
+        """The first fenced cycle at t that lies on tp's side of T - t: a
+        validated td3 puts all of its vertices off the bag of t in one branch."""
+        side = sides[t, tp] & ~vertex_mask(td.bags[t])
+        return next((c for c in families(t).fenced3 if c.mask & side), None)
+
+    arcs = [(t, tp) for a, b in sorted(td.tree_edges) for t, tp in ((a, b), (b, a)) if toward(t, tp) is not None]
     out = {
         "schema": SCHEMA,
-        "graph6": write_graph6(g),
+        "graph6": write_graph6(facts.g),
         "lct": facts.lct.lct,
         "arc_count": len(arcs),
         "arcs": [list(a) for a in arcs],
@@ -323,25 +324,15 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
     if not arcs:
         out["halt"] = "empty-forest: no fenced cycle selects a branch"
         return out
-    arc_map: dict[int, list[int]] = {}
-    for t, tp in arcs:
-        arc_map.setdefault(t, []).append(tp)
-    start = min(arc_map)
-    path = [start]
-    while True:
-        nxt = [x for x in arc_map.get(path[-1], []) if x not in path]
-        if not nxt:
-            break
+    path = [min(t for t, _ in arcs)]
+    while nxt := [tp for t, tp in arcs if t == path[-1] and tp not in path]:
         path.append(min(nxt))
     out["maximal_path"] = path
     if len(path) < 2:
         out["halt"] = "no-directed-path: arcs exist but none can be chained"
         return out
     t, tp = path[-2], path[-1]
-    cyc_c = next(c for c in families(t).fenced3 if tp in branch_of_route(td, t, c.vertices).nodes)
-    cyc_d = next(
-        (d for d in families(tp).fenced3 if t in branch_of_route(td, tp, d.vertices).nodes), None
-    )
+    cyc_c, cyc_d = toward(t, tp), toward(tp, t)
     out["last_arc"] = [t, tp]
     if cyc_d is None:
         out["halt"] = f"no-returning-cycle: no fenced cycle at node {tp} lives toward node {t}"

@@ -274,6 +274,12 @@ def _require_triple(facts: GraphFacts, ctx: BagContext) -> None:
         raise ValueError("check needs a distinguished triple at a node of facts.td3")
 
 
+def _jump_premise(fams: TripleFamilies) -> CheckOutcome | None:
+    """Premise-not-met when some 2-jump family at the triple is empty."""
+    empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
+    return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}") if empty else None
+
+
 def check_pairwise_and_common(facts: GraphFacts, ctx: BagContext) -> CheckOutcome:
     """When all three 2-jump families at the triple are nonempty, verify that
 
@@ -284,9 +290,8 @@ def check_pairwise_and_common(facts: GraphFacts, ctx: BagContext) -> CheckOutcom
     _require_triple(facts, ctx)
     node = facts.families(ctx.t)
     fams = node.by_triple[ctx.delta]
-    if any(not fams.jump2[p] for p in fams.jump2):
-        empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
-        return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}")
+    if (unmet := _jump_premise(fams)) is not None:
+        return unmet
     family = [c for p in sorted(fams.jump2) for c in fams.jump2[p]] + list(fams.jump3)
     inside = node.masks.inside[ctx.delta]
     blocks = [b for b in node.masks.components if b & inside]  # components in the triple's branch union
@@ -323,9 +328,8 @@ def check_escape_cycle(facts: GraphFacts, ctx: BagContext) -> CheckOutcome:
         return CheckOutcome(PREMISE_NOT_MET, "all longest cycles share a vertex (lct = 1)")
     node = facts.families(ctx.t)
     fams = node.by_triple[ctx.delta]
-    if any(not fams.jump2[p] for p in fams.jump2):
-        empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
-        return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}")
+    if (unmet := _jump_premise(fams)) is not None:
+        return unmet
     dmask = vertex_mask(ctx.delta)
     for c in facts.cycles:
         if (c.mask & node.masks.bag).bit_count() <= 1:

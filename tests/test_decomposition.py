@@ -293,3 +293,40 @@ def test_separator_property_precondition_errors(fig):
         check_separator_property(g, td, (a, b), u_bag, u_bag)
     with pytest.raises(DecompositionError):
         check_separator_property(g, td, (a, a), 0, 1)
+
+
+def _td3_corpus(small_corpus):
+    """Decompositions with their graphs: the small corpus's natural ones and
+    their full width-3 versions, and the full width-3 decompositions of the
+    exhaustive nmax = 6 corpus."""
+    from lctw.generate import exhaustive_small
+
+    for g, natural in small_corpus:
+        yield g, natural
+        yield g, full_tree_decomposition(g, 3, base=natural)
+    for g in exhaustive_small(6, 3):
+        if g.n >= 4:
+            yield g, full_tree_decomposition(g, 3)
+
+
+def test_side_masks_match_branch_at_and_branch_union(small_corpus):
+    from lctw.classify import BagContext, bag_masks
+    from lctw.decomposition import side_masks
+    from lctw.graph import vertex_mask
+
+    edges = triples = 0
+    for g, td in _td3_corpus(small_corpus):
+        sides = side_masks(td)
+        assert side_masks(td) is sides  # kept on the decomposition
+        assert sorted(sides) == sorted(e for a, b in td.tree_edges for e in ((a, b), (b, a)))
+        for t, u in sides:
+            assert sides[t, u] & ~vertex_mask(td.bags[t]) == vertex_mask(branch_at(td, t, u).vertices)
+            edges += 1
+        if not (td.is_full and td.width == 3):
+            continue
+        for t in range(td.node_count):
+            inside = bag_masks(g, BagContext(td, t)).inside
+            for delta in itertools.combinations(td.bags[t], 3):
+                assert inside[delta] == vertex_mask(delta) | vertex_mask(branch_union(td, t, delta).vertices)
+                triples += 1
+    assert edges > 1000 and triples > 1000

@@ -47,6 +47,18 @@ def test_parse_corpus_spec():
         parse_corpus_spec("unknown=1")
 
 
+def test_parse_corpus_spec_reads_every_key():
+    spec = parse_corpus_spec("k=4, n=7, count=3, p=0.5, biconnected=no, seed=9, nmax=6, retries=17", seed=1)
+    assert (spec.mode, spec.k, spec.n_lo, spec.n_hi, spec.count) == ("random", 4, 7, 7, 3)
+    assert (spec.delete_probability, spec.require_biconnected, spec.seed) == (0.5, False, 9)
+    assert (spec.n_max_exhaustive, spec.retry_budget) == (6, 17)
+    assert parse_corpus_spec("biconnected=yes,,").require_biconnected
+    with pytest.raises(ValueError, match="bad corpus spec fragment 'bogus': expected key=value"):
+        parse_corpus_spec("k=3,bogus")
+    with pytest.raises(ValueError, match="unknown corpus spec key 'unknown'"):
+        parse_corpus_spec("k=3,unknown=1")
+
+
 def test_evaluate_task_fixture_record(fig):
     g, _ = fig
     rec = evaluate_task({"graph6": write_graph6(g), "source": "t"}, CampaignOptions())
@@ -278,6 +290,68 @@ def test_directed_forest_corpus_sweep_statistics(small_corpus):
     assert halts  # swept something
 
 
+def _forest_reference(facts):
+    """The directed forest as first stated, on set branches: t -> t' when
+    ``branch_of_route`` puts a fenced cycle of t in the branch holding t'."""
+    from lctw.decomposition import branch_of_route
+
+    td, families = facts.td3, facts.families
+
+    def lives_toward(t, tp, c):
+        return tp in branch_of_route(td, t, c.vertices).nodes
+
+    arcs = []
+    for a, b in sorted(td.tree_edges):
+        for t, tp in ((a, b), (b, a)):
+            if any(lives_toward(t, tp, c) for c in families(t).fenced3):
+                arcs.append((t, tp))
+    out = {"arcs": [list(a) for a in arcs]}
+    if not arcs:
+        return {**out, "halt": "empty-forest: no fenced cycle selects a branch"}
+    arc_map = {}
+    for t, tp in arcs:
+        arc_map.setdefault(t, []).append(tp)
+    path = [min(arc_map)]
+    while True:
+        nxt = [x for x in arc_map.get(path[-1], []) if x not in path]
+        if not nxt:
+            break
+        path.append(min(nxt))
+    out["maximal_path"] = path
+    if len(path) < 2:
+        return {**out, "halt": "no-directed-path: arcs exist but none can be chained"}
+    t, tp = path[-2], path[-1]
+    cyc_c = next(c for c in families(t).fenced3 if lives_toward(t, tp, c))
+    cyc_d = next((d for d in families(tp).fenced3 if lives_toward(tp, t, d)), None)
+    out["last_arc"] = [t, tp]
+    if cyc_d is None:
+        return {**out, "halt": f"no-returning-cycle: no fenced cycle at node {tp} lives toward node {t}"}
+    out["antipodal_pair"] = {"C": list(cyc_c.vertices), "D": list(cyc_d.vertices)}
+    if facts.lct.lct == 1:
+        out["halt"] = (
+            "all longest cycles share a vertex: no longest cycle avoiding a shared "
+            "bag vertex exists, so the contradiction step cannot proceed"
+        )
+    else:
+        out["halt"] = "contradiction configuration candidate: inspect manually"
+    return out
+
+
+def test_directed_forest_matches_the_set_branch_reference(small_corpus):
+    keys = ("arcs", "maximal_path", "last_arc", "antipodal_pair", "halt")
+    halts = set()
+    for g, natural in small_corpus:
+        for td in (natural, None):
+            facts = GraphFacts(g, td)
+            if not (facts.biconnected and facts.tw_eq_3):
+                continue
+            diag = directed_forest_diagnostic(facts)
+            ref = _forest_reference(GraphFacts(g, td))
+            assert {k: diag.get(k) for k in keys} == {k: ref.get(k) for k in keys}
+            halts.add(diag["halt"].split(":")[0])
+    assert {"empty-forest", "no-returning-cycle"} <= halts
+
+
 def test_directed_forest_preconditions(c5):
     from lctw.fixtures import path_graph
 
@@ -447,6 +521,38 @@ def test_default_checks_classify_no_cycle(monkeypatch):
     families = [(rec["n"], rec["checks"]["families"]["status"]) for rec in records]
     assert families == [(n, PASS if n >= 4 else PREMISE_NOT_MET) for n, _ in families]
     assert sum(n >= 4 for n, _ in families) > 40
+
+
+def test_campaign_reads_tree_edge_sides_from_the_side_mask_table(monkeypatch):
+    # every check reads branch vertex sets as masks from side_masks: the
+    # set-based branch functions, the reference, are never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set-based branch function ran")
+
+    for module in ("lctw.decomposition", "lctw.classify", "lctw.harness"):
+        for name in ("branch_at", "branch_union", "branch_of_vertex", "branch_of_route"):
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+    tasks = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=6")) + [{"graph6": "HSxoOEB"}]
+    records = [evaluate_task(task, CampaignOptions(checks=tuple(CHECKS))) for task in tasks]
+    assert [rec["status"] for rec in records] == ["ok"] * len(tasks)
+    assert records[-1]["checks"]["dforest"]["status"] == PASS
+
+
+def test_treewidth_at_most_2_is_decided_once_per_graph(monkeypatch):
+    # the directed forest reads facts.tw_eq_3 and does not decide it again
+    from lctw.decomposition import has_treewidth_at_most_2
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return has_treewidth_at_most_2(g)
+
+    for module in ("lctw.transversal", "lctw.harness"):
+        monkeypatch.setattr(f"{module}.has_treewidth_at_most_2", counting, raising=False)
+    rec = evaluate_task({"graph6": "HSxoOEB"}, CampaignOptions(checks=tuple(CHECKS)))
+    assert rec["status"] == "ok" and rec["checks"]["dforest"]["status"] == PASS
+    assert len(calls) == 1
 
 
 def test_unknown_check_is_rejected_up_front():

@@ -14,6 +14,7 @@ from lctw.transversal import (
     PREMISE_NOT_MET,
     VACUOUS_PASS,
     GraphFacts,
+    TransversalResult,
     build_families,
     check_escape_cycle,
     check_equivalent_two_cross_jump,
@@ -159,6 +160,18 @@ def test_check_pairwise_and_common_premise_not_met(k4, k23):
     facts = GraphFacts(*k23)
     out = check_pairwise_and_common(facts, BagContext(facts.td3, 1, (0, 1, 4)))
     assert out.status == PREMISE_NOT_MET
+
+
+def test_jump_checkers_state_the_empty_2_jump_premise_alike(k4):
+    # K4 in one bag has no branch, so no cycle jumps; lct is forced above 1 so
+    # that the escape check reaches the same premise
+    facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
+    facts.lct = TransversalResult(2, (0, 1), facts.cycles)
+    ctx = BagContext(facts.td3, 0, (0, 1, 2))
+    for check in (check_pairwise_and_common, check_escape_cycle):
+        out = check(facts, ctx)
+        assert out.status == PREMISE_NOT_MET
+        assert out.detail == "empty 2-jump families at pairs [(0, 1), (0, 2), (1, 2)]"
 
 
 def test_check_escape_cycle_premises(k4, k23):
