@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .decomposition import full_tree_decomposition
+from .cycles import DEFAULT_ENUMERATION_CAP
+from .decomposition import DEFAULT_TREEWIDTH_CAP, DecompositionError, full_tree_decomposition
 from .generate import GenerationError
 from .graph import parse_graph6
 from .harness import (
@@ -43,9 +44,18 @@ def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
     p.add_argument("--workers", type=int, default=None, help="worker processes (default: CPU count)")
     p.add_argument("--out", metavar="FILE", help="report file (default: stdout)")
     p.add_argument("--counterexample-dir", metavar="DIR", help="where failure bundles are persisted")
-    p.add_argument("--max-n", type=int, default=18, help="cycle enumeration cap")
-    p.add_argument("--tw-cap", type=int, default=24, help="exact treewidth cap")
+    _add_cap_flags(p)
     p.set_defaults(default_generate=default_generate)
+
+
+def _add_cap_flags(p: argparse.ArgumentParser):
+    p.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP, help="cycle enumeration cap")
+    p.add_argument("--tw-cap", type=int, default=DEFAULT_TREEWIDTH_CAP, help="exact treewidth cap")
+
+
+def _graph_facts(args, g) -> GraphFacts:
+    """The facts of one graph under the subcommand's --max-n and --tw-cap."""
+    return GraphFacts(g, enumeration_cap=args.max_n, treewidth_cap=args.tw_cap)
 
 
 def _tasks_from_args(args):
@@ -59,7 +69,7 @@ def _campaign_options(args, checks=None) -> CampaignOptions:
     return CampaignOptions(
         checks=checks or DEFAULT_CHECKS,
         enumeration_cap=args.max_n,
-        treewidth_cap=getattr(args, "tw_cap", 24),
+        treewidth_cap=args.tw_cap,
         strict_preconditions=getattr(args, "strict_preconditions", False),
     )
 
@@ -127,7 +137,7 @@ def cmd_inspect(args) -> int:
         return EXIT_CONFIG
     print(f"graph6: {args.graph6.strip()}")
     print(f"n: {g.n}  m: {g.m}")
-    facts = GraphFacts(g, enumeration_cap=args.max_n)
+    facts = _graph_facts(args, g)
     print(f"biconnected: {'yes' if facts.biconnected else 'no'}")
     width = facts.td.width
     print(f"treewidth: {width}")
@@ -145,6 +155,7 @@ def cmd_inspect(args) -> int:
         return 0
     print(f"longest cycle length: {facts.cycles.length}")
     print(f"longest cycles: {len(facts.cycles)}")
+    print(f"enumeration steps: {facts.cycles.steps}")
     res = facts.lct
     print(f"lct: {res.lct}  witness: {{{','.join(map(str, res.witness))}}}")
     if args.families:
@@ -166,7 +177,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_directed_forest(args) -> int:
     try:
-        diag = directed_forest_diagnostic(GraphFacts(parse_graph6(args.graph6)))
+        diag = directed_forest_diagnostic(_graph_facts(args, parse_graph6(args.graph6)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -216,11 +227,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("inspect", help="dump facts about one graph6 graph")
     p.add_argument("graph6")
     p.add_argument("--families", action="store_true", help="include per-bag family sizes")
-    p.add_argument("--max-n", type=int, default=18)
+    _add_cap_flags(p)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("directed-forest", help="directed-forest diagnostic for one graph")
     p.add_argument("graph6")
+    _add_cap_flags(p)
     p.set_defaults(func=cmd_directed_forest)
 
     p = sub.add_parser("generate", help="emit a graph6 corpus")
@@ -232,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CAP_ERRORS as exc:  # a single graph beyond a cap, as inspect and directed-forest take
+    except (*CAP_ERRORS, DecompositionError) as exc:  # one graph beyond a cap, or the empty graph inspect refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,6 +16,11 @@ cuts are exact for that reason:
   best, each of them but the head is interior to the closing path, so it needs
   two neighbours among the reachable vertices and the root.
 
+The search runs on the graph relabelled in smallest-last removal order (Matula
+& Beck, J. ACM 1983): root 0 has least degree and every vertex has at most
+degeneracy-many neighbours above it, which bounds a root's second vertices and
+closing targets.  The cycles found are mapped back to the graph's own labels.
+
 Budgets fail loudly rather than sampling, because downstream checks require the
 complete family.
 
@@ -34,6 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
 from .decomposition import TreeDecomposition, require_valid
 from .graph import Graph, vertex_mask
@@ -165,7 +171,8 @@ class LongestCycleSet:
     """The complete family of longest cycles of one graph.
 
     length == 0 with no cycles iff the graph is acyclic.  ``steps`` counts the
-    successors the search pass tried, the quantity a ``max_steps`` budget bounds.
+    successors the search pass tried on the relabelled graph, the quantity a
+    ``max_steps`` budget bounds.
     """
 
     length: int
@@ -183,6 +190,13 @@ def enumerate_longest_cycles(
     g: Graph, cap: int = DEFAULT_ENUMERATION_CAP, max_steps: int | None = None
 ) -> LongestCycleSet:
     """All distinct longest cycles of g, canonically deduplicated and sorted.
+
+    The search runs on g relabelled along ``_smallest_last_order``: vertex i of
+    the search is ``order[i]``, so root 0 has least degree and each vertex has
+    at most degeneracy-many neighbours above it.
+    ``steps``, and the ``max_steps`` budget, count successor tries of that
+    relabelled search; the cycles found are mapped back to g's labels,
+    canonicalised and sorted by their vertex tuples.
 
     One backtracking pass over paths rooted at each cycle's minimum vertex keeps
     the best length closed so far and the cycles of that length, dropping them
@@ -206,7 +220,11 @@ def enumerate_longest_cycles(
     """
     check_enumeration_cap(g.n, cap)
     n = g.n
-    nbr = g.nbr_mask
+    order = _smallest_last_order(g.adj)
+    bit = [0] * n  # bit[v]: the bit of v's position in order, its id in the search
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    nbr = tuple(sum(map(bit.__getitem__, g.adj[v])) for v in order)
     h = n // 2
     low_half = (1 << h) - 1
     (ones0, twos0), (ones1, twos1) = _subset_tables(nbr[:h]), _subset_tables(nbr[h:])
@@ -266,7 +284,25 @@ def enumerate_longest_cycles(
             path.append(wb.bit_length() - 1)
             used |= wb
             stack.append(nbr[path[-1]] & free)
-    return LongestCycleSet(best, tuple(sorted(Cycle(seq) for seq in found)), steps=steps)
+    cycles = sorted((Cycle(tuple(map(order.__getitem__, seq))) for seq in found), key=attrgetter("vertices"))
+    return LongestCycleSet(best, tuple(cycles), steps=steps)
+
+
+def _smallest_last_order(adj: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The vertices of the graph with adjacency ``adj`` in the order the
+    smallest-last procedure (Matula & Beck, J. ACM 1983) removes them: each step
+    removes a vertex of least degree among those left, the lower id on ties.
+    So the first vertex has least degree, and each vertex has at most
+    degeneracy-many neighbours after it."""
+    degree = [len(a) for a in adj]
+    order = []
+    for _ in adj:
+        v = degree.index(min(degree))
+        order.append(v)
+        degree[v] = 2 * len(adj)  # stays above every degree left as v's neighbours go
+        for w in adj[v]:
+            degree[w] -= 1
+    return order
 
 
 def _subset_tables(masks: tuple[int, ...]) -> tuple:

@@ -6,7 +6,7 @@ import pytest
 import lctw.harness as harness
 import lctw.transversal as transversal
 from lctw.cli import main
-from lctw.cycles import EnumerationCapExceeded
+from lctw.cycles import EnumerationCapExceeded, enumerate_longest_cycles
 from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
 from lctw.graph import parse_graph6, write_graph6
 from lctw.harness import (
@@ -379,7 +379,27 @@ def test_cli_inspect_petersen(capsys):
     out = capsys.readouterr().out
     assert "treewidth: 4" in out
     assert "longest cycle length: 9" in out
+    steps = enumerate_longest_cycles(petersen()).steps
+    assert f"longest cycles: 20\nenumeration steps: {steps}\n" in out
     assert "lct: 2" in out
+
+
+def test_cli_inspect_empty_graph_is_config_error(capsys):
+    assert main(["inspect", "?"]) == EXIT_CONFIG
+    assert "error: treewidth of the empty graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["inspect", "GntWr_", "--tw-cap", "7"], "exact treewidth needs n <= 7, got 8"),
+        (["directed-forest", "GntWr_", "--tw-cap", "7"], "exact treewidth needs n <= 7, got 8"),
+        (["directed-forest", "GntWr_", "--max-n", "7"], "enumeration needs n <= 7, got 8"),
+    ],
+)
+def test_cli_single_graph_lowered_cap_is_config_error(capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_verify_and_generate(tmp_path, capsys):
