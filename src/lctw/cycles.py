@@ -42,7 +42,7 @@ from itertools import combinations
 from operator import attrgetter
 
 from .decomposition import TreeDecomposition, require_valid
-from .graph import Graph, vertex_mask
+from .graph import Graph, neighbour_unions, vertex_mask
 
 __all__ = [
     "Cycle",
@@ -315,10 +315,9 @@ def _subset_tables(masks: tuple[int, ...]) -> tuple:
         h = len(masks) // 2
         halves = _subset_tables(masks[:h]), _subset_tables(masks[h:])
         return _JoinedTable(h, halves, False), _JoinedTable(h, halves, True)
-    ones, twos = [0], [0]
+    ones, twos = neighbour_unions(masks), [0]
     for m in masks:
-        twos += [t | o & m for o, t in zip(ones, twos)]
-        ones += [o | m for o in ones]
+        twos += [t | o & m for o, t in zip(ones, twos)]  # zip stops at the subsets before m
     return ones, twos
 
 

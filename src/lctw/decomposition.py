@@ -1,11 +1,13 @@
 """Tree decompositions: validation, exact treewidth, full decompositions, branches.
 
-Exact treewidth runs a dynamic program over vertex subsets of elimination
-orders (states are sets of already-eliminated vertices), so it is exponential
-in n and capped.  Full decompositions (every bag of size k+1, adjacent bags
-sharing exactly k vertices) are produced constructively from any valid
-decomposition: contract subset bags, pad undersized bags from neighbors, then
-splice one-swap chains across edges whose intersection is still too small.
+Exact treewidth is the dynamic program over elimination orders (states are
+sets of already-eliminated vertices), run as a memoised search bounded from
+above by the min-degree elimination width: sparse graphs visit few of the 2^n
+states, dense ones up to all of them, so n is capped.  Full decompositions
+(every bag of size k+1, adjacent bags sharing exactly k vertices) are produced
+constructively from any valid decomposition: contract subset bags, pad
+undersized bags from neighbors, then splice one-swap chains across edges whose
+intersection is still too small.
 All tie-breaking is by ascending vertex/node id, so construction output is
 byte-for-byte reproducible.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, component_masks, separates, vertex_mask
+from .graph import Graph, neighbour_unions, separates, vertex_mask
 
 __all__ = [
     "TreeDecomposition",
@@ -164,9 +166,17 @@ def check_treewidth_cap(n: int, cap: int = DEFAULT_TREEWIDTH_CAP) -> None:
 def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with an optimal decomposition.
 
-    Dynamic program over subsets S of eliminated vertices:
-    tw(S) = min over v in S of max(tw(S - v), |Q(v, S - v)|) where Q counts the
-    outside neighbors of v's component in G[S].  2^n states, so n is capped.
+    tw(S), the width of eliminating the vertex set S first, is the minimum
+    over v in S of max(tw(S - v), q), where q counts the outside neighbours
+    of v's component in G[S]; tw(V) is the treewidth.  A memoised search
+    ``solve(S, ub)`` returns tw(S) when it is below ub, else ub, which it
+    keeps as a lower bound for S.  It scans components by lowest vertex and
+    vertices low bit first, skips a component whose q cannot beat the best so
+    far and takes a candidate only on strict improvement, so each vertex it
+    picks is the first optimal one, whatever the bound.  The top-level bound
+    is the min-degree elimination width plus 1.  Sparse graphs visit few
+    subsets; the worst case is all 2^n, held in three bytearrays of 2^n
+    bytes (48 MiB at the default cap of 24), so n is capped.
     """
     n = g.n
     check_treewidth_cap(n, cap)
@@ -175,66 +185,114 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, Tr
     if n == 1:
         return 0, TreeDecomposition([(0,)], [])
     nbr = g.nbr_mask
-    full = (1 << n) - 1
+    h = n // 2
+    low_half = (1 << h) - 1
+    ones0, ones1 = neighbour_unions(nbr[:h]), neighbour_unions(nbr[h:])
     size = 1 << n
-    tw = [0] * size
-    pick = [0] * size
-    tw[0] = -1
-    for s_mask in range(1, size):
-        best = n + 1
-        bestv = -1
-        for comp in component_masks(g, s_mask):
-            outside = 0
+    known = bytearray(size)  # tw(S) + 1 once solved, else 0
+    lower = bytearray(size)  # a bound tw(S) >= lower[S] from an unsolved search
+    pick = bytearray(size)  # the vertex eliminated last within a solved S
+
+    def solve(s: int, ub: int) -> int:
+        if not s:
+            return -1
+        best = ub
+        rem = s
+        while rem:
+            comp = rem & -rem
+            while True:  # grow the component of rem's lowest vertex in G[S]
+                out = ones0[comp & low_half] | ones1[comp >> h]
+                grown = comp | out & s
+                if grown == comp:
+                    break
+                comp = grown
+            rem ^= comp
+            q = (out & ~s).bit_count()
+            if q >= best:
+                continue
             c = comp
             while c:
                 low = c & -c
-                outside |= nbr[low.bit_length() - 1]
                 c ^= low
-            q = (outside & ~s_mask).bit_count()
-            c = comp
-            while c:
-                low = c & -c
-                c ^= low
-                prev = tw[s_mask ^ low]
-                cand = q if q > prev else prev
-                if cand < best:
-                    best = cand
-                    bestv = low.bit_length() - 1
-        tw[s_mask] = best
-        pick[s_mask] = bestv
-    width = tw[full]
+                t = s ^ low
+                if lower[t] >= best:
+                    continue  # tw(S - v) >= best: no improvement
+                prev = known[t] - 1 if known[t] else solve(t, best)
+                if prev < best:  # q < best, so this is max(q, prev) < best
+                    best = q if q > prev else prev
+                    pick[s] = low.bit_length() - 1
+                    if best == q:
+                        break  # no later vertex of this component goes below q
+        if best < ub:
+            known[s] = best + 1
+        lower[s] = best
+        return best
+
+    full = size - 1
+    width = solve(full, _min_degree_width(nbr) + 1)
     order = []
     s_mask = full
-    while s_mask:
+    for _ in range(n):
         v = pick[s_mask]  # the vertex eliminated last within s_mask
         order.append(v)
         s_mask ^= 1 << v
     order.reverse()
-    td = _decomposition_from_order(g, order)
-    return width, td
+    return width, _decomposition_from_order(g, order)
+
+
+def _min_degree_width(nbr: tuple[int, ...]) -> int:
+    """Width of the min-degree elimination order (least degree in the filled
+    graph, lower id on ties): an upper bound on the treewidth."""
+    adj = list(nbr)
+    left = (1 << len(adj)) - 1
+    width = 0
+    while left:
+        v, least = -1, len(adj)
+        rest = left
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (adj[low.bit_length() - 1] & left).bit_count()
+            if d < least:
+                v, least = low.bit_length() - 1, d
+        left ^= 1 << v
+        width = max(width, least)
+        higher = rest = adj[v] & left
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            adj[low.bit_length() - 1] |= higher ^ low
+    return width
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Tree decomposition induced by an elimination order (fill-in simulation)."""
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [set(a) for a in g.adj]
+    """Tree decomposition induced by an elimination order (fill-in simulation).
+
+    Works on masks over positions in the order: the bag of the i-th vertex is
+    it and its filled neighbours eliminated later, and its tree parent is the
+    earliest of those, else node i + 1 (joining components)."""
+    n = len(order)
+    at = [0] * n  # at[v]: the bit of v's position in the order
+    for i, v in enumerate(order):
+        at[v] = 1 << i
+    adj = [sum(map(at.__getitem__, g.adj[v])) for v in order]
     bags = []
-    higher_of = []
-    for v in order:
-        higher = {u for u in adj[v] if pos[u] > pos[v]}
-        bags.append(tuple(sorted({v} | higher)))
-        higher_of.append(higher)
-        for a in higher:
-            adj[a].discard(v)
-            for b in higher:
-                if a != b:
-                    adj[a].add(b)
     edges = []
-    for i, higher in enumerate(higher_of):
+    for i, v in enumerate(order):
+        higher = adj[i] >> (i + 1) << (i + 1)
+        bag = [v]
+        rest = higher
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            bag.append(order[j])
+            adj[j] |= higher
+        bags.append(bag)
         if higher:
-            edges.append((i, min(pos[u] for u in higher)))  # the node of the earliest-eliminated higher vertex
-        elif i + 1 < len(order):
-            edges.append((i, i + 1))  # keep the tree connected across components
+            edges.append((i, (higher & -higher).bit_length() - 1))
+        elif i + 1 < n:
+            edges.append((i, i + 1))
     return TreeDecomposition(bags, edges)
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "is_biconnected",
     "components_after_removal",
     "component_masks",
+    "neighbour_unions",
     "separates",
     "vertex_mask",
 ]
@@ -233,6 +234,16 @@ def component_masks(g: Graph, mask: int) -> list[int]:
         comps.append(comp)
         rem &= ~comp
     return comps
+
+
+def neighbour_unions(masks: tuple[int, ...]) -> list[int]:
+    """For every subset X of the positions of ``masks``, indexed by X's bits,
+    the union of the masks at those positions: given the neighbourhood masks of
+    consecutive vertices, the neighbourhood of every subset of them."""
+    unions = [0]
+    for m in masks:
+        unions += [u | m for u in unions]
+    return unions
 
 
 def separates(g: Graph, s: Iterable[int], x: Iterable[int]) -> bool:

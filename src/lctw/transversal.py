@@ -199,7 +199,7 @@ class GraphFacts:
     @cached_property
     def td(self) -> TreeDecomposition:
         """The given decomposition, else an optimal one, whose width is then the
-        treewidth.  The one cap rule: before the 2^n treewidth program, refuse
+        treewidth.  The one cap rule: before the exact treewidth search, refuse
         n beyond the treewidth cap, then, when the graph is 2-connected and so
         its cycles are enumerated next, beyond the enumeration cap."""
         if self.given_td is not None:

@@ -18,9 +18,9 @@ from lctw.decomposition import (
     require_valid,
     validate,
 )
-from lctw.fixtures import complete_graph, path_graph
-from lctw.generate import GenSpec, generate_k_tree
-from lctw.graph import Graph
+from lctw.fixtures import complete_graph, path_graph, petersen
+from lctw.generate import GenSpec, exhaustive_small, generate_k_tree
+from lctw.graph import Graph, component_masks, is_biconnected
 
 
 def random_graph(rng, n, p):
@@ -106,6 +106,123 @@ def test_exact_treewidth_agrees_with_bruteforce():
     for n, seed in ((8, 1), (8, 2), (9, 3)):
         g = random_graph(random.Random(seed), n, 0.35)
         assert exact_treewidth(g)[0] == brute_force_treewidth(g)
+
+
+def full_table_treewidth(g):
+    """Reference exact treewidth: the dynamic program over every subset S of
+    eliminated vertices, tw(S) = min over v in S of max(tw(S - v), |Q(v, S - v)|)
+    where Q counts the outside neighbors of v's component in G[S].  2^n states."""
+    n = g.n
+    if n == 1:
+        return 0, TreeDecomposition([(0,)], [])
+    nbr = g.nbr_mask
+    full = (1 << n) - 1
+    size = 1 << n
+    tw = [0] * size
+    pick = [0] * size
+    tw[0] = -1
+    for s_mask in range(1, size):
+        best = n + 1
+        bestv = -1
+        for comp in component_masks(g, s_mask):
+            outside = 0
+            c = comp
+            while c:
+                low = c & -c
+                outside |= nbr[low.bit_length() - 1]
+                c ^= low
+            q = (outside & ~s_mask).bit_count()
+            c = comp
+            while c:
+                low = c & -c
+                c ^= low
+                prev = tw[s_mask ^ low]
+                cand = q if q > prev else prev
+                if cand < best:
+                    best = cand
+                    bestv = low.bit_length() - 1
+        tw[s_mask] = best
+        pick[s_mask] = bestv
+    width = tw[full]
+    order = []
+    s_mask = full
+    while s_mask:
+        v = pick[s_mask]  # the vertex eliminated last within s_mask
+        order.append(v)
+        s_mask ^= 1 << v
+    order.reverse()
+    td = set_decomposition_from_order(g, order)
+    return width, td
+
+
+def set_decomposition_from_order(g, order):
+    """Reference tree decomposition induced by an elimination order (fill-in
+    simulation on vertex sets)."""
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(a) for a in g.adj]
+    bags = []
+    higher_of = []
+    for v in order:
+        higher = {u for u in adj[v] if pos[u] > pos[v]}
+        bags.append(tuple(sorted({v} | higher)))
+        higher_of.append(higher)
+        for a in higher:
+            adj[a].discard(v)
+            for b in higher:
+                if a != b:
+                    adj[a].add(b)
+    edges = []
+    for i, higher in enumerate(higher_of):
+        if higher:
+            edges.append((i, min(pos[u] for u in higher)))  # the node of the earliest-eliminated higher vertex
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))  # keep the tree connected across components
+    return TreeDecomposition(bags, edges)
+
+
+def _differential_corpus():
+    """Graphs on which the search must return the reference's decomposition:
+    the exhaustive k = 3, nmax = 7 and k = 4, nmax = 6 corpora, 320 random
+    G(n <= 11, p) and 80 random G(12, p) from sparse (often disconnected or
+    with cut vertices) to dense, two K7 joined by a bridge, and Petersen."""
+    yield from exhaustive_small(7, 3)
+    yield from exhaustive_small(6, 4)
+    rng = random.Random(2012)
+    for i in range(400):
+        n = rng.randint(1, 11) if i < 320 else 12
+        yield random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.45, 0.6, 0.8]))
+    k7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    yield Graph(14, k7 + [(u + 7, v + 7) for u, v in k7] + [(6, 7)])
+    yield petersen()
+
+
+def test_exact_treewidth_matches_the_full_table():
+    seen = {"disconnected": 0, "cut vertex": 0, "2-connected": 0, "dense": 0}
+    count = 0
+    for g in _differential_corpus():
+        width, td = exact_treewidth(g)
+        ref_width, ref_td = full_table_treewidth(g)
+        assert (width, td.bags, td.tree_edges) == (ref_width, ref_td.bags, ref_td.tree_edges), g.edges
+        count += 1
+        if len(component_masks(g, (1 << g.n) - 1)) > 1:
+            seen["disconnected"] += 1
+        elif g.n >= 3:
+            seen["2-connected" if is_biconnected(g) else "cut vertex"] += 1
+        seen["dense"] += g.n >= 8 and 2 * g.m >= 0.6 * g.n * (g.n - 1)
+    assert count > 700 and min(seen.values()) >= 15, seen
+
+
+def test_decomposition_from_order_matches_the_set_construction():
+    from lctw.decomposition import _decomposition_from_order
+
+    rng = random.Random(7)
+    for i, g in enumerate(_differential_corpus()):
+        if i % 3:
+            continue
+        order = list(range(g.n))
+        rng.shuffle(order)
+        td, ref = _decomposition_from_order(g, order), set_decomposition_from_order(g, order)
+        assert (td.bags, td.tree_edges) == (ref.bags, ref.tree_edges)
 
 
 def test_treewidth_at_most_2_agrees_with_exact():

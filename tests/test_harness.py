@@ -580,6 +580,25 @@ def test_unknown_check_is_rejected_up_front():
         CampaignOptions(checks=("shared_vertex", "bogus"))
 
 
+def test_large_trees_without_td_evaluate_fast():
+    # exact treewidth on a tree bounds its search by the min-degree width, so a
+    # 24-vertex tree given only as graph6 is decided in milliseconds, not the
+    # minutes a table over all 2^24 subsets takes
+    import random
+    import time
+
+    from lctw.graph import Graph
+
+    rng = random.Random(24)
+    tree = Graph(24, [(v, rng.randrange(v)) for v in range(1, 24)])
+    for g in (path_graph(24), tree):
+        start = time.perf_counter()
+        rec = evaluate_task({"graph6": write_graph6(g)}, CampaignOptions())
+        assert time.perf_counter() - start < 10
+        assert rec["status"] == "ok" and rec["tw"] == 1 and not rec["biconnected"]
+        assert {c["status"] for c in rec["checks"].values()} == {"out-of-scope"}
+
+
 def test_cap_overrun_is_out_of_scope_in_both_evaluators(monkeypatch):
     from lctw.generate import GenSpec, generate_partial_k_tree
 
