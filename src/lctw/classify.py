@@ -199,11 +199,11 @@ class BagMasks:
 def bag_masks(g: Graph, ctx: BagContext) -> BagMasks:
     """The mask facts of the node of ``ctx``, whose triple, if any, is ignored.
     A full decomposition's adjacent bags share a triple, so each neighbour u
-    adds its side off the bag, ``side_masks(td)[t, u] & ~bag``, to the inside
-    set of one triple: the triple's ``branch_union`` as masks."""
+    adds its branch, ``side_masks(td)[t, u]``, to the inside set of one
+    triple: the triple's ``branch_union`` as masks."""
     td, t = ctx.td, ctx.t
-    bag = vertex_mask(ctx.bag)
+    bag = td.masks[t]
     inside = {delta: vertex_mask(delta) for delta in combinations(ctx.bag, 3)}
     for u in td.node_adj[t]:
-        inside[tuple(v for v in td.bags[u] if bag >> v & 1)] |= side_masks(td)[t, u] & ~bag
+        inside[tuple(v for v in td.bags[u] if bag >> v & 1)] |= side_masks(td)[t, u]
     return BagMasks(bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)

@@ -119,12 +119,6 @@ class Cycle:
     def mask(self) -> int:
         return vertex_mask(self.vertices)
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        seq = self.vertices
-        return frozenset(
-            (a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:] + seq[:1])
-        )
-
 
 @dataclass(frozen=True)
 class PathSegment:

@@ -5,9 +5,10 @@ sets of already-eliminated vertices), run as a memoised search bounded from
 above by the min-degree elimination width: sparse graphs visit few of the 2^n
 states, dense ones up to all of them, so n is capped.  Full decompositions
 (every bag of size k+1, adjacent bags sharing exactly k vertices) are produced
-constructively from any valid decomposition: contract subset bags, pad
-undersized bags from neighbors, then splice one-swap chains across edges whose
-intersection is still too small.
+constructively from any valid decomposition, on bag masks: contract subset
+bags, pad undersized bags from neighbors, then splice one-swap chains across
+edges whose intersection is still too small.  Bag masks (``masks``) and branch
+masks (``side_masks``) are built on first read and kept on the decomposition.
 All tie-breaking is by ascending vertex/node id, so construction output is
 byte-for-byte reproducible.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, neighbour_unions, separates, vertex_mask
+from .graph import Graph, _bits, neighbour_unions, separates, vertex_mask
 
 __all__ = [
     "TreeDecomposition",
@@ -63,7 +64,7 @@ class TreeDecomposition:
     for, or None; ``sides`` is its ``side_masks`` table once read, or None.
     """
 
-    __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj", "valid_for", "sides")
+    __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj", "valid_for", "sides", "_masks")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
         self.bags = tuple(tuple(sorted(set(b))) for b in bags)
@@ -87,6 +88,16 @@ class TreeDecomposition:
         )
         self.valid_for = None
         self.sides = None
+        self._masks = None
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """One vertex mask per bag, built on first read: a bag of a
+        decomposition not yet validated may name a vertex no mask can hold
+        (negative, or far beyond the graph)."""
+        if self._masks is None:
+            self._masks = tuple(map(vertex_mask, self.bags))
+        return self._masks
 
     @property
     def node_count(self) -> int:
@@ -359,80 +370,50 @@ def full_tree_decomposition(
         if base.is_full and base.width == k:
             return base  # nothing to contract, pad or splice
 
-    bags = {i: set(b) for i, b in enumerate(base.bags)}
-    nbrs = {i: set(base.node_adj[i]) for i in range(base.node_count)}
-
-    def contract_subset_bags():
-        changed = True
-        while changed:
-            changed = False
-            for t in sorted(bags):
-                for u in sorted(nbrs[t]):
-                    if bags[t] <= bags[u]:
-                        for w in nbrs[t]:
-                            if w != u:
-                                nbrs[w].discard(t)
-                                nbrs[w].add(u)
-                                nbrs[u].add(w)
-                        nbrs[u].discard(t)
-                        del bags[t]
-                        del nbrs[t]
-                        changed = True
-                        break
-                if changed:
-                    break
-
-    contract_subset_bags()
-    # Pad undersized bags from adjacent bags, smallest vertex id first.  Each
-    # round either grows a bag or contracts, so this terminates.
-    while any(len(b) < k + 1 for b in bags.values()):
-        grew = False
-        for t in sorted(bags):
-            if len(bags[t]) >= k + 1:
-                continue
-            pool = sorted(
-                v for u in sorted(nbrs[t]) for v in bags[u] if v not in bags[t]
-            )
-            for v in pool:
-                bags[t].add(v)
-                grew = True
-                if len(bags[t]) == k + 1:
-                    break
-        contract_subset_bags()
-        if not grew and any(len(b) < k + 1 for b in bags.values()):
-            raise DecompositionError("padding stalled; graph too small or disconnected badly")
+    size = k + 1
+    bags = dict(enumerate(base.masks))
+    nbrs = {t: vertex_mask(adj) for t, adj in enumerate(base.node_adj)}  # node-id masks
+    while True:
+        # Contract: merge the least node whose bag lies in a neighbour's bag
+        # into the least such neighbour, until no bag lies in a neighbour's.
+        while merge := next(
+            ((t, u) for t in sorted(bags) for u in _bits(nbrs[t]) if not bags[t] & ~bags[u]), None
+        ):
+            t, u = merge
+            for w in _bits(nbrs[t] & ~(1 << u)):
+                nbrs[w] = nbrs[w] & ~(1 << t) | 1 << u
+            nbrs[u] = (nbrs[u] | nbrs[t]) & ~(1 << t | 1 << u)
+            del bags[t], nbrs[t]
+        short = [t for t in sorted(bags) if bags[t].bit_count() < size]
+        if not short:
+            break
+        # Pad each undersized bag with the lowest vertices of its neighbours'
+        # bags.  Every neighbour's bag holds a vertex outside it, so each
+        # round grows a bag; a lone node holds all n >= k+1 vertices.
+        for t in short:
+            pool = 0
+            for u in _bits(nbrs[t]):
+                pool |= bags[u]
+            pool &= ~bags[t]
+            for _ in range(size - bags[t].bit_count()):
+                bags[t] |= pool & -pool
+                pool &= pool - 1
 
     # Splice one-swap chains across edges sharing fewer than k vertices.
-    out_bags = {t: frozenset(b) for t, b in bags.items()}
-    out_edges = set()
-    next_id = max(bags) + 1
-    done = set()
-    for t in sorted(bags):
-        for u in sorted(nbrs[t]):
-            key = (min(t, u), max(t, u))
-            if key in done:
-                continue
-            done.add(key)
-            a, b = key
-            drop = sorted(bags[a] - bags[b])
-            add = sorted(bags[b] - bags[a])
-            prev = a
-            cur = set(bags[a])
-            for i in range(len(drop) - 1):
-                cur = set(cur)
-                cur.discard(drop[i])
-                cur.add(add[i])
-                out_bags[next_id] = frozenset(cur)
-                out_edges.add((prev, next_id))
-                prev = next_id
-                next_id += 1
-            out_edges.add((prev, b))
-
-    relabel = {t: i for i, t in enumerate(sorted(out_bags))}
-    return TreeDecomposition(
-        [sorted(out_bags[t]) for t in sorted(out_bags)],
-        [(relabel[a], relabel[b]) for a, b in out_edges],
-    )
+    nodes = sorted(bags)
+    at = {t: i for i, t in enumerate(nodes)}
+    out_bags = [bags[t] for t in nodes]
+    out_edges = []
+    for a, b in sorted((a, b) for a in nodes for b in _bits(nbrs[a]) if a < b):
+        prev, cur = at[a], bags[a]
+        swaps = list(zip(_bits(bags[a] & ~bags[b]), _bits(bags[b] & ~bags[a])))
+        for drop, add in swaps[:-1]:
+            cur ^= 1 << drop | 1 << add
+            out_edges.append((prev, len(out_bags)))
+            prev = len(out_bags)
+            out_bags.append(cur)
+        out_edges.append((prev, at[b]))
+    return TreeDecomposition([_bits(m) for m in out_bags], out_edges)
 
 
 @dataclass(frozen=True)
@@ -522,15 +503,18 @@ def branch_of_route(td: TreeDecomposition, t: int, vertices: Iterable[int]) -> B
 
 
 def side_masks(td: TreeDecomposition) -> dict[tuple[int, int], int]:
-    """For every directed tree edge (t, u), the mask of the vertices in the
-    bags on u's side of T - t; masked with ``~bag(t)`` it is the vertex set of
-    ``branch_at(td, t, u)``.  Built on first read and kept on td (immutable)."""
+    """For every directed tree edge (t, u), the vertex set of
+    ``branch_at(td, t, u)`` as a mask: the vertices in the bags on u's side of
+    T - t, off the bag of t.  Built on first read and kept on td (immutable)."""
     if td.sides is None:
-        td.sides = {
-            (t, u): vertex_mask(v for x in _reach(td, u, avoid=t) for v in td.bags[x])
-            for t, nbrs in enumerate(td.node_adj)
-            for u in nbrs
-        }
+        masks = td.masks
+        td.sides = {}
+        for t, nbrs in enumerate(td.node_adj):
+            for u in nbrs:
+                side = 0
+                for x in _reach(td, u, avoid=t):
+                    side |= masks[x]
+                td.sides[t, u] = side & ~masks[t]
     return td.sides
 
 

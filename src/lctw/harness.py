@@ -217,17 +217,17 @@ def _plain(x):
 
 def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
     """Exhaustive separator-property sweep over all tree edges and vertex pairs:
-    the branch of t toward t' is ``side_masks(td)[t, t'] & ~bag(t)``, and a pair
+    the branch of t toward t' is ``side_masks(td)[t, t']``, and a pair
     violates the property when both vertices lie in one component of G minus
     the shared bag, so only an edge with a component meeting both sides lists pairs."""
     sides = side_masks(td)
     violations = []
     pairs = 0
     for a, b in sorted(td.tree_edges):
-        bag_a, bag_b = vertex_mask(td.bags[a]), vertex_mask(td.bags[b])
-        side = {a: sides[a, b] & ~bag_a, b: sides[b, a] & ~bag_b}
+        side = {a: sides[a, b], b: sides[b, a]}
         pairs += 2 * side[a].bit_count() * side[b].bit_count()
-        leaks = [c for c in component_masks(g, ((1 << g.n) - 1) & ~(bag_a & bag_b)) if c & side[a] and c & side[b]]
+        shared = td.masks[a] & td.masks[b]
+        leaks = [c for c in component_masks(g, ((1 << g.n) - 1) & ~shared) if c & side[a] and c & side[b]]
         if not leaks:
             continue
         for t, tp in ((a, b), (b, a)):
@@ -309,8 +309,7 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
     def toward(t: int, tp: int) -> Cycle | None:
         """The first fenced cycle at t that lies on tp's side of T - t: a
         validated td3 puts all of its vertices off the bag of t in one branch."""
-        side = sides[t, tp] & ~vertex_mask(td.bags[t])
-        return next((c for c in families(t).fenced3 if c.mask & side), None)
+        return next((c for c in families(t).fenced3 if c.mask & sides[t, tp]), None)
 
     arcs = [(t, tp) for a, b in sorted(td.tree_edges) for t, tp in ((a, b), (b, a)) if toward(t, tp) is not None]
     out = {
@@ -328,9 +327,6 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
     while nxt := [tp for t, tp in arcs if t == path[-1] and tp not in path]:
         path.append(min(nxt))
     out["maximal_path"] = path
-    if len(path) < 2:
-        out["halt"] = "no-directed-path: arcs exist but none can be chained"
-        return out
     t, tp = path[-2], path[-1]
     cyc_c, cyc_d = toward(t, tp), toward(tp, t)
     out["last_arc"] = [t, tp]

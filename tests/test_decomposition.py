@@ -1,9 +1,12 @@
+import functools
 import itertools
 import random
+import sys
 
 import pytest
 
 from lctw.decomposition import (
+    DEFAULT_TREEWIDTH_CAP,
     DecompositionError,
     TreeDecomposition,
     TreewidthCapExceeded,
@@ -19,7 +22,7 @@ from lctw.decomposition import (
     validate,
 )
 from lctw.fixtures import complete_graph, path_graph, petersen
-from lctw.generate import GenSpec, exhaustive_small, generate_k_tree
+from lctw.generate import GenSpec, exhaustive_small, generate_k_tree, generate_partial_k_tree
 from lctw.graph import Graph, component_masks, is_biconnected
 
 
@@ -324,6 +327,167 @@ def test_full_tree_decomposition_returns_a_full_base_as_is(small_corpus):
     assert td is not natural and td.is_full and td.width == 3
 
 
+# The set-based construction that the mask one in lctw.decomposition
+# replaced, kept verbatim as the reference it must match.
+def set_full_tree_decomposition(
+    g: Graph,
+    k: int,
+    base: TreeDecomposition | None = None,
+    cap: int = DEFAULT_TREEWIDTH_CAP,
+) -> TreeDecomposition:
+    """A width-k decomposition with all bags of size k+1 and adjacent bags sharing k.
+
+    Requires tw(g) <= k and n >= k+1.  ``base`` may supply a starting
+    decomposition (e.g. the natural one from a generated k-tree), which must
+    pass ``require_valid``; otherwise an optimal one is computed.  A base that
+    is already full of width k is returned as is.  When tw(g) < k the bags are
+    padded up to width exactly k by the same deterministic rules.
+    """
+    if g.n < k + 1:
+        raise DecompositionError(
+            f"no full decomposition of width {k} on {g.n} < {k + 1} vertices: "
+            "a bag of size k+1 cannot exist"
+        )
+    if base is None:
+        width, base = exact_treewidth(g, cap=cap)
+        if width > k:
+            raise DecompositionError(f"treewidth {width} exceeds requested width {k}")
+    else:
+        if base.width > k:
+            raise DecompositionError(f"base decomposition width {base.width} exceeds {k}")
+        require_valid(g, base)
+        if base.is_full and base.width == k:
+            return base  # nothing to contract, pad or splice
+
+    bags = {i: set(b) for i, b in enumerate(base.bags)}
+    nbrs = {i: set(base.node_adj[i]) for i in range(base.node_count)}
+
+    def contract_subset_bags():
+        changed = True
+        while changed:
+            changed = False
+            for t in sorted(bags):
+                for u in sorted(nbrs[t]):
+                    if bags[t] <= bags[u]:
+                        for w in nbrs[t]:
+                            if w != u:
+                                nbrs[w].discard(t)
+                                nbrs[w].add(u)
+                                nbrs[u].add(w)
+                        nbrs[u].discard(t)
+                        del bags[t]
+                        del nbrs[t]
+                        changed = True
+                        break
+                if changed:
+                    break
+
+    contract_subset_bags()
+    # Pad undersized bags from adjacent bags, smallest vertex id first.  Each
+    # round either grows a bag or contracts, so this terminates.
+    while any(len(b) < k + 1 for b in bags.values()):
+        grew = False
+        for t in sorted(bags):
+            if len(bags[t]) >= k + 1:
+                continue
+            pool = sorted(
+                v for u in sorted(nbrs[t]) for v in bags[u] if v not in bags[t]
+            )
+            for v in pool:
+                bags[t].add(v)
+                grew = True
+                if len(bags[t]) == k + 1:
+                    break
+        contract_subset_bags()
+        if not grew and any(len(b) < k + 1 for b in bags.values()):
+            raise DecompositionError("padding stalled; graph too small or disconnected badly")
+
+    # Splice one-swap chains across edges sharing fewer than k vertices.
+    out_bags = {t: frozenset(b) for t, b in bags.items()}
+    out_edges = set()
+    next_id = max(bags) + 1
+    done = set()
+    for t in sorted(bags):
+        for u in sorted(nbrs[t]):
+            key = (min(t, u), max(t, u))
+            if key in done:
+                continue
+            done.add(key)
+            a, b = key
+            drop = sorted(bags[a] - bags[b])
+            add = sorted(bags[b] - bags[a])
+            prev = a
+            cur = set(bags[a])
+            for i in range(len(drop) - 1):
+                cur = set(cur)
+                cur.discard(drop[i])
+                cur.add(add[i])
+                out_bags[next_id] = frozenset(cur)
+                out_edges.add((prev, next_id))
+                prev = next_id
+                next_id += 1
+            out_edges.add((prev, b))
+
+    relabel = {t: i for i, t in enumerate(sorted(out_bags))}
+    return TreeDecomposition(
+        [sorted(out_bags[t]) for t in sorted(out_bags)],
+        [(relabel[a], relabel[b]) for a, b in out_edges],
+    )
+
+
+def _full_outcome(build, g, k, base=None):
+    """The bags and tree edges ``build`` returns, or the refusal it raises."""
+    try:
+        td = build(g, k, base)
+    except DecompositionError as e:
+        return "refused", str(e)
+    return td.bags, td.tree_edges
+
+
+def _full_differential_cases():
+    """(graph, k, base) triples on which the mask construction must return
+    the set reference's bags and tree edges, or refuse with its message: the
+    exhaustive k = 3, nmax = 7 corpus; 1,200 random G(n <= 13, p) with p from
+    0.05 to 0.6, each at k = 3, 4 and 5 (n < k+1 and treewidth > k refusals
+    among them); natural width-1 and width-2 bases of k-trees and partial
+    k-trees, padded to widths 3 and 4; an invalid base and a base too wide."""
+    for g in exhaustive_small(7, 3):
+        yield g, 3, None
+    rng = random.Random(1403)
+    for _ in range(1200):
+        g = random_graph(rng, rng.randint(1, 13), rng.choice([0.05, 0.1, 0.2, 0.3, 0.45, 0.6]))
+        for k in (3, 4, 5):
+            yield g, k, None
+    for seed in range(60):
+        for w in (1, 2):
+            spec = GenSpec(n=w + 1 + seed % 11, k=w, seed=seed, delete_probability=0.3 * (seed % 3 == 2))
+            g, natural = (generate_partial_k_tree if seed % 3 == 2 else generate_k_tree)(spec)
+            for k in (3, 4):
+                yield g, k, natural
+    g, natural = generate_k_tree(GenSpec(n=8, k=3, seed=5))
+    yield g, 2, natural
+    yield complete_graph(4), 3, TreeDecomposition([(0, 1, 2), (1, 2, 3)], [(0, 1)])
+
+
+def test_full_tree_decomposition_matches_the_set_reference(monkeypatch):
+    import lctw.decomposition as decomposition
+
+    # both constructions start from the same exact decomposition of a graph:
+    # compute it once, the test's cost being the treewidth search
+    once = functools.lru_cache(maxsize=None)(exact_treewidth)
+    monkeypatch.setattr(decomposition, "exact_treewidth", once)
+    monkeypatch.setattr(sys.modules[__name__], "exact_treewidth", once)
+    refused, built = set(), 0
+    for g, k, base in _full_differential_cases():
+        out = _full_outcome(full_tree_decomposition, g, k, base)
+        assert out == _full_outcome(set_full_tree_decomposition, g, k, base), (g.edges, k)
+        if out[0] == "refused":
+            refused.add(out[1].split(" ")[0])
+        else:
+            built += 1
+    assert refused == {"no", "treewidth", "base", "invalid"} and built > 2000, (refused, built)
+
+
 def test_branch_at_path_decomposition():
     g = path_graph(5)
     td = TreeDecomposition([(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (1, 2), (2, 3)])
@@ -436,8 +600,9 @@ def test_side_masks_match_branch_at_and_branch_union(small_corpus):
         sides = side_masks(td)
         assert side_masks(td) is sides  # kept on the decomposition
         assert sorted(sides) == sorted(e for a, b in td.tree_edges for e in ((a, b), (b, a)))
+        assert td.masks == tuple(vertex_mask(bag) for bag in td.bags)
         for t, u in sides:
-            assert sides[t, u] & ~vertex_mask(td.bags[t]) == vertex_mask(branch_at(td, t, u).vertices)
+            assert sides[t, u] == vertex_mask(branch_at(td, t, u).vertices)
             edges += 1
         if not (td.is_full and td.width == 3):
             continue

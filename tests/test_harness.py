@@ -318,8 +318,6 @@ def _forest_reference(facts):
             break
         path.append(min(nxt))
     out["maximal_path"] = path
-    if len(path) < 2:
-        return {**out, "halt": "no-directed-path: arcs exist but none can be chained"}
     t, tp = path[-2], path[-1]
     cyc_c = next(c for c in families(t).fenced3 if lives_toward(t, tp, c))
     cyc_d = next((d for d in families(tp).fenced3 if lives_toward(tp, t, d)), None)
@@ -673,6 +671,25 @@ def test_malformed_td_blob_is_an_error_record_in_both_evaluators(blob, error):
     for evaluate in (evaluate_task, evaluate_conjecture_task):
         rec = evaluate(task, CampaignOptions())
         assert rec["status"] == "error" and rec["error"] == error
+
+
+@pytest.mark.parametrize("vertex", [-1, 10**12])
+def test_td_blob_naming_a_vertex_off_the_graph_falls_back_to_exact_treewidth(vertex):
+    # bag masks are built on first read, after validation: a bag vertex no
+    # mask can hold is a bag-range violation, and the graph gets the exact
+    # decomposition it would get without a blob
+    from lctw.decomposition import TreeDecomposition, validate
+    from lctw.generate import GenSpec, generate_k_tree
+
+    g, td = generate_k_tree(GenSpec(n=7, k=3, seed=4))
+    bags = [list(b) for b in td.bags]
+    bags[0][0] = vertex
+    assert f"bag-range: node 0 holds out-of-range vertex {vertex}" in validate(g, TreeDecomposition(bags, td.tree_edges))
+    task = {"graph6": write_graph6(g), "td": {"bags": bags, "edges": [list(e) for e in sorted(td.tree_edges)]}}
+    rec = evaluate_task(task, CampaignOptions())
+    assert rec["status"] == "ok" and rec["tw"] == 3
+    bare = evaluate_task({"graph6": task["graph6"]}, CampaignOptions())
+    assert {**rec, "ms": None} == {**bare, "ms": None}
 
 
 def test_malformed_td_blob_does_not_abort_a_campaign():
