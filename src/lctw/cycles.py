@@ -16,6 +16,20 @@ cuts are exact for that reason:
   best, each of them but the head is interior to the closing path, so it needs
   two neighbours among the reachable vertices and the root.
 
+Two more savings change no branch's outcome, only how often it is worked out:
+
+* shared free components: the vertices a successor can reach through free ones
+  form its component among the free vertices, the same for every sibling in
+  it, so siblings share one walk, and a component cut by length or by the
+  closing targets drops all its siblings at once (the best only grows);
+* remembered states: under one root and second vertex, what a path closes
+  beyond its head depends only on its vertex set, its head and the best, as in
+  Held & Karp's subset-and-end-vertex states (J. SIAM 1962).  A state searched
+  without raising the best is remembered, and reached again by another order
+  of the same vertices at the same best, its closings are copied onto the new
+  prefix in place of a second search.  The table is emptied for each second
+  vertex and holds at most one entry per state reached under it.
+
 The search runs on the graph relabelled in smallest-last removal order (Matula
 & Beck, J. ACM 1983): root 0 has least degree and every vertex has at most
 degeneracy-many neighbours above it, which bounds a root's second vertices and
@@ -166,7 +180,9 @@ class LongestCycleSet:
 
     length == 0 with no cycles iff the graph is acyclic.  ``steps`` counts the
     successors the search pass tried on the relabelled graph, the quantity a
-    ``max_steps`` budget bounds.
+    ``max_steps`` budget bounds.  Siblings dropped with their free component
+    and the subtrees of remembered states copied in place of a search take no
+    steps, so one step stands for more work than a try of its own.
     """
 
     length: int
@@ -207,6 +223,24 @@ def enumerate_longest_cycles(
     longest length L, so no longest cycle is lost and the family is complete.
     Roots stop once fewer than best vertices remain from the root up.
 
+    Siblings share their reachable set: it is the component of the free
+    vertices, those above the root and off the path, that holds the
+    successor, so each path vertex keeps the last component met and a sibling
+    inside it skips the walk.  A component cut by length or by ``target``
+    drops all its untried siblings at once: no vertex in it closes a cycle of
+    the best length, the best only grows, and later second vertices have
+    smaller ``target`` sets.  Under one second vertex the subtree of a path depends
+    only on its vertex set, its head and the best.  A subtree that ends with
+    the best unchanged left its closings as one slice of the found list, and
+    the set and head key that slice in ``searched``; the same state pushed
+    again at the same best appends the slice's suffixes after the new prefix
+    and skips the subtree.  ``searched`` is emptied for each second vertex (its
+    ``target`` differs), an entry is stale once the best grows (the found list
+    restarts), and paths of at most four vertices need no key, since the root
+    and the second vertex are fixed.  So the table holds at most one entry per
+    state reached under one second vertex, and a ``max_steps`` budget now
+    admits more work per step.
+
     Reachability and the degree test read per-half subset tables
     (``_subset_tables``): one breadth-first level is two lookups.  A half wider
     than ``TABLE_BITS`` (n > 18) is split again, so the tables hold
@@ -222,8 +256,10 @@ def enumerate_longest_cycles(
     h = n // 2
     low_half = (1 << h) - 1
     (ones0, twos0), (ones1, twos1) = _subset_tables(nbr[:h]), _subset_tables(nbr[h:])
+    shift = n.bit_length()  # a state's key: its vertex mask, then its head
     best = 0
     found: list[tuple[int, ...]] = []
+    searched: dict[int, tuple[int, int, int]] = {}  # key -> (best, first, last) of found
     steps = 0
     for s in range(n):
         if n - s < best:
@@ -236,10 +272,17 @@ def enumerate_longest_cycles(
         used = s_bit
         target = 0  # root neighbours above path[1]: the possible last vertices
         stack = [nbr[s] & allowed]  # untried successors per path vertex
+        comps = [0]  # per path vertex: the last free component met
+        pushed = []  # per keyed path state: its key, and best and len(found) at its push
         while stack:
             untried = stack[-1]
             if not untried:
                 stack.pop()
+                comps.pop()
+                if len(path) > 4:  # the head's state is keyed
+                    key, pushed_best, first = pushed.pop()
+                    if pushed_best == best:
+                        searched[key] = (best, first, len(found))
                 used ^= 1 << path.pop()
                 continue
             wb = untried & -untried
@@ -254,30 +297,45 @@ def enumerate_longest_cycles(
                 target = nbr[s] & -(wb << 1)
                 if not target:
                     continue
+                searched = {}  # states under another second vertex close on another target
             elif wb & target:
                 if depth + 1 > best:
                     best = depth + 1
                     found = []
                 if depth + 1 == best:
                     found.append((*path, wb.bit_length() - 1))
-            # Vertices reachable from wb through free ones bound the extension.
-            free = allowed & ~used & ~wb
-            comp = wb
-            while True:
-                grown = comp | (ones0[comp & low_half] | ones1[comp >> h]) & free
-                if grown == comp:
-                    break
-                comp = grown
+            comp = comps[-1]
+            if not wb & comp:
+                # The vertices reachable from wb through free ones, which bound
+                # the extension; every sibling in this component shares them.
+                free = allowed & ~used
+                comp = wb
+                while True:
+                    grown = comp | (ones0[comp & low_half] | ones1[comp >> h]) & free
+                    if grown == comp:
+                        break
+                    comp = grown
+                comps[-1] = comp
             room = depth + comp.bit_count() - best
             if room < 0 or not comp & target:
-                continue  # too few vertices left, or no way back to the root
+                stack[-1] &= ~comp  # too few vertices left, or no way back to the root
+                continue
             if not room:  # every reachable vertex must be on the closing path
                 lo, hi = (comp | s_bit) & low_half, (comp | s_bit) >> h
                 if comp & ~wb & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi]):
                     continue
-            path.append(wb.bit_length() - 1)
+            w = wb.bit_length() - 1
+            if depth > 3:  # a state of at most four vertices has one path to it
+                key = (used | wb) << shift | w
+                hit = searched.get(key)
+                if hit is not None and hit[0] == best:
+                    found += [(*path, w) + c[depth + 1 :] for c in found[hit[1] : hit[2]]]
+                    continue
+                pushed.append((key, best, len(found)))
+            path.append(w)
             used |= wb
-            stack.append(nbr[path[-1]] & free)
+            stack.append(nbr[w] & allowed & ~used)
+            comps.append(0)
     cycles = sorted((Cycle(tuple(map(order.__getitem__, seq))) for seq in found), key=attrgetter("vertices"))
     return LongestCycleSet(best, tuple(cycles), steps=steps)
 

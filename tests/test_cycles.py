@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from operator import attrgetter
 
 import networkx as nx
 import pytest
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 
 import lctw.cycles as cycles_module
 from lctw.cycles import (
+    DEFAULT_ENUMERATION_CAP,
     Cycle,
     EnumerationBudgetExceeded,
     EnumerationCapExceeded,
+    LongestCycleSet,
     PathSegment,
     _smallest_last_order,
+    _subset_tables,
+    check_enumeration_cap,
     enumerate_longest_cycles,
     join,
     longest_cycle_length_td,
@@ -22,7 +27,7 @@ from lctw.cycles import (
 )
 from lctw.decomposition import DecompositionError, TreeDecomposition, exact_treewidth, full_tree_decomposition
 from lctw.fixtures import complete_graph, cycle_graph, path_graph
-from lctw.generate import GenSpec, generate_partial_k_tree
+from lctw.generate import GenSpec, exhaustive_small, generate_partial_k_tree
 from lctw.graph import Graph, parse_graph6
 from lctw.harness import corpus_tasks, parse_corpus_spec
 
@@ -129,6 +134,109 @@ def test_enumerate_with_narrow_tables_matches_networkx(monkeypatch):
         assert (lcs.length, set(lcs.cycles)) == networkx_longest_cycles(g)
 
 
+def reference_longest_cycles(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP, max_steps: int | None = None) -> LongestCycleSet:
+    """The search before siblings shared their free component and searched
+    states were remembered, kept verbatim as the reference the search must
+    match: every sibling walks its own reachable set, and every state is
+    searched however often it is reached."""
+    check_enumeration_cap(g.n, cap)
+    n = g.n
+    order = _smallest_last_order(g.adj)
+    bit = [0] * n  # bit[v]: the bit of v's position in order, its id in the search
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    nbr = tuple(sum(map(bit.__getitem__, g.adj[v])) for v in order)
+    h = n // 2
+    low_half = (1 << h) - 1
+    (ones0, twos0), (ones1, twos1) = _subset_tables(nbr[:h]), _subset_tables(nbr[h:])
+    best = 0
+    found: list[tuple[int, ...]] = []
+    steps = 0
+    for s in range(n):
+        if n - s < best:
+            break  # a cycle rooted at s uses only vertices >= s
+        s_bit = 1 << s
+        allowed = ((1 << n) - 1) & ~((s_bit << 1) - 1)  # vertices > s
+        if (nbr[s] & allowed).bit_count() < 2:
+            continue  # no second vertex with a last vertex above it
+        path = [s]
+        used = s_bit
+        target = 0  # root neighbours above path[1]: the possible last vertices
+        stack = [nbr[s] & allowed]  # untried successors per path vertex
+        while stack:
+            untried = stack[-1]
+            if not untried:
+                stack.pop()
+                used ^= 1 << path.pop()
+                continue
+            wb = untried & -untried
+            stack[-1] = untried ^ wb
+            steps += 1
+            if max_steps is not None and steps > max_steps:
+                raise EnumerationBudgetExceeded(
+                    f"enumeration exceeded {max_steps} steps; no partial results"
+                )
+            depth = len(path)  # path vertices before wb
+            if depth == 1:
+                target = nbr[s] & -(wb << 1)
+                if not target:
+                    continue
+            elif wb & target:
+                if depth + 1 > best:
+                    best = depth + 1
+                    found = []
+                if depth + 1 == best:
+                    found.append((*path, wb.bit_length() - 1))
+            # Vertices reachable from wb through free ones bound the extension.
+            free = allowed & ~used & ~wb
+            comp = wb
+            while True:
+                grown = comp | (ones0[comp & low_half] | ones1[comp >> h]) & free
+                if grown == comp:
+                    break
+                comp = grown
+            room = depth + comp.bit_count() - best
+            if room < 0 or not comp & target:
+                continue  # too few vertices left, or no way back to the root
+            if not room:  # every reachable vertex must be on the closing path
+                lo, hi = (comp | s_bit) & low_half, (comp | s_bit) >> h
+                if comp & ~wb & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi]):
+                    continue
+            path.append(wb.bit_length() - 1)
+            used |= wb
+            stack.append(nbr[path[-1]] & free)
+    cycles = sorted((Cycle(tuple(map(order.__getitem__, seq))) for seq in found), key=attrgetter("vertices"))
+    return LongestCycleSet(best, tuple(cycles), steps=steps)
+
+
+def differential_graphs():
+    """Exhaustive n <= 7, seed-0 random k = 3, 4 and 5 corpora, and random
+    G(n <= 10), empty, disconnected and acyclic ones among them."""
+    graphs = list(exhaustive_small(7, 3))
+    for spec in ["k=3,n=9..14,count=150,p=0.25", "k=4,n=8..13,count=120,p=0.3", "k=5,n=8..12,count=40,p=0.3"]:
+        graphs += [parse_graph6(t["graph6"]) for t in corpus_tasks(parse_corpus_spec(spec, seed=0))]
+    rng = random.Random(21)
+    graphs += [random_graph(rng, rng.randint(0, 10), rng.choice([0.15, 0.3, 0.5, 0.7])) for _ in range(100)]
+    return graphs + [Graph(0, []), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), path_graph(9)]
+
+
+def assert_matches_reference(graphs):
+    for g in graphs:
+        new, ref = enumerate_longest_cycles(g), reference_longest_cycles(g)
+        assert (new.length, new.cycles) == (ref.length, ref.cycles)
+        assert new.steps <= ref.steps
+
+
+def test_enumerate_matches_the_reference_search(monkeypatch, petersen_graph):
+    fixtures = [petersen_graph, complete_graph(8)]
+    graphs = differential_graphs()
+    assert_matches_reference(graphs + fixtures)
+    # Two-vertex tables nest joined tables from n = 9 on, as n > 18 does at the
+    # default width.
+    monkeypatch.setattr(cycles_module, "TABLE_BITS", 2)
+    assert_matches_reference(graphs[::10] + fixtures)
+
+
 def test_enumerate_beyond_default_cap_in_bounded_memory():
     # 2^20-entry half tables at n = 40 would take over 100 MB
     tracemalloc.start()
@@ -141,8 +249,24 @@ def test_enumerate_beyond_default_cap_in_bounded_memory():
     assert peak < 2_000_000
 
 
+def test_remembered_states_stay_in_bounded_memory():
+    # The search remembers up to 1,259 states under one second vertex of this
+    # graph (L = 17 < n, so more than one root is searched); it peaked at
+    # 0.16-0.24 MB, the reference at 0.09 MB.
+    g, _ = generate_partial_k_tree(GenSpec(n=18, k=4, seed=57, delete_probability=0.4, require_biconnected=True))
+    tracemalloc.start()
+    try:
+        lcs = enumerate_longest_cycles(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lcs.length, lcs.steps) == (17, 3_039)
+    assert peak < 400_000
+
+
 def test_step_budget_boundary(petersen_graph, small_corpus):
-    for g in [petersen_graph] + [g for g, _ in small_corpus[:4]]:
+    # K8's search copies remembered states, which take no steps.
+    for g in [petersen_graph, complete_graph(8)] + [g for g, _ in small_corpus[:4]]:
         lcs = enumerate_longest_cycles(g)
         assert enumerate_longest_cycles(g, max_steps=lcs.steps).cycles == lcs.cycles
         with pytest.raises(EnumerationBudgetExceeded):
@@ -199,16 +323,25 @@ def test_smallest_last_order(small_corpus, petersen_graph):
             assert (degree[v], v) == min((d, u) for u, d in degree.items())
 
 
+# Seed-0 step totals in smallest-last order before siblings shared their free
+# component and searched states were remembered, and the share of them now allowed.
+SMALLEST_LAST_STEPS = {"k=4,n=8..13,count=300,p=0.3": (295_135, 0.6), "k=3,n=9..14,count=300,p=0.25": (144_627, 0.75)}
+
+
 @pytest.mark.parametrize(
     "spec, label_order_steps, bound",
     [("k=4,n=8..13,count=300,p=0.3", 406_089, 0.75), ("k=3,n=9..14,count=300,p=0.25", 173_840, 0.9)],
 )
 def test_smallest_last_order_cuts_enumeration_steps(spec, label_order_steps, bound):
     # Seed-0 step totals with the search in the generator's labels: 406,089
-    # and 173,840.  In smallest-last order they were 295,135 and 144,627.
+    # and 173,840.  In smallest-last order they were 295,135 and 144,627;
+    # shared free components and remembered states cut them to 152,981 and
+    # 97,013.
     tasks = corpus_tasks(parse_corpus_spec(spec, seed=0))
     steps = sum(enumerate_longest_cycles(parse_graph6(t["graph6"])).steps for t in tasks)
     assert steps <= bound * label_order_steps
+    smallest_last_steps, cut = SMALLEST_LAST_STEPS[spec]
+    assert steps <= cut * smallest_last_steps
 
 
 def test_cycle_canonical_form():
