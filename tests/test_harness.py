@@ -818,3 +818,39 @@ def test_checkers_refuse_a_context_of_another_decomposition(fig):
     for check in (check_pairwise_and_common, check_escape_cycle):
         with pytest.raises(ValueError, match="facts.td3"):
             check(facts, other)
+
+
+ALL_CHECKS_PREMISE_GRAPHS = ("HSxoOEB", "GsJ?aS", "FiuqO", "Go^@S_", "Ds[", "DXs", "Dik", "DFw")
+ALL_CHECKS_DIGESTS = {
+    "as is": (EXIT_OK, "5b9996d3f0a90f94d15dc07dfb07797586b43039a0cedd5e90b0e3a98c677e3f"),
+    "lct forced to 2": (EXIT_CHECK_FAILURE, "4d9af59677d73e9f7d137dc4baec33b5f76fbcc3cae8285e23db46f2a4aaebae"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ALL_CHECKS_DIGESTS))
+def test_all_checks_report_digest(monkeypatch, variant):
+    # every check, the non-default ones included, on graphs that meet the jump
+    # premises; with lct forced up to 2 (the real witness kept) the fail and
+    # pass paths of fenced_or_shared, two_cross_jump, min_length_side and
+    # escape_cycle run too.  Any change to a record, ms aside, moves a digest.
+    import hashlib
+
+    tasks = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=7"))
+    tasks += corpus_tasks(parse_corpus_spec("k=3,n=8..12,count=200,p=0.3", seed=0))
+    tasks += [{"graph6": g6, "source": "premise"} for g6 in ALL_CHECKS_PREMISE_GRAPHS]
+    tasks.append({"graph6": write_graph6(petersen()), "source": "petersen"})
+    if variant == "lct forced to 2":
+        real = transversal.compute_lct
+
+        def mutated(graph, **kw):
+            res = real(graph, **kw)
+            return TransversalResult(max(res.lct, 2), res.witness, res.family)
+
+        monkeypatch.setattr(transversal, "compute_lct", mutated)
+    buf = io.StringIO()
+    code, _ = run_verify(tasks, CampaignOptions(checks=tuple(CHECKS)), buf, workers=1)
+    lines = []
+    for rec in _records(buf):
+        rec.pop("ms", None)
+        lines.append(json.dumps(rec, sort_keys=True))
+    assert (code, hashlib.sha256("\n".join(lines).encode()).hexdigest()) == ALL_CHECKS_DIGESTS[variant]
