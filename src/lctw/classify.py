@@ -1,14 +1,15 @@
 """Position vocabulary for cycles and paths relative to a decomposition bag.
 
-Everything here is relative to a BagContext: one node of a full width-3
-decomposition, its 4-vertex bag, and optionally a distinguished triple inside
-the bag.  Inside/outside membership is computed from the decomposition (bag
-membership along the union of branches whose bags contain the triple), not
-from graph reachability; on valid decompositions the two coincide and the test
-suite asserts that coincidence.  Bulk classification uses BagMasks, each
-node's bag, components of G - bag and triple inside sets as bitmasks, computed
-once: fencing and posture are then mask tests, with no components or parts
-rebuilt per cycle; the route-level functions here remain the reference.
+Bulk classification uses BagMasks, built once per node of a full width-3
+decomposition by ``bag_masks(g, td, t)``: the bag, the components of G - bag
+and each triple's inside set as bitmasks, so fencing and posture are mask
+tests with no components or parts rebuilt per cycle.  The route-level
+functions (``vertex_side``, ``path_side``, ``cycle_posture``) are the
+reference the masks are tested against; BagContext, a node with an optional
+distinguished triple, is only their argument type.  They read inside/outside
+membership off the decomposition (bag membership along the union of branches
+whose bags contain the triple), not graph reachability; on valid
+decompositions the two coincide and the test suite asserts that coincidence.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class Posture(Enum):
 @dataclass(frozen=True)
 class BagContext:
     """A node of a full width-3 decomposition with its 4-vertex bag and an
-    optional distinguished triple within the bag."""
+    optional distinguished triple within the bag: the argument of the
+    route-level reference functions."""
 
     td: TreeDecomposition
     t: int
@@ -196,14 +198,13 @@ class BagMasks:
         return Posture.OUTSIDE
 
 
-def bag_masks(g: Graph, ctx: BagContext) -> BagMasks:
-    """The mask facts of the node of ``ctx``, whose triple, if any, is ignored.
-    A full decomposition's adjacent bags share a triple, so each neighbour u
-    adds its branch, ``side_masks(td)[t, u]``, to the inside set of one
-    triple: the triple's ``branch_union`` as masks."""
-    td, t = ctx.td, ctx.t
+def bag_masks(g: Graph, td: TreeDecomposition, t: int) -> BagMasks:
+    """The mask facts of node t of the full width-3 decomposition td.  A full
+    decomposition's adjacent bags share a triple, so each neighbour u adds its
+    branch, ``side_masks(td)[t, u]``, to the inside set of one triple: the
+    triple's ``branch_union`` as masks."""
     bag = td.masks[t]
-    inside = {delta: vertex_mask(delta) for delta in combinations(ctx.bag, 3)}
+    inside = {delta: vertex_mask(delta) for delta in combinations(td.bags[t], 3)}
     for u in td.node_adj[t]:
         inside[tuple(v for v in td.bags[u] if bag >> v & 1)] |= side_masks(td)[t, u]
     return BagMasks(bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)

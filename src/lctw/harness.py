@@ -22,7 +22,6 @@ from hashlib import sha1
 from itertools import combinations
 from multiprocessing import Pool
 
-from .classify import BagContext
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
     Cycle,
@@ -196,22 +195,9 @@ def _task_td(g: Graph, task: dict, max_width: int) -> TreeDecomposition | None:
     return td
 
 
-def _outcome_dict(outcome) -> dict:
-    d = {"status": outcome.status}
-    if outcome.detail:
-        d["detail"] = outcome.detail
-    if outcome.witness:
-        d["witness"] = _plain(outcome.witness)
-    return d
-
-
 def _plain(x):
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(_plain(v) for v in x)
-    if isinstance(x, Cycle):
-        return list(x.vertices)
     return x
 
 
@@ -265,27 +251,17 @@ def _context_sweep(facts: GraphFacts, check) -> dict:
             hits = {c.mask & dmask for c in facts.cycles}
             if any(dmask ^ (1 << v) not in hits for v in delta):
                 continue
-            outcome = check(facts, BagContext(td, t, delta))
-            if outcome.status == PREMISE_NOT_MET:
+            entry = check(facts, t, delta)
+            if entry["status"] == PREMISE_NOT_MET:
                 continue
             premises += 1
-            if outcome.status == FAIL:
-                out.setdefault("first_failure", {"node": t, "delta": list(delta), "detail": outcome.detail})
+            if entry["status"] == FAIL:
+                out.setdefault("first_failure", {"node": t, "delta": list(delta), "detail": entry["detail"]})
     status = FAIL if "first_failure" in out else (PASS if premises else PREMISE_NOT_MET)
     return {**out, "status": status, "premise_met": premises}
 
 
-def check_jump_families_instance(facts: GraphFacts) -> dict:
-    """Pairwise-intersection and common-vertex checks at every premise-satisfying
-    (node, triple); cheap exact-intersection prefilter before posture work."""
-    out = _context_sweep(facts, check_pairwise_and_common)
-    out["contexts"] = 4 * facts.td3.node_count  # four triples in each 4-vertex bag
-    return out
-
-
-def check_escape_cycle_instance(facts: GraphFacts) -> dict:
-    """Escape-cycle check at every premise-satisfying triple."""
-    return _context_sweep(facts, check_escape_cycle)
+_CONTRADICTION_CANDIDATE = "contradiction configuration candidate: inspect manually"
 
 
 def directed_forest_diagnostic(facts: GraphFacts) -> dict:
@@ -350,7 +326,7 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
             "bag vertex exists, so the contradiction step cannot proceed"
         )
     else:
-        out["halt"] = "contradiction configuration candidate: inspect manually"
+        out["halt"] = _CONTRADICTION_CANDIDATE
     return out
 
 
@@ -360,18 +336,15 @@ def _pairwise_overlap(f: GraphFacts) -> dict:
     return {"status": PASS} if bad is None else {"status": FAIL, "witness": _plain(bad)}
 
 
-def _fenced_or_shared(f: GraphFacts) -> dict:
-    if f.lct.lct == 1:
-        return {"status": PASS, "detail": "all longest cycles share a vertex"}
-    rep = check_fenced_or_shared(f)
-    return {"status": PASS if rep.ok else FAIL, "failing_nodes": list(rep.failing_nodes)}
-
-
 def _dforest(f: GraphFacts) -> dict:
     if not f.tw_eq_3:
         return {"status": PREMISE_NOT_MET, "detail": "treewidth below 3"}
     diag = directed_forest_diagnostic(f)
-    return {"status": PASS, "halt": diag["halt"], "arcs": diag["arc_count"]}
+    out = {"status": PASS, "halt": diag["halt"], "arcs": diag["arc_count"]}
+    # with lct > 1 a completed antipodal pair contradicts the theory checked
+    if diag["halt"] == _CONTRADICTION_CANDIDATE:
+        out.update(status=FAIL, witness=[diag["antipodal_pair"]["C"], diag["antipodal_pair"]["D"]])
+    return out
 
 
 def _td_oracle(f: GraphFacts) -> dict:
@@ -381,20 +354,23 @@ def _td_oracle(f: GraphFacts) -> dict:
 
 # Check name -> (scope gate, check).  _verify_graph resolves each gate to the
 # record of a check out of the graph's scope, or to None when the check runs.
-# Lambdas look library functions up at each call, so patched bindings apply.
+# Every check takes the graph's facts and returns its record entry, the dict
+# stored under record["checks"][name]; the per-triple checks run through
+# _context_sweep.  Lambdas look library functions up at each call, so patched
+# bindings apply.
 CHECKS = {
     "shared_vertex": ("partial_3_tree", lambda f: {"status": PASS if f.lct.lct == 1 else FAIL}),
     "pairwise_overlap": ("cycle", _pairwise_overlap),
-    "fenced_or_shared": ("decomposition", _fenced_or_shared),
+    "fenced_or_shared": ("decomposition", lambda f: check_fenced_or_shared(f)),
     "edge_separator": ("decomposition", lambda f: check_edge_separators(f.g, f.td3)),
     "families": ("decomposition", lambda f: check_family_consistency(f.td3, f.families)),
-    "min_length_side": (
-        "lct",
-        lambda f: _outcome_dict(check_min_cycle_length_premise(f.biconnected, f.tw_eq_3, f.lct.lct, f.cycles.length)),
+    "min_length_side": ("lct", lambda f: check_min_cycle_length_premise(f)),
+    "two_cross_jump": ("td3", lambda f: check_equivalent_two_cross_jump(f)),
+    "jump_families": (  # four triples in each 4-vertex bag
+        "decomposition",
+        lambda f: {**_context_sweep(f, check_pairwise_and_common), "contexts": 4 * f.td3.node_count},
     ),
-    "two_cross_jump": ("td3", lambda f: _outcome_dict(check_equivalent_two_cross_jump(f))),
-    "jump_families": ("decomposition", lambda f: check_jump_families_instance(f)),
-    "escape_cycle": ("decomposition", lambda f: check_escape_cycle_instance(f)),
+    "escape_cycle": ("decomposition", lambda f: _context_sweep(f, check_escape_cycle)),
     "dforest": ("decomposition", _dforest),
     "td_oracle": ("decomposition", _td_oracle),
 }

@@ -11,10 +11,13 @@ Every fact a check reads is derived once per graph by ``GraphFacts``: its
 decomposition and the per-bag families.  The checkers and the conjecture scan
 take that object.
 
-Checkers return outcomes, not booleans: "premise-not-met" is a first-class
-result distinct from pass/fail so that a checker never reports a spurious
-failure on an instance outside its hypotheses, and "vacuous-pass" counts
-premise-empty side conditions separately.
+Every checker returns its record entry: a dict with a "status" and, where it
+has them, a "detail" and a JSON-ready "witness".  A check on a whole graph
+takes the facts; a per-triple check takes the facts, a node t of
+``facts.td3`` and a triple of its bag.  "premise-not-met" is a status distinct
+from pass/fail so that a checker never reports a spurious failure on an
+instance outside its hypotheses, and "vacuous-pass" counts premise-empty side
+conditions separately.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable
 
-from .classify import BagContext, BagMasks, Posture, bag_masks, s_equivalent
+from .classify import BagMasks, Posture, bag_masks, s_equivalent
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
     Cycle,
@@ -52,13 +55,10 @@ __all__ = [
     "TransversalResult",
     "CycleFamilies",
     "TripleFamilies",
-    "FencedOrSharedReport",
-    "CheckOutcome",
     "ConjectureFinding",
     "GraphFacts",
     "compute_lct",
     "build_families",
-    "node_families",
     "check_fenced_or_shared",
     "check_pairwise_and_common",
     "check_escape_cycle",
@@ -80,13 +80,6 @@ class TransversalResult:
     lct: int
     witness: tuple[int, ...]
     family: LongestCycleSet
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    status: str
-    detail: str = ""
-    witness: tuple = ()
 
 
 def compute_lct(g: Graph, family: LongestCycleSet) -> TransversalResult:
@@ -119,7 +112,7 @@ class CycleFamilies:
     bag's mask facts are built up front; each family is classified from them
     on first read and kept."""
 
-    ctx: BagContext
+    bag: tuple[int, ...]
     cycles: LongestCycleSet
     masks: BagMasks
 
@@ -135,7 +128,7 @@ class CycleFamilies:
     def by_triple(self) -> dict[tuple[int, ...], TripleFamilies]:
         masks = self.masks
         by_triple: dict[tuple[int, ...], TripleFamilies] = {}
-        for delta in combinations(self.ctx.bag, 3):
+        for delta in combinations(self.bag, 3):
             dmask = vertex_mask(delta)
             exact3 = tuple(c for c in self.cycles if c.mask & masks.bag == dmask)
             jump2: dict[tuple[int, int], list[Cycle]] = {p: [] for p in combinations(delta, 2)}
@@ -152,19 +145,10 @@ class CycleFamilies:
         return by_triple
 
 
-def build_families(g: Graph, ctx: BagContext, cycles: LongestCycleSet) -> CycleFamilies:
-    """The families of every longest cycle against one bag and all four of its
-    triples: the bag's masks now, each family on first read."""
-    return CycleFamilies(ctx, cycles, bag_masks(g, ctx))
-
-
-def node_families(
-    g: Graph, td: TreeDecomposition, cycles: LongestCycleSet | None
-) -> Callable[[int], CycleFamilies]:
-    """The families at node t of td as a function of t, built on first use and
-    kept, so that all checks of one graph share one build per node and each
-    family is classified at most once per node, when a check first reads it."""
-    return cache(lambda t: build_families(g, BagContext(td, t), cycles))
+def build_families(g: Graph, td: TreeDecomposition, t: int, cycles: LongestCycleSet) -> CycleFamilies:
+    """The families of every longest cycle against the bag of node t of td and
+    all four of its triples: the bag's masks now, each family on first read."""
+    return CycleFamilies(td.bags[t], cycles, bag_masks(g, td, t))
 
 
 class GraphFacts:
@@ -237,116 +221,96 @@ class GraphFacts:
 
     @cached_property
     def families(self) -> Callable[[int], CycleFamilies]:
-        """The families at each node of td3, as ``node_families`` shares them."""
-        return node_families(self.g, self.td3, self.cycles)
+        """The families at node t of td3 as a function of t, built on first use
+        and kept, so that all checks of one graph share one build per node and
+        each family is classified at most once per node, when a check first
+        reads it.  The closure holds no self: a reference cycle would leave
+        every graph's facts to the cyclic garbage collector."""
+        g, td3, cycles = self.g, self.td3, self.cycles
+        return cache(lambda t: build_families(g, td3, t, cycles))
 
 
-@dataclass(frozen=True)
-class FencedOrSharedReport:
-    """Per-node disjunction outcomes: transversal number 1, or a fenced longest
-    cycle meeting the bag at most three times exists."""
-
-    lct: int
-    per_node: tuple[str, ...]  # PASS / FAIL per decomposition node
-    failing_nodes: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failing_nodes
-
-
-def check_fenced_or_shared(facts: GraphFacts) -> FencedOrSharedReport:
+def check_fenced_or_shared(facts: GraphFacts) -> dict:
     """At every bag of ``facts.td3``: lct == 1, or some longest cycle is fenced
     by the bag and meets it at most three times.  A failing node would
-    contradict the theory this tool checks, so failures carry the node id."""
+    contradict the theory this tool checks, so failures list the node ids."""
     if not facts.biconnected:
         raise ValueError("check requires a 2-connected graph")
     if facts.td3 is None:
         raise ValueError("check requires a full width-3 decomposition")
-    lct = facts.lct.lct
-    statuses = tuple(PASS if lct == 1 or facts.families(t).fenced3 else FAIL for t in range(facts.td3.node_count))
-    failing = tuple(t for t, status in enumerate(statuses) if status == FAIL)
-    return FencedOrSharedReport(lct, statuses, failing)
+    if facts.lct.lct == 1:
+        return {"status": PASS, "detail": "all longest cycles share a vertex"}
+    failing = [t for t in range(facts.td3.node_count) if not facts.families(t).fenced3]
+    return {"status": FAIL if failing else PASS, "failing_nodes": failing}
 
 
-def _require_triple(facts: GraphFacts, ctx: BagContext) -> None:
-    if ctx.delta is None or ctx.td is not facts.td3:
-        raise ValueError("check needs a distinguished triple at a node of facts.td3")
-
-
-def _jump_premise(fams: TripleFamilies) -> CheckOutcome | None:
+def _jump_premise(fams: TripleFamilies) -> dict | None:
     """Premise-not-met when some 2-jump family at the triple is empty."""
     empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
-    return CheckOutcome(PREMISE_NOT_MET, f"empty 2-jump families at pairs {empty}") if empty else None
+    return {"status": PREMISE_NOT_MET, "detail": f"empty 2-jump families at pairs {empty}"} if empty else None
 
 
-def check_pairwise_and_common(facts: GraphFacts, ctx: BagContext) -> CheckOutcome:
-    """When all three 2-jump families at the triple are nonempty, verify that
+def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dict:
+    """When all three 2-jump families at the triple delta of node t are
+    nonempty, verify that
 
     (i) some qualifying component contains a vertex of every pairwise
         intersection of the jump-family cycles, and
     (ii) a single vertex inside the triple lies on all of them.
     """
-    _require_triple(facts, ctx)
-    node = facts.families(ctx.t)
-    fams = node.by_triple[ctx.delta]
+    node = facts.families(t)
+    fams = node.by_triple[delta]
     if (unmet := _jump_premise(fams)) is not None:
         return unmet
     family = [c for p in sorted(fams.jump2) for c in fams.jump2[p]] + list(fams.jump3)
-    inside = node.masks.inside[ctx.delta]
+    inside = node.masks.inside[delta]
     blocks = [b for b in node.masks.components if b & inside]  # components in the triple's branch union
     pairs = list(combinations(family, 2))
     meets = [c.mask & d.mask for c, d in pairs]
     block = next((b for b in blocks if all(m & b for m in meets)), None)
     if block is None:
         c, d = next(p for p, m in zip(pairs, meets) if not any(m & b for b in blocks))
-        return CheckOutcome(
-            FAIL,
-            "no qualifying component carries all pairwise intersections",
-            (c.vertices, d.vertices),
-        )
-    witness_component = tuple(v for v in range(facts.g.n) if block >> v & 1)
+        return {
+            "status": FAIL,
+            "detail": "no qualifying component carries all pairwise intersections",
+            "witness": [list(c.vertices), list(d.vertices)],
+        }
+    witness_component = [v for v in range(facts.g.n) if block >> v & 1]
     common = inside
     for c in family:
         common &= c.mask
     if not common:
-        return CheckOutcome(
-            FAIL,
-            "jump families share no vertex inside the triple",
-            (witness_component,),
-        )
-    return CheckOutcome(PASS, witness=(witness_component, (common & -common).bit_length() - 1))  # least vertex
+        return {"status": FAIL, "detail": "jump families share no vertex inside the triple", "witness": [witness_component]}
+    return {"status": PASS, "witness": [witness_component, (common & -common).bit_length() - 1]}  # least vertex
 
 
-def check_escape_cycle(facts: GraphFacts, ctx: BagContext) -> CheckOutcome:
-    """When lct > 1 and every pair of the triple has a 2-jumping longest cycle,
-    some longest cycle meets the bag at most once, or is outside the triple,
-    or is inside and meets it twice, or is inside, meets it three times and is
-    fenced by it."""
-    _require_triple(facts, ctx)
+def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dict:
+    """When lct > 1 and every pair of the triple delta of node t has a
+    2-jumping longest cycle, some longest cycle meets the bag at most once, or
+    is outside the triple, or is inside and meets it twice, or is inside,
+    meets it three times and is fenced by it."""
     if facts.lct.lct <= 1:
-        return CheckOutcome(PREMISE_NOT_MET, "all longest cycles share a vertex (lct = 1)")
-    node = facts.families(ctx.t)
-    fams = node.by_triple[ctx.delta]
+        return {"status": PREMISE_NOT_MET, "detail": "all longest cycles share a vertex (lct = 1)"}
+    node = facts.families(t)
+    fams = node.by_triple[delta]
     if (unmet := _jump_premise(fams)) is not None:
         return unmet
-    dmask = vertex_mask(ctx.delta)
+    dmask = vertex_mask(delta)
     for c in facts.cycles:
         if (c.mask & node.masks.bag).bit_count() <= 1:
-            return CheckOutcome(PASS, "a longest cycle meets the bag at most once", (c.vertices,))
-        count = (c.mask & dmask).bit_count()
-        if count < 2:
+            shape = "a longest cycle meets the bag at most once"
+        elif (count := (c.mask & dmask).bit_count()) < 2:
             continue
-        tag = node.masks.posture(c, ctx.delta)
-        if tag is Posture.OUTSIDE:
-            return CheckOutcome(PASS, "a longest cycle is outside the triple", (c.vertices,))
-        if tag is Posture.INSIDE and count == 2:
-            return CheckOutcome(PASS, "an inside longest cycle meets the triple twice", (c.vertices,))
-        if tag is Posture.INSIDE and count == 3 and not separates(facts.g, ctx.delta, c.vertex_set):
-            return CheckOutcome(
-                PASS, "an inside longest cycle meets the triple thrice, fenced by it", (c.vertices,)
-            )
-    return CheckOutcome(FAIL, "no longest cycle satisfies any of the stated shapes")
+        elif (tag := node.masks.posture(c, delta)) is Posture.OUTSIDE:
+            shape = "a longest cycle is outside the triple"
+        elif tag is Posture.INSIDE and count == 2:
+            shape = "an inside longest cycle meets the triple twice"
+        elif tag is Posture.INSIDE and count == 3 and not separates(facts.g, delta, c.vertex_set):
+            shape = "an inside longest cycle meets the triple thrice, fenced by it"
+        else:
+            continue
+        return {"status": PASS, "detail": shape, "witness": [list(c.vertices)]}
+    return {"status": FAIL, "detail": "no longest cycle satisfies any of the stated shapes"}
 
 
 @dataclass(frozen=True)
@@ -388,19 +352,18 @@ def conjecture_scan(facts: GraphFacts) -> ConjectureFinding:
     )
 
 
-def check_min_cycle_length_premise(
-    two_connected: bool, tw_is_3: bool, lct: int, length: int
-) -> CheckOutcome:
+def check_min_cycle_length_premise(facts: GraphFacts) -> dict:
     """Longest cycles have length >= 5 whenever the headline premises hold.
 
     The premise (2-connected, treewidth 3, lct > 1) is provably empty, so on
     real corpora this counts vacuous passes rather than testing anything."""
-    if not (two_connected and tw_is_3 and lct > 1):
-        return CheckOutcome(VACUOUS_PASS, "premise empty: lct = 1 or wrong width/connectivity")
-    return CheckOutcome(PASS if length >= 5 else FAIL, f"longest cycle length {length}")
+    if not (facts.biconnected and facts.tw_eq_3 and facts.lct.lct > 1):
+        return {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1 or wrong width/connectivity"}
+    length = facts.cycles.length
+    return {"status": PASS if length >= 5 else FAIL, "detail": f"longest cycle length {length}"}
 
 
-def check_equivalent_two_cross_jump(facts: GraphFacts) -> CheckOutcome:
+def check_equivalent_two_cross_jump(facts: GraphFacts) -> dict:
     """When lct > 1 and all 2-crossing longest cycles at a bag of
     ``facts.td3`` meet it in the same pair, each of them must jump both
     triples containing that pair.
@@ -408,7 +371,7 @@ def check_equivalent_two_cross_jump(facts: GraphFacts) -> CheckOutcome:
     Premise-gated like the length side condition; vacuous on every graph where
     all longest cycles intersect."""
     if facts.lct.lct <= 1:
-        return CheckOutcome(VACUOUS_PASS, "premise empty: lct = 1")
+        return {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1"}
     td = facts.td3
     met_anywhere = False
     for t in range(td.node_count):
@@ -425,11 +388,11 @@ def check_equivalent_two_cross_jump(facts: GraphFacts) -> CheckOutcome:
         for c in x2:
             for delta in triples:
                 if c not in fams.by_triple[delta].jump2[pair]:
-                    return CheckOutcome(
-                        FAIL,
-                        f"2-crossing cycle fails to jump triple {delta} at node {t}",
-                        (c.vertices,),
-                    )
+                    return {
+                        "status": FAIL,
+                        "detail": f"2-crossing cycle fails to jump triple {delta} at node {t}",
+                        "witness": [list(c.vertices)],
+                    }
     if not met_anywhere:
-        return CheckOutcome(VACUOUS_PASS, "no bag with an equivalent 2-crossing family")
-    return CheckOutcome(PASS)
+        return {"status": VACUOUS_PASS, "detail": "no bag with an equivalent 2-crossing family"}
+    return {"status": PASS}

@@ -251,11 +251,10 @@ def test_bag_masks_match_route_classification(small_corpus):
         td = full_tree_decomposition(g, 3, base=natural)
         lcs = enumerate_longest_cycles(g)
         for t in range(td.node_count):
-            ctx = BagContext(td, t)
-            masks = bag_masks(g, ctx)
+            masks = bag_masks(g, td, t)
             for c in lcs:
-                assert masks.fenced(c) == (cross_or_fence(g, c, ctx.bag) is Fencing.FENCED)
-                for delta in combinations(ctx.bag, 3):
+                assert masks.fenced(c) == (cross_or_fence(g, c, td.bags[t]) is Fencing.FENCED)
+                for delta in combinations(td.bags[t], 3):
                     if len(c.vertex_set & set(delta)) >= 2:
                         assert masks.posture(c, delta) is cycle_posture(BagContext(td, t, delta), c).tag
                         checked += 1

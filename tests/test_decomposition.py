@@ -591,7 +591,7 @@ def _td3_corpus(small_corpus):
 
 
 def test_side_masks_match_branch_at_and_branch_union(small_corpus):
-    from lctw.classify import BagContext, bag_masks
+    from lctw.classify import bag_masks
     from lctw.decomposition import side_masks
     from lctw.graph import vertex_mask
 
@@ -607,7 +607,7 @@ def test_side_masks_match_branch_at_and_branch_union(small_corpus):
         if not (td.is_full and td.width == 3):
             continue
         for t in range(td.node_count):
-            inside = bag_masks(g, BagContext(td, t)).inside
+            inside = bag_masks(g, td, t).inside
             for delta in itertools.combinations(td.bags[t], 3):
                 assert inside[delta] == vertex_mask(delta) | vertex_mask(branch_union(td, t, delta).vertices)
                 triples += 1

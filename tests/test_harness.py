@@ -29,7 +29,7 @@ from lctw.harness import (
     verify_conjecture_bundle,
     write_conjecture_bundle,
 )
-from lctw.transversal import PASS, PREMISE_NOT_MET, GraphFacts, TransversalResult, node_families
+from lctw.transversal import FAIL, PASS, PREMISE_NOT_MET, GraphFacts, TransversalResult, build_families
 
 
 def _records(buf):
@@ -500,7 +500,8 @@ def test_families_check_flags_a_straddling_component():
     g, td = _chain_with_uncovered_edge()
     # at node 1 the component {0, 5} of G - bag meets the inside set {0,1,2,3}
     # of triple (1, 2, 3) and its complement
-    out = check_family_consistency(td, node_families(g, td, enumerate_longest_cycles(g)))
+    cycles = enumerate_longest_cycles(g)
+    out = check_family_consistency(td, lambda t: build_families(g, td, t, cycles))
     assert out["status"] == "fail" and out["detail"].startswith("node 1:")
 
 
@@ -511,9 +512,9 @@ def test_families_built_at_most_once_per_node(monkeypatch, checks):
     built = []
     real = transversal.build_families
 
-    def counting(g, ctx, cycles):
-        built.append(ctx.t)
-        return real(g, ctx, cycles)
+    def counting(g, td, t, cycles):
+        built.append(t)
+        return real(g, td, t, cycles)
 
     monkeypatch.setattr(transversal, "build_families", counting)
     # a graph where the jump premise holds at two contexts and dforest runs
@@ -807,17 +808,52 @@ def test_each_graph_fact_is_computed_once(monkeypatch):
     assert counts == dict.fromkeys(counts, 1) and len(counts) == 5
 
 
-def test_checkers_refuse_a_context_of_another_decomposition(fig):
-    from lctw.classify import BagContext
-    from lctw.decomposition import full_tree_decomposition
-    from lctw.transversal import check_escape_cycle, check_pairwise_and_common
+def test_checks_are_looked_up_at_call_time(monkeypatch):
+    # the check table reads the module bindings at each call, so a wrapper
+    # installed on them (the traced benchmark's spans) sees every run
+    calls = dict.fromkeys(("check_edge_separators", "check_family_consistency", "check_fenced_or_shared"), 0)
+    for name in calls:
+        real = getattr(harness, name)
 
-    g, _ = fig
-    facts = GraphFacts(g)
-    other = BagContext(full_tree_decomposition(g, 3), 0, (0, 1, 2))
-    for check in (check_pairwise_and_common, check_escape_cycle):
-        with pytest.raises(ValueError, match="facts.td3"):
-            check(facts, other)
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+    rec = evaluate_task({"graph6": "HSxoOEB"}, CampaignOptions())
+    assert rec["status"] == "ok"
+    assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("lct, status", [(1, PASS), (2, FAIL)])
+def test_dforest_fails_on_a_contradiction_candidate(lct, status):
+    # stubbed fenced families give node 0 and node 1 of HSxoOEB's decomposition
+    # one fenced triangle each, living toward the other node: the forest's
+    # maximal path ends in an antipodal pair.  With lct forced to 2 that pair
+    # is the contradiction candidate and the check fails with it as witness.
+    from types import SimpleNamespace
+
+    from lctw.cycles import Cycle
+
+    facts = GraphFacts(parse_graph6("HSxoOEB"))
+    fenced = {0: (Cycle((0, 2, 4)),), 1: (Cycle((6, 7, 8)),)}
+    facts.families = lambda t: SimpleNamespace(fenced3=fenced.get(t, ()))
+    facts.lct = TransversalResult(lct, facts.lct.witness, facts.cycles)
+    out = CHECKS["dforest"][1](facts)
+    assert out["status"] == status and out["arcs"] == 2
+    if lct == 1:
+        assert out["halt"].startswith("all longest cycles share a vertex")
+        assert "witness" not in out
+    else:
+        assert out["halt"] == "contradiction configuration candidate: inspect manually"
+        assert out["witness"] == [[0, 2, 4], [6, 7, 8]]
+    pair_checks = directed_forest_diagnostic(facts)["pair_checks"]
+    assert pair_checks == {
+        "private_of_t_off_C": True,
+        "private_of_tp_off_D": True,
+        "intersection_in_shared": True,
+        "intersection_at_least_2": False,
+    }
 
 
 ALL_CHECKS_PREMISE_GRAPHS = ("HSxoOEB", "GsJ?aS", "FiuqO", "Go^@S_", "Ds[", "DXs", "Dik", "DFw")

@@ -61,7 +61,7 @@ def test_build_families_disjoint_and_consistent(fig):
     td = full_tree_decomposition(g, 3)
     lcs = enumerate_longest_cycles(g)
     for t in range(td.node_count):
-        fams = build_families(g, BagContext(td, t), lcs)
+        fams = build_families(g, td, t, lcs)
         assert not set(fams.x2) & set(fams.fenced3)
         for delta, tf in fams.by_triple.items():
             for pair, members in tf.jump2.items():
@@ -105,7 +105,7 @@ def test_build_families_matches_route_reference(small_corpus, fig, k23):
     for g, td in cases:
         lcs = enumerate_longest_cycles(g)
         for t in range(td.node_count):
-            fams = build_families(g, BagContext(td, t), lcs)
+            fams = build_families(g, td, t, lcs)
             by_triple = {d: (tf.exact3, tf.jump2, tf.jump3) for d, tf in fams.by_triple.items()}
             assert (fams.x2, fams.fenced3, by_triple) == _route_families(g, td, t, lcs)
             nodes += 1
@@ -115,7 +115,7 @@ def test_build_families_matches_route_reference(small_corpus, fig, k23):
 def test_build_families_k23(k23):
     g, td = k23
     lcs = enumerate_longest_cycles(g)
-    fams = build_families(g, BagContext(td, 1), lcs)
+    fams = build_families(g, td, 1, lcs)
     tf = fams.by_triple[(0, 1, 2)]
     assert all(len(tf.jump2[p]) == 1 for p in ((0, 1), (0, 2), (1, 2)))
     assert tf.jump3 == ()
@@ -125,14 +125,16 @@ def test_build_families_k23(k23):
 def test_check_fenced_or_shared_fixture(fig):
     g, _ = fig
     td = full_tree_decomposition(g, 3)
-    rep = check_fenced_or_shared(GraphFacts(g, td))
-    assert rep.ok and rep.lct == 1 and len(rep.per_node) == 6
+    facts = GraphFacts(g, td)
+    out = check_fenced_or_shared(facts)
+    assert out["status"] == PASS and facts.lct.lct == 1
+    assert out == {"status": PASS, "detail": "all longest cycles share a vertex"}
 
 
 def test_check_fenced_or_shared_corpus(small_corpus):
     for g, natural in small_corpus[:25]:
         td = full_tree_decomposition(g, 3, base=natural)
-        assert check_fenced_or_shared(GraphFacts(g, td)).ok
+        assert check_fenced_or_shared(GraphFacts(g, td))["status"] == PASS
 
 
 def test_check_fenced_or_shared_preconditions(petersen_graph, c5):
@@ -147,19 +149,19 @@ def test_check_fenced_or_shared_preconditions(petersen_graph, c5):
 def test_check_pairwise_and_common_k23(k23):
     g, td = k23
     facts = GraphFacts(g, td)
-    out = check_pairwise_and_common(facts, BagContext(facts.td3, 1, (0, 1, 2)))
-    assert out.status == PASS
-    component, common_vertex = out.witness
-    assert component == (3,) and common_vertex == 3
+    out = check_pairwise_and_common(facts, 1, (0, 1, 2))
+    assert out["status"] == PASS
+    component, common_vertex = out["witness"]
+    assert component == [3] and common_vertex == 3
 
 
 def test_check_pairwise_and_common_premise_not_met(k4, k23):
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
-    out = check_pairwise_and_common(facts, BagContext(facts.td3, 0, (0, 1, 2)))
-    assert out.status == PREMISE_NOT_MET
+    out = check_pairwise_and_common(facts, 0, (0, 1, 2))
+    assert out["status"] == PREMISE_NOT_MET
     facts = GraphFacts(*k23)
-    out = check_pairwise_and_common(facts, BagContext(facts.td3, 1, (0, 1, 4)))
-    assert out.status == PREMISE_NOT_MET
+    out = check_pairwise_and_common(facts, 1, (0, 1, 4))
+    assert out["status"] == PREMISE_NOT_MET
 
 
 def test_jump_checkers_state_the_empty_2_jump_premise_alike(k4):
@@ -167,20 +169,19 @@ def test_jump_checkers_state_the_empty_2_jump_premise_alike(k4):
     # that the escape check reaches the same premise
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
     facts.lct = TransversalResult(2, (0, 1), facts.cycles)
-    ctx = BagContext(facts.td3, 0, (0, 1, 2))
     for check in (check_pairwise_and_common, check_escape_cycle):
-        out = check(facts, ctx)
-        assert out.status == PREMISE_NOT_MET
-        assert out.detail == "empty 2-jump families at pairs [(0, 1), (0, 2), (1, 2)]"
+        out = check(facts, 0, (0, 1, 2))
+        assert out["status"] == PREMISE_NOT_MET
+        assert out["detail"] == "empty 2-jump families at pairs [(0, 1), (0, 2), (1, 2)]"
 
 
 def test_check_escape_cycle_premises(k4, k23):
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
-    out = check_escape_cycle(facts, BagContext(facts.td3, 0, (0, 1, 2)))
-    assert out.status == PREMISE_NOT_MET  # lct = 1
+    out = check_escape_cycle(facts, 0, (0, 1, 2))
+    assert out["status"] == PREMISE_NOT_MET  # lct = 1
     facts = GraphFacts(*k23)
-    out = check_escape_cycle(facts, BagContext(facts.td3, 1, (0, 1, 2)))
-    assert out.status == PREMISE_NOT_MET  # lct = 1 again
+    out = check_escape_cycle(facts, 1, (0, 1, 2))
+    assert out["status"] == PREMISE_NOT_MET  # lct = 1 again
 
 
 def test_conjecture_scan_consistent(small_corpus, petersen_graph):
@@ -215,12 +216,27 @@ def test_conjecture_scan_partial_4_trees():
         assert finding.lct <= 2
 
 
-def test_min_cycle_length_premise_gate():
-    out = check_min_cycle_length_premise(True, True, 1, 4)
-    assert out.status == VACUOUS_PASS
-    assert check_min_cycle_length_premise(True, True, 2, 5).status == PASS
-    assert check_min_cycle_length_premise(True, True, 2, 4).status == FAIL
-    assert check_min_cycle_length_premise(False, True, 2, 9).status == VACUOUS_PASS
+def _premise_facts(g, lct=None):
+    """Facts of g, with lct forced to the given value."""
+    facts = GraphFacts(g)
+    if lct is not None:
+        facts.lct = TransversalResult(lct, facts.lct.witness, facts.cycles)
+    return facts
+
+
+def test_min_cycle_length_premise_gate(k4, fig):
+    # (facts, 2-connected, lct, L, status); every graph has treewidth 3
+    k5_minus_edge = Graph(5, [e for e in combinations(range(5), 2) if e != (0, 1)])
+    with_pendant = Graph(fig[0].n + 1, [*fig[0].edges, (0, fig[0].n)])  # a cut vertex
+    cases = [
+        (_premise_facts(k4), True, 1, 4, VACUOUS_PASS),
+        (_premise_facts(k5_minus_edge, 2), True, 2, 5, PASS),
+        (_premise_facts(k4, 2), True, 2, 4, FAIL),
+        (_premise_facts(with_pendant, 2), False, 2, 9, VACUOUS_PASS),
+    ]
+    for facts, biconnected, lct, length, status in cases:
+        assert (facts.biconnected, facts.tw_eq_3, facts.lct.lct, facts.cycles.length) == (biconnected, True, lct, length)
+        assert check_min_cycle_length_premise(facts)["status"] == status
 
 
 def test_two_cross_jump_vacuous(fig):
@@ -229,4 +245,25 @@ def test_two_cross_jump_vacuous(fig):
     facts = GraphFacts(g, td)
     assert facts.lct.lct == 1
     out = check_equivalent_two_cross_jump(facts)
-    assert out.status == VACUOUS_PASS
+    assert out["status"] == VACUOUS_PASS
+
+
+def test_graph_facts_are_freed_without_the_cyclic_collector(fig):
+    # the families closure must not hold the facts object: a reference cycle
+    # leaves every graph's facts to the cyclic collector, whose pauses showed
+    # as a higher per-graph p99 on small-graph campaigns
+    import gc
+    import weakref
+
+    g, _ = fig
+    facts = GraphFacts(g)
+    facts.families(0).fenced3
+    ref = weakref.ref(facts)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del facts
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
