@@ -168,32 +168,37 @@ def cycle_posture(ctx: BagContext, c: Cycle) -> CyclePosture:
 @dataclass(frozen=True)
 class BagMasks:
     """Bitmask facts of one node of a full width-3 decomposition: the bag, the
-    components of G - bag, and the inside set of each of the bag's triples."""
+    components of G - bag, and the inside set of each of the bag's triples.
+    A cycle is read as a family member is held: its vertex tuple and its
+    vertex mask."""
 
     bag: int
     components: tuple[int, ...]
     inside: dict[tuple[int, ...], int]
 
-    def fenced(self, c: Cycle) -> bool:
-        """``cross_or_fence`` against the bag is FENCED: the vertices of c off
-        the bag meet at most one component of G - bag."""
-        off = c.mask & ~self.bag
+    def fenced(self, mask: int) -> bool:
+        """``cross_or_fence`` against the bag is FENCED for the cycle with
+        vertex mask ``mask``: its vertices off the bag meet at most one
+        component of G - bag."""
+        off = mask & ~self.bag
         return sum(1 for comp in self.components if comp & off) <= 1
 
-    def posture(self, c: Cycle, delta: tuple[int, ...]) -> Posture:
-        """The tag of ``cycle_posture`` against a triple that c meets at least
-        twice.  A part is inside iff it is an edge within the triple or meets the
-        inside set: on a valid decomposition no component of G - bag straddles
-        that set and the fourth bag vertex has no inside neighbour, so each part
-        off the bag lies wholly on one side."""
-        if not c.mask & ~self.bag:
+    def posture(self, vertices: tuple[int, ...], mask: int, delta: tuple[int, ...]) -> Posture:
+        """The tag of ``cycle_posture`` for the cycle ``vertices``, with vertex
+        mask ``mask``, against a triple that it meets at least twice.  A part is
+        inside iff it is an edge within the triple or meets the inside set: on a
+        valid decomposition no component of G - bag straddles that set and the
+        fourth bag vertex has no inside neighbour, so each part off the bag lies
+        wholly on one side."""
+        if not mask & ~self.bag:
             return Posture.INSIDE
         dmask = vertex_mask(delta)
-        off = c.mask & ~dmask
+        off = mask & ~dmask
         if not off & ~self.inside[delta]:
             return Posture.INSIDE
-        seq = c.vertices
-        if off & self.inside[delta] or any((dmask >> u) & (dmask >> v) & 1 for u, v in zip(seq, seq[1:] + seq[:1])):
+        if off & self.inside[delta] or any(
+            (dmask >> u) & (dmask >> v) & 1 for u, v in zip(vertices, vertices[1:] + vertices[:1])
+        ):
             return Posture.JUMP
         return Posture.OUTSIDE
 

@@ -2,10 +2,10 @@
 independent length oracle over tree decompositions, and the segment algebra
 (parts between marked vertices, tails at a vertex, path/cycle concatenation).
 
-Enumeration is complete by contract: every longest cycle is returned, in
-canonical form, by one search pass that prunes only branches unable to close a
-cycle of the best length so far, which never exceeds the longest.  Its three
-cuts are exact for that reason:
+Enumeration is complete by contract: every longest cycle is returned, as its
+canonical vertex tuple with its vertex mask, by one search pass that prunes
+only branches unable to close a cycle of the best length so far, which never
+exceeds the longest.  Its three cuts are exact for that reason:
 
 * one orientation: a cycle is walked only in the direction whose last vertex
   lies above its second, so the path may close only on a root neighbour above
@@ -34,6 +34,8 @@ The search runs on the graph relabelled in smallest-last removal order (Matula
 & Beck, J. ACM 1983): root 0 has least degree and every vertex has at most
 degeneracy-many neighbours above it, which bounds a root's second vertices and
 closing targets.  The cycles found are mapped back to the graph's own labels.
+The search emits only simple cycles, so a family member is a plain tuple and
+mask; ``Cycle`` is the validated type for routes given from outside the search.
 
 Budgets fail loudly rather than sampling, because downstream checks require the
 complete family.
@@ -51,12 +53,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
-from operator import attrgetter
 
 from .decomposition import TreeDecomposition, require_valid
-from .graph import Graph, neighbour_unions, vertex_mask
+from .graph import Graph, neighbour_unions
 
 __all__ = [
     "Cycle",
@@ -125,13 +125,9 @@ class Cycle:
     def __len__(self):
         return len(self.vertices)
 
-    @cached_property
+    @property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
-
-    @cached_property
-    def mask(self) -> int:
-        return vertex_mask(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,9 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class LongestCycleSet:
-    """The complete family of longest cycles of one graph.
+    """The complete family of longest cycles of one graph: ``cycles`` holds
+    each cycle's canonical vertex tuple, sorted, and ``masks`` its vertex mask
+    at the same index.  Iterating the family yields the (tuple, mask) pairs.
 
     length == 0 with no cycles iff the graph is acyclic.  ``steps`` counts the
     successors the search pass tried on the relabelled graph, the quantity a
@@ -186,11 +184,12 @@ class LongestCycleSet:
     """
 
     length: int
-    cycles: tuple[Cycle, ...]
+    cycles: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     steps: int = field(default=0, compare=False)
 
     def __iter__(self):
-        return iter(self.cycles)
+        return zip(self.cycles, self.masks)
 
     def __len__(self):
         return len(self.cycles)
@@ -206,7 +205,7 @@ def enumerate_longest_cycles(
     at most degeneracy-many neighbours above it.
     ``steps``, and the ``max_steps`` budget, count successor tries of that
     relabelled search; the cycles found are mapped back to g's labels,
-    canonicalised and sorted by their vertex tuples.
+    canonicalised and sorted as vertex tuples, each with its vertex mask.
 
     One backtracking pass over paths rooted at each cycle's minimum vertex keeps
     the best length closed so far and the cycles of that length, dropping them
@@ -336,8 +335,9 @@ def enumerate_longest_cycles(
             used |= wb
             stack.append(nbr[w] & allowed & ~used)
             comps.append(0)
-    cycles = sorted((Cycle(tuple(map(order.__getitem__, seq))) for seq in found), key=attrgetter("vertices"))
-    return LongestCycleSet(best, tuple(cycles), steps=steps)
+    cycles = sorted(_canonical(tuple(map(order.__getitem__, seq))) for seq in found)
+    bits = [1 << v for v in range(n)]
+    return LongestCycleSet(best, tuple(cycles), tuple(sum(map(bits.__getitem__, c)) for c in cycles), steps=steps)
 
 
 def _smallest_last_order(adj: tuple[tuple[int, ...], ...]) -> list[int]:

@@ -44,6 +44,7 @@ from .transversal import (
     PASS,
     PREMISE_NOT_MET,
     GraphFacts,
+    Member,
     check_escape_cycle,
     check_equivalent_two_cross_jump,
     check_fenced_or_shared,
@@ -195,12 +196,6 @@ def _task_td(g: Graph, task: dict, max_width: int) -> TreeDecomposition | None:
     return td
 
 
-def _plain(x):
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return x
-
-
 def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
     """Exhaustive separator-property sweep over all tree edges and vertex pairs:
     the branch of t toward t' is ``side_masks(td)[t, t']``, and a pair
@@ -220,9 +215,9 @@ def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
             for u in range(g.n):
                 for v in range(g.n):
                     if side[t] >> u & side[tp] >> v & 1 and any(c >> u & c >> v & 1 for c in leaks):
-                        violations.append((t, tp, u, v))
+                        violations.append([t, tp, u, v])
     status = PASS if not violations else FAIL
-    return {"status": status, "pairs": pairs, "violations": _plain(violations)}
+    return {"status": status, "pairs": pairs, "violations": violations}
 
 
 def check_family_consistency(td: TreeDecomposition, families) -> dict:
@@ -248,7 +243,7 @@ def _context_sweep(facts: GraphFacts, check) -> dict:
     for t in range(td.node_count):
         for delta in combinations(td.bags[t], 3):
             dmask = vertex_mask(delta)
-            hits = {c.mask & dmask for c in facts.cycles}
+            hits = {m & dmask for m in facts.cycles.masks}
             if any(dmask ^ (1 << v) not in hits for v in delta):
                 continue
             entry = check(facts, t, delta)
@@ -282,10 +277,11 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
     families = facts.families
     sides = side_masks(td)
 
-    def toward(t: int, tp: int) -> Cycle | None:
-        """The first fenced cycle at t that lies on tp's side of T - t: a
-        validated td3 puts all of its vertices off the bag of t in one branch."""
-        return next((c for c in families(t).fenced3 if c.mask & sides[t, tp]), None)
+    def toward(t: int, tp: int) -> Member | None:
+        """The first fenced cycle at t, as its (vertex tuple, vertex mask), that
+        lies on tp's side of T - t: a validated td3 puts all of its vertices
+        off the bag of t in one branch."""
+        return next((member for member in families(t).fenced3 if member[1] & sides[t, tp]), None)
 
     arcs = [(t, tp) for a, b in sorted(td.tree_edges) for t, tp in ((a, b), (b, a)) if toward(t, tp) is not None]
     out = {
@@ -309,16 +305,15 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
     if cyc_d is None:
         out["halt"] = f"no-returning-cycle: no fenced cycle at node {tp} lives toward node {t}"
         return out
-    shared = set(td.bags[t]) & set(td.bags[tp])
-    u = next(iter(set(td.bags[t]) - shared))
-    w = next(iter(set(td.bags[tp]) - shared))
-    inter = cyc_c.vertex_set & cyc_d.vertex_set
-    out["antipodal_pair"] = {"C": list(cyc_c.vertices), "D": list(cyc_d.vertices)}
-    out["pair_checks"] = {
-        "private_of_t_off_C": u not in cyc_c.vertex_set,
-        "private_of_tp_off_D": w not in cyc_d.vertex_set,
-        "intersection_in_shared": inter <= shared,
-        "intersection_at_least_2": len(inter) >= 2,
+    shared = td.masks[t] & td.masks[tp]
+    (c, c_mask), (d, d_mask) = cyc_c, cyc_d
+    inter = c_mask & d_mask
+    out["antipodal_pair"] = {"C": list(c), "D": list(d)}
+    out["pair_checks"] = {  # the bags of adjacent nodes of td3 differ in one vertex each
+        "private_of_t_off_C": not c_mask & td.masks[t] & ~shared,
+        "private_of_tp_off_D": not d_mask & td.masks[tp] & ~shared,
+        "intersection_in_shared": not inter & ~shared,
+        "intersection_at_least_2": inter.bit_count() >= 2,
     }
     if facts.lct.lct == 1:
         out["halt"] = (
@@ -331,9 +326,9 @@ def directed_forest_diagnostic(facts: GraphFacts) -> dict:
 
 
 def _pairwise_overlap(f: GraphFacts) -> dict:
-    pairs = combinations(f.cycles.cycles, 2)
-    bad = next(((c.vertices, d.vertices) for c, d in pairs if len(c.vertex_set & d.vertex_set) < 2), None)
-    return {"status": PASS} if bad is None else {"status": FAIL, "witness": _plain(bad)}
+    pairs = combinations(f.cycles, 2)
+    bad = next(([list(c), list(d)] for (c, m), (d, k) in pairs if (m & k).bit_count() < 2), None)
+    return {"status": PASS} if bad is None else {"status": FAIL, "witness": bad}
 
 
 def _dforest(f: GraphFacts) -> dict:
@@ -450,7 +445,7 @@ def _scan_graph(facts: GraphFacts, record: dict, opts: CampaignOptions) -> None:
         }
     )
     if finding.refutation:
-        record["refutation"] = _plain(finding.refutation)
+        record["refutation"] = finding.refutation
 
 
 def evaluate_task(task: dict, opts: CampaignOptions) -> dict:
@@ -559,7 +554,7 @@ def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) 
         f"enumeration-cap: {cap}",
         "cycles:",
     ]
-    lines.extend("  " + " ".join(map(str, c.vertices)) for c in cycles)
+    lines.extend("  " + " ".join(map(str, c)) for c in cycles.cycles)
     lines.append("refutation:")
     for u, v, missed in record.get("refutation", []):
         lines.append(f"  pair {u} {v} missed-by " + " ".join(map(str, missed)))
@@ -571,50 +566,46 @@ def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) 
 def verify_conjecture_bundle(path: str) -> tuple[bool, str]:
     """Re-verify a counterexample bundle from scratch: recompute the family and
     transversal number under the bundle's enumeration cap (18 when it names
-    none), and check every refutation line against the family."""
+    none), compare the bundled lct, length, count and family, each cycle
+    listed once, and check every refutation line against the family.  A
+    malformed bundle is refused with its reason."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != BUNDLE_SCHEMA:
         return False, "unknown bundle schema"
-    fields = {}
-    cycles_listed = []
-    refutation = []
-    section = None
+    fields, rows, section = {}, {"cycles:": [], "refutation:": []}, None
     for ln in lines[1:]:
-        if ln == "cycles:":
-            section = "cycles"
-            continue
-        if ln == "refutation:":
-            section = "refutation"
-            continue
-        if section == "cycles" and ln.startswith("  "):
-            cycles_listed.append(tuple(int(x) for x in ln.split()))
-            continue
-        if section == "refutation" and ln.startswith("  "):
-            toks = ln.split()
-            refutation.append((int(toks[1]), int(toks[2]), tuple(int(x) for x in toks[4:])))
-            continue
-        if ": " in ln:
+        if ln in rows:
+            section = ln
+        elif section and ln.startswith("  "):
+            rows[section].append(ln.split())
+        elif ": " in ln:
             key, val = ln.split(": ", 1)
             fields[key] = val
-    g = parse_graph6(fields["graph6"])
-    family = enumerate_longest_cycles(g, cap=int(fields.get("enumeration-cap", DEFAULT_ENUMERATION_CAP)))
-    res = compute_lct(g, family=family)
-    if res.lct != int(fields["lct"]):
-        return False, f"recomputed lct {res.lct} != bundled {fields['lct']}"
-    if family.length != int(fields["longest-cycle-length"]):
+    try:  # a bad graph6 or cycle raises a ValueError; a graph past the bundled cap cannot be re-checked
+        g = parse_graph6(fields["graph6"])
+        lct, length, count = (int(fields[key]) for key in ("lct", "longest-cycle-length", "longest-cycle-count"))
+        listed = [Cycle(tuple(map(int, row))).vertices for row in rows["cycles:"]]
+        refutation = [(int(u), int(v), Cycle(tuple(map(int, c))).vertices) for _, u, v, _, *c in rows["refutation:"]]
+        family = enumerate_longest_cycles(g, cap=int(fields.get("enumeration-cap", DEFAULT_ENUMERATION_CAP)))
+        res = compute_lct(g, family=family)
+    except (KeyError, ValueError, EnumerationCapExceeded) as exc:
+        return False, f"malformed bundle: {exc!r}"
+    if res.lct != lct:
+        return False, f"recomputed lct {res.lct} != bundled {lct}"
+    if family.length != length:
         return False, "longest cycle length mismatch"
-    listed = {Cycle(seq) for seq in cycles_listed}
-    if listed != set(family.cycles):
+    if len(family) != count:
+        return False, f"recomputed longest-cycle count {len(family)} != bundled {count}"
+    if len(set(listed)) < len(listed):
+        return False, "a cycle is listed twice"
+    if sorted(listed) != list(family.cycles):
         return False, "cycle family mismatch"
     if res.lct >= 3:
-        pairs_seen = set()
+        members = set(listed)
         for u, v, missed in refutation:
-            cyc = Cycle(missed)
-            if cyc not in listed or u in cyc.vertex_set or v in cyc.vertex_set:
+            if missed not in members or u in missed or v in missed:
                 return False, f"bad refutation line for pair ({u},{v})"
-            pairs_seen.add((u, v))
-        need = {(u, v) for u, v in combinations(range(g.n), 2)}
-        if pairs_seen != need:
+        if {(u, v) for u, v, _ in refutation} != set(combinations(range(g.n), 2)):
             return False, "refutation does not cover every vertex pair"
     return True, "bundle re-verified"

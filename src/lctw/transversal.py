@@ -27,10 +27,9 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable
 
-from .classify import BagMasks, Posture, bag_masks, s_equivalent
+from .classify import BagMasks, Posture, bag_masks
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
-    Cycle,
     LongestCycleSet,
     check_enumeration_cap,
     enumerate_longest_cycles,
@@ -87,42 +86,45 @@ def compute_lct(g: Graph, family: LongestCycleSet) -> TransversalResult:
     minimum witness."""
     if family.length == 0:
         raise ValueError("graph is acyclic: transversal number undefined")
-    masks = [c.mask for c in family.cycles]
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
             probe = vertex_mask(combo)
-            if all(m & probe for m in masks):
+            if all(m & probe for m in family.masks):
                 return TransversalResult(size, combo, family)
     raise AssertionError("unreachable: the full vertex set hits every cycle")
+
+
+Member = tuple[tuple[int, ...], int]  # a longest cycle: its vertex tuple and vertex mask
 
 
 @dataclass(frozen=True)
 class TripleFamilies:
     """Families attached to one triple of a bag."""
 
-    exact3: tuple[Cycle, ...]  # longest cycles meeting the bag exactly at the triple
-    jump2: dict[tuple[int, int], tuple[Cycle, ...]]  # 2-jump families per pair
-    jump3: tuple[Cycle, ...]  # 3-jump family
+    exact3: tuple[Member, ...]  # longest cycles meeting the bag exactly at the triple
+    jump2: dict[tuple[int, int], tuple[Member, ...]]  # 2-jump families per pair
+    jump3: tuple[Member, ...]  # 3-jump family
 
 
 @dataclass(frozen=True)
 class CycleFamilies:
     """Longest-cycle families at one bag: the 2-crossing set, the fenced
-    at-most-3-intersecting set, and per-triple exact/jump families.  Only the
-    bag's mask facts are built up front; each family is classified from them
-    on first read and kept."""
+    at-most-3-intersecting set, and per-triple exact/jump families, each a
+    tuple of the family's (vertex tuple, vertex mask) pairs.  Only the bag's
+    mask facts are built up front; each family is classified from them on
+    first read and kept."""
 
     bag: tuple[int, ...]
     cycles: LongestCycleSet
     masks: BagMasks
 
     @cached_property
-    def x2(self) -> tuple[Cycle, ...]:
-        return tuple(c for c in self.cycles if not self.masks.fenced(c) and (c.mask & self.masks.bag).bit_count() == 2)
+    def x2(self) -> tuple[Member, ...]:
+        return tuple((c, m) for c, m in self.cycles if not self.masks.fenced(m) and (m & self.masks.bag).bit_count() == 2)
 
     @cached_property
-    def fenced3(self) -> tuple[Cycle, ...]:
-        return tuple(c for c in self.cycles if self.masks.fenced(c) and (c.mask & self.masks.bag).bit_count() <= 3)
+    def fenced3(self) -> tuple[Member, ...]:
+        return tuple((c, m) for c, m in self.cycles if self.masks.fenced(m) and (m & self.masks.bag).bit_count() <= 3)
 
     @cached_property
     def by_triple(self) -> dict[tuple[int, ...], TripleFamilies]:
@@ -130,17 +132,17 @@ class CycleFamilies:
         by_triple: dict[tuple[int, ...], TripleFamilies] = {}
         for delta in combinations(self.bag, 3):
             dmask = vertex_mask(delta)
-            exact3 = tuple(c for c in self.cycles if c.mask & masks.bag == dmask)
-            jump2: dict[tuple[int, int], list[Cycle]] = {p: [] for p in combinations(delta, 2)}
-            jump3: list[Cycle] = []
-            for c in self.cycles:
-                hit = c.mask & dmask
-                if hit.bit_count() < 2 or masks.posture(c, delta) is not Posture.JUMP:
+            exact3 = tuple((c, m) for c, m in self.cycles if m & masks.bag == dmask)
+            jump2: dict[tuple[int, int], list[Member]] = {p: [] for p in combinations(delta, 2)}
+            jump3: list[Member] = []
+            for c, m in self.cycles:
+                hit = m & dmask
+                if hit.bit_count() < 2 or masks.posture(c, m, delta) is not Posture.JUMP:
                     continue
                 if hit == dmask:
-                    jump3.append(c)
+                    jump3.append((c, m))
                 else:
-                    jump2[tuple(v for v in delta if hit >> v & 1)].append(c)
+                    jump2[tuple(v for v in delta if hit >> v & 1)].append((c, m))
             by_triple[delta] = TripleFamilies(exact3, {p: tuple(v) for p, v in jump2.items()}, tuple(jump3))
         return by_triple
 
@@ -266,19 +268,19 @@ def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...])
     inside = node.masks.inside[delta]
     blocks = [b for b in node.masks.components if b & inside]  # components in the triple's branch union
     pairs = list(combinations(family, 2))
-    meets = [c.mask & d.mask for c, d in pairs]
+    meets = [m & k for (_, m), (_, k) in pairs]
     block = next((b for b in blocks if all(m & b for m in meets)), None)
     if block is None:
-        c, d = next(p for p, m in zip(pairs, meets) if not any(m & b for b in blocks))
+        (c, _), (d, _) = next(p for p, m in zip(pairs, meets) if not any(m & b for b in blocks))
         return {
             "status": FAIL,
             "detail": "no qualifying component carries all pairwise intersections",
-            "witness": [list(c.vertices), list(d.vertices)],
+            "witness": [list(c), list(d)],
         }
     witness_component = [v for v in range(facts.g.n) if block >> v & 1]
     common = inside
-    for c in family:
-        common &= c.mask
+    for _, m in family:
+        common &= m
     if not common:
         return {"status": FAIL, "detail": "jump families share no vertex inside the triple", "witness": [witness_component]}
     return {"status": PASS, "witness": [witness_component, (common & -common).bit_length() - 1]}  # least vertex
@@ -296,20 +298,20 @@ def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dic
     if (unmet := _jump_premise(fams)) is not None:
         return unmet
     dmask = vertex_mask(delta)
-    for c in facts.cycles:
-        if (c.mask & node.masks.bag).bit_count() <= 1:
+    for c, m in facts.cycles:
+        if (m & node.masks.bag).bit_count() <= 1:
             shape = "a longest cycle meets the bag at most once"
-        elif (count := (c.mask & dmask).bit_count()) < 2:
+        elif (count := (m & dmask).bit_count()) < 2:
             continue
-        elif (tag := node.masks.posture(c, delta)) is Posture.OUTSIDE:
+        elif (tag := node.masks.posture(c, m, delta)) is Posture.OUTSIDE:
             shape = "a longest cycle is outside the triple"
         elif tag is Posture.INSIDE and count == 2:
             shape = "an inside longest cycle meets the triple twice"
-        elif tag is Posture.INSIDE and count == 3 and not separates(facts.g, delta, c.vertex_set):
+        elif tag is Posture.INSIDE and count == 3 and not separates(facts.g, delta, c):
             shape = "an inside longest cycle meets the triple thrice, fenced by it"
         else:
             continue
-        return {"status": PASS, "detail": shape, "witness": [list(c.vertices)]}
+        return {"status": PASS, "detail": shape, "witness": [list(c)]}
     return {"status": FAIL, "detail": "no longest cycle satisfies any of the stated shapes"}
 
 
@@ -327,7 +329,7 @@ class ConjectureFinding:
     length: int
     cycle_count: int
     witness: tuple[int, ...]
-    refutation: tuple[tuple[int, int, tuple[int, ...]], ...] = field(default=())
+    refutation: list[list] = field(default_factory=list)  # [u, v, the missing cycle's vertex list] per pair
 
 
 def conjecture_scan(facts: GraphFacts) -> ConjectureFinding:
@@ -345,11 +347,9 @@ def conjecture_scan(facts: GraphFacts) -> ConjectureFinding:
         return ConjectureFinding("consistent", res.lct, res.family.length, len(res.family), res.witness)
     refutation = []
     for u, v in combinations(range(facts.g.n), 2):
-        missed = next(c for c in res.family if u not in c.vertex_set and v not in c.vertex_set)
-        refutation.append((u, v, missed.vertices))
-    return ConjectureFinding(
-        "COUNTEREXAMPLE", res.lct, res.family.length, len(res.family), res.witness, tuple(refutation)
-    )
+        missed = next(c for c, m in res.family if not m & (1 << u | 1 << v))
+        refutation.append([u, v, list(missed)])
+    return ConjectureFinding("COUNTEREXAMPLE", res.lct, res.family.length, len(res.family), res.witness, refutation)
 
 
 def check_min_cycle_length_premise(facts: GraphFacts) -> dict:
@@ -376,22 +376,22 @@ def check_equivalent_two_cross_jump(facts: GraphFacts) -> dict:
     met_anywhere = False
     for t in range(td.node_count):
         fams = facts.families(t)
-        bag = set(td.bags[t])
         x2 = fams.x2
         if not x2:
             continue
-        if not all(s_equivalent(x2[0], c, bag) for c in x2[1:]):
+        meet = x2[0][1] & fams.masks.bag
+        if any(m & fams.masks.bag != meet for _, m in x2[1:]):
             continue
         met_anywhere = True
-        pair = tuple(sorted(x2[0].vertex_set & bag))
+        pair = tuple(v for v in td.bags[t] if meet >> v & 1)
         triples = [tuple(sorted(set(pair) | {w})) for w in td.bags[t] if w not in pair]
-        for c in x2:
+        for c, m in x2:
             for delta in triples:
-                if c not in fams.by_triple[delta].jump2[pair]:
+                if (c, m) not in fams.by_triple[delta].jump2[pair]:
                     return {
                         "status": FAIL,
                         "detail": f"2-crossing cycle fails to jump triple {delta} at node {t}",
-                        "witness": [list(c.vertices)],
+                        "witness": [list(c)],
                     }
     if not met_anywhere:
         return {"status": VACUOUS_PASS, "detail": "no bag with an equivalent 2-crossing family"}

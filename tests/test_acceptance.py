@@ -144,7 +144,7 @@ def test_criterion_02_pairwise_intersection_arbitrary_graphs():
             continue
         checked += 1
         for c, d in combinations(lcs.cycles, 2):
-            if len(c.vertex_set & d.vertex_set) < 2:
+            if len(set(c) & set(d)) < 2:
                 violations += 1
                 break
     _announce(2, violations == 0, f"500 arbitrary 2-connected graphs, {violations} violations")

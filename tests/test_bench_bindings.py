@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import lctw.harness as harness
+from lctw.cycles import LongestCycleSet
 
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 LAYERS = ("generate", "graph", "decomposition", "cycles", "classify", "transversal", "harness")
@@ -32,3 +33,9 @@ def test_the_traced_root_functions_exist():
     # the spans of one graph hang under these two
     assert inspect.isfunction(harness.evaluate_task)
     assert inspect.isfunction(harness.evaluate_conjecture_task)
+
+
+def test_the_family_keeps_the_tracers_counters():
+    # the tracer adds family.steps and len(family) to its cycle counters
+    family = LongestCycleSet(4, ((0, 1, 2, 3),), (0b1111,), steps=7)
+    assert (family.steps, len(family)) == (7, 1)

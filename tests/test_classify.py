@@ -66,7 +66,7 @@ def test_cross_or_fence_dichotomy():
         if not lcs.length:
             continue
         s = rng.sample(range(n), rng.randint(1, n))
-        for c in lcs:
+        for c in map(Cycle, lcs.cycles):
             tag = cross_or_fence(g, c, s)
             assert tag in (Fencing.CROSSES, Fencing.FENCED)
             assert (tag is Fencing.CROSSES) == separates(g, s, c.vertex_set)
@@ -183,7 +183,7 @@ def test_posture_consistency_with_parts(small_corpus):
         for t in range(td.node_count):
             for delta in combinations(td.bags[t], 3):
                 ctx = BagContext(td, t, delta)
-                for c in lcs:
+                for c in map(Cycle, lcs.cycles):
                     if len(c.vertex_set & set(delta)) < 2 or c.vertex_set <= set(td.bags[t]):
                         continue
                     sides = [path_side(ctx, p) for p in parts(c, delta)]
@@ -208,7 +208,7 @@ def test_fenced_cycles_live_in_one_branch(small_corpus):
         lcs = enumerate_longest_cycles(g)
         for t in range(td.node_count):
             bag = set(td.bags[t])
-            for c in lcs:
+            for c in map(Cycle, lcs.cycles):
                 if cross_or_fence(g, c, bag) is not Fencing.FENCED:
                     continue
                 outside = c.vertex_set - bag
@@ -252,10 +252,10 @@ def test_bag_masks_match_route_classification(small_corpus):
         lcs = enumerate_longest_cycles(g)
         for t in range(td.node_count):
             masks = bag_masks(g, td, t)
-            for c in lcs:
-                assert masks.fenced(c) == (cross_or_fence(g, c, td.bags[t]) is Fencing.FENCED)
+            for c, m in lcs:
+                assert masks.fenced(m) == (cross_or_fence(g, Cycle(c), td.bags[t]) is Fencing.FENCED)
                 for delta in combinations(td.bags[t], 3):
-                    if len(c.vertex_set & set(delta)) >= 2:
-                        assert masks.posture(c, delta) is cycle_posture(BagContext(td, t, delta), c).tag
+                    if len(set(c) & set(delta)) >= 2:
+                        assert masks.posture(c, m, delta) is cycle_posture(BagContext(td, t, delta), Cycle(c)).tag
                         checked += 1
     assert checked > 1000

@@ -8,7 +8,7 @@ import lctw.transversal as transversal
 from lctw.cli import main
 from lctw.cycles import EnumerationCapExceeded, enumerate_longest_cycles
 from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
-from lctw.graph import parse_graph6, write_graph6
+from lctw.graph import parse_graph6, vertex_mask, write_graph6
 from lctw.harness import (
     CHECKS,
     DEFAULT_CHECKS,
@@ -245,6 +245,34 @@ def test_bundle_roundtrip_on_true_values(tmp_path):
     assert not ok
 
 
+def _list_first_cycle_twice(text):
+    head, cycles = text.split("cycles:\n")
+    return f"{head}cycles:\n{cycles.splitlines()[0]}\n{cycles}"
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [
+        (lambda text: "".join(ln for ln in text.splitlines(True) if not ln.startswith("graph6:")), "KeyError"),
+        (lambda text: text.replace("cycles:\n", "cycles:\n  0 1\n"), "ValueError"),
+        (lambda text: text.replace(f"graph6: {write_graph6(petersen())}", "graph6: !"), "Graph6Error"),
+        (lambda text: text.replace("longest-cycle-count: 20", "longest-cycle-count: 21"), "longest-cycle count 20"),
+        (_list_first_cycle_twice, "a cycle is listed twice"),
+        (lambda text: text.replace("enumeration-cap: 18", "enumeration-cap: 9"), "EnumerationCapExceeded"),
+    ],
+    ids=["no-graph6", "two-vertex-cycle", "bad-graph6", "wrong-count", "cycle-twice", "cap-below-n"],
+)
+def test_a_malformed_or_inconsistent_bundle_is_refused(tmp_path, tamper, reason):
+    record = {"graph6": write_graph6(petersen()), "lct": 2, "L": 9, "longest_cycles": 20, "refutation": []}
+    path = write_conjecture_bundle(str(tmp_path), record)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(tamper(text))
+    ok, detail = verify_conjecture_bundle(path)
+    assert not ok and reason in detail
+
+
 def test_report_determinism_across_workers():
     tasks = corpus_tasks(parse_corpus_spec("k=3,n=8..11,count=16,p=0.25", seed=77))
     outs = []
@@ -298,12 +326,12 @@ def _forest_reference(facts):
     td, families = facts.td3, facts.families
 
     def lives_toward(t, tp, c):
-        return tp in branch_of_route(td, t, c.vertices).nodes
+        return tp in branch_of_route(td, t, c).nodes
 
     arcs = []
     for a, b in sorted(td.tree_edges):
         for t, tp in ((a, b), (b, a)):
-            if any(lives_toward(t, tp, c) for c in families(t).fenced3):
+            if any(lives_toward(t, tp, c) for c, _ in families(t).fenced3):
                 arcs.append((t, tp))
     out = {"arcs": [list(a) for a in arcs]}
     if not arcs:
@@ -319,12 +347,12 @@ def _forest_reference(facts):
         path.append(min(nxt))
     out["maximal_path"] = path
     t, tp = path[-2], path[-1]
-    cyc_c = next(c for c in families(t).fenced3 if lives_toward(t, tp, c))
-    cyc_d = next((d for d in families(tp).fenced3 if lives_toward(tp, t, d)), None)
+    cyc_c = next(c for c, _ in families(t).fenced3 if lives_toward(t, tp, c))
+    cyc_d = next((d for d, _ in families(tp).fenced3 if lives_toward(tp, t, d)), None)
     out["last_arc"] = [t, tp]
     if cyc_d is None:
         return {**out, "halt": f"no-returning-cycle: no fenced cycle at node {tp} lives toward node {t}"}
-    out["antipodal_pair"] = {"C": list(cyc_c.vertices), "D": list(cyc_d.vertices)}
+    out["antipodal_pair"] = {"C": list(cyc_c), "D": list(cyc_d)}
     if facts.lct.lct == 1:
         out["halt"] = (
             "all longest cycles share a vertex: no longest cycle avoiding a shared "
@@ -833,10 +861,8 @@ def test_dforest_fails_on_a_contradiction_candidate(lct, status):
     # is the contradiction candidate and the check fails with it as witness.
     from types import SimpleNamespace
 
-    from lctw.cycles import Cycle
-
     facts = GraphFacts(parse_graph6("HSxoOEB"))
-    fenced = {0: (Cycle((0, 2, 4)),), 1: (Cycle((6, 7, 8)),)}
+    fenced = {t: ((c, vertex_mask(c)),) for t, c in ((0, (0, 2, 4)), (1, (6, 7, 8)))}
     facts.families = lambda t: SimpleNamespace(fenced3=fenced.get(t, ()))
     facts.lct = TransversalResult(lct, facts.lct.witness, facts.cycles)
     out = CHECKS["dforest"][1](facts)

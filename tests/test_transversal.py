@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from lctw.classify import BagContext, Fencing, Posture, cross_or_fence, cycle_posture, k_intersect
-from lctw.cycles import enumerate_longest_cycles
+from lctw.cycles import Cycle, enumerate_longest_cycles
 from lctw.decomposition import DecompositionError, TreeDecomposition, exact_treewidth, full_tree_decomposition
 from lctw.fixtures import complete_graph, path_graph
 from lctw.generate import GenSpec, generate_partial_k_tree
@@ -46,9 +46,9 @@ def test_compute_lct_petersen(petersen_graph):
     assert res.witness == (0, 1)  # lexicographically least among minima
     assert res.family.length == 9 and len(res.family) == 20
     # witness hits every longest cycle; no single vertex does
-    for c in res.family:
-        assert set(res.witness) & c.vertex_set
-    assert not any(all(v in c.vertex_set for c in res.family) for v in range(10))
+    for c in res.family.cycles:
+        assert set(res.witness) & set(c)
+    assert not any(all(v in c for c in res.family.cycles) for v in range(10))
 
 
 def test_compute_lct_acyclic_error():
@@ -65,34 +65,35 @@ def test_build_families_disjoint_and_consistent(fig):
         assert not set(fams.x2) & set(fams.fenced3)
         for delta, tf in fams.by_triple.items():
             for pair, members in tf.jump2.items():
-                for c in members:
-                    assert c.vertex_set & set(delta) == set(pair)
-            for c in tf.jump3:
-                assert c.vertex_set & set(delta) == set(delta)
+                for c, _ in members:
+                    assert set(c) & set(delta) == set(pair)
+            for c, _ in tf.jump3:
+                assert set(c) & set(delta) == set(delta)
 
 
 def _route_families(g, td, t, cycles):
     """build_families stated on routes, as before the mask classification:
-    k_intersect, cross_or_fence and cycle_posture per cycle."""
+    k_intersect, cross_or_fence and cycle_posture per cycle, each read as a
+    ``Cycle`` and listed as its family member."""
     ctx = BagContext(td, t)
     bag = set(ctx.bag)
     x2, fenced3 = [], []
-    for c in cycles:
-        count, _ = k_intersect(c, bag)
-        fen = cross_or_fence(g, c, bag)
+    for c, m in cycles:
+        count, _ = k_intersect(Cycle(c), bag)
+        fen = cross_or_fence(g, Cycle(c), bag)
         if fen is Fencing.CROSSES and count == 2:
-            x2.append(c)
+            x2.append((c, m))
         elif fen is Fencing.FENCED and count <= 3:
-            fenced3.append(c)
+            fenced3.append((c, m))
     by_triple = {}
     for delta in combinations(ctx.bag, 3):
         jump2 = {p: [] for p in combinations(delta, 2)}
         jump3 = []
-        for c in cycles:
-            count, inter = k_intersect(c, delta)
-            if count >= 2 and cycle_posture(BagContext(td, t, delta), c).tag is Posture.JUMP:
-                (jump2[inter] if count == 2 else jump3).append(c)
-        exact3 = tuple(c for c in cycles if c.vertex_set & bag == set(delta))
+        for c, m in cycles:
+            count, inter = k_intersect(Cycle(c), delta)
+            if count >= 2 and cycle_posture(BagContext(td, t, delta), Cycle(c)).tag is Posture.JUMP:
+                (jump2[inter] if count == 2 else jump3).append((c, m))
+        exact3 = tuple((c, m) for c, m in cycles if set(c) & bag == set(delta))
         by_triple[delta] = (exact3, {p: tuple(v) for p, v in jump2.items()}, tuple(jump3))
     return tuple(x2), tuple(fenced3), by_triple
 
