@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cycles import DEFAULT_ENUMERATION_CAP
@@ -78,9 +79,15 @@ def _open_out(args):
     return open(args.out, "w") if args.out else sys.stdout
 
 
-def _workers(args) -> int:
-    import os
+def _open_campaign_out(args):
+    """Create --counterexample-dir, then open --out; an OSError from either is
+    the caller's configuration error."""
+    if args.counterexample_dir:
+        os.makedirs(args.counterexample_dir, exist_ok=True)
+    return _open_out(args)
 
+
+def _workers(args) -> int:
     return args.workers if args.workers else (os.cpu_count() or 1)
 
 
@@ -89,10 +96,10 @@ def cmd_verify(args) -> int:
     try:
         opts = _campaign_options(args, checks)  # rejects unknown check names
         tasks = _tasks_from_args(args)
+        out = _open_campaign_out(args)
     except (OSError, ValueError, GenerationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _open_out(args)
     try:
         code, summary = run_verify(tasks, opts, out, args.counterexample_dir, _workers(args))
     finally:
@@ -110,11 +117,11 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     try:
         tasks = _tasks_from_args(args)
+        out = _open_campaign_out(args)
     except (OSError, ValueError, GenerationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     opts = _campaign_options(args)
-    out = _open_out(args)
     try:
         code, summary = run_conjecture(tasks, opts, out, args.counterexample_dir, _workers(args))
     finally:
@@ -189,10 +196,10 @@ def cmd_generate(args) -> int:
     try:
         spec = parse_corpus_spec(args.spec, seed=args.seed)
         tasks = corpus_tasks(spec)
-    except (ValueError, GenerationError) as exc:
+        out = _open_out(args)
+    except (OSError, ValueError, GenerationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = open(args.out, "w") if args.out else sys.stdout
     try:
         for t in tasks:
             out.write(t["graph6"] + "\n")

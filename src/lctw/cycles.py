@@ -12,9 +12,11 @@ exceeds the longest.  Its three cuts are exact for that reason:
   the second vertex; the other direction closes the same cycle;
 * reachability: the path can grow only by vertices reachable from its head
   through free ones, and must close on one of them;
-* tight-case degree: when the path needs every reachable vertex to reach the
-  best, each of them but the head is interior to the closing path, so it needs
-  two neighbours among the reachable vertices and the root.
+* thin vertices: a reachable vertex other than the head on the closing path
+  needs two neighbours among the reachable vertices and the root, so a thin
+  one, with fewer, is left out; the path may leave out only as many reachable
+  vertices as it has to spare over the best.  The thin set is computed once
+  per free component, at any slack, and cuts all its siblings at once.
 
 Two more savings change no branch's outcome, only how often it is worked out:
 
@@ -179,8 +181,9 @@ class LongestCycleSet:
     length == 0 with no cycles iff the graph is acyclic.  ``steps`` counts the
     successors the search pass tried on the relabelled graph, the quantity a
     ``max_steps`` budget bounds.  Siblings dropped with their free component
-    and the subtrees of remembered states copied in place of a search take no
-    steps, so one step stands for more work than a try of its own.
+    or by the thin-vertex cut, and the subtrees of remembered states copied in
+    place of a search, take no steps, so one step stands for more work than a
+    try of its own.
     """
 
     length: int
@@ -214,9 +217,13 @@ def enumerate_longest_cycles(
     above it (``target``), so a root needs two neighbours above it and a second
     vertex needs a nonempty ``target``.  A step to a new head is cut when the
     vertices reachable from it through free ones cannot bring the path up to
-    the best, or include no ``target`` vertex; or, in the tight case where the
-    path needs all of them to reach the best, when one of them other than the
-    head has fewer than two neighbours among them and the root, since it would
+    the best, or include no ``target`` vertex; or when the path cannot leave
+    out all the thin ones among them other than the head.  A vertex is thin
+    when it has fewer than two neighbours among the reachable vertices and the
+    root, so it cannot be on the closing path past the head; ``room``, the
+    number of reachable vertices beyond those the path needs to reach the
+    best, bounds how many it may leave out.  This holds at any ``room``, and at
+    ``room`` 0 it is the tight case: every reachable vertex but the head must
     be interior to the closing path.  Each cut removes only branches that close
     no cycle of at least the best length, and the best never exceeds the
     longest length L, so no longest cycle is lost and the family is complete.
@@ -224,12 +231,16 @@ def enumerate_longest_cycles(
 
     Siblings share their reachable set: it is the component of the free
     vertices, those above the root and off the path, that holds the
-    successor, so each path vertex keeps the last component met and a sibling
-    inside it skips the walk.  A component cut by length or by ``target``
+    successor, so each path vertex keeps the last component met, with its thin
+    vertices, and a sibling inside it skips the walk.  A component cut by
+    length or by ``target``, or with two thin vertices more than ``room``,
     drops all its untried siblings at once: no vertex in it closes a cycle of
     the best length, the best only grows, and later second vertices have
-    smaller ``target`` sets.  Under one second vertex the subtree of a path depends
-    only on its vertex set, its head and the best.  A subtree that ends with
+    smaller ``target`` sets.  With one thin vertex more than ``room`` only its
+    thin siblings are kept, since a thin head leaves one fewer to leave out.
+
+    Under one second vertex the subtree of a path depends only on its vertex
+    set, its head and the best.  A subtree that ends with
     the best unchanged left its closings as one slice of the found list, and
     the set and head key that slice in ``searched``; the same state pushed
     again at the same best appends the slice's suffixes after the new prefix
@@ -240,7 +251,7 @@ def enumerate_longest_cycles(
     state reached under one second vertex, and a ``max_steps`` budget now
     admits more work per step.
 
-    Reachability and the degree test read per-half subset tables
+    Reachability and the thin set read per-half subset tables
     (``_subset_tables``): one breadth-first level is two lookups.  A half wider
     than ``TABLE_BITS`` (n > 18) is split again, so the tables hold
     O(n 2^TABLE_BITS) entries whatever the cap.
@@ -271,7 +282,7 @@ def enumerate_longest_cycles(
         used = s_bit
         target = 0  # root neighbours above path[1]: the possible last vertices
         stack = [nbr[s] & allowed]  # untried successors per path vertex
-        comps = [0]  # per path vertex: the last free component met
+        comps = [(0, 0)]  # per path vertex: the last free component met, and its thin vertices
         pushed = []  # per keyed path state: its key, and best and len(found) at its push
         while stack:
             untried = stack[-1]
@@ -303,10 +314,12 @@ def enumerate_longest_cycles(
                     found = []
                 if depth + 1 == best:
                     found.append((*path, wb.bit_length() - 1))
-            comp = comps[-1]
+            comp, thin = comps[-1]
             if not wb & comp:
                 # The vertices reachable from wb through free ones, which bound
-                # the extension; every sibling in this component shares them.
+                # the extension; every sibling in this component shares them,
+                # and its thin vertices, those with fewer than two neighbours
+                # among them and the root.
                 free = allowed & ~used
                 comp = wb
                 while True:
@@ -314,14 +327,19 @@ def enumerate_longest_cycles(
                     if grown == comp:
                         break
                     comp = grown
-                comps[-1] = comp
+                lo, hi = (comp | s_bit) & low_half, (comp | s_bit) >> h
+                thin = comp & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi])
+                comps[-1] = comp, thin
             room = depth + comp.bit_count() - best
             if room < 0 or not comp & target:
                 stack[-1] &= ~comp  # too few vertices left, or no way back to the root
                 continue
-            if not room:  # every reachable vertex must be on the closing path
-                lo, hi = (comp | s_bit) & low_half, (comp | s_bit) >> h
-                if comp & ~wb & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi]):
+            # A thin vertex other than the head cannot be on the closing path,
+            # which may leave out at most room vertices of the component.
+            over = thin.bit_count() - room
+            if over > 0:
+                stack[-1] &= thin | ~comp if over == 1 else ~comp
+                if over > 1 or not wb & thin:
                     continue
             w = wb.bit_length() - 1
             if depth > 3:  # a state of at most four vertices has one path to it
@@ -334,7 +352,7 @@ def enumerate_longest_cycles(
             path.append(w)
             used |= wb
             stack.append(nbr[w] & allowed & ~used)
-            comps.append(0)
+            comps.append((0, 0))
     cycles = sorted(_canonical(tuple(map(order.__getitem__, seq))) for seq in found)
     bits = [1 << v for v in range(n)]
     return LongestCycleSet(best, tuple(cycles), tuple(sum(map(bits.__getitem__, c)) for c in cycles), steps=steps)

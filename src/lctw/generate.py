@@ -14,7 +14,9 @@ order.  Each class found is sorted by ``canonical_key``, the same search over
 all orders.  Both searches keep only maximal rows, cut prefixes below the best
 string and try one of each set of twins; the cost of ``canonical_key`` still
 grows with the automorphism group, so exhaustive corpora are capped at 8
-vertices.  Above that, exhaustiveness is not claimed.
+vertices.  Above that, exhaustiveness is not claimed.  The walk keys and
+tests graphs as neighbour-mask tuples; only class representatives become
+``Graph`` objects.
 """
 
 from __future__ import annotations
@@ -131,34 +133,37 @@ def canonical_key(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> tuple[int, int]:
     n = g.n
     if n > max_n:
         raise GenerationError(f"canonical labeling is capped at n <= {max_n}, got {n}")
-    return n, _max_string(g, [range(n)])
+    return n, _max_string(g.nbr_mask, [range(n)])
 
 
-def _class_key(g: Graph) -> tuple[int, int]:
-    """Exact isomorphism key: (n, maximal adjacency string over the orders that
-    list the colour classes of ``_colour_classes`` in colour order).
+def _class_key(masks: tuple[int, ...]) -> tuple[int, int]:
+    """Exact isomorphism key of the graph with neighbour masks ``masks``: (n,
+    maximal adjacency string over the orders that list the colour classes of
+    ``_colour_classes`` in colour order).
 
     The classes are canonical, so isomorphic graphs search the same orders up
     to relabelling; the string determines the adjacency matrix, so
     non-isomorphic graphs differ.  Not equal to ``canonical_key``, but it
     induces the same partition at a fraction of the search.
     """
-    return g.n, _max_string(g, _colour_classes(g))
+    return len(masks), _max_string(masks, _colour_classes(masks))
 
 
-def _colour_classes(g: Graph) -> list[list[int]]:
-    """The stable colour-refinement partition of the vertices, in colour order.
+def _colour_classes(masks: tuple[int, ...]) -> list[list[int]]:
+    """The stable colour-refinement partition of the vertices of the graph
+    with neighbour masks ``masks``, in colour order.
 
     The first colours are the degrees.  Each round names a vertex's colour by
     the rank of its signature (old colour, sorted neighbour colours) among the
     round's distinct signatures, so colours depend on the graph only, not on
     its labelling.  A round that splits no class is stable.
     """
-    colour = [len(nbrs) for nbrs in g.adj]
+    adj = [[u for u in range(len(masks)) if m >> u & 1] for m in masks]
+    colour = [len(nbrs) for nbrs in adj]
     count = len(set(colour))
     while True:
         get = colour.__getitem__
-        sigs = [(colour[v], tuple(sorted(map(get, nbrs)))) for v, nbrs in enumerate(g.adj)]
+        sigs = [(colour[v], tuple(sorted(map(get, nbrs)))) for v, nbrs in enumerate(adj)]
         names = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         colour = [names[sig] for sig in sigs]
         if len(names) == count:
@@ -170,10 +175,11 @@ def _colour_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-def _max_string(g: Graph, classes: Sequence[Sequence[int]]) -> int:
+def _max_string(masks: tuple[int, ...], classes: Sequence[Sequence[int]]) -> int:
     """The lexicographically maximal adjacency string (the rows of the upper
     triangle, row d holding the adjacency of the d-th vertex to the earlier
-    ones) over the vertex orders that list ``classes`` one after another.
+    ones) of the graph with neighbour masks ``masks``, over the vertex orders
+    that list ``classes`` one after another.
 
     Backtracking that keeps at every level only the candidates of the current
     class whose row is maximal, cuts a prefix below the best completed
@@ -181,8 +187,7 @@ def _max_string(g: Graph, classes: Sequence[Sequence[int]]) -> int:
     twins (neighbourhoods equal outside the pair) is an automorphism fixing the
     prefix, so their subtrees give the same strings.
     """
-    n = g.n
-    masks = g.nbr_mask
+    n = len(masks)
     pools = [cls for cls in classes for _ in cls]  # the class each position draws from
     total = n * (n - 1) // 2
     best = -1
@@ -246,11 +251,46 @@ def _all_k_trees(n: int, k: int) -> list[Graph]:
             continue
         seen_labeled.add(edges)
         g = Graph(n, edges)
-        key = _class_key(g)
+        key = _class_key(g.nbr_mask)
         if key not in seen_classes:
             seen_classes.add(key)
             out.append(g)
     return out
+
+
+def _biconnected_without(masks: tuple[int, ...], u: int, v: int) -> bool:
+    """Whether a 2-connected graph stays 2-connected without its edge uv, given
+    the neighbour masks ``masks`` with uv already removed.
+
+    The graph less uv is still connected, so it is 2-connected unless some
+    vertex x cuts it, and only a vertex other than u and v can: the graph less
+    x is connected, so x cuts it exactly when it leaves u and v apart.  Such
+    an x lies on every u-v path, so when u and v have a common neighbour w,
+    only w is tried.
+    """
+    common = masks[u] & masks[v]
+    suspects = common & -common if common else ((1 << len(masks)) - 1) ^ (1 << u) ^ (1 << v)
+    start, goal = 1 << u, 1 << v
+    while suspects:
+        x = suspects & -suspects
+        if not _reach(masks, start, x) & goal:
+            return False
+        suspects ^= x
+    return True
+
+
+def _reach(masks: tuple[int, ...], start: int, avoid: int) -> int:
+    """The vertices reachable from the vertex set ``start`` off ``avoid``."""
+    seen = frontier = start
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~seen & ~avoid
+        seen |= frontier
+    return seen
 
 
 def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
@@ -260,8 +300,10 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
     Every intermediate graph between a k-tree and a 2-connected spanning
     subgraph is itself 2-connected (it still contains the subgraph), so a
     depth-first edge-deletion walk pruned at the first loss of 2-connectivity
-    reaches every class.  The walk deduplicates on ``_class_key`` and computes
-    the sort key once per class, for its first-reached representative.
+    reaches every class.  The walk runs on neighbour masks: it tests each
+    one-edge-deleted child with ``_biconnected_without``, deduplicates on
+    ``_class_key``, and builds a ``Graph`` and computes the sort key once per
+    class, for its first-reached representative.
     """
     if n_max > EXHAUSTIVE_CAP:
         raise GenerationError(f"exhaustive corpora are capped at n <= {EXHAUSTIVE_CAP}")
@@ -270,24 +312,31 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
     for n in range(k, n_max + 1):
         visited: set[tuple[int, int]] = set()
         found: list[tuple[int, Graph]] = []
-        stack = [t for t in _all_k_trees(n, k) if is_biconnected(t)]
-        walked: set[frozenset] = set()  # edge sets already keyed
+        stack = [t.nbr_mask for t in _all_k_trees(n, k) if is_biconnected(t)]
+        walked: set[tuple[int, ...]] = set()  # neighbour masks already keyed
         while stack:
-            g = stack.pop()
-            if g.edges in walked:
+            masks = stack.pop()
+            if masks in walked:
                 continue  # its class is already visited
-            walked.add(g.edges)
-            key = _class_key(g)
+            walked.add(masks)
+            key = _class_key(masks)
             if key in visited:
                 continue
             visited.add(key)
+            g = _graph(masks)
             found.append((canonical_key(g)[1], g))
-            for e in sorted(g.edges):
-                rest = g.edges - {e}
-                if rest in walked:
-                    continue
-                h = Graph(n, rest)
-                if is_biconnected(h):
-                    stack.append(h)
+            for u, v in sorted(g.edges):
+                rest = list(masks)
+                rest[u] ^= 1 << v
+                rest[v] ^= 1 << u
+                rest = tuple(rest)
+                if rest not in walked and _biconnected_without(rest, u, v):
+                    stack.append(rest)
         found.sort(key=lambda kg: kg[0])  # keys are unique per class
         yield from (g for _, g in found)
+
+
+def _graph(masks: tuple[int, ...]) -> Graph:
+    """The graph with neighbour masks ``masks``."""
+    n = len(masks)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1])

@@ -112,7 +112,7 @@ def partial_4_trees(count):
 
 
 def test_enumerate_matches_networkx_on_partial_4_trees():
-    # Mostly Hamiltonian, so the tight-case degree cut decides many branches;
+    # Mostly Hamiltonian, so the thin-vertex cut often has no room to spare;
     # odd and even n split the subset tables into unequal and equal halves.
     hamiltonian = 0
     for g, _ in partial_4_trees(40):
@@ -212,9 +212,12 @@ def reference_longest_cycles(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP, max_s
 
 def differential_graphs():
     """Exhaustive n <= 7, seed-0 random k = 3, 4 and 5 corpora, and random
-    G(n <= 10), empty, disconnected and acyclic ones among them."""
+    G(n <= 10), empty, disconnected and acyclic ones among them.  140 of the
+    150 k = 3, n = 15..18 graphs are not Hamiltonian, so the thin-vertex cut
+    often runs with room to spare."""
     graphs = list(exhaustive_small(7, 3))
-    for spec in ["k=3,n=9..14,count=150,p=0.25", "k=4,n=8..13,count=120,p=0.3", "k=5,n=8..12,count=40,p=0.3"]:
+    specs = ["k=3,n=9..14,count=150,p=0.25", "k=3,n=15..18,count=150,p=0.25"]
+    for spec in specs + ["k=4,n=8..13,count=120,p=0.3", "k=5,n=8..12,count=40,p=0.3"]:
         graphs += [parse_graph6(t["graph6"]) for t in corpus_tasks(parse_corpus_spec(spec, seed=0))]
     rng = random.Random(21)
     graphs += [random_graph(rng, rng.randint(0, 10), rng.choice([0.15, 0.3, 0.5, 0.7])) for _ in range(100)]
@@ -268,18 +271,21 @@ def test_a_stored_longest_cycle_is_a_vertex_tuple_and_a_mask():
 
 
 def test_remembered_states_stay_in_bounded_memory():
-    # The search remembers up to 1,259 states under one second vertex of this
-    # graph (L = 17 < n, so more than one root is searched); it peaked at
-    # 0.16-0.24 MB, the reference at 0.09 MB.
-    g, _ = generate_partial_k_tree(GenSpec(n=18, k=4, seed=57, delete_probability=0.4, require_biconnected=True))
-    tracemalloc.start()
-    try:
-        lcs = enumerate_longest_cycles(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (lcs.length, lcs.steps) == (17, 3_039)
-    assert peak < 400_000
+    # Under one second vertex the search remembers up to 287 states of the
+    # seed-57 graph (1,259 before thin vertices were cut at every slack) and up
+    # to 2,653 of the seed-47 graph.  Both have L < n, so more than one root is
+    # searched.  They peaked at 0.10 MB and 0.28 MB.
+    for seed, length, steps, bound in [(57, 17, 595, 400_000), (47, 15, 8_652, 360_000)]:
+        spec = GenSpec(n=18, k=4, seed=seed, delete_probability=0.4, require_biconnected=True)
+        g, _ = generate_partial_k_tree(spec)
+        tracemalloc.start()
+        try:
+            lcs = enumerate_longest_cycles(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (lcs.length, lcs.steps) == (length, steps)
+        assert peak < bound
 
 
 def test_step_budget_boundary(petersen_graph, small_corpus):
@@ -344,6 +350,9 @@ def test_smallest_last_order(small_corpus, petersen_graph):
 # Seed-0 step totals in smallest-last order before siblings shared their free
 # component and searched states were remembered, and the share of them now allowed.
 SMALLEST_LAST_STEPS = {"k=4,n=8..13,count=300,p=0.3": (295_135, 0.6), "k=3,n=9..14,count=300,p=0.25": (144_627, 0.75)}
+# The same totals before thin vertices were cut at every slack, and the share
+# of them now allowed.
+THIN_CUT_STEPS = {"k=4,n=8..13,count=300,p=0.3": (152_981, 0.75), "k=3,n=9..14,count=300,p=0.25": (97_013, 0.7)}
 
 
 @pytest.mark.parametrize(
@@ -354,12 +363,22 @@ def test_smallest_last_order_cuts_enumeration_steps(spec, label_order_steps, bou
     # Seed-0 step totals with the search in the generator's labels: 406,089
     # and 173,840.  In smallest-last order they were 295,135 and 144,627;
     # shared free components and remembered states cut them to 152,981 and
-    # 97,013.
+    # 97,013, and the thin-vertex cut at every slack to 106,033 and 63,201.
     tasks = corpus_tasks(parse_corpus_spec(spec, seed=0))
     steps = sum(enumerate_longest_cycles(parse_graph6(t["graph6"])).steps for t in tasks)
     assert steps <= bound * label_order_steps
     smallest_last_steps, cut = SMALLEST_LAST_STEPS[spec]
     assert steps <= cut * smallest_last_steps
+    before_thin_cut_steps, thin_cut = THIN_CUT_STEPS[spec]
+    assert steps <= thin_cut * before_thin_cut_steps
+
+
+def test_thin_vertex_cut_takes_the_smallest_last_order_below_label_order():
+    # The verify_k3_random graph that set the smallest-last order's p99 (n = 14,
+    # L = 11, 53 longest cycles) took 2,645 steps in label order and 3,120 in
+    # smallest-last order with shared components and remembered states.
+    lcs = enumerate_longest_cycles(parse_graph6("M~nCgio@``CCk?cG?"))
+    assert (lcs.length, len(lcs), lcs.steps) == (11, 53, 1_325)
 
 
 def test_cycle_canonical_form():

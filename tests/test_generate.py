@@ -12,6 +12,7 @@ from lctw.generate import (
     EXHAUSTIVE_CAP,
     GenerationError,
     GenSpec,
+    _biconnected_without,
     _class_key,
     _colour_classes,
     canonical_key,
@@ -147,7 +148,7 @@ def test_canonical_key_permutation_invariant():
         for _ in range(3):
             h = _relabelled(g, rng)
             assert canonical_key(g) == canonical_key(h)
-            assert _class_key(g) == _class_key(h)
+            assert _class_key(g.nbr_mask) == _class_key(h.nbr_mask)
 
 
 def test_class_key_and_canonical_key_partition_all_small_graphs():
@@ -155,7 +156,7 @@ def test_class_key_and_canonical_key_partition_all_small_graphs():
     for n, expect in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]:
         pairing = {}
         for g in _labelled_graphs(n):
-            pairing.setdefault(_class_key(g), set()).add(canonical_key(g))
+            pairing.setdefault(_class_key(g.nbr_mask), set()).add(canonical_key(g))
         assert len(pairing) == expect
         assert all(len(canon) == 1 for canon in pairing.values())
         assert len(set().union(*pairing.values())) == expect
@@ -166,19 +167,19 @@ def test_colour_classes_are_stable():
     graphs = [path_graph(6), cycle_graph(7), complete_graph(5)] + _symmetric_graphs()
     graphs += [_random_graph(n, p, rng) for n in (6, 7, 8) for p in (0.3, 0.5) for _ in range(15)]
     for g in graphs:
-        classes = _colour_classes(g)
+        classes = _colour_classes(g.nbr_mask)
         assert sorted(v for cls in classes for v in cls) == list(range(g.n))
         # equitable: within a class, every vertex has as many neighbours in each class
         for cls in classes:
             for other in classes:
                 assert len({sum(g.has_edge(v, u) for u in other) for v in cls}) == 1
-    assert _colour_classes(path_graph(6)) == [[0, 5], [1, 4], [2, 3]]  # two rounds past the degrees
+    assert _colour_classes(path_graph(6).nbr_mask) == [[0, 5], [1, 4], [2, 3]]  # two rounds past the degrees
 
 
 def test_twin_pruning_searches_one_order_of_k8_and_its_complement():
     for g in (complete_graph(8), Graph(8, [])):
         assert _search_nodes(canonical_key, g) == 9  # one node per depth 0..8
-        assert _search_nodes(_class_key, g) == 9
+        assert _search_nodes(_class_key, g.nbr_mask) == 9
 
 
 def test_canonical_key_separates_nonisomorphic():
@@ -254,7 +255,7 @@ def test_exhaustive_small_caps():
 def test_exhaustive_small_keys_each_labelled_graph_once(monkeypatch):
     import lctw.generate as generate
 
-    calls = {"canonical_key": 0, "_class_key": 0, "is_biconnected": 0}
+    calls = {"canonical_key": 0, "_class_key": 0, "_biconnected_without": 0}
     for name in calls:
         real = getattr(generate, name)
 
@@ -266,8 +267,27 @@ def test_exhaustive_small_keys_each_labelled_graph_once(monkeypatch):
     graphs = list(exhaustive_small(7, 3))
     assert len(graphs) == 382
     # 3197 class keys when a labelled graph reached twice is keyed twice
-    # 4237 connectivity tests when a child already walked is built and tested again
-    assert calls == {"canonical_key": 382, "_class_key": 2339, "is_biconnected": 3379}
+    # 4237 connectivity tests when a child already walked is built and tested
+    # again; 3379 is_biconnected calls when each child was built as a Graph
+    # (3369 children and the 10 k-trees)
+    assert calls == {"canonical_key": 382, "_class_key": 2339, "_biconnected_without": 3369}
+
+
+def test_mask_connectivity_test_matches_is_biconnected():
+    # The walk tests a child of a 2-connected graph on masks; is_biconnected on
+    # the built child is the oracle, over every edge of every 2-connected graph
+    # on 3..5 vertices and of random ones on 6..8.
+    rng = random.Random(8)
+    graphs = [g for n in range(3, 6) for g in _labelled_graphs(n)]
+    graphs += [_random_graph(n, p, rng) for n in (6, 7, 8) for p in (0.4, 0.6) for _ in range(40)]
+    verdicts = set()
+    for g in filter(is_biconnected, graphs):
+        for u, v in g.edges:
+            child = Graph(g.n, g.edges - {(u, v)})
+            verdict = is_biconnected(child)
+            assert _biconnected_without(child.nbr_mask, u, v) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_exhaustive_small_order_pin():
@@ -304,15 +324,16 @@ def test_exhaustive_walk_graphs_isomorphic_to_their_representative(monkeypatch):
     walked = []
     real = generate._class_key
 
-    def recording(g):
-        walked.append(g)
-        return real(g)
+    def recording(masks):
+        walked.append(masks)
+        return real(masks)
 
     monkeypatch.setattr(generate, "_class_key", recording)
-    reps = {real(g): g for g in exhaustive_small(6, 3)}
+    reps = {real(g.nbr_mask): g for g in exhaustive_small(6, 3)}
     assert len(reps) == 60 and len(walked) > len(reps)
-    for g in walked:
-        assert nx.is_isomorphic(_nx(g), _nx(reps[_class_key(g)]))
+    for masks in walked:
+        g = Graph(len(masks), [(u, v) for u, m in enumerate(masks) for v in range(u) if m >> v & 1])
+        assert nx.is_isomorphic(_nx(g), _nx(reps[_class_key(masks)]))
 
 
 def test_generate_partial_k_tree_builds_one_decomposition(monkeypatch):

@@ -440,6 +440,32 @@ def test_cli_verify_and_generate(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+CLI_CORPUS = {
+    "generate": ["--spec", "k=3,n=7..9,count=2,p=0.2"],
+    "verify": ["--generate", "k=3,n=7..9,count=2,p=0.2", "--workers", "1"],
+    "conjecture": ["--generate", "k=4,n=8..9,count=2,p=0.3", "--workers", "1"],
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "conjecture"])
+def test_cli_unwritable_out_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "report"
+    assert main([command, *CLI_CORPUS[command], "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+def test_cli_uncreatable_counterexample_dir_is_config_error(tmp_path, capsys, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = tmp_path / "report.jsonl"
+    argv = [command, *CLI_CORPUS[command], "--counterexample-dir", str(blocker / "ce"), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()  # refused before the report is opened
+
+
 def test_cli_verify_strict_preconditions(tmp_path):
     corpus = tmp_path / "pet.g6"
     corpus.write_text(write_graph6(petersen()) + "\n")
