@@ -49,7 +49,6 @@ from .graph import (
     write_graph6,
 )
 from .transversal import (
-    ConjectureFinding,
     CycleFamilies,
     GraphFacts,
     TransversalResult,

@@ -1,15 +1,14 @@
 """Position vocabulary for cycles and paths relative to a decomposition bag.
 
-Bulk classification uses BagMasks, built once per node of a full width-3
-decomposition by ``bag_masks(g, td, t)``: the bag, the components of G - bag
-and each triple's inside set as bitmasks, so fencing and posture are mask
-tests with no components or parts rebuilt per cycle.  The route-level
-functions (``vertex_side``, ``path_side``, ``cycle_posture``) are the
-reference the masks are tested against; BagContext, a node with an optional
-distinguished triple, is only their argument type.  They read inside/outside
-membership off the decomposition (bag membership along the union of branches
-whose bags contain the triple), not graph reachability; on valid
-decompositions the two coincide and the test suite asserts that coincidence.
+The route-level functions (``vertex_side``, ``path_side``, ``cycle_posture``,
+``cross_or_fence``) are the reference: bulk classification is done on masks
+by ``transversal.CycleFamilies``, one per node of a full width-3
+decomposition, and tested against these functions.  BagContext, a node with
+an optional distinguished triple, is only their argument type.  They read
+inside/outside membership off the decomposition (bag membership along the
+union of branches whose bags contain the triple), not graph reachability; on
+valid decompositions the two coincide and the test suite asserts that
+coincidence.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 from .cycles import Cycle, PathSegment, parts
-from .decomposition import TreeDecomposition, branch_union, side_masks
-from .graph import Graph, component_masks, separates, vertex_mask
+from .decomposition import TreeDecomposition, branch_union
+from .graph import Graph, separates
 
 __all__ = [
     "Side",
@@ -30,14 +28,12 @@ __all__ = [
     "Posture",
     "BagContext",
     "CyclePosture",
-    "BagMasks",
     "k_intersect",
     "cross_or_fence",
     "s_equivalent",
     "vertex_side",
     "path_side",
     "cycle_posture",
-    "bag_masks",
 ]
 
 
@@ -163,53 +159,3 @@ def cycle_posture(ctx: BagContext, c: Cycle) -> CyclePosture:
     if all(s is Side.OUTSIDE for s in sides):
         return CyclePosture(Posture.OUTSIDE, count, inter)
     return CyclePosture(Posture.JUMP, count, inter)
-
-
-@dataclass(frozen=True)
-class BagMasks:
-    """Bitmask facts of one node of a full width-3 decomposition: the bag, the
-    components of G - bag, and the inside set of each of the bag's triples.
-    A cycle is read as a family member is held: its vertex tuple and its
-    vertex mask."""
-
-    bag: int
-    components: tuple[int, ...]
-    inside: dict[tuple[int, ...], int]
-
-    def fenced(self, mask: int) -> bool:
-        """``cross_or_fence`` against the bag is FENCED for the cycle with
-        vertex mask ``mask``: its vertices off the bag meet at most one
-        component of G - bag."""
-        off = mask & ~self.bag
-        return sum(1 for comp in self.components if comp & off) <= 1
-
-    def posture(self, vertices: tuple[int, ...], mask: int, delta: tuple[int, ...]) -> Posture:
-        """The tag of ``cycle_posture`` for the cycle ``vertices``, with vertex
-        mask ``mask``, against a triple that it meets at least twice.  A part is
-        inside iff it is an edge within the triple or meets the inside set: on a
-        valid decomposition no component of G - bag straddles that set and the
-        fourth bag vertex has no inside neighbour, so each part off the bag lies
-        wholly on one side."""
-        if not mask & ~self.bag:
-            return Posture.INSIDE
-        dmask = vertex_mask(delta)
-        off = mask & ~dmask
-        if not off & ~self.inside[delta]:
-            return Posture.INSIDE
-        if off & self.inside[delta] or any(
-            (dmask >> u) & (dmask >> v) & 1 for u, v in zip(vertices, vertices[1:] + vertices[:1])
-        ):
-            return Posture.JUMP
-        return Posture.OUTSIDE
-
-
-def bag_masks(g: Graph, td: TreeDecomposition, t: int) -> BagMasks:
-    """The mask facts of node t of the full width-3 decomposition td.  A full
-    decomposition's adjacent bags share a triple, so each neighbour u adds its
-    branch, ``side_masks(td)[t, u]``, to the inside set of one triple: the
-    triple's ``branch_union`` as masks."""
-    bag = td.masks[t]
-    inside = {delta: vertex_mask(delta) for delta in combinations(td.bags[t], 3)}
-    for u in td.node_adj[t]:
-        inside[tuple(v for v in td.bags[u] if bag >> v & 1)] |= side_masks(td)[t, u]
-    return BagMasks(bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)

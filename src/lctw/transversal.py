@@ -8,8 +8,9 @@ verified exhaustively by construction.
 
 Every fact a check reads is derived once per graph by ``GraphFacts``: its
 2-connectivity, a decomposition, the longest cycles, lct, the full width-3
-decomposition and the per-bag families.  The checkers and the conjecture scan
-take that object.
+decomposition and the per-bag families, one ``CycleFamilies`` per node that
+holds the node's bitmasks and classifies each family from them.  The checkers
+and the conjecture scan take that object.
 
 Every checker returns its record entry: a dict with a "status" and, where it
 has them, a "detail" and a JSON-ready "witness".  A check on a whole graph
@@ -17,17 +18,18 @@ takes the facts; a per-triple check takes the facts, a node t of
 ``facts.td3`` and a triple of its bag.  "premise-not-met" is a status distinct
 from pass/fail so that a checker never reports a spurious failure on an
 instance outside its hypotheses, and "vacuous-pass" counts premise-empty side
-conditions separately.
+conditions separately.  The conjecture scan likewise returns the entries of
+its record: the finding and the facts it rests on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable
 
-from .classify import BagMasks, Posture, bag_masks
+from .classify import Posture
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
     LongestCycleSet,
@@ -43,8 +45,9 @@ from .decomposition import (
     full_tree_decomposition,
     has_treewidth_at_most_2,
     require_valid,
+    side_masks,
 )
-from .graph import Graph, is_biconnected, separates, vertex_mask
+from .graph import Graph, component_masks, is_biconnected, separates, vertex_mask
 
 __all__ = [
     "PASS",
@@ -54,7 +57,6 @@ __all__ = [
     "TransversalResult",
     "CycleFamilies",
     "TripleFamilies",
-    "ConjectureFinding",
     "GraphFacts",
     "compute_lct",
     "build_families",
@@ -78,7 +80,6 @@ class TransversalResult:
 
     lct: int
     witness: tuple[int, ...]
-    family: LongestCycleSet
 
 
 def compute_lct(g: Graph, family: LongestCycleSet) -> TransversalResult:
@@ -90,7 +91,7 @@ def compute_lct(g: Graph, family: LongestCycleSet) -> TransversalResult:
         for combo in combinations(range(g.n), size):
             probe = vertex_mask(combo)
             if all(m & probe for m in family.masks):
-                return TransversalResult(size, combo, family)
+                return TransversalResult(size, combo)
     raise AssertionError("unreachable: the full vertex set hits every cycle")
 
 
@@ -108,36 +109,64 @@ class TripleFamilies:
 
 @dataclass(frozen=True)
 class CycleFamilies:
-    """Longest-cycle families at one bag: the 2-crossing set, the fenced
-    at-most-3-intersecting set, and per-triple exact/jump families, each a
-    tuple of the family's (vertex tuple, vertex mask) pairs.  Only the bag's
-    mask facts are built up front; each family is classified from them on
-    first read and kept."""
+    """Longest-cycle families at one node of a full width-3 decomposition: the
+    2-crossing set, the fenced at-most-3-intersecting set, and per-triple
+    exact/jump families, each a tuple of the family's (vertex tuple, vertex
+    mask) pairs.  Only the node's masks are built up front: the bag, the
+    components of G - bag and the inside set of each of the bag's triples;
+    each family is classified from them on first read and kept."""
 
     bag: tuple[int, ...]
     cycles: LongestCycleSet
-    masks: BagMasks
+    mask: int
+    components: tuple[int, ...]
+    inside: dict[tuple[int, ...], int]
+
+    def fenced(self, m: int) -> bool:
+        """``cross_or_fence`` against the bag is FENCED for the cycle with
+        vertex mask m: its vertices off the bag meet at most one component of
+        G - bag."""
+        off = m & ~self.mask
+        return sum(1 for comp in self.components if comp & off) <= 1
+
+    def posture(self, vertices: tuple[int, ...], m: int, delta: tuple[int, ...]) -> Posture:
+        """The tag of ``cycle_posture`` for the cycle ``vertices``, with vertex
+        mask m, against a triple that it meets at least twice.  A part is
+        inside iff it is an edge within the triple or meets the inside set: on
+        a valid decomposition no component of G - bag straddles that set and
+        the fourth bag vertex has no inside neighbour, so each part off the bag
+        lies wholly on one side."""
+        if not m & ~self.mask:
+            return Posture.INSIDE
+        dmask = vertex_mask(delta)
+        off = m & ~dmask
+        if not off & ~self.inside[delta]:
+            return Posture.INSIDE
+        if off & self.inside[delta] or any(
+            (dmask >> u) & (dmask >> v) & 1 for u, v in zip(vertices, vertices[1:] + vertices[:1])
+        ):
+            return Posture.JUMP
+        return Posture.OUTSIDE
 
     @cached_property
     def x2(self) -> tuple[Member, ...]:
-        return tuple((c, m) for c, m in self.cycles if not self.masks.fenced(m) and (m & self.masks.bag).bit_count() == 2)
+        return tuple((c, m) for c, m in self.cycles if not self.fenced(m) and (m & self.mask).bit_count() == 2)
 
     @cached_property
     def fenced3(self) -> tuple[Member, ...]:
-        return tuple((c, m) for c, m in self.cycles if self.masks.fenced(m) and (m & self.masks.bag).bit_count() <= 3)
+        return tuple((c, m) for c, m in self.cycles if self.fenced(m) and (m & self.mask).bit_count() <= 3)
 
     @cached_property
     def by_triple(self) -> dict[tuple[int, ...], TripleFamilies]:
-        masks = self.masks
         by_triple: dict[tuple[int, ...], TripleFamilies] = {}
         for delta in combinations(self.bag, 3):
             dmask = vertex_mask(delta)
-            exact3 = tuple((c, m) for c, m in self.cycles if m & masks.bag == dmask)
+            exact3 = tuple((c, m) for c, m in self.cycles if m & self.mask == dmask)
             jump2: dict[tuple[int, int], list[Member]] = {p: [] for p in combinations(delta, 2)}
             jump3: list[Member] = []
             for c, m in self.cycles:
                 hit = m & dmask
-                if hit.bit_count() < 2 or masks.posture(c, m, delta) is not Posture.JUMP:
+                if hit.bit_count() < 2 or self.posture(c, m, delta) is not Posture.JUMP:
                     continue
                 if hit == dmask:
                     jump3.append((c, m))
@@ -148,9 +177,17 @@ class CycleFamilies:
 
 
 def build_families(g: Graph, td: TreeDecomposition, t: int, cycles: LongestCycleSet) -> CycleFamilies:
-    """The families of every longest cycle against the bag of node t of td and
-    all four of its triples: the bag's masks now, each family on first read."""
-    return CycleFamilies(td.bags[t], cycles, bag_masks(g, td, t))
+    """The families of every longest cycle against the bag of node t of the
+    full width-3 decomposition td and all four of its triples: the node's
+    masks now, each family on first read.  A full decomposition's adjacent
+    bags share a triple, so each neighbour u adds its branch,
+    ``side_masks(td)[t, u]``, to the inside set of one triple: the triple's
+    ``branch_union`` as masks."""
+    bag = td.masks[t]
+    inside = {delta: vertex_mask(delta) for delta in combinations(td.bags[t], 3)}
+    for u in td.node_adj[t]:
+        inside[tuple(v for v in td.bags[u] if bag >> v & 1)] |= side_masks(td)[t, u]
+    return CycleFamilies(td.bags[t], cycles, bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)
 
 
 class GraphFacts:
@@ -265,8 +302,8 @@ def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...])
     if (unmet := _jump_premise(fams)) is not None:
         return unmet
     family = [c for p in sorted(fams.jump2) for c in fams.jump2[p]] + list(fams.jump3)
-    inside = node.masks.inside[delta]
-    blocks = [b for b in node.masks.components if b & inside]  # components in the triple's branch union
+    inside = node.inside[delta]
+    blocks = [b for b in node.components if b & inside]  # components in the triple's branch union
     pairs = list(combinations(family, 2))
     meets = [m & k for (_, m), (_, k) in pairs]
     block = next((b for b in blocks if all(m & b for m in meets)), None)
@@ -299,11 +336,11 @@ def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dic
         return unmet
     dmask = vertex_mask(delta)
     for c, m in facts.cycles:
-        if (m & node.masks.bag).bit_count() <= 1:
+        if (m & node.mask).bit_count() <= 1:
             shape = "a longest cycle meets the bag at most once"
         elif (count := (m & dmask).bit_count()) < 2:
             continue
-        elif (tag := node.masks.posture(c, m, delta)) is Posture.OUTSIDE:
+        elif (tag := node.posture(c, m, delta)) is Posture.OUTSIDE:
             shape = "a longest cycle is outside the triple"
         elif tag is Posture.INSIDE and count == 2:
             shape = "an inside longest cycle meets the triple twice"
@@ -315,25 +352,16 @@ def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dic
     return {"status": FAIL, "detail": "no longest cycle satisfies any of the stated shapes"}
 
 
-@dataclass(frozen=True)
-class ConjectureFinding:
-    """Outcome of scanning one graph for a two-vertex transversal.
+def conjecture_scan(facts: GraphFacts) -> dict:
+    """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal
+    and return its record entries: the finding ("consistent" or
+    "COUNTEREXAMPLE"), lct, L, the number of longest cycles and the lct
+    witness.
 
-    Findings are reported, never asserted.  A counterexample (lct >= 3) carries
-    an exhaustive refutation: for every vertex pair, one longest cycle missing
-    both, so the finding re-verifies without this tool.
-    """
-
-    status: str  # "consistent" | "COUNTEREXAMPLE"
-    lct: int
-    length: int
-    cycle_count: int
-    witness: tuple[int, ...]
-    refutation: list[list] = field(default_factory=list)  # [u, v, the missing cycle's vertex list] per pair
-
-
-def conjecture_scan(facts: GraphFacts) -> ConjectureFinding:
-    """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal.
+    Findings are reported, never asserted.  A counterexample (lct >= 3) also
+    carries an exhaustive refutation, [u, v, the missing cycle's vertex list]
+    per vertex pair: one longest cycle missing both, so the finding
+    re-verifies without this tool.
 
     ``facts.td`` certifies the bound: a given decomposition must have width
     <= 4; without one the exact treewidth must be."""
@@ -342,14 +370,13 @@ def conjecture_scan(facts: GraphFacts) -> ConjectureFinding:
     width = facts.td.width
     if width > 4:
         raise ValueError(f"conjecture scan requires treewidth <= 4, got a decomposition of width {width}")
-    res = facts.lct
+    res, cycles = facts.lct, facts.cycles
+    found = {"lct": res.lct, "L": cycles.length, "longest_cycles": len(cycles), "witness": list(res.witness)}
     if res.lct <= 2:
-        return ConjectureFinding("consistent", res.lct, res.family.length, len(res.family), res.witness)
-    refutation = []
-    for u, v in combinations(range(facts.g.n), 2):
-        missed = next(c for c, m in res.family if not m & (1 << u | 1 << v))
-        refutation.append([u, v, list(missed)])
-    return ConjectureFinding("COUNTEREXAMPLE", res.lct, res.family.length, len(res.family), res.witness, refutation)
+        return {"finding": "consistent", **found}
+    pairs = combinations(range(facts.g.n), 2)
+    refutation = [[u, v, list(next(c for c, m in cycles if not m & (1 << u | 1 << v)))] for u, v in pairs]
+    return {"finding": "COUNTEREXAMPLE", **found, "refutation": refutation}
 
 
 def check_min_cycle_length_premise(facts: GraphFacts) -> dict:
@@ -379,8 +406,8 @@ def check_equivalent_two_cross_jump(facts: GraphFacts) -> dict:
         x2 = fams.x2
         if not x2:
             continue
-        meet = x2[0][1] & fams.masks.bag
-        if any(m & fams.masks.bag != meet for _, m in x2[1:]):
+        meet = x2[0][1] & fams.mask
+        if any(m & fams.mask != meet for _, m in x2[1:]):
             continue
         met_anywhere = True
         pair = tuple(v for v in td.bags[t] if meet >> v & 1)

@@ -244,18 +244,18 @@ def test_inside_membership_matches_reachability(small_corpus):
 def test_bag_masks_match_route_classification(small_corpus):
     # the mask fencing and posture against cross_or_fence and cycle_posture,
     # every longest cycle at every node and triple
-    from lctw.classify import bag_masks
+    from lctw.transversal import build_families
 
     checked = 0
     for g, natural in small_corpus:
         td = full_tree_decomposition(g, 3, base=natural)
         lcs = enumerate_longest_cycles(g)
         for t in range(td.node_count):
-            masks = bag_masks(g, td, t)
+            node = build_families(g, td, t, lcs)
             for c, m in lcs:
-                assert masks.fenced(m) == (cross_or_fence(g, Cycle(c), td.bags[t]) is Fencing.FENCED)
+                assert node.fenced(m) == (cross_or_fence(g, Cycle(c), td.bags[t]) is Fencing.FENCED)
                 for delta in combinations(td.bags[t], 3):
                     if len(set(c) & set(delta)) >= 2:
-                        assert masks.posture(c, m, delta) is cycle_posture(BagContext(td, t, delta), Cycle(c)).tag
+                        assert node.posture(c, m, delta) is cycle_posture(BagContext(td, t, delta), Cycle(c)).tag
                         checked += 1
     assert checked > 1000

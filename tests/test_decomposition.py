@@ -591,9 +591,9 @@ def _td3_corpus(small_corpus):
 
 
 def test_side_masks_match_branch_at_and_branch_union(small_corpus):
-    from lctw.classify import bag_masks
     from lctw.decomposition import side_masks
     from lctw.graph import vertex_mask
+    from lctw.transversal import build_families
 
     edges = triples = 0
     for g, td in _td3_corpus(small_corpus):
@@ -607,7 +607,7 @@ def test_side_masks_match_branch_at_and_branch_union(small_corpus):
         if not (td.is_full and td.width == 3):
             continue
         for t in range(td.node_count):
-            inside = bag_masks(g, td, t).inside
+            inside = build_families(g, td, t, ()).inside  # no family is read
             for delta in itertools.combinations(td.bags[t], 3):
                 assert inside[delta] == vertex_mask(delta) | vertex_mask(branch_union(td, t, delta).vertices)
                 triples += 1

@@ -1,5 +1,6 @@
 import io
 import json
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ import lctw.transversal as transversal
 from lctw.cli import main
 from lctw.cycles import EnumerationCapExceeded, enumerate_longest_cycles
 from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
-from lctw.graph import parse_graph6, vertex_mask, write_graph6
+from lctw.graph import Graph, parse_graph6, vertex_mask, write_graph6
 from lctw.harness import (
     CHECKS,
     DEFAULT_CHECKS,
@@ -29,7 +30,7 @@ from lctw.harness import (
     verify_conjecture_bundle,
     write_conjecture_bundle,
 )
-from lctw.transversal import FAIL, PASS, PREMISE_NOT_MET, GraphFacts, TransversalResult, build_families
+from lctw.transversal import FAIL, PASS, PREMISE_NOT_MET, GraphFacts, TransversalResult, build_families, conjecture_scan
 
 
 def _records(buf):
@@ -89,13 +90,11 @@ def test_error_records_exit_with_the_config_code(run):
 
 
 def test_failures_and_counterexamples_take_precedence_over_errors(monkeypatch):
-    from lctw.transversal import ConjectureFinding
-
     def mutated(graph, **kw):
-        return TransversalResult(2, (0, 1), kw["family"])
+        return TransversalResult(2, (0, 1))
 
     def fake_scan(facts):
-        return ConjectureFinding("COUNTEREXAMPLE", 3, 4, 3, (0, 1, 2))
+        return {"finding": "COUNTEREXAMPLE", "lct": 3, "L": 4, "longest_cycles": 3, "witness": [0, 1, 2]}
 
     monkeypatch.setattr(transversal, "compute_lct", mutated)
     monkeypatch.setattr(harness, "conjecture_scan", fake_scan)
@@ -148,7 +147,7 @@ def test_injected_fault_yields_failure_and_bundle(tmp_path, monkeypatch, fig):
 
     def mutated(graph, **kw):
         res = real(graph, **kw)
-        return TransversalResult(2, res.witness, res.family)
+        return TransversalResult(2, res.witness)
 
     monkeypatch.setattr(transversal, "compute_lct", mutated)
     tasks = [{"graph6": write_graph6(g)}]
@@ -189,10 +188,9 @@ def test_fake_counterexample_exit_code_and_fraud_detection(tmp_path, monkeypatch
     # force a counterexample finding on a graph whose true lct is 1; the
     # harness must exit with the distinct code and the bundle re-verification
     # must expose the fraud
-    from lctw.transversal import ConjectureFinding
-
     def fake_scan(g, **kw):
-        return ConjectureFinding("COUNTEREXAMPLE", 3, 4, 3, (0, 1, 2), ((0, 1, (0, 2, 1, 3)),))
+        found = {"lct": 3, "L": 4, "longest_cycles": 3, "witness": [0, 1, 2]}
+        return {"finding": "COUNTEREXAMPLE", **found, "refutation": [[0, 1, [0, 2, 1, 3]]]}
 
     monkeypatch.setattr(harness, "conjecture_scan", fake_scan)
     tasks = [{"graph6": write_graph6(complete_graph(4))}]
@@ -206,10 +204,8 @@ def test_fake_counterexample_exit_code_and_fraud_detection(tmp_path, monkeypatch
 
 def test_conjecture_bundle_enumerates_under_the_campaign_cap(tmp_path, monkeypatch):
     # a counterexample beyond the default cap of 18 but within the campaign's
-    from lctw.transversal import ConjectureFinding
-
     def fake_scan(g, **kw):
-        return ConjectureFinding("COUNTEREXAMPLE", 3, 19, 1, (0, 1, 2))
+        return {"finding": "COUNTEREXAMPLE", "lct": 3, "L": 19, "longest_cycles": 1, "witness": [0, 1, 2]}
 
     monkeypatch.setattr(harness, "conjecture_scan", fake_scan)
     tasks = [{"graph6": write_graph6(cycle_graph(19))}]
@@ -243,6 +239,30 @@ def test_bundle_roundtrip_on_true_values(tmp_path):
         fh.write(text)
     ok, detail = verify_conjecture_bundle(path)
     assert not ok
+
+
+def test_counterexample_scan_bundle_re_verifies_and_refuses_tampering(tmp_path):
+    # three disjoint triangles, declared 2-connected: the lct >= 3 branch of
+    # the scan, and the refutation checks of the bundle re-verification
+    g = Graph(9, [(a + i, a + j) for a in (0, 3, 6) for i, j in ((0, 1), (1, 2), (0, 2))])
+    facts = GraphFacts(g)
+    facts.biconnected = True
+    record = {"graph6": write_graph6(g), **conjecture_scan(facts)}
+    assert record["finding"] == "COUNTEREXAMPLE"
+    assert (record["lct"], record["witness"], record["L"], record["longest_cycles"]) == (3, [0, 3, 6], 3, 3)
+    assert len(record["refutation"]) == 36
+    path = write_conjecture_bundle(str(tmp_path), record)
+    assert verify_conjecture_bundle(path) == (True, "bundle re-verified")
+    text = open(path).read()
+    rows = [ln for ln in text.splitlines(True) if ln.startswith("  pair ")]
+    assert rows[0] == "  pair 0 1 missed-by 3 4 5\n"
+    for tampered, reason in (
+        (text.replace(rows[1], ""), "refutation does not cover every vertex pair"),
+        (text.replace(rows[0], "  pair 0 1 missed-by 0 1 2\n"), "bad refutation line for pair (0,1)"),
+    ):
+        with open(path, "w") as fh:
+            fh.write(tampered)
+        assert verify_conjecture_bundle(path) == (False, reason)
 
 
 def _list_first_cycle_twice(text):
@@ -485,6 +505,34 @@ def test_cli_directed_forest(capsys):
     assert json.loads(out)["arc_count"] >= 1
 
 
+@pytest.mark.parametrize(
+    "argv, code, stream, lines",
+    [
+        (["inspect", write_graph6(path_graph(4))], 0, "out", ["longest cycle: none (acyclic)"]),
+        (
+            ["inspect", write_graph6(cycle_graph(3))],
+            0,
+            "out",
+            ["full decomposition: none (no width-3 decomposition (n < 4))", "lct: 1  witness: {0}"],
+        ),
+        (
+            ["inspect", write_graph6(complete_graph(5)), "--families"],
+            0,
+            "out",
+            ["families: need a full width-3 decomposition (treewidth <= 3, n >= 4)"],
+        ),
+        (["directed-forest", write_graph6(path_graph(4))], EXIT_CONFIG, "err", ["error: diagnostic requires a 2-connected graph"]),
+        (["directed-forest", write_graph6(complete_graph(5))], EXIT_CONFIG, "err", ["error: diagnostic requires treewidth exactly 3"]),
+    ],
+    ids=["inspect-acyclic", "inspect-no-td3", "inspect-families-width-4", "dforest-not-2-connected", "dforest-width-4"],
+)
+def test_cli_single_graph_ends_cleanly_outside_the_premises(capsys, argv, code, stream, lines):
+    # each of lines is printed, the last of them as the last line
+    assert main(argv) == code
+    printed = getattr(capsys.readouterr(), stream).splitlines()
+    assert set(lines) <= set(printed) and printed[-1] == lines[-1]
+
+
 def test_cli_conjecture(tmp_path):
     report = tmp_path / "findings.jsonl"
     rc = main(
@@ -580,13 +628,13 @@ def test_families_built_at_most_once_per_node(monkeypatch, checks):
 def test_default_checks_classify_no_cycle(monkeypatch):
     # with lct = 1 the default checks stop at their premise and read only the
     # node masks: no family is classified, so fencing and posture never run
-    from lctw.classify import BagMasks
+    from lctw.transversal import CycleFamilies
 
     def refuse(*args):
         raise AssertionError("a family was classified")
 
-    monkeypatch.setattr(BagMasks, "fenced", refuse)
-    monkeypatch.setattr(BagMasks, "posture", refuse)
+    monkeypatch.setattr(CycleFamilies, "fenced", refuse)
+    monkeypatch.setattr(CycleFamilies, "posture", refuse)
     tasks = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=6")) + [{"graph6": "HSxoOEB"}]
     records = [evaluate_task(task, CampaignOptions(checks=DEFAULT_CHECKS)) for task in tasks]
     assert [rec["status"] for rec in records] == ["ok"] * len(tasks)
@@ -747,6 +795,17 @@ def test_td_blob_naming_a_vertex_off_the_graph_falls_back_to_exact_treewidth(ver
     assert {**rec, "ms": None} == {**bare, "ms": None}
 
 
+def test_td_wider_than_three_falls_back_to_the_optimal_decomposition():
+    # a valid one-bag decomposition of width 4 does not bound the treewidth
+    # by 3: the verify task computes the optimal one, as without a blob
+    g = Graph(5, [e for e in combinations(range(5), 2) if e != (0, 1)])
+    task = {"graph6": write_graph6(g), "td": {"bags": [list(range(5))], "edges": []}}
+    rec = evaluate_task(task, CampaignOptions())
+    bare = evaluate_task({"graph6": task["graph6"]}, CampaignOptions())
+    assert rec["status"] == bare["status"] == "ok" and rec["tw"] == bare["tw"] == 3
+    assert {**rec, "ms": None} == {**bare, "ms": None}
+
+
 def test_malformed_td_blob_does_not_abort_a_campaign():
     good = {"graph6": write_graph6(complete_graph(5))}
     buf = io.StringIO()
@@ -890,7 +949,7 @@ def test_dforest_fails_on_a_contradiction_candidate(lct, status):
     facts = GraphFacts(parse_graph6("HSxoOEB"))
     fenced = {t: ((c, vertex_mask(c)),) for t, c in ((0, (0, 2, 4)), (1, (6, 7, 8)))}
     facts.families = lambda t: SimpleNamespace(fenced3=fenced.get(t, ()))
-    facts.lct = TransversalResult(lct, facts.lct.witness, facts.cycles)
+    facts.lct = TransversalResult(lct, facts.lct.witness)
     out = CHECKS["dforest"][1](facts)
     assert out["status"] == status and out["arcs"] == 2
     if lct == 1:
@@ -932,7 +991,7 @@ def test_all_checks_report_digest(monkeypatch, variant):
 
         def mutated(graph, **kw):
             res = real(graph, **kw)
-            return TransversalResult(max(res.lct, 2), res.witness, res.family)
+            return TransversalResult(max(res.lct, 2), res.witness)
 
         monkeypatch.setattr(transversal, "compute_lct", mutated)
     buf = io.StringIO()

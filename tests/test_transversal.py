@@ -41,14 +41,15 @@ def test_compute_lct_trivial(k4, c5):
 
 
 def test_compute_lct_petersen(petersen_graph):
-    res = compute_lct(petersen_graph, enumerate_longest_cycles(petersen_graph))
+    family = enumerate_longest_cycles(petersen_graph)
+    res = compute_lct(petersen_graph, family)
     assert res.lct == 2
     assert res.witness == (0, 1)  # lexicographically least among minima
-    assert res.family.length == 9 and len(res.family) == 20
+    assert family.length == 9 and len(family) == 20
     # witness hits every longest cycle; no single vertex does
-    for c in res.family.cycles:
+    for c in family.cycles:
         assert set(res.witness) & set(c)
-    assert not any(all(v in c for c in res.family.cycles) for v in range(10))
+    assert not any(all(v in c for c in family.cycles) for v in range(10))
 
 
 def test_compute_lct_acyclic_error():
@@ -169,7 +170,7 @@ def test_jump_checkers_state_the_empty_2_jump_premise_alike(k4):
     # K4 in one bag has no branch, so no cycle jumps; lct is forced above 1 so
     # that the escape check reaches the same premise
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
-    facts.lct = TransversalResult(2, (0, 1), facts.cycles)
+    facts.lct = TransversalResult(2, (0, 1))
     for check in (check_pairwise_and_common, check_escape_cycle):
         out = check(facts, 0, (0, 1, 2))
         assert out["status"] == PREMISE_NOT_MET
@@ -188,9 +189,9 @@ def test_check_escape_cycle_premises(k4, k23):
 def test_conjecture_scan_consistent(small_corpus, petersen_graph):
     for g, natural in small_corpus[:10]:
         finding = conjecture_scan(GraphFacts(g, natural))
-        assert finding.status == "consistent" and finding.lct == 1
+        assert finding["finding"] == "consistent" and finding["lct"] == 1
     finding = conjecture_scan(GraphFacts(petersen_graph))
-    assert finding.status == "consistent" and finding.lct == 2
+    assert finding["finding"] == "consistent" and finding["lct"] == 2
 
 
 def test_conjecture_scan_preconditions():
@@ -213,15 +214,15 @@ def test_conjecture_scan_partial_4_trees():
         spec = GenSpec(n=10, k=4, seed=seed, delete_probability=0.3, require_biconnected=True)
         g, natural = generate_partial_k_tree(spec)
         finding = conjecture_scan(GraphFacts(g, natural))
-        assert finding.status == "consistent"
-        assert finding.lct <= 2
+        assert finding["finding"] == "consistent"
+        assert finding["lct"] <= 2
 
 
 def _premise_facts(g, lct=None):
     """Facts of g, with lct forced to the given value."""
     facts = GraphFacts(g)
     if lct is not None:
-        facts.lct = TransversalResult(lct, facts.lct.witness, facts.cycles)
+        facts.lct = TransversalResult(lct, facts.lct.witness)
     return facts
 
 
