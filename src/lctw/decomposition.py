@@ -2,20 +2,27 @@
 
 Exact treewidth is the dynamic program over elimination orders (states are
 sets of already-eliminated vertices), run as a memoised search bounded from
-above by the min-degree elimination width: sparse graphs visit few of the 2^n
-states, dense ones up to all of them, so n is capped.  Full decompositions
-(every bag of size k+1, adjacent bags sharing exactly k vertices) are produced
-constructively from any valid decomposition, on bag masks: contract subset
-bags, pad undersized bags from neighbors, then splice one-swap chains across
-edges whose intersection is still too small.  Bag masks (``masks``) and branch
-masks (``side_masks``) are built on first read and kept on the decomposition.
-All tie-breaking is by ascending vertex/node id, so construction output is
-byte-for-byte reproducible.
+above by the min-degree elimination width and started from all vertices but
+0, since any vertex ends some optimal elimination order: sparse graphs visit
+few of the 2^n states, dense ones up to all of them, so n is capped.  Full
+decompositions (every bag of size k+1, adjacent bags sharing exactly k
+vertices) are produced constructively from any valid decomposition, on bag
+masks: contract subset bags (a heap of the nodes a merge or a padding may
+have made contractible), pad undersized bags from neighbors, then splice
+one-swap chains across edges whose intersection is still too small.  A decomposition built here, the exact
+one or a full one, is valid by construction: it is made from the bag masks it
+was built on and marked valid for its graph, so ``require_valid`` checks only
+decompositions from outside (``TreeDecomposition(bags, edges)``).  Bag masks
+(``masks``) are set when a decomposition is built here and built on first
+read otherwise; branch masks (``side_masks``) are built on first read; both
+are kept on the decomposition.  All tie-breaking is by ascending vertex/node
+id, so construction output is byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable
 
 from .graph import Graph, _bits, neighbour_unions, separates, vertex_mask
@@ -61,7 +68,8 @@ class TreeDecomposition:
     ``width`` is max bag size minus one.  ``is_full`` is derived: every bag has
     width+1 vertices and every tree edge shares exactly width vertices.
     ``valid_for`` is the graph this decomposition last passed ``require_valid``
-    for, or None; ``sides`` is its ``side_masks`` table once read, or None.
+    for, or was built for by this module, or None; ``sides`` is its
+    ``side_masks`` table once read, or None.
     """
 
     __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj", "valid_for", "sides", "_masks")
@@ -105,6 +113,29 @@ class TreeDecomposition:
 
     def __repr__(self):
         return f"TreeDecomposition(nodes={self.node_count}, width={self.width}, full={self.is_full})"
+
+
+def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDecomposition:
+    """The decomposition with bag masks ``masks`` and tree edges ``edges`` that
+    a construction of this module built for g, so valid for g by construction:
+    its bags, width and fullness are read off the masks, and it is marked valid
+    for g without running ``validate``."""
+    td = TreeDecomposition.__new__(TreeDecomposition)
+    td._masks = masks = tuple(masks)
+    td.bags = tuple(tuple(_bits(m)) for m in masks)
+    td.tree_edges = norm = frozenset((a, b) if a < b else (b, a) for a, b in edges)
+    adj = [[] for _ in masks]
+    for a, b in norm:
+        adj[a].append(b)
+        adj[b].append(a)
+    td.node_adj = tuple(tuple(sorted(x)) for x in adj)
+    td.width = k = max(map(int.bit_count, masks)) - 1
+    td.is_full = all(m.bit_count() == k + 1 for m in masks) and all(
+        (masks[a] & masks[b]).bit_count() == k for a, b in norm
+    )
+    td.valid_for = g
+    td.sides = None
+    return td
 
 
 def validate(g: Graph, td: TreeDecomposition) -> list[str]:
@@ -158,8 +189,10 @@ def _reach(td: TreeDecomposition, start: int, inside=None, avoid: int = -1) -> s
 
 def require_valid(g: Graph, td: TreeDecomposition) -> None:
     """Raise ``DecompositionError`` naming the first violation unless td is
-    valid for g.  Only a full passing ``validate`` marks td valid for this
-    graph object (graphs are immutable), so asking again costs nothing."""
+    valid for g.  A full passing ``validate`` marks td valid for this graph
+    object (graphs are immutable), so asking again costs nothing; a
+    decomposition this module built for g (exact or full) is marked valid when
+    built, so it is never validated."""
     if td.valid_for is g:
         return
     problems = validate(g, td)
@@ -185,16 +218,22 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, Tr
     vertices low bit first, skips a component whose q cannot beat the best so
     far and takes a candidate only on strict improvement, so each vertex it
     picks is the first optimal one, whatever the bound.  The top-level bound
-    is the min-degree elimination width plus 1.  Sparse graphs visit few
+    is the min-degree elimination width plus 1.  Over the whole vertex set
+    V the search would take its first candidate, vertex 0 eliminated last,
+    and then only prove that no later one beats it: every vertex v ends an
+    optimal elimination order (a maximum cardinality search from v on an
+    optimal chordal completion orders it so), so tw(V) = tw(V - v) for every
+    v.  The search therefore starts at V - {0}.  Sparse graphs visit few
     subsets; the worst case is all 2^n, held in three bytearrays of 2^n
-    bytes (48 MiB at the default cap of 24), so n is capped.
+    bytes (48 MiB at the default cap of 24), so n is capped.  The
+    decomposition is built valid for g.
     """
     n = g.n
     check_treewidth_cap(n, cap)
     if n == 0:
         raise DecompositionError("treewidth of the empty graph is undefined here")
     if n == 1:
-        return 0, TreeDecomposition([(0,)], [])
+        return 0, _built(g, [1], [])
     nbr = g.nbr_mask
     h = n // 2
     low_half = (1 << h) - 1
@@ -239,11 +278,10 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, Tr
         lower[s] = best
         return best
 
-    full = size - 1
-    width = solve(full, _min_degree_width(nbr) + 1)
-    order = []
-    s_mask = full
-    for _ in range(n):
+    s_mask = size - 2  # every vertex but 0, eliminated before it
+    width = solve(s_mask, _min_degree_width(nbr) + 1)
+    order = [0]
+    for _ in range(n - 1):
         v = pick[s_mask]  # the vertex eliminated last within s_mask
         order.append(v)
         s_mask ^= 1 << v
@@ -281,7 +319,8 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
 
     Works on masks over positions in the order: the bag of the i-th vertex is
     it and its filled neighbours eliminated later, and its tree parent is the
-    earliest of those, else node i + 1 (joining components)."""
+    earliest of those, else node i + 1 (joining components).  The result is
+    built valid for g."""
     n = len(order)
     at = [0] * n  # at[v]: the bit of v's position in the order
     for i, v in enumerate(order):
@@ -291,20 +330,20 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     edges = []
     for i, v in enumerate(order):
         higher = adj[i] >> (i + 1) << (i + 1)
-        bag = [v]
+        bag = 1 << v
         rest = higher
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            bag.append(order[j])
+            bag |= 1 << order[j]
             adj[j] |= higher
         bags.append(bag)
         if higher:
             edges.append((i, (higher & -higher).bit_length() - 1))
         elif i + 1 < n:
             edges.append((i, i + 1))
-    return TreeDecomposition(bags, edges)
+    return _built(g, bags, edges)
 
 
 def has_treewidth_at_most_2(g: Graph) -> bool:
@@ -352,7 +391,8 @@ def full_tree_decomposition(
     decomposition (e.g. the natural one from a generated k-tree), which must
     pass ``require_valid``; otherwise an optimal one is computed.  A base that
     is already full of width k is returned as is.  When tw(g) < k the bags are
-    padded up to width exactly k by the same deterministic rules.
+    padded up to width exactly k by the same deterministic rules.  Any other
+    result is built valid for g.
     """
     if g.n < k + 1:
         raise DecompositionError(
@@ -373,27 +413,40 @@ def full_tree_decomposition(
     size = k + 1
     bags = dict(enumerate(base.masks))
     nbrs = {t: vertex_mask(adj) for t, adj in enumerate(base.node_adj)}  # node-id masks
+    dirty = list(bags)  # a heap of the nodes that may lie in a neighbour's bag
     while True:
         # Contract: merge the least node whose bag lies in a neighbour's bag
         # into the least such neighbour, until no bag lies in a neighbour's.
-        while merge := next(
-            ((t, u) for t in sorted(bags) for u in _bits(nbrs[t]) if not bags[t] & ~bags[u]), None
-        ):
-            t, u = merge
+        # Bags are fixed meanwhile, and a merge of t into u changes the
+        # neighbours of u and of t's other neighbours only, so it dirties
+        # just those nodes: every node that can merge is dirty, and the least
+        # dirty node is popped first.
+        while dirty:
+            t = heappop(dirty)
+            if t not in bags:
+                continue  # merged away
+            u = next((u for u in _bits(nbrs[t]) if not bags[t] & ~bags[u]), -1)
+            if u < 0:
+                continue
             for w in _bits(nbrs[t] & ~(1 << u)):
                 nbrs[w] = nbrs[w] & ~(1 << t) | 1 << u
+                heappush(dirty, w)
             nbrs[u] = (nbrs[u] | nbrs[t]) & ~(1 << t | 1 << u)
+            heappush(dirty, u)
             del bags[t], nbrs[t]
         short = [t for t in sorted(bags) if bags[t].bit_count() < size]
         if not short:
             break
         # Pad each undersized bag with the lowest vertices of its neighbours'
         # bags.  Every neighbour's bag holds a vertex outside it, so each
-        # round grows a bag; a lone node holds all n >= k+1 vertices.
+        # round grows a bag; a lone node holds all n >= k+1 vertices.  A
+        # padded node and its neighbours are dirty again.
         for t in short:
             pool = 0
             for u in _bits(nbrs[t]):
                 pool |= bags[u]
+                heappush(dirty, u)
+            heappush(dirty, t)
             pool &= ~bags[t]
             for _ in range(size - bags[t].bit_count()):
                 bags[t] |= pool & -pool
@@ -413,7 +466,7 @@ def full_tree_decomposition(
             prev = len(out_bags)
             out_bags.append(cur)
         out_edges.append((prev, at[b]))
-    return TreeDecomposition([_bits(m) for m in out_bags], out_edges)
+    return _built(g, out_bags, out_edges)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,17 @@ class CorpusSpec:
     n_max_exhaustive: int = 8
     retry_budget: int = 200
 
+    def __post_init__(self):
+        """Refuse a spec no corpus can be drawn from, named by its spec keys."""
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.n_lo > self.n_hi:
+            raise ValueError(f"n range {self.n_lo}..{self.n_hi} is empty")
+        if self.count < 0:
+            raise ValueError(f"count must be non-negative, got {self.count}")
+        if self.retry_budget < 1:
+            raise ValueError(f"retries must be at least 1, got {self.retry_budget}")
+
 
 def _n_range(val: str) -> dict:
     lo, hi = val.split("..") if ".." in val else (val, val)

@@ -235,6 +235,10 @@ class GraphFacts:
 
     @cached_property
     def tw_eq_3(self) -> bool:
+        """Treewidth exactly 3: an optimal td shows it by its width; a given
+        one bounds it from above, and the degree reduction rules out <= 2."""
+        if self.given_td is None:
+            return self.td.width == 3
         return self.td.width <= 3 and not has_treewidth_at_most_2(self.g)
 
     @cached_property

@@ -553,6 +553,24 @@ def test_cli_conjecture(tmp_path):
     assert len(recs) == 6 and all(r["finding"] == "consistent" for r in recs)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("k=0,count=3", "k must be at least 1, got 0"),
+        ("n=9..4,count=3", "n range 9..4 is empty"),
+        ("count=-1", "count must be non-negative, got -1"),
+        ("retries=0,count=3", "retries must be at least 1, got 0"),
+    ],
+    ids=["k", "n", "count", "retries"],
+)
+def test_cli_out_of_range_corpus_spec_is_config_error(tmp_path, capsys, spec, message):
+    # refused when parsed, before any draw and before the output is opened
+    out = tmp_path / "corpus.g6"
+    assert main(["generate", "--spec", spec, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_generation_retry_exhaustion_is_config_error():
     rc = main(["verify", "--generate", "k=3,n=10,count=3,p=0.85", "--seed", "1", "--workers", "1"])
     assert rc == EXIT_CONFIG
@@ -660,8 +678,11 @@ def test_campaign_reads_tree_edge_sides_from_the_side_mask_table(monkeypatch):
 
 
 def test_treewidth_at_most_2_is_decided_once_per_graph(monkeypatch):
-    # the directed forest reads facts.tw_eq_3 and does not decide it again
-    from lctw.decomposition import has_treewidth_at_most_2
+    # the directed forest reads facts.tw_eq_3 and does not decide it again; a
+    # given td only bounds the treewidth, so the degree reduction decides
+    # tw <= 2 once, while an optimal td shows it by its width and the
+    # reduction never runs
+    from lctw.decomposition import exact_treewidth, has_treewidth_at_most_2
 
     calls = []
 
@@ -671,9 +692,13 @@ def test_treewidth_at_most_2_is_decided_once_per_graph(monkeypatch):
 
     for module in ("lctw.transversal", "lctw.harness"):
         monkeypatch.setattr(f"{module}.has_treewidth_at_most_2", counting, raising=False)
-    rec = evaluate_task({"graph6": "HSxoOEB"}, CampaignOptions(checks=tuple(CHECKS)))
-    assert rec["status"] == "ok" and rec["checks"]["dforest"]["status"] == PASS
-    assert len(calls) == 1
+    td = exact_treewidth(parse_graph6("HSxoOEB"))[1]
+    blob = {"bags": [list(b) for b in td.bags], "edges": [list(e) for e in sorted(td.tree_edges)]}
+    for task, decided in (({"graph6": "HSxoOEB", "td": blob}, 1), ({"graph6": "HSxoOEB"}, 0)):
+        calls.clear()
+        rec = evaluate_task(task, CampaignOptions(checks=tuple(CHECKS)))
+        assert rec["status"] == "ok" and rec["checks"]["dforest"]["status"] == PASS and rec["tw_eq_3"]
+        assert len(calls) == decided
 
 
 def test_unknown_check_is_rejected_up_front():
@@ -860,6 +885,30 @@ def test_each_decomposition_is_validated_at_most_once_per_graph(monkeypatch):
     code, summary = run_verify(verify_tasks, opts, io.StringIO(), workers=1)
     assert summary.ok == len(verify_tasks)
     assert 0 < len(calls) <= len(verify_tasks)
+
+
+def test_only_a_task_td_is_validated(monkeypatch):
+    # the exact decomposition and td3 are built valid, so a graph evaluated
+    # without a td runs validate zero times, whatever the checks read, and a
+    # task td runs it exactly once
+    import lctw.decomposition
+
+    calls = []
+    real = lctw.decomposition.validate
+
+    def counting(g, td):
+        calls.append(g)
+        return real(g, td)
+
+    monkeypatch.setattr(lctw.decomposition, "validate", counting)
+    opts = CampaignOptions(checks=tuple(CHECKS))
+    bare = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=6"))
+    assert [evaluate_task(task, opts)["status"] for task in bare] == ["ok"] * len(bare)
+    assert calls == []
+    for task in corpus_tasks(parse_corpus_spec("k=3,n=8..10,count=5,p=0.25", seed=5)):
+        calls.clear()
+        assert evaluate_task(task, opts)["status"] == "ok"
+        assert len(calls) == 1
 
 
 def _refusal_from_verify(g6, capsys):
