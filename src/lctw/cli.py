@@ -31,6 +31,8 @@ from .harness import (
 )
 from .transversal import GraphFacts
 
+DEFAULT_MAX_CYCLES = 1_000_000  # about 200 MB of kept family at 198 bytes a cycle
+
 
 def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
     src = p.add_mutually_exclusive_group()
@@ -52,11 +54,29 @@ def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
 def _add_cap_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP, help="cycle enumeration cap")
     p.add_argument("--tw-cap", type=int, default=DEFAULT_TREEWIDTH_CAP, help="exact treewidth cap")
+    p.add_argument("--max-steps", type=int, default=None, help="cycle enumeration step budget (default: none)")
+    p.add_argument(
+        "--max-cycles",
+        type=int,
+        default=DEFAULT_MAX_CYCLES,
+        help=f"longest cycles the enumeration may keep, about 200 bytes each (default: {DEFAULT_MAX_CYCLES})",
+    )
+
+
+def _caps(args) -> dict:
+    """The subcommand's caps and budgets as keyword arguments of ``GraphFacts``
+    and ``CampaignOptions``."""
+    return {
+        "enumeration_cap": args.max_n,
+        "treewidth_cap": args.tw_cap,
+        "max_steps": args.max_steps,
+        "max_cycles": args.max_cycles,
+    }
 
 
 def _graph_facts(args, g) -> GraphFacts:
-    """The facts of one graph under the subcommand's --max-n and --tw-cap."""
-    return GraphFacts(g, enumeration_cap=args.max_n, treewidth_cap=args.tw_cap)
+    """The facts of one graph under the subcommand's caps and budgets."""
+    return GraphFacts(g, **_caps(args))
 
 
 def _tasks_from_args(args):
@@ -69,9 +89,8 @@ def _tasks_from_args(args):
 def _campaign_options(args, checks=None) -> CampaignOptions:
     return CampaignOptions(
         checks=checks or DEFAULT_CHECKS,
-        enumeration_cap=args.max_n,
-        treewidth_cap=args.tw_cap,
         strict_preconditions=getattr(args, "strict_preconditions", False),
+        **_caps(args),
     )
 
 

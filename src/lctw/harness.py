@@ -45,6 +45,7 @@ from .transversal import (
     PREMISE_NOT_MET,
     GraphFacts,
     Member,
+    ScanOutOfScope,
     check_escape_cycle,
     check_equivalent_two_cross_jump,
     check_fenced_or_shared,
@@ -74,6 +75,7 @@ class CampaignOptions:
     enumeration_cap: int = 18
     treewidth_cap: int = 24
     max_steps: int | None = None
+    max_cycles: int | None = None
     strict_preconditions: bool = False
 
     def __post_init__(self):
@@ -386,9 +388,10 @@ def _evaluate(task: dict, opts: CampaignOptions, fields: tuple[str, ...], max_wi
     """The record frame both evaluators share: parse the graph, record its
     graph6 form and ``fields``, take the task's decomposition when it is valid
     with width <= max_width, run ``body`` on the graph's facts and time it all.
-    A cap or budget refusal makes the record out-of-scope; any other
-    exception, an unreadable graph or decomposition blob included, makes it an
-    error.  A graph6 string that does not parse is kept as given."""
+    A cap or budget refusal, or a graph outside the conjecture scan's
+    premise, makes the record out-of-scope with the reason in "error"; any
+    other exception, an unreadable graph or decomposition blob included, makes
+    it an error.  A graph6 string that does not parse is kept as given."""
     started = time.monotonic()
     record: dict = {"schema": SCHEMA, "source": task.get("source", ""), "graph6": task.get("graph6", "")}
     try:
@@ -400,10 +403,11 @@ def _evaluate(task: dict, opts: CampaignOptions, fields: tuple[str, ...], max_wi
             enumeration_cap=opts.enumeration_cap,
             treewidth_cap=opts.treewidth_cap,
             max_steps=opts.max_steps,
+            max_cycles=opts.max_cycles,
         )
         body(facts, record, opts)
     except Exception as exc:
-        record["status"] = "out-of-scope" if isinstance(exc, CAP_ERRORS) else "error"
+        record["status"] = "out-of-scope" if isinstance(exc, (*CAP_ERRORS, ScanOutOfScope)) else "error"
         record["error"] = str(exc)
     record["ms"] = int((time.monotonic() - started) * 1000)
     return record

@@ -58,6 +58,7 @@ __all__ = [
     "CycleFamilies",
     "TripleFamilies",
     "GraphFacts",
+    "ScanOutOfScope",
     "compute_lct",
     "build_families",
     "check_fenced_or_shared",
@@ -195,9 +196,10 @@ class GraphFacts:
     kept, so each is computed at most once per graph.
 
     ``td``, when given, must pass ``require_valid`` for g; without one an
-    optimal decomposition is computed.  The caps and the step budget apply to
-    the exact treewidth program and the cycle enumeration; ``max_steps=None``
-    leaves the enumeration unbudgeted."""
+    optimal decomposition is computed.  The caps and the budgets apply to the
+    exact treewidth program and the cycle enumeration; ``max_steps=None`` and
+    ``max_cycles=None`` leave the enumeration's steps and family size
+    unbudgeted."""
 
     def __init__(
         self,
@@ -207,12 +209,14 @@ class GraphFacts:
         enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
         treewidth_cap: int = DEFAULT_TREEWIDTH_CAP,
         max_steps: int | None = None,
+        max_cycles: int | None = None,
     ):
         self.g = g
         self.given_td = td
         self.enumeration_cap = enumeration_cap
         self.treewidth_cap = treewidth_cap
         self.max_steps = max_steps
+        self.max_cycles = max_cycles
         self.td3_error = ""  # why td3 is None, once td3 is read
 
     @cached_property
@@ -243,7 +247,9 @@ class GraphFacts:
 
     @cached_property
     def cycles(self) -> LongestCycleSet:
-        return enumerate_longest_cycles(self.g, cap=self.enumeration_cap, max_steps=self.max_steps)
+        return enumerate_longest_cycles(
+            self.g, cap=self.enumeration_cap, max_steps=self.max_steps, max_cycles=self.max_cycles
+        )
 
     @cached_property
     def lct(self) -> TransversalResult:
@@ -356,6 +362,11 @@ def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dic
     return {"status": FAIL, "detail": "no longest cycle satisfies any of the stated shapes"}
 
 
+class ScanOutOfScope(ValueError):
+    """The graph is outside the conjecture scan's premise: it is not
+    2-connected, or its decomposition is wider than 4."""
+
+
 def conjecture_scan(facts: GraphFacts) -> dict:
     """Scan one 2-connected graph of treewidth <= 4 for a 2-vertex transversal
     and return its record entries: the finding ("consistent" or
@@ -368,12 +379,13 @@ def conjecture_scan(facts: GraphFacts) -> dict:
     re-verifies without this tool.
 
     ``facts.td`` certifies the bound: a given decomposition must have width
-    <= 4; without one the exact treewidth must be."""
+    <= 4; without one the exact treewidth must be.  A graph outside either
+    premise raises ``ScanOutOfScope``."""
     if not facts.biconnected:
-        raise ValueError("conjecture scan requires a 2-connected graph")
+        raise ScanOutOfScope("conjecture scan requires a 2-connected graph")
     width = facts.td.width
     if width > 4:
-        raise ValueError(f"conjecture scan requires treewidth <= 4, got a decomposition of width {width}")
+        raise ScanOutOfScope(f"conjecture scan requires treewidth <= 4, got a decomposition of width {width}")
     res, cycles = facts.lct, facts.cycles
     found = {"lct": res.lct, "L": cycles.length, "longest_cycles": len(cycles), "witness": list(res.witness)}
     if res.lct <= 2:

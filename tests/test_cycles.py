@@ -210,6 +210,10 @@ def reference_longest_cycles(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP, max_s
     return LongestCycleSet(best, tuple(cycles), tuple(vertex_mask(c.vertices) for c in cycles), steps=steps)
 
 
+def corpus_graphs(spec: str) -> list[Graph]:
+    return [parse_graph6(t["graph6"]) for t in corpus_tasks(parse_corpus_spec(spec, seed=0))]
+
+
 def differential_graphs():
     """Exhaustive n <= 7, seed-0 random k = 3, 4 and 5 corpora, and random
     G(n <= 10), empty, disconnected and acyclic ones among them.  140 of the
@@ -218,7 +222,7 @@ def differential_graphs():
     graphs = list(exhaustive_small(7, 3))
     specs = ["k=3,n=9..14,count=150,p=0.25", "k=3,n=15..18,count=150,p=0.25"]
     for spec in specs + ["k=4,n=8..13,count=120,p=0.3", "k=5,n=8..12,count=40,p=0.3"]:
-        graphs += [parse_graph6(t["graph6"]) for t in corpus_tasks(parse_corpus_spec(spec, seed=0))]
+        graphs += corpus_graphs(spec)
     rng = random.Random(21)
     graphs += [random_graph(rng, rng.randint(0, 10), rng.choice([0.15, 0.3, 0.5, 0.7])) for _ in range(100)]
     return graphs + [Graph(0, []), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), path_graph(9)]
@@ -289,12 +293,50 @@ def test_remembered_states_stay_in_bounded_memory():
 
 
 def test_step_budget_boundary(petersen_graph, small_corpus):
-    # K8's search copies remembered states, which take no steps.
-    for g in [petersen_graph, complete_graph(8)] + [g for g, _ in small_corpus[:4]]:
+    # K8's search copies remembered states, which take no steps.  The seed-47
+    # n = 18 graph takes 8,652 steps over several roots, so the last step is
+    # tried deep under a later root.
+    seed_47, _ = generate_partial_k_tree(GenSpec(n=18, k=4, seed=47, delete_probability=0.4, require_biconnected=True))
+    for g in [petersen_graph, complete_graph(8), seed_47] + [g for g, _ in small_corpus[:4]]:
         lcs = enumerate_longest_cycles(g)
         assert enumerate_longest_cycles(g, max_steps=lcs.steps).cycles == lcs.cycles
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_longest_cycles(g, max_steps=lcs.steps - 1)
+    assert enumerate_longest_cycles(seed_47).steps == 8_652
+    # The first step tries a second vertex, so a budget of 0 refuses any graph
+    # with a cycle; an acyclic path takes no step.
+    with pytest.raises(EnumerationBudgetExceeded, match="exceeded 0 steps"):
+        enumerate_longest_cycles(petersen_graph, max_steps=0)
+    assert enumerate_longest_cycles(path_graph(9), max_steps=0).length == 0
+
+
+def test_family_size_budget_boundary(petersen_graph):
+    # The kept family peaks at the final one on these graphs.  K4's three
+    # cycles are all appended, since paths of at most four vertices are never
+    # remembered; K8's search copies most of its 2,520 from remembered states.
+    dense = random_graph(random.Random(1), 12, 0.55)
+    for g in [complete_graph(4), petersen_graph, complete_graph(8), dense]:
+        lcs = enumerate_longest_cycles(g)
+        assert enumerate_longest_cycles(g, max_cycles=len(lcs)).cycles == lcs.cycles
+        with pytest.raises(EnumerationBudgetExceeded, match=f"more than {len(lcs) - 1} longest cycles"):
+            enumerate_longest_cycles(g, max_cycles=len(lcs) - 1)
+    with pytest.raises(EnumerationBudgetExceeded):
+        enumerate_longest_cycles(dense, max_cycles=1_000)
+
+
+@pytest.mark.parametrize(
+    "spec, steps, cycles",
+    [
+        ("k=3,n=9..14,count=150,p=0.25", 35_492, 905),
+        ("k=4,n=8..13,count=120,p=0.3", 45_000, 3_999),
+        ("mode=exhaustive,k=3,nmax=7", 11_587, 1_473),
+    ],
+)
+def test_search_work_is_pinned(spec, steps, cycles):
+    # Seed-0 corpora of the bench workloads' shapes: a faster step must take
+    # the same steps, not only return the same families.
+    families = [enumerate_longest_cycles(g) for g in corpus_graphs(spec)]
+    assert (sum(f.steps for f in families), sum(map(len, families))) == (steps, cycles)
 
 
 def test_enumerate_deterministic_order(petersen_graph):

@@ -498,6 +498,37 @@ def test_cli_verify_strict_preconditions(tmp_path):
     assert rec["status"] == "out-of-scope"
 
 
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-cycles"])
+def test_cli_campaign_over_an_enumeration_budget_is_out_of_scope(tmp_path, capsys, command, flag):
+    # Petersen is 2-connected with treewidth 4; its 20 longest cycles take 169 steps.
+    corpus = tmp_path / "pet.g6"
+    corpus.write_text(write_graph6(petersen()) + "\n")
+    report = tmp_path / "rep.jsonl"
+    assert main([command, "--corpus", str(corpus), "--workers", "1", flag, "5", "--out", str(report)]) == EXIT_OK
+    rec = json.loads(report.read_text())
+    assert rec["status"] == "out-of-scope" and rec["error"].endswith("no partial results")
+    assert "1 out-of-scope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "g, reason",
+    [
+        (complete_graph(6), "conjecture scan requires treewidth <= 4, got a decomposition of width 5"),
+        (path_graph(5), "conjecture scan requires a 2-connected graph"),
+    ],
+    ids=["K6", "not-2-connected"],
+)
+def test_cli_conjecture_outside_its_premise_is_out_of_scope(tmp_path, capsys, g, reason):
+    corpus = tmp_path / "g.g6"
+    corpus.write_text(write_graph6(g) + "\n")
+    report = tmp_path / "rep.jsonl"
+    assert main(["conjecture", "--corpus", str(corpus), "--workers", "1", "--out", str(report)]) == EXIT_OK
+    rec = json.loads(report.read_text())
+    assert (rec["status"], rec["error"]) == ("out-of-scope", reason)
+    assert "1 out-of-scope, 0 errors" in capsys.readouterr().err
+
+
 def test_cli_directed_forest(capsys):
     g2 = "GntWr_"
     assert main(["directed-forest", g2]) == 0

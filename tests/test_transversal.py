@@ -14,6 +14,7 @@ from lctw.transversal import (
     PREMISE_NOT_MET,
     VACUOUS_PASS,
     GraphFacts,
+    ScanOutOfScope,
     TransversalResult,
     build_families,
     check_escape_cycle,
@@ -195,9 +196,9 @@ def test_conjecture_scan_consistent(small_corpus, petersen_graph):
 
 
 def test_conjecture_scan_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ScanOutOfScope):
         conjecture_scan(GraphFacts(path_graph(5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ScanOutOfScope):
         conjecture_scan(GraphFacts(complete_graph(6)))  # treewidth 5
 
 
