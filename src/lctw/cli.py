@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .cycles import DEFAULT_ENUMERATION_CAP
+from .cycles import DEFAULT_ENUMERATION_CAP, DEFAULT_MAX_CYCLES
 from .decomposition import DEFAULT_TREEWIDTH_CAP, DecompositionError, full_tree_decomposition
 from .generate import GenerationError
 from .graph import parse_graph6
@@ -30,8 +30,6 @@ from .harness import (
     run_verify,
 )
 from .transversal import GraphFacts
-
-DEFAULT_MAX_CYCLES = 1_000_000  # about 200 MB of kept family at 198 bytes a cycle
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
@@ -54,13 +52,20 @@ def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
 def _add_cap_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP, help="cycle enumeration cap")
     p.add_argument("--tw-cap", type=int, default=DEFAULT_TREEWIDTH_CAP, help="exact treewidth cap")
-    p.add_argument("--max-steps", type=int, default=None, help="cycle enumeration step budget (default: none)")
     p.add_argument(
         "--max-cycles",
-        type=int,
+        type=_non_negative,
         default=DEFAULT_MAX_CYCLES,
-        help=f"longest cycles the enumeration may keep, about 200 bytes each (default: {DEFAULT_MAX_CYCLES})",
+        help="longest cycles the enumeration may keep while searching, about 200 bytes each; "
+        f"the final family is copied once more (default: {DEFAULT_MAX_CYCLES})",
     )
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _caps(args) -> dict:
@@ -69,7 +74,6 @@ def _caps(args) -> dict:
     return {
         "enumeration_cap": args.max_n,
         "treewidth_cap": args.tw_cap,
-        "max_steps": args.max_steps,
         "max_cycles": args.max_cycles,
     }
 

@@ -25,7 +25,8 @@ Two more savings change no branch's outcome, only how often it is worked out:
   it, so siblings share one walk, and a component cut by length or by the
   closing targets drops all its siblings at once (the best only grows).  The
   cuts keep or drop every sibling in a component as they do the first, so past
-  the second vertex a sibling in a component met at the same best skips them;
+  the second vertex, which fixes the closing targets, a sibling in a component
+  met at the same best skips them;
 * remembered states: under one root and second vertex, what a path closes
   beyond its head depends only on its vertex set, its head and the best, as in
   Held & Karp's subset-and-end-vertex states (J. SIAM 1962).  A state searched
@@ -41,14 +42,15 @@ closing targets.  The cycles found are mapped back to the graph's own labels.
 The search emits only simple cycles, so a family member is a plain tuple and
 mask; ``Cycle`` is the validated type for routes given from outside the search.
 
-Each root has an outer loop over its second vertices, which fix the closing
-targets and the table of remembered states.  Below a second vertex, the search
-is one flat loop over arrays indexed by the path's length: the path, the
-untried successors, the last free component met and the remembered-state key
-of each depth.  So a step pushes and pops no list and tests no depth of one.
+Under each root the search is one flat loop over arrays indexed by the
+path's length: the path, the untried successors, the last free component met
+and the remembered-state key of each depth.  So a step pushes and pops no
+list.  A try of a second vertex fixes the closing targets and empties the
+table of remembered states.
 
 Budgets, on steps and on the size of the family kept, fail loudly rather than
-sampling, because downstream checks require the complete family.
+sampling, because downstream checks require the complete family.  The family
+budget defaults to ``DEFAULT_MAX_CYCLES``.
 
 The length oracle, ``longest_cycle_length_td``, is a dynamic program over a
 nice refinement of a tree decomposition and shares nothing with the search.
@@ -83,7 +85,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 18
-_UNBOUNDED = 1 << 62  # the limit of an absent budget: no search comes near it
+DEFAULT_MAX_CYCLES = 1_000_000  # about 200 MB of kept family at 198 bytes a cycle
+_UNBOUNDED = 1 << 62  # the limit of an absent step budget: no search comes near it
 TABLE_BITS = 9  # vertices per subset table of the enumeration: 2^9 entries each
 
 
@@ -213,7 +216,10 @@ class LongestCycleSet:
 
 
 def enumerate_longest_cycles(
-    g: Graph, cap: int = DEFAULT_ENUMERATION_CAP, max_steps: int | None = None, max_cycles: int | None = None
+    g: Graph,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    max_steps: int | None = None,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> LongestCycleSet:
     """All distinct longest cycles of g, canonically deduplicated and sorted.
 
@@ -224,19 +230,18 @@ def enumerate_longest_cycles(
     relabelled search; the cycles found are mapped back to g's labels,
     canonicalised and sorted as vertex tuples, each with its vertex mask.
     ``max_cycles`` bounds the family kept while searching, the cycles of the
-    best length so far: it is checked where a cycle is appended or remembered
-    closings are copied, never per step, so a copy, which adds at most the
-    family's own size, holds at most twice the budget when it is refused.
+    best length so far: it is checked before a cycle is kept or remembered
+    closings are copied, never per step, so the kept family never exceeds it.
+    The final family is copied once more into canonical tuples and masks.
     Either budget, once exceeded, raises ``EnumerationBudgetExceeded``.
 
-    Each root runs an outer loop over its second vertices.  A second vertex
-    fixes ``target``, empties ``searched`` and passes the component, length
-    and thin cuts below, with a one-component cache of its own; its subtree
-    is then one flat loop over paths of two or more vertices.  That loop keeps
-    its state in arrays indexed by d, the number of path vertices: the path
-    itself, each head's untried successors, the last free component met among
-    them, and the head's remembered-state key.  A try of a second vertex and a
-    try of a later successor are both one step.
+    Each root's search is one flat loop that keeps its state in arrays
+    indexed by d, the number of path vertices: the path itself, each head's
+    untried successors, the last free component met among them, and the
+    head's remembered-state key.  At d = 1 the loop tries second vertices:
+    each fixes ``target``, empties ``searched`` and forgets the last
+    component met, so it runs the component, length and thin cuts itself.  A
+    try of a second vertex and a try of a later successor are both one step.
 
     One backtracking pass over paths rooted at each cycle's minimum vertex keeps
     the best length closed so far and the cycles of that length, dropping them
@@ -269,7 +274,7 @@ def enumerate_longest_cycles(
     the siblings left in a component pass the cuts as the first one met did,
     while the best and ``target`` stay: past the second vertex, where
     ``target`` is fixed, they skip the cuts, and a longer cycle forgets every
-    kept component.  A second vertex re-runs them, as each has its own
+    kept component.  A second vertex runs them afresh, as each has its own
     ``target``.  The thin set is computed only for a component that passes
     the length and ``target`` cuts.
 
@@ -302,7 +307,6 @@ def enumerate_longest_cycles(
     (ones0, twos0), (ones1, twos1) = _subset_tables(nbr[:h]), _subset_tables(nbr[h:])
     shift = n.bit_length()  # a state's key: the vertex mask below its head, then the head
     limit = _UNBOUNDED if max_steps is None else max_steps
-    cycle_limit = _UNBOUNDED if max_cycles is None else max_cycles
     best = 0
     found: list[tuple[int, ...]] = []
     steps = 0
@@ -320,116 +324,90 @@ def enumerate_longest_cycles(
             break  # a cycle rooted at s uses only vertices >= s
         s_bit = 1 << s
         allowed = ((1 << n) - 1) & ~((s_bit << 1) - 1)  # vertices > s
-        seconds = nbr[s] & allowed  # the untried second vertices
-        if seconds.bit_count() < 2:
+        rest = nbr[s] & allowed  # the untried second vertices
+        if rest.bit_count() < 2:
             continue  # no second vertex with a last vertex above it
         path[0] = s
-        comp1 = thin1 = 0  # the last free component met among the second vertices, and its thin vertices
-        while seconds:
-            wb = seconds & -seconds
-            seconds ^= wb
+        used = s_bit
+        comp = 0
+        d = 1
+        while True:
+            if not rest:  # the head's successors are all tried: back up
+                if d > 4:  # the head's state is keyed
+                    key, pushed_best, first = pushed[d]
+                    if pushed_best == best:
+                        searched[key] = (best, first, len(found))
+                elif d == 1:
+                    break
+                d -= 1
+                used ^= 1 << path[d]
+                rest, comp = untried[d], comps[d]
+                continue
+            wb = rest & -rest
+            rest ^= wb
             steps += 1
             if steps > limit:
                 raise _over_budget(f"exceeded {max_steps} steps")
-            target = nbr[s] & -(wb << 1)  # root neighbours above wb: the possible last vertices
-            if not target:
-                continue
             w = wb.bit_length() - 1
-            if not wb & comp1:
-                comp1 = wb | nbr[w] & allowed
-                while True:
-                    grown = comp1 | (ones0[comp1 & low_half] | ones1[comp1 >> h]) & allowed
-                    if grown == comp1:
-                        break
-                    comp1 = grown
-                lo, hi = (comp1 | s_bit) & low_half, (comp1 | s_bit) >> h
-                thin1 = comp1 & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi])
-            room = 1 + comp1.bit_count() - best
-            if room < 0 or not comp1 & target:
-                seconds &= ~comp1  # later second vertices have smaller targets
-                continue
-            over = thin1.bit_count() - room
-            if over > 0:
-                seconds &= thin1 | ~comp1 if over == 1 else ~comp1
-                if over > 1 or not wb & thin1:
+            if d == 1:  # a second vertex fixes the closing targets, so it runs the cuts itself
+                target = nbr[s] & -(wb << 1)  # root neighbours above wb: the possible last vertices
+                if not target:
                     continue
-            searched: dict[int, tuple[int, int, int]] = {}  # key -> (best, first, last) of found
-            path[1] = w
-            used = s_bit | wb
+                searched: dict[int, tuple[int, int, int]] = {}  # key -> (best, first, last) of found
+                comp = 0
+            elif wb & target:
+                if d >= best:  # a longer cycle closes; the kept components passed the cuts at a smaller best
+                    best = d + 1
+                    found = []
+                    comps = [0] * (n + 1)
+                    comp = 0
+                if d + 1 == best:
+                    if len(found) >= max_cycles:
+                        raise _over_budget(f"kept more than {max_cycles} longest cycles")
+                    found.append((*path[:d], w))
+            if not wb & comp:
+                # The vertices reachable from wb through free ones, which
+                # bound the extension.  The cuts below keep or drop each
+                # sibling in this component as they do wb, so one that is
+                # still untried at the same best and ``target`` skips them.
+                free = allowed & ~used
+                comp = wb | nbr[w] & free
+                while True:
+                    grown = comp | (ones0[comp & low_half] | ones1[comp >> h]) & free
+                    if grown == comp:
+                        break
+                    comp = grown
+                room = d + comp.bit_count() - best
+                if room < 0 or not comp & target:
+                    rest &= ~comp  # too few vertices left, or no way back to the root
+                    continue
+                # A thin vertex, one with fewer than two neighbours in the
+                # component and the root, cannot be on the closing path
+                # unless it is the head, and the path may leave out at
+                # most room vertices of the component.
+                lo, hi = (comp | s_bit) & low_half, (comp | s_bit) >> h
+                thin = comp & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi])
+                over = thin.bit_count() - room
+                if over > 0:
+                    rest &= thin | ~comp if over == 1 else ~comp
+                    if over > 1 or not wb & thin:
+                        continue
+            if d > 3:  # a state of at most four vertices has one path to it
+                key = used << shift | w
+                hit = searched.get(key)
+                if hit is not None and hit[0] == best:
+                    if len(found) + hit[2] - hit[1] > max_cycles:
+                        raise _over_budget(f"kept more than {max_cycles} longest cycles")
+                    prefix = (*path[:d], w)
+                    found += [prefix + c[d + 1 :] for c in found[hit[1] : hit[2]]]
+                    continue
+                pushed[d + 1] = key, best, len(found)
+            untried[d], comps[d] = rest, comp
+            path[d] = w
+            used |= wb
+            d += 1
             rest = nbr[w] & allowed & ~used
             comp = 0
-            d = 2
-            while True:
-                if not rest:  # the head's successors are all tried: back up
-                    if d > 4:  # the head's state is keyed
-                        key, pushed_best, first = pushed[d]
-                        if pushed_best == best:
-                            searched[key] = (best, first, len(found))
-                    elif d == 2:
-                        break
-                    d -= 1
-                    used ^= 1 << path[d]
-                    rest, comp = untried[d], comps[d]
-                    continue
-                wb = rest & -rest
-                rest ^= wb
-                steps += 1
-                if steps > limit:
-                    raise _over_budget(f"exceeded {max_steps} steps")
-                w = wb.bit_length() - 1
-                if wb & target:
-                    if d >= best:  # a longer cycle closes; the kept components passed the cuts at a smaller best
-                        best = d + 1
-                        found = []
-                        comps = [0] * (n + 1)
-                        comp = 0
-                    if d + 1 == best:
-                        found.append((*path[:d], w))
-                        if len(found) > cycle_limit:
-                            raise _over_budget(f"kept more than {max_cycles} longest cycles")
-                if not wb & comp:
-                    # The vertices reachable from wb through free ones, which
-                    # bound the extension.  The cuts below keep or drop each
-                    # sibling in this component as they do wb, so one that
-                    # is still untried at the same best skips them.
-                    free = allowed & ~used
-                    comp = wb | nbr[w] & free
-                    while True:
-                        grown = comp | (ones0[comp & low_half] | ones1[comp >> h]) & free
-                        if grown == comp:
-                            break
-                        comp = grown
-                    room = d + comp.bit_count() - best
-                    if room < 0 or not comp & target:
-                        rest &= ~comp  # too few vertices left, or no way back to the root
-                        continue
-                    # A thin vertex, one with fewer than two neighbours in the
-                    # component and the root, cannot be on the closing path
-                    # unless it is the head, and the path may leave out at
-                    # most room vertices of the component.
-                    lo, hi = (comp | s_bit) & low_half, (comp | s_bit) >> h
-                    thin = comp & ~(twos0[lo] | twos1[hi] | ones0[lo] & ones1[hi])
-                    over = thin.bit_count() - room
-                    if over > 0:
-                        rest &= thin | ~comp if over == 1 else ~comp
-                        if over > 1 or not wb & thin:
-                            continue
-                if d > 3:  # a state of at most four vertices has one path to it
-                    key = used << shift | w
-                    hit = searched.get(key)
-                    if hit is not None and hit[0] == best:
-                        prefix = (*path[:d], w)
-                        found += [prefix + c[d + 1 :] for c in found[hit[1] : hit[2]]]
-                        if len(found) > cycle_limit:
-                            raise _over_budget(f"kept more than {max_cycles} longest cycles")
-                        continue
-                    pushed[d + 1] = key, best, len(found)
-                untried[d], comps[d] = rest, comp
-                path[d] = w
-                used |= wb
-                d += 1
-                rest = nbr[w] & allowed & ~used
-                comp = 0
     cycles = sorted(_canonical(tuple(map(order.__getitem__, seq))) for seq in found)
     bits = [1 << v for v in range(n)]
     return LongestCycleSet(best, tuple(cycles), tuple(sum(map(bits.__getitem__, c)) for c in cycles), steps=steps)

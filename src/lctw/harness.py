@@ -24,6 +24,7 @@ from multiprocessing import Pool
 
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_MAX_CYCLES,
     Cycle,
     EnumerationBudgetExceeded,
     EnumerationCapExceeded,
@@ -75,7 +76,7 @@ class CampaignOptions:
     enumeration_cap: int = 18
     treewidth_cap: int = 24
     max_steps: int | None = None
-    max_cycles: int | None = None
+    max_cycles: int = DEFAULT_MAX_CYCLES
     strict_preconditions: bool = False
 
     def __post_init__(self):

@@ -32,6 +32,7 @@ from typing import Callable
 from .classify import Posture
 from .cycles import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_MAX_CYCLES,
     LongestCycleSet,
     check_enumeration_cap,
     enumerate_longest_cycles,
@@ -197,9 +198,8 @@ class GraphFacts:
 
     ``td``, when given, must pass ``require_valid`` for g; without one an
     optimal decomposition is computed.  The caps and the budgets apply to the
-    exact treewidth program and the cycle enumeration; ``max_steps=None`` and
-    ``max_cycles=None`` leave the enumeration's steps and family size
-    unbudgeted."""
+    exact treewidth program and the cycle enumeration; ``max_steps=None``
+    leaves the enumeration's steps unbudgeted."""
 
     def __init__(
         self,
@@ -209,7 +209,7 @@ class GraphFacts:
         enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
         treewidth_cap: int = DEFAULT_TREEWIDTH_CAP,
         max_steps: int | None = None,
-        max_cycles: int | None = None,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
     ):
         self.g = g
         self.given_td = td

@@ -499,16 +499,28 @@ def test_cli_verify_strict_preconditions(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify", "conjecture"])
-@pytest.mark.parametrize("flag", ["--max-steps", "--max-cycles"])
-def test_cli_campaign_over_an_enumeration_budget_is_out_of_scope(tmp_path, capsys, command, flag):
-    # Petersen is 2-connected with treewidth 4; its 20 longest cycles take 169 steps.
+def test_cli_campaign_over_the_family_budget_is_out_of_scope(tmp_path, capsys, command):
+    # Petersen is 2-connected with treewidth 4 and has 20 longest cycles.
     corpus = tmp_path / "pet.g6"
     corpus.write_text(write_graph6(petersen()) + "\n")
     report = tmp_path / "rep.jsonl"
-    assert main([command, "--corpus", str(corpus), "--workers", "1", flag, "5", "--out", str(report)]) == EXIT_OK
+    argv = [command, "--corpus", str(corpus), "--workers", "1", "--max-cycles", "5", "--out", str(report)]
+    assert main(argv) == EXIT_OK
     rec = json.loads(report.read_text())
-    assert rec["status"] == "out-of-scope" and rec["error"].endswith("no partial results")
+    assert (rec["status"], rec["error"]) == (
+        "out-of-scope",
+        "enumeration kept more than 5 longest cycles; no partial results",
+    )
     assert "1 out-of-scope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "conjecture", "inspect", "directed-forest"])
+def test_cli_negative_family_budget_is_config_error(capsys, command):
+    args = CLI_CORPUS.get(command, [write_graph6(petersen())])
+    with pytest.raises(SystemExit) as exc:  # refused while parsing, before any graph is read
+        main([command, *args, "--max-cycles", "-1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--max-cycles: must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
