@@ -50,14 +50,14 @@ def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
 
 
 def _add_cap_flags(p: argparse.ArgumentParser):
-    p.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP, help="cycle enumeration cap")
-    p.add_argument("--tw-cap", type=int, default=DEFAULT_TREEWIDTH_CAP, help="exact treewidth cap")
+    p.add_argument("--max-n", type=_non_negative, default=DEFAULT_ENUMERATION_CAP, help="cycle enumeration cap")
+    p.add_argument("--tw-cap", type=_non_negative, default=DEFAULT_TREEWIDTH_CAP, help="exact treewidth cap")
     p.add_argument(
         "--max-cycles",
         type=_non_negative,
         default=DEFAULT_MAX_CYCLES,
         help="longest cycles the enumeration may keep while searching, about 200 bytes each; "
-        f"the final family is copied once more (default: {DEFAULT_MAX_CYCLES})",
+        f"a check that reads the cycles themselves copies the family once more (default: {DEFAULT_MAX_CYCLES})",
     )
 
 

@@ -2,10 +2,10 @@
 independent length oracle over tree decompositions, and the segment algebra
 (parts between marked vertices, tails at a vertex, path/cycle concatenation).
 
-Enumeration is complete by contract: every longest cycle is returned, as its
-canonical vertex tuple with its vertex mask, by one search pass that prunes
-only branches unable to close a cycle of the best length so far, which never
-exceeds the longest.  Its three cuts are exact for that reason:
+Enumeration is complete by contract: every longest cycle is found by one
+search pass that prunes only branches unable to close a cycle of the best
+length so far, which never exceeds the longest.  Its three cuts are exact for
+that reason:
 
 * one orientation: a cycle is walked only in the direction whose last vertex
   lies above its second, so the path may close only on a root neighbour above
@@ -38,9 +38,12 @@ Two more savings change no branch's outcome, only how often it is worked out:
 The search runs on the graph relabelled in smallest-last removal order (Matula
 & Beck, J. ACM 1983): root 0 has least degree and every vertex has at most
 degeneracy-many neighbours above it, which bounds a root's second vertices and
-closing targets.  The cycles found are mapped back to the graph's own labels.
-The search emits only simple cycles, so a family member is a plain tuple and
-mask; ``Cycle`` is the validated type for routes given from outside the search.
+closing targets.  The search keeps the family's count and its distinct vertex
+sets, which is all that lct and the vertex-set checks read; the cycles are
+mapped back to the graph's own labels as canonical tuples, with their masks,
+only when a check first reads them.  The search emits only simple cycles, so
+a family member is a plain tuple and mask; ``Cycle`` is the validated type
+for routes given from outside the search.
 
 Under each root the search is one flat loop over arrays indexed by the
 path's length: the path, the untried successors, the last free component met
@@ -64,7 +67,7 @@ state.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .decomposition import TreeDecomposition, require_valid
@@ -189,11 +192,17 @@ class PathSegment:
         )
 
 
-@dataclass(frozen=True)
 class LongestCycleSet:
-    """The complete family of longest cycles of one graph: ``cycles`` holds
-    each cycle's canonical vertex tuple, sorted, and ``masks`` its vertex mask
-    at the same index.  Iterating the family yields the (tuple, mask) pairs.
+    """The complete family of longest cycles of one graph.
+
+    ``length``, the count ``len(family)`` and ``vertex_sets``, the sorted
+    distinct vertex masks of the cycles, are set when the family is made.
+    ``cycles``, each cycle's canonical vertex tuple, sorted, and ``masks``, its
+    vertex mask at the same index, are built on first read; the search's own
+    paths are dropped then.  Iterating the family yields the (tuple, mask)
+    pairs.  A question about vertex sets only, such as a transversal or a
+    pairwise meet, reads ``vertex_sets``: a Hamiltonian family has one,
+    however many cycles it holds.
 
     length == 0 with no cycles iff the graph is acyclic.  ``steps`` counts the
     successors the search pass tried on the relabelled graph, the quantity a
@@ -203,16 +212,45 @@ class LongestCycleSet:
     try of its own.
     """
 
-    length: int
-    cycles: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
-    steps: int = field(default=0, compare=False)
+    __slots__ = ("length", "steps", "vertex_sets", "_count", "_cycles", "_masks", "_paths", "_order")
+
+    def __init__(self, length: int, cycles, masks, steps: int = 0):
+        self.length, self.steps = length, steps
+        self._cycles, self._masks = tuple(cycles), tuple(masks)
+        self._count = len(self._cycles)
+        self.vertex_sets = tuple(sorted(set(self._masks)))
+
+    @classmethod
+    def _from_search(cls, length, steps, vertex_sets, paths, order) -> "LongestCycleSet":
+        """The family of the search's ``paths``, over its relabelled vertices:
+        vertex i of a path is ``order[i]`` of the graph."""
+        family = cls.__new__(cls)
+        family.length, family.steps, family.vertex_sets = length, steps, vertex_sets
+        family._count, family._cycles, family._paths, family._order = len(paths), None, paths, order
+        return family
+
+    def _built(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        if self._cycles is None:  # map the paths back to the graph's labels, once
+            order = self._order
+            self._cycles = tuple(sorted(_canonical(tuple(map(order.__getitem__, p))) for p in self._paths))
+            bits = [1 << v for v in range(len(order))]
+            self._masks = tuple(sum(map(bits.__getitem__, c)) for c in self._cycles)
+            self._paths = self._order = None
+        return self._cycles, self._masks
+
+    @property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        return self._built()[0]
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        return self._built()[1]
 
     def __iter__(self):
-        return zip(self.cycles, self.masks)
+        return zip(*self._built())
 
     def __len__(self):
-        return len(self.cycles)
+        return self._count
 
 
 def enumerate_longest_cycles(
@@ -227,13 +265,18 @@ def enumerate_longest_cycles(
     the search is ``order[i]``, so root 0 has least degree and each vertex has
     at most degeneracy-many neighbours above it.
     ``steps``, and the ``max_steps`` budget, count successor tries of that
-    relabelled search; the cycles found are mapped back to g's labels,
-    canonicalised and sorted as vertex tuples, each with its vertex mask.
+    relabelled search.  The search keeps the distinct vertex masks of the
+    cycles of the best length so far: a closing adds its mask, a longer cycle
+    restarts them with the family, and a copied remembered slice adds none,
+    since a state's key holds its vertex set.  Each distinct mask is mapped
+    back to g's labels once, into ``vertex_sets``; the cycles are mapped back,
+    canonicalised and sorted as vertex tuples with their masks only when
+    ``cycles``, ``masks`` or iteration first reads them.
     ``max_cycles`` bounds the family kept while searching, the cycles of the
     best length so far: it is checked before a cycle is kept or remembered
     closings are copied, never per step, so the kept family never exceeds it.
-    The final family is copied once more into canonical tuples and masks.
-    Either budget, once exceeded, raises ``EnumerationBudgetExceeded``.
+    A read of the tuples copies the family once more.  Either budget, once
+    exceeded, raises ``EnumerationBudgetExceeded``.
 
     Each root's search is one flat loop that keeps its state in arrays
     indexed by d, the number of path vertices: the path itself, each head's
@@ -309,6 +352,7 @@ def enumerate_longest_cycles(
     limit = _UNBOUNDED if max_steps is None else max_steps
     best = 0
     found: list[tuple[int, ...]] = []
+    sets: set[int] = set()  # the distinct vertex masks of found
     steps = 0
     # Per-depth arrays, indexed by d, the number of path vertices: path[d - 1]
     # is the head.  Its untried successors and the last free component met
@@ -358,13 +402,14 @@ def enumerate_longest_cycles(
             elif wb & target:
                 if d >= best:  # a longer cycle closes; the kept components passed the cuts at a smaller best
                     best = d + 1
-                    found = []
+                    found, sets = [], set()
                     comps = [0] * (n + 1)
                     comp = 0
                 if d + 1 == best:
                     if len(found) >= max_cycles:
                         raise _over_budget(f"kept more than {max_cycles} longest cycles")
                     found.append((*path[:d], w))
+                    sets.add(used | wb)
             if not wb & comp:
                 # The vertices reachable from wb through free ones, which
                 # bound the extension.  The cuts below keep or drop each
@@ -398,7 +443,7 @@ def enumerate_longest_cycles(
                 if hit is not None and hit[0] == best:
                     if len(found) + hit[2] - hit[1] > max_cycles:
                         raise _over_budget(f"kept more than {max_cycles} longest cycles")
-                    prefix = (*path[:d], w)
+                    prefix = (*path[:d], w)  # a copy keeps its source's vertex set, already in sets
                     found += [prefix + c[d + 1 :] for c in found[hit[1] : hit[2]]]
                     continue
                 pushed[d + 1] = key, best, len(found)
@@ -408,9 +453,9 @@ def enumerate_longest_cycles(
             d += 1
             rest = nbr[w] & allowed & ~used
             comp = 0
-    cycles = sorted(_canonical(tuple(map(order.__getitem__, seq))) for seq in found)
-    bits = [1 << v for v in range(n)]
-    return LongestCycleSet(best, tuple(cycles), tuple(sum(map(bits.__getitem__, c)) for c in cycles), steps=steps)
+    labels = [1 << v for v in order]  # labels[i]: the bit of search vertex i in g
+    vertex_sets = sorted(sum(b for i, b in enumerate(labels) if m >> i & 1) for m in sets)
+    return LongestCycleSet._from_search(best, steps, tuple(vertex_sets), found, order)
 
 
 def _smallest_last_order(adj: tuple[tuple[int, ...], ...]) -> list[int]:

@@ -92,7 +92,7 @@ def compute_lct(g: Graph, family: LongestCycleSet) -> TransversalResult:
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
             probe = vertex_mask(combo)
-            if all(m & probe for m in family.masks):
+            if all(m & probe for m in family.vertex_sets):
                 return TransversalResult(size, combo)
     raise AssertionError("unreachable: the full vertex set hits every cycle")
 

@@ -1,13 +1,17 @@
 import io
 import json
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import lctw.cycles
 import lctw.harness as harness
 import lctw.transversal as transversal
 from lctw.cli import main
-from lctw.cycles import EnumerationCapExceeded, enumerate_longest_cycles
+from lctw.cycles import Cycle, EnumerationCapExceeded, LongestCycleSet, enumerate_longest_cycles
 from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
 from lctw.graph import Graph, parse_graph6, vertex_mask, write_graph6
 from lctw.harness import (
@@ -523,6 +527,17 @@ def test_cli_negative_family_budget_is_config_error(capsys, command):
     assert "--max-cycles: must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--tw-cap"])
+@pytest.mark.parametrize("command", ["verify", "conjecture", "inspect", "directed-forest"])
+def test_cli_negative_cap_is_config_error(capsys, command, flag):
+    # a negative cap would make every graph out-of-scope and the run exit 0
+    args = CLI_CORPUS.get(command, [write_graph6(petersen())])
+    with pytest.raises(SystemExit) as exc:  # refused while parsing, before any graph is read
+        main([command, *args, flag, "-1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"{flag}: must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "g, reason",
     [
@@ -768,6 +783,19 @@ def test_large_trees_without_td_evaluate_fast():
         assert {c["status"] for c in rec["checks"].values()} == {"out-of-scope"}
 
 
+def test_a_large_hamiltonian_family_evaluates_fast():
+    # K9's 20,160 longest cycles share one vertex set: lct and the pairwise
+    # meets read that one set, where a scan of the 203 million pairs of
+    # cycles took over half a minute
+    import time
+
+    start = time.perf_counter()
+    rec = evaluate_task({"graph6": write_graph6(complete_graph(9))}, CampaignOptions())
+    assert time.perf_counter() - start < 2
+    assert (rec["status"], rec["longest_cycles"], rec["lct"]) == ("ok", 20_160, 1)
+    assert rec["checks"]["pairwise_overlap"] == {"status": PASS}
+
+
 def test_cap_overrun_is_out_of_scope_in_both_evaluators(monkeypatch):
     from lctw.generate import GenSpec, generate_partial_k_tree
 
@@ -952,6 +980,97 @@ def test_only_a_task_td_is_validated(monkeypatch):
         calls.clear()
         assert evaluate_task(task, opts)["status"] == "ok"
         assert len(calls) == 1
+
+
+def test_default_campaigns_build_no_cycle_tuples(monkeypatch):
+    # lct, the pairwise meets and the triple premises read the family's
+    # vertex sets; on these corpora (lct <= 2) no default check reads a cycle's
+    # vertex tuple, so no family is mapped back to canonical tuples
+    calls = []
+    real = lctw.cycles._canonical
+
+    def counting(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(lctw.cycles, "_canonical", counting)
+    tasks = corpus_tasks(parse_corpus_spec("k=3,n=9..14,count=100,p=0.25"))
+    code, summary = run_verify(tasks, CampaignOptions(), io.StringIO(), workers=1)
+    assert (code, summary.ok) == (EXIT_OK, 100)
+    tasks = corpus_tasks(parse_corpus_spec("k=4,n=8..13,count=100,p=0.3"))
+    code, summary = run_conjecture(tasks, CampaignOptions(), io.StringIO(), workers=1)
+    assert (code, summary.ok) == (EXIT_OK, 100)
+    assert calls == []
+    assert len(enumerate_longest_cycles(complete_graph(4)).cycles) == len(calls) == 3  # a read builds them
+
+
+def test_pairwise_overlap_reports_the_first_thin_pair_in_order():
+    # No 2-connected graph has two longest cycles sharing fewer than two
+    # vertices, so the families are drawn by hand: 4-cycles on 7 vertices,
+    # several orders of one vertex set among them, given to the facts.
+    rng = random.Random(5)
+    failures = 0
+    for _ in range(300):
+        sets = [rng.sample(range(7), 4) for _ in range(rng.randint(1, 4))]
+        routes = {Cycle(tuple(rng.sample(vs, 4))).vertices for vs in sets for _ in range(3)}
+        cycles = sorted(routes)
+        facts = GraphFacts(complete_graph(7))
+        facts.cycles = LongestCycleSet(4, cycles, [vertex_mask(c) for c in cycles])
+        # the ordered scan over all pairs of cycles
+        thin = next(([list(c), list(d)] for c, d in combinations(cycles, 2) if len(set(c) & set(d)) < 2), None)
+        failures += thin is not None
+        assert harness._pairwise_overlap(facts) == ({"status": PASS} if thin is None else {"status": FAIL, "witness": thin})
+    assert 50 < failures < 250
+
+
+_TD_VERTEX = st.one_of(
+    st.integers(-3, 12), st.sampled_from([10**12, -(2**70)]), st.floats(), st.booleans(), st.none(), st.text(max_size=2)
+)
+_TD_BAG = st.one_of(st.lists(_TD_VERTEX, max_size=6), _TD_VERTEX)
+_TD_EDGE = st.one_of(st.lists(st.integers(-2, 8), max_size=3), st.integers(), st.none(), st.text(max_size=2))
+_TD_BLOB = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "bags": st.one_of(st.lists(_TD_BAG, max_size=6), _TD_BAG),
+            "edges": st.one_of(st.lists(_TD_EDGE, max_size=6), _TD_EDGE),
+        },
+    ),
+)
+
+
+def _parses(text: str) -> bool:
+    try:
+        parse_graph6(text)
+    except ValueError:
+        return False
+    return True
+
+
+_SMALL_GRAPH6 = [write_graph6(g) for g in (complete_graph(5), petersen(), path_graph(4))] + ["HSxoOEB", "?", "Bw"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(
+    g6=st.one_of(st.text(max_size=12).filter(lambda s: not _parses(s)), st.sampled_from(_SMALL_GRAPH6)),
+    td=_TD_BLOB,
+    caps=st.fixed_dictionaries(
+        {}, optional={name: st.just(0) for name in ("enumeration_cap", "treewidth_cap", "max_cycles", "max_steps")}
+    ),
+)
+def test_every_task_gives_one_record_with_a_status(g6, td, caps):
+    # graph6 text that does not parse, td blobs of every shape, caps of 0:
+    # each evaluator returns one JSON-ready record with a status, never raises
+    task = {"graph6": g6, "source": "hypothesis"} | ({} if td is None else {"td": td})
+    for evaluate in (evaluate_task, evaluate_conjecture_task):
+        rec = evaluate(task, CampaignOptions(**caps))
+        assert rec["status"] in ("ok", "fail", "out-of-scope", "error")
+        assert rec["graph6"] == g6 or _parses(g6)
+        assert json.loads(json.dumps(rec)) == rec
 
 
 def _refusal_from_verify(g6, capsys):
