@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable
 
-from .graph import Graph, _bits, neighbour_unions, separates, vertex_mask
+from .graph import Graph, _bits, _spread, neighbour_unions, separates, vertex_mask
 
 __all__ = [
     "TreeDecomposition",
@@ -145,31 +145,43 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     names the failed condition and a witness.  Violations are data, not errors.
     This is the unmemoised oracle: it checks afresh on every call.  Consumers
     that need a valid decomposition call ``require_valid`` instead.
+
+    It works on node masks: ``hold[v]`` has bit t set iff the bag of node t
+    holds v, where a bag entry counts as vertex v when it equals v (so ``1.0``
+    and ``True`` are vertex 1) and any other entry is out of range.  An edge
+    uv is covered iff ``hold[u] & hold[v]``, and the nodes holding v are
+    connected iff a walk over the tree's node masks from the first of them,
+    through them, reaches all of them.
     """
     out = []
     nodes = td.node_count
     if len(td.tree_edges) != nodes - 1:
         out.append(f"tree-shape: {nodes} nodes need {nodes - 1} edges, found {len(td.tree_edges)}")
-    reached = len(_reach(td, 0))
+    node_adj = [0] * nodes  # node -> mask of its tree neighbours
+    for a, b in td.tree_edges:
+        node_adj[a] |= 1 << b
+        node_adj[b] |= 1 << a
+    reached = _spread(node_adj, 1, (1 << nodes) - 1).bit_count()
     if reached != nodes:
         out.append(f"tree-shape: tree is disconnected (reached {reached} of {nodes} nodes)")
-    holders: dict[int, list[int]] = {v: [] for v in range(g.n)}  # vertex -> nodes holding it
+    hold = dict.fromkeys(range(g.n), 0)  # vertex -> mask of the nodes holding it
     for t, bag in enumerate(td.bags):
         for v in bag:
-            if v in holders:
-                holders[v].append(t)
+            if v in hold:
+                hold[v] |= 1 << t
             else:
                 out.append(f"bag-range: node {t} holds out-of-range vertex {v}")
-    out += [f"vertex-cover: vertex {v} is in no bag" for v, ts in holders.items() if not ts]
+    out += [f"vertex-cover: vertex {v} is in no bag" for v, ts in hold.items() if not ts]
     out += [
         f"edge-cover: edge ({u},{v}) is in no bag"
-        for u, v in sorted(g.edges)
-        if set(holders[u]).isdisjoint(holders[v])
+        for u in range(g.n)
+        for v in _bits(g.nbr_mask[u] >> u + 1 << u + 1)
+        if not hold[u] & hold[v]
     ]
     out += [
         f"subtree-connectivity: nodes holding vertex {v} are disconnected"
-        for v, ts in holders.items()
-        if ts and len(_reach(td, ts[0], set(ts))) != len(ts)
+        for v, ts in hold.items()
+        if _spread(node_adj, ts & -ts, ts) != ts
     ]
     return out
 

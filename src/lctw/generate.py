@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .decomposition import TreeDecomposition
-from .graph import Graph, is_biconnected
+from .graph import Graph, _spread, is_biconnected
 
 __all__ = [
     "GenSpec",
@@ -273,24 +273,10 @@ def _biconnected_without(masks: tuple[int, ...], u: int, v: int) -> bool:
     start, goal = 1 << u, 1 << v
     while suspects:
         x = suspects & -suspects
-        if not _reach(masks, start, x) & goal:
+        if not _spread(masks, start, ~x) & goal:
             return False
         suspects ^= x
     return True
-
-
-def _reach(masks: tuple[int, ...], start: int, avoid: int) -> int:
-    """The vertices reachable from the vertex set ``start`` off ``avoid``."""
-    seen = frontier = start
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~seen & ~avoid
-        seen |= frontier
-    return seen
 
 
 def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:

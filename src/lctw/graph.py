@@ -7,7 +7,8 @@ can be shared freely across concurrent workers.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import cache
+from typing import Iterable, Sequence
 
 __all__ = [
     "Graph",
@@ -104,7 +105,11 @@ def parse_graph6(text: str) -> Graph:
     Bit layout per the de-facto graph6 specification: after the size byte
     (n + 63) come ceil(n(n-1)/2 / 6) bytes, each carrying six bits offset by
     63, covering the upper triangle of the adjacency matrix in column-major
-    order x(0,1), x(0,2), x(1,2), x(0,3), ...
+    order x(0,1), x(0,2), x(1,2), x(0,3), ...  Padding bits after the last
+    matrix bit are ignored, set or not.  Only the set bits of the body are
+    walked, each mapped to its (row, col) by a table per n, and the graph is
+    built from the neighbour masks and lists they fill, without normalising
+    its edges again.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -126,34 +131,54 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise Graph6Error("unexpected bytes after graph6 body", 1 + nbytes)
+    if body and not "?" <= min(body) <= max(body) <= "~":
+        i = next(i for i, ch in enumerate(body) if not "?" <= ch <= "~")
+        raise Graph6Error(f"out-of-range character {body[i]!r}", 1 + i)
     bits = 0
-    for i, ch in enumerate(body):
-        val = ord(ch)
-        if not 63 <= val <= 126:
-            raise Graph6Error(f"out-of-range character {ch!r}", 1 + i)
-        bits = (bits << 6) | (val - 63)
+    for ch in body:
+        bits = (bits << 6) | (ord(ch) - 63)
     bits >>= 6 * nbytes - nbits  # drop padding
+    cells = _graph6_cells(n)
+    masks = [0] * n
+    adj = [[] for _ in range(n)]
     edges = []
-    k = nbits
-    for col in range(1, n):
-        for row in range(col):
-            k -= 1
-            if (bits >> k) & 1:
-                edges.append((row, col))
-    return Graph(n, edges)
+    while bits:  # highest bit first: columns, then rows, ascending, so adj comes sorted
+        k = bits.bit_length() - 1
+        bits ^= 1 << k
+        row, col = cell = cells[k]
+        masks[row] |= 1 << col
+        masks[col] |= 1 << row
+        adj[row].append(col)
+        adj[col].append(row)
+        edges.append(cell)
+    g = Graph.__new__(Graph)  # Graph(n, edges) without checking or normalising again
+    g.n = n
+    g.edges = frozenset(edges)
+    g.adj = tuple(map(tuple, adj))
+    g.nbr_mask = tuple(masks)
+    g._hash = hash((n, g.edges))
+    return g
+
+
+@cache
+def _graph6_cells(n: int) -> tuple[tuple[int, int], ...]:
+    """The (row, col) of each bit of an n-vertex graph6 body once padding is
+    dropped, indexed from the lowest bit: the last matrix bit comes first.
+    Kept per n, so at most 63 tables (n <= 62)."""
+    return tuple((row, col) for col in range(1, n) for row in range(col))[::-1]
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a graph as one graph6 line; inverse of parse_graph6."""
+    """Encode a graph as one graph6 line; inverse of parse_graph6.  Each edge
+    sets its one bit of the body."""
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 single-byte size form caps n at {GRAPH6_MAX_N}, got {g.n}")
-    bits = 0
     nbits = g.n * (g.n - 1) // 2
-    for col in range(1, g.n):
-        for row in range(col):
-            bits = (bits << 1) | ((g.nbr_mask[row] >> col) & 1)
     pad = (6 - nbits % 6) % 6
-    bits <<= pad
+    top = nbits + pad - 1  # the bit of x(0,1); x(row, col) sits col(col-1)/2 + row below it
+    bits = 0
+    for row, col in g.edges:
+        bits |= 1 << top - (col * (col - 1) // 2 + row)
     out = [chr(g.n + 63)]
     for shift in range(nbits + pad - 6, -1, -6):
         out.append(chr(((bits >> shift) & 0x3F) + 63))
@@ -218,22 +243,30 @@ def components_after_removal(g: Graph, s: Iterable[int]) -> tuple[tuple[int, ...
 def component_masks(g: Graph, mask: int) -> list[int]:
     """Connected components of the subgraph induced on a vertex bitmask, as
     bitmasks ordered by minimum vertex."""
-    nbr_mask = g.nbr_mask
     comps = []
     rem = mask
     while rem:
-        comp = frontier = rem & -rem
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= nbr_mask[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & mask & ~comp
-            comp |= frontier
+        comp = _spread(g.nbr_mask, rem & -rem, mask)
         comps.append(comp)
         rem &= ~comp
     return comps
+
+
+def _spread(masks: Sequence[int], seed: int, within: int) -> int:
+    """The items reachable from the bitmask ``seed`` through the bitmask
+    ``within`` (a negative one, ``~x``, allows all but x), where bit j of
+    ``masks[i]`` is set iff items i and j are adjacent: vertices of a graph
+    or nodes of a tree."""
+    reach = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~reach
+        reach |= frontier
+    return reach
 
 
 def neighbour_unions(masks: tuple[int, ...]) -> list[int]:

@@ -214,17 +214,25 @@ def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
     """Exhaustive separator-property sweep over all tree edges and vertex pairs:
     the branch of t toward t' is ``side_masks(td)[t, t']``, and a pair
     violates the property when both vertices lie in one component of G minus
-    the shared bag, so only an edge with a component meeting both sides lists pairs."""
+    the shared bag S.  For a tree edge (a, b) with sides A and B, both off S,
+    a component of G - S can meet both only if A and B meet, some vertex of
+    G - S lies in neither, or an edge of G joins A and B: otherwise A and B
+    split G - S with no edge between them.  That test reads the neighbour
+    masks, and only an edge that passes it has its components walked to list
+    pairs, so the sweep stays exact on invalid decompositions."""
     sides = side_masks(td)
+    nbr_mask = g.nbr_mask
+    full = (1 << g.n) - 1
     violations = []
     pairs = 0
     for a, b in sorted(td.tree_edges):
         side = {a: sides[a, b], b: sides[b, a]}
         pairs += 2 * side[a].bit_count() * side[b].bit_count()
-        shared = td.masks[a] & td.masks[b]
-        leaks = [c for c in component_masks(g, ((1 << g.n) - 1) & ~shared) if c & side[a] and c & side[b]]
-        if not leaks:
+        off = full & ~(td.masks[a] & td.masks[b])  # G - S
+        x, y = side[a] & off, side[b] & off
+        if not (x & y or off & ~(x | y) or _joined(nbr_mask, x, y)):
             continue
+        leaks = [c for c in component_masks(g, off) if c & x and c & y]
         for t, tp in ((a, b), (b, a)):
             for u in range(g.n):
                 for v in range(g.n):
@@ -234,14 +242,29 @@ def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
     return {"status": status, "pairs": pairs, "violations": violations}
 
 
+def _joined(nbr_mask: tuple[int, ...], x: int, y: int) -> bool:
+    """Whether an edge of the graph with neighbour masks ``nbr_mask`` joins
+    the vertex sets x and y."""
+    while x:
+        low = x & -x
+        if nbr_mask[low.bit_length() - 1] & y:
+            return True
+        x ^= low
+    return False
+
+
 def check_family_consistency(td: TreeDecomposition, families) -> dict:
     """Per node, the premise of the mask posture: no component of G - bag
     straddles the inside set of a triple, so the inside sets read off the
-    decomposition agree with graph reachability, whole components at a time."""
+    decomposition agree with graph reachability, whole components at a time.
+    A component straddles the inside set I exactly when an edge of G joins
+    I - bag and V - bag - I, which the neighbour masks show without walking
+    a component."""
     for t in range(td.node_count):
         node = families(t)
+        off = ((1 << node.g.n) - 1) & ~node.mask
         for delta, inside in node.inside.items():
-            if any(comp & inside and comp & ~inside for comp in node.components):
+            if _joined(node.g.nbr_mask, inside & off, off & ~inside):
                 return {"status": FAIL, "detail": f"node {t}: a component straddles the inside set of {list(delta)}"}
     return {"status": PASS}
 
@@ -395,7 +418,8 @@ def _evaluate(task: dict, opts: CampaignOptions, fields: tuple[str, ...], max_wi
     graph6 form and ``fields``, take the task's decomposition when it is valid
     with width <= max_width, run ``body`` on the graph's facts and time it all.
     A cap or budget refusal, or a graph outside the conjecture scan's
-    premise, makes the record out-of-scope with the reason in "error"; any
+    premise, makes the record out-of-scope with the reason in "error", as
+    ``_verify_graph`` does for the empty graph; any
     other exception, an unreadable graph or decomposition blob included, makes
     it an error.  A graph6 string that does not parse is kept as given."""
     started = time.monotonic()
@@ -420,6 +444,9 @@ def _evaluate(task: dict, opts: CampaignOptions, fields: tuple[str, ...], max_wi
 
 
 def _verify_graph(facts: GraphFacts, record: dict, opts: CampaignOptions) -> None:
+    if not facts.g.n:  # the empty graph has no decomposition, so no check applies
+        record.update(status="out-of-scope", error="verify needs a graph with at least one vertex")
+        return
     checks: dict[str, dict] = {}
     record["checks"] = checks
     td = facts.td

@@ -111,18 +111,23 @@ class TripleFamilies:
 
 @dataclass(frozen=True)
 class CycleFamilies:
-    """Longest-cycle families at one node of a full width-3 decomposition: the
-    2-crossing set, the fenced at-most-3-intersecting set, and per-triple
-    exact/jump families, each a tuple of the family's (vertex tuple, vertex
-    mask) pairs.  Only the node's masks are built up front: the bag, the
-    components of G - bag and the inside set of each of the bag's triples;
-    each family is classified from them on first read and kept."""
+    """Longest-cycle families at one node of a full width-3 decomposition of
+    g: the 2-crossing set, the fenced at-most-3-intersecting set, and
+    per-triple exact/jump families, each a tuple of the family's (vertex
+    tuple, vertex mask) pairs.  Only the node's masks are built up front: the
+    bag and the inside set of each of the bag's triples.  The components of
+    G - bag, which only fencing and the pairwise-and-common check read, and
+    each family are built on first read and kept."""
 
     bag: tuple[int, ...]
     cycles: LongestCycleSet
     mask: int
-    components: tuple[int, ...]
     inside: dict[tuple[int, ...], int]
+    g: Graph
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        return tuple(component_masks(self.g, ((1 << self.g.n) - 1) & ~self.mask))
 
     def fenced(self, m: int) -> bool:
         """``cross_or_fence`` against the bag is FENCED for the cycle with
@@ -181,15 +186,19 @@ class CycleFamilies:
 def build_families(g: Graph, td: TreeDecomposition, t: int, cycles: LongestCycleSet) -> CycleFamilies:
     """The families of every longest cycle against the bag of node t of the
     full width-3 decomposition td and all four of its triples: the node's
-    masks now, each family on first read.  A full decomposition's adjacent
-    bags share a triple, so each neighbour u adds its branch,
-    ``side_masks(td)[t, u]``, to the inside set of one triple: the triple's
-    ``branch_union`` as masks."""
-    bag = td.masks[t]
-    inside = {delta: vertex_mask(delta) for delta in combinations(td.bags[t], 3)}
+    masks now, each family on first read.  The i-th triple of the bag, in
+    ``combinations`` order, omits its i-th vertex from the end, so its mask
+    is the bag's minus that vertex.  A full decomposition's adjacent bags
+    share a triple, so each neighbour u adds its branch,
+    ``side_masks(td)[t, u]``, to the inside set of the triple its bag shares:
+    the triple's ``branch_union`` as masks."""
+    masks, vertices = td.masks, td.bags[t]
+    bag, sides = masks[t], side_masks(td)
+    by_mask = {bag ^ 1 << v: delta for v, delta in zip(reversed(vertices), combinations(vertices, 3))}
+    inside = {delta: m for m, delta in by_mask.items()}
     for u in td.node_adj[t]:
-        inside[tuple(v for v in td.bags[u] if bag >> v & 1)] |= side_masks(td)[t, u]
-    return CycleFamilies(td.bags[t], cycles, bag, tuple(component_masks(g, ((1 << g.n) - 1) & ~bag)), inside)
+        inside[by_mask[bag & masks[u]]] |= sides[t, u]
+    return CycleFamilies(vertices, cycles, bag, inside, g)
 
 
 class GraphFacts:

@@ -69,6 +69,13 @@ def test_graph6_errors_carry_offsets():
     assert err.value.offset == 1
 
 
+def test_graph6_padding_bits_are_ignored():
+    # C5 is "Dhc": ten matrix bits and two padding bits, here both set
+    c5, padded = cycle_graph(5), parse_graph6("Dhf")
+    assert (padded.n, padded.edges, padded.adj, padded.nbr_mask, hash(padded)) == (c5.n, c5.edges, c5.adj, c5.nbr_mask, hash(c5))
+    assert write_graph6(padded) == "Dhc"
+
+
 def test_write_graph6_rejects_large():
     with pytest.raises(ValueError):
         write_graph6(Graph(63, []))

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -439,6 +440,20 @@ def test_cli_inspect_empty_graph_is_config_error(capsys):
     assert "error: treewidth of the empty graph" in capsys.readouterr().err
 
 
+def test_the_empty_graph_is_out_of_scope_in_both_evaluators(tmp_path):
+    # no decomposition exists, so neither campaign applies: the record says
+    # why, and a verify corpus holding the empty graph exits 0
+    for evaluate in (evaluate_task, evaluate_conjecture_task):
+        rec = evaluate({"graph6": "?"}, CampaignOptions())
+        assert (rec["status"], rec["n"]) == ("out-of-scope", 0) and rec["error"]
+        assert "checks" not in rec
+    corpus = tmp_path / "empty.g6"
+    corpus.write_text("?\n")
+    report = tmp_path / "rep.jsonl"
+    assert main(["verify", "--corpus", str(corpus), "--workers", "1", "--out", str(report)]) == EXIT_OK
+    assert [json.loads(line)["status"] for line in report.read_text().splitlines()] == ["out-of-scope"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -681,6 +696,134 @@ def test_families_check_flags_a_straddling_component():
     cycles = enumerate_longest_cycles(g)
     out = check_family_consistency(td, lambda t: build_families(g, td, t, cycles))
     assert out["status"] == "fail" and out["detail"].startswith("node 1:")
+
+
+def _family_consistency_reference(td, families):
+    """check_family_consistency stated on the components of G - bag."""
+    for t in range(td.node_count):
+        node = families(t)
+        for delta, inside in node.inside.items():
+            if any(comp & inside and comp & ~inside for comp in node.components):
+                return {"status": FAIL, "detail": f"node {t}: a component straddles the inside set of {list(delta)}"}
+    return {"status": PASS}
+
+
+def _validate_reference(g, td):
+    """validate stated on node lists and sets."""
+    from lctw.decomposition import _reach
+
+    out = []
+    nodes = td.node_count
+    if len(td.tree_edges) != nodes - 1:
+        out.append(f"tree-shape: {nodes} nodes need {nodes - 1} edges, found {len(td.tree_edges)}")
+    reached = len(_reach(td, 0))
+    if reached != nodes:
+        out.append(f"tree-shape: tree is disconnected (reached {reached} of {nodes} nodes)")
+    holders: dict[int, list[int]] = {v: [] for v in range(g.n)}  # vertex -> nodes holding it
+    for t, bag in enumerate(td.bags):
+        for v in bag:
+            if v in holders:
+                holders[v].append(t)
+            else:
+                out.append(f"bag-range: node {t} holds out-of-range vertex {v}")
+    out += [f"vertex-cover: vertex {v} is in no bag" for v, ts in holders.items() if not ts]
+    out += [
+        f"edge-cover: edge ({u},{v}) is in no bag"
+        for u, v in sorted(g.edges)
+        if set(holders[u]).isdisjoint(holders[v])
+    ]
+    out += [
+        f"subtree-connectivity: nodes holding vertex {v} are disconnected"
+        for v, ts in holders.items()
+        if ts and len(_reach(td, ts[0], set(ts))) != len(ts)
+    ]
+    return out
+
+
+def _vertex_on_both_sides_of_an_edge():
+    """A path of four bags where vertex 0 is held by the two end bags only and
+    its one neighbour by all four: across the middle tree edge vertex 0 lies
+    on both sides, so its component of G - S meets both, though no edge of G
+    joins the sides and no vertex lies in neither."""
+    from lctw.decomposition import TreeDecomposition
+
+    return Graph(2, [(0, 1)]), TreeDecomposition([(0, 1), (1,), (1,), (0, 1)], [(0, 1), (1, 2), (2, 3)])
+
+
+def _decomposition_cases(small_corpus):
+    """(g, td) pairs: the small corpus with its generator decompositions and
+    their full width-3 decompositions, the exhaustive nmax = 6 corpus with
+    its optimal and full width-3 decompositions, the chain with an uncovered
+    edge and the path with a vertex on both sides of an edge."""
+    from lctw.decomposition import full_tree_decomposition
+
+    cases = [_chain_with_uncovered_edge(), _vertex_on_both_sides_of_an_edge()]
+    for g, natural in small_corpus:
+        cases += [(g, natural), (g, full_tree_decomposition(g, 3, base=natural))]
+    for task in corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=6")):
+        facts = GraphFacts(parse_graph6(task["graph6"]))
+        cases += [(facts.g, facts.td)] + ([(facts.g, facts.td3)] if facts.td3 is not None else [])
+    return cases
+
+
+def _mutations(g, td, ids=False):
+    """(label, graph, decomposition) for g and td and mutations of them that
+    break a decomposition condition: a bag vertex dropped, a vertex dropped
+    from every bag, a tree edge dropped, an edge no bag covers added and, with
+    ``ids``, a bag vertex replaced by an id that is negative, out of range,
+    True or 1.0."""
+    from lctw.decomposition import TreeDecomposition
+
+    bags, edges = [list(b) for b in td.bags], sorted(td.tree_edges)
+    last = len(bags) - 1
+
+    def first_replaced(t, new):  # the bags with bag t's first vertex replaced by the vertices ``new``
+        return [new + b[1:] if x == t else b for x, b in enumerate(bags)]
+
+    out = [("as given", g, td)]
+    out += [(f"vertex {bags[t][0]} dropped from bag {t}", g, TreeDecomposition(first_replaced(t, []), edges)) for t in sorted({0, last})]
+    v = bags[last][-1]
+    out.append((f"vertex {v} dropped from every bag", g, TreeDecomposition([[w for w in b if w != v] for b in bags], edges)))
+    if edges:
+        out.append((f"tree edge {edges[0]} dropped", g, TreeDecomposition(bags, edges[1:])))
+    uncovered = [(u, w) for u, w in combinations(range(g.n), 2) if not any(u in b and w in b for b in bags)]
+    if uncovered:
+        out.append((f"uncovered edge {uncovered[0]} added", Graph(g.n, g.edges | {uncovered[0]}), td))
+    if ids:
+        for bad in (-1, g.n, True, 1.0):
+            out.append((f"vertex id {bad!r} in bag 0", g, TreeDecomposition(first_replaced(0, [bad]), edges)))
+    return out
+
+
+def test_validate_matches_the_set_reference(small_corpus):
+    from lctw.decomposition import validate
+
+    failing = set()
+    for g, td in _decomposition_cases(small_corpus):
+        for label, h, mutant in _mutations(g, td, ids=True):
+            problems = validate(h, mutant)
+            assert problems == _validate_reference(h, mutant), label
+            failing |= {p.split(":")[0] for p in problems}
+    assert failing == {"tree-shape", "bag-range", "vertex-cover", "edge-cover", "subtree-connectivity"}
+
+
+def test_mask_checks_match_their_component_walks(small_corpus):
+    # the separator sweep and the family check decide on neighbour masks and
+    # walk components only to list a failure; both agree with their walks on
+    # valid and broken decompositions, and both see failures there
+    seen = set()
+    for g, td in _decomposition_cases(small_corpus):
+        for label, h, mutant in _mutations(g, td):
+            sweep = check_edge_separators(h, mutant)
+            assert sweep == _separator_reference(h, mutant), label
+            seen.add(("separator", sweep["status"]))
+            if not mutant.is_full or mutant.width != 3:
+                continue  # the families are defined on full width-3 decompositions
+            families = partial(build_families, h, mutant, cycles=())
+            out = check_family_consistency(mutant, families)
+            assert out == _family_consistency_reference(mutant, families), label
+            seen.add(("families", out["status"]))
+    assert seen == {(check, status) for check in ("separator", "families") for status in (PASS, FAIL)}
 
 
 @pytest.mark.parametrize("checks", [DEFAULT_CHECKS, ("jump_families", "escape_cycle"), tuple(CHECKS)])
@@ -1002,6 +1145,35 @@ def test_default_campaigns_build_no_cycle_tuples(monkeypatch):
     assert (code, summary.ok) == (EXIT_OK, 100)
     assert calls == []
     assert len(enumerate_longest_cycles(complete_graph(4)).cycles) == len(calls) == 3  # a read builds them
+
+
+def test_default_campaigns_walk_no_component(monkeypatch):
+    # on this corpus (lct = 1) the separator sweep and the family check decide
+    # on neighbour masks and no default check reads a node's components, so no
+    # component is walked; the families are still built once per td3 node
+    import lctw.graph
+
+    walks, built = [], []
+    real_walk, real_build = lctw.graph.component_masks, transversal.build_families
+
+    def walk(g, mask):
+        walks.append(mask)
+        return real_walk(g, mask)
+
+    def build(g, td, t, cycles):
+        built.append((td, t))
+        return real_build(g, td, t, cycles)
+
+    for module in (lctw.graph, harness, transversal):
+        monkeypatch.setattr(module, "component_masks", walk)
+    monkeypatch.setattr(transversal, "build_families", build)
+    tasks = corpus_tasks(parse_corpus_spec("k=3,n=9..14,count=100,p=0.25"))
+    code, summary = run_verify(tasks, CampaignOptions(), io.StringIO(), workers=1)
+    assert (code, summary.ok) == (EXIT_OK, 100)
+    assert walks == []
+    tds = {id(td): td for td, _ in built}
+    assert len(tds) == 100
+    assert sorted((id(td), t) for td, t in built) == sorted((key, t) for key, td in tds.items() for t in range(td.node_count))
 
 
 def test_pairwise_overlap_reports_the_first_thin_pair_in_order():
