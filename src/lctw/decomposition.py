@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import lt
 from typing import Iterable
 
 from .graph import Graph, _bits, _spread, neighbour_unions, separates, vertex_mask
@@ -65,38 +66,45 @@ class TreeDecomposition:
     """A tree of bags over a host graph's vertices.
 
     Nodes are ids 0..len(bags)-1; ``tree_edges`` holds unordered node pairs.
-    ``width`` is max bag size minus one.  ``is_full`` is derived: every bag has
-    width+1 vertices and every tree edge shares exactly width vertices.
+    ``width`` is max bag size minus one.  ``is_full`` is derived on first read
+    and kept: every bag has width+1 vertices and every tree edge shares
+    exactly width vertices.
     ``valid_for`` is the graph this decomposition last passed ``require_valid``
     for, or was built for by this module, or None; ``sides`` is its
     ``side_masks`` table once read, or None.
     """
 
-    __slots__ = ("bags", "tree_edges", "width", "is_full", "node_adj", "valid_for", "sides", "_masks")
+    __slots__ = ("bags", "tree_edges", "width", "node_adj", "valid_for", "sides", "_masks", "_is_full")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
-        self.bags = tuple(tuple(sorted(set(b))) for b in bags)
-        if not self.bags:
+        self.bags = bags = tuple(map(_sorted_bag, bags))
+        if not bags:
             raise DecompositionError("a tree decomposition needs at least one node")
         norm = set()
         for a, b in tree_edges:
-            if a == b or not (0 <= a < len(self.bags) and 0 <= b < len(self.bags)):
+            if a == b or not (0 <= a < len(bags) and 0 <= b < len(bags)):
                 raise DecompositionError(f"bad tree edge ({a},{b})")
             norm.add((a, b) if a < b else (b, a))
         self.tree_edges = frozenset(norm)
-        adj = [[] for _ in self.bags]
-        for a, b in norm:
+        adj = [[] for _ in bags]
+        for a, b in sorted(norm):  # each node gets its lower neighbours, then its upper ones, ascending
             adj[a].append(b)
             adj[b].append(a)
-        self.node_adj = tuple(tuple(sorted(x)) for x in adj)
-        self.width = max(len(b) for b in self.bags) - 1
-        k = self.width
-        self.is_full = all(len(b) == k + 1 for b in self.bags) and all(
-            len(set(self.bags[a]) & set(self.bags[b])) == k for a, b in norm
-        )
+        self.node_adj = tuple(map(tuple, adj))
+        self.width = max(map(len, bags)) - 1
         self.valid_for = None
         self.sides = None
         self._masks = None
+        self._is_full = None
+
+    @property
+    def is_full(self) -> bool:
+        if self._is_full is None:
+            k, bags = self.width, self.bags
+            self._is_full = all(len(b) == k + 1 for b in bags) and all(
+                len(set(bags[a]).intersection(bags[b])) == k for a, b in self.tree_edges
+            )
+        return self._is_full
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -115,6 +123,19 @@ class TreeDecomposition:
         return f"TreeDecomposition(nodes={self.node_count}, width={self.width}, full={self.is_full})"
 
 
+def _sorted_bag(bag: Iterable[int]) -> tuple:
+    """``tuple(sorted(set(bag)))``, without the sort when the bag already
+    lists its entries in strictly ascending order."""
+    entries = tuple(bag)
+    distinct = set(entries)  # an unhashable entry raises here, as before
+    try:
+        if all(map(lt, entries, entries[1:])):
+            return entries
+    except TypeError:  # entries that do not compare: sorting raises as it would
+        pass
+    return tuple(sorted(distinct))
+
+
 def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDecomposition:
     """The decomposition with bag masks ``masks`` and tree edges ``edges`` that
     a construction of this module built for g, so valid for g by construction:
@@ -125,12 +146,12 @@ def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDeco
     td.bags = tuple(tuple(_bits(m)) for m in masks)
     td.tree_edges = norm = frozenset((a, b) if a < b else (b, a) for a, b in edges)
     adj = [[] for _ in masks]
-    for a, b in norm:
+    for a, b in sorted(norm):  # each node gets its lower neighbours, then its upper ones, ascending
         adj[a].append(b)
         adj[b].append(a)
-    td.node_adj = tuple(tuple(sorted(x)) for x in adj)
+    td.node_adj = tuple(map(tuple, adj))
     td.width = k = max(map(int.bit_count, masks)) - 1
-    td.is_full = all(m.bit_count() == k + 1 for m in masks) and all(
+    td._is_full = all(m.bit_count() == k + 1 for m in masks) and all(
         (masks[a] & masks[b]).bit_count() == k for a, b in norm
     )
     td.valid_for = g

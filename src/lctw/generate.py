@@ -2,10 +2,15 @@
 exhaustive small corpora.
 
 Random k-trees grow by attaching each new vertex to a uniformly random
-existing k-clique from an incrementally maintained clique list; a fixed seed
-fully determines the output.  Every generated k-tree ships with its natural
-full decomposition (one bag per added vertex), which remains valid for any
-spanning subgraph.
+existing k-clique, drawn by its index in creation order and read off the bags
+(``_clique``, the one clique rule, which the exhaustive walk uses too); a
+fixed seed fully determines the output.  Every generated k-tree ships with its
+natural full decomposition (one bag per added vertex), which remains valid for
+any spanning subgraph.  A draw runs without objects: the k-tree comes as upper
+neighbour masks, and a partial k-tree's draw fills the sorted neighbour lists
+of the edges it keeps, on which its 2-connectivity is tested; only the
+accepted draw becomes a ``Graph``, from its neighbour masks, and gets its
+decomposition.
 
 Exhaustive corpora are deduplicated by an exact key: colour refinement splits
 the vertices into canonical classes, and a backtracking search takes the
@@ -24,10 +29,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .decomposition import TreeDecomposition
-from .graph import Graph, _spread, is_biconnected
+from .graph import Graph, _biconnected, _graph_of, _spread, is_biconnected
 
 __all__ = [
     "GenSpec",
@@ -71,50 +76,105 @@ def generate_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
     random existing k-clique, adding a bag (clique + vertex) hung off a node
     whose bag contains that clique.
     """
-    edges, bags, tree_edges = _k_tree(spec.n, spec.k, spec.seed)
-    return Graph(spec.n, edges), TreeDecomposition(bags, tree_edges)
+    up, bags, tree_edges = _k_tree(spec.n, spec.k, spec.seed)
+    return _kept_graph(*_subgraph(up, lambda: 1.0, 0.0)), TreeDecomposition(bags, tree_edges)
 
 
-def _k_tree(n: int, k: int, seed: int) -> tuple[list, list, list]:
-    """``generate_k_tree``'s edges (each as (u, v) with u < v), bags and tree
-    edges, before any object is built from them."""
-    rng = random.Random(seed)
-    base = tuple(range(k))
-    edges = [(u, v) for u, v in combinations(base, 2)]
-    cliques = [base]
-    clique_home = {base: 0}
+def _k_tree(n: int, k: int, seed: int) -> tuple[list[int], list, list]:
+    """``generate_k_tree``'s upper neighbour masks (bit v of ``up[u]`` set for
+    each edge uv with u < v), bags and tree edges, before any object is built
+    from them.
+
+    Vertex v picks clique i of the 1 + k(v - k) cliques so far by one
+    ``randrange``; ``_clique`` reads it off the bags, and its home, the node
+    whose bag first held it, is (i - 1) // k (node 0 for the base clique).
+    The bag is the clique plus v, sorted since v is the largest vertex so far.
+    """
+    randrange = random.Random(seed).randrange
+    up = [(1 << k) - (2 << u) for u in range(k)] + [0] * (n - k)  # the clique on 0..k-1
     bags: list[tuple[int, ...]] = []
     tree_edges: list[tuple[int, int]] = []
     for v in range(k, n):
-        q = cliques[rng.randrange(len(cliques))]
-        node = len(bags)
-        bags.append(tuple(sorted(q + (v,))))
+        i = randrange(1 + k * (v - k))
+        q = _clique(bags, i, k)
+        node = v - k
+        bags.append(q + (v,))
         if node > 0:
-            tree_edges.append((clique_home[q], node))
-        edges.extend((u, v) for u in q)
-        for sub in combinations(q, k - 1):
-            newq = tuple(sorted(sub + (v,)))
-            cliques.append(newq)
-            clique_home[newq] = node
-    return edges, bags, tree_edges
+            tree_edges.append(((i - 1) // k if i else 0, node))
+        bit = 1 << v
+        for u in q:
+            up[u] |= bit
+    return up, bags, tree_edges
+
+
+def _clique(bags: Sequence[tuple[int, ...]], i: int, k: int) -> tuple[int, ...]:
+    """Clique i, in creation order, of the k-tree grown by attaching vertex
+    k + t to a k-clique, its bag ``bags[t]`` being that clique plus the vertex.
+
+    Clique 0 is 0..k-1.  Attaching v to q adds the k cliques of the
+    (k-1)-subsets of q, in ``combinations`` order, plus v; the j-th of them
+    leaves out q[k-1-j].  So clique i >= 1 is the bag of node (i - 1) // k
+    without its entry at k - 1 - (i - 1) % k, and it is sorted when the bag is.
+    """
+    if i == 0:
+        return tuple(range(k))
+    node, j = divmod(i - 1, k)
+    bag = bags[node]
+    return bag[: k - 1 - j] + bag[k - j :]
+
+
+def _subgraph(up: list[int], draw: Callable[[], float], p: float) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The sorted neighbour lists and the edges (each as (u, v) with u < v) of
+    the spanning subgraph of the graph with upper neighbour masks ``up`` that
+    keeps an edge iff ``draw() >= p``.  The edges are asked in ascending
+    (u, v) order, u upward and then the bits of ``up[u]``, so each vertex gets
+    its lower neighbours before its upper ones, both ascending."""
+    adj: list[list[int]] = [[] for _ in up]
+    edges = []
+    for u, m in enumerate(up):
+        nbrs = adj[u]
+        while m:
+            low = m & -m
+            m ^= low
+            if draw() >= p:
+                v = low.bit_length() - 1
+                nbrs.append(v)
+                adj[v].append(u)
+                edges.append((u, v))
+    return adj, edges
+
+
+def _kept_graph(adj: list[list[int]], edges: list[tuple[int, int]]) -> Graph:
+    """The graph with sorted neighbour lists ``adj`` and edges ``edges``, built
+    from its neighbour masks without normalising again."""
+    masks = [0] * len(adj)
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return _graph_of(masks, adj, edges)
 
 
 def generate_partial_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
     """A spanning subgraph of a random k-tree, with the k-tree's decomposition.
 
-    Edges are dropped independently with the configured probability.  When
+    Edges are dropped independently with the configured probability, one
+    ``random()`` per k-tree edge in ascending (u, v) order.  When
     2-connectivity is required, failed draws are retried with fresh derived
     seeds up to the retry budget; exhausting it signals an overly aggressive
-    deletion policy.  Each draw builds only the kept graph; the decomposition
-    is built once, for the accepted draw.
+    deletion policy.  A draw fills only the neighbour lists and the edge list
+    of the edges it keeps, and its 2-connectivity is tested on those lists: a
+    vertex of degree below 2 rejects it before the low-link walk.  Only the
+    accepted draw becomes a ``Graph``, built from its masks without
+    normalising again, and only it gets the natural decomposition, not yet
+    validated.
     """
     rng = random.Random(spec.seed)
     for _ in range(max(1, spec.retry_budget)):
-        edges, bags, tree_edges = _k_tree(spec.n, spec.k, rng.getrandbits(64))
-        g = Graph(spec.n, [e for e in sorted(edges) if rng.random() >= spec.delete_probability])
-        if spec.require_biconnected and not is_biconnected(g):
+        up, bags, tree_edges = _k_tree(spec.n, spec.k, rng.getrandbits(64))
+        adj, edges = _subgraph(up, rng.random, spec.delete_probability)
+        if spec.require_biconnected and not (min(map(len, adj)) > 1 and _biconnected(adj)):
             continue
-        return g, TreeDecomposition(bags, tree_edges)
+        return _kept_graph(adj, edges), TreeDecomposition(bags, tree_edges)
     raise GenerationError(
         f"no 2-connected draw within {spec.retry_budget} retries "
         f"(n={spec.n}, k={spec.k}, p={spec.delete_probability})"
@@ -230,18 +290,17 @@ def _max_string(masks: tuple[int, ...], classes: Sequence[Sequence[int]]) -> int
 
 def _all_k_trees(n: int, k: int) -> list[Graph]:
     """All k-trees on exactly n labeled vertices over all construction choices,
-    deduplicated up to isomorphism."""
+    deduplicated up to isomorphism.  A state holds the edges and the bags so
+    far; each choice is the index of a clique, read by ``_clique`` as in
+    ``_k_tree``."""
     base_edges = frozenset((u, v) for u, v in combinations(range(k), 2))
-    states = [(base_edges, (tuple(range(k)),))]
+    states = [(base_edges, ())]
     for v in range(k, n):
         nxt = []
-        for edges, cliques in states:
-            for q in cliques:
-                new_edges = edges | frozenset((min(u, v), max(u, v)) for u in q)
-                new_cliques = cliques + tuple(
-                    tuple(sorted(sub + (v,))) for sub in combinations(q, k - 1)
-                )
-                nxt.append((new_edges, new_cliques))
+        for edges, bags in states:
+            for i in range(1 + k * (v - k)):
+                q = _clique(bags, i, k)
+                nxt.append((edges | frozenset((u, v) for u in q), bags + (q + (v,),)))
         states = nxt
     seen_labeled = set()
     seen_classes = set()

@@ -151,12 +151,19 @@ def parse_graph6(text: str) -> Graph:
         adj[row].append(col)
         adj[col].append(row)
         edges.append(cell)
-    g = Graph.__new__(Graph)  # Graph(n, edges) without checking or normalising again
-    g.n = n
+    return _graph_of(masks, adj, edges)
+
+
+def _graph_of(masks: list[int], adj: list[list[int]], edges: list[tuple[int, int]]) -> Graph:
+    """``Graph(len(masks), edges)`` without checking or normalising again,
+    given its neighbour masks, its sorted neighbour lists and its edges, each
+    as (u, v) with u < v."""
+    g = Graph.__new__(Graph)
+    g.n = len(masks)
     g.edges = frozenset(edges)
     g.adj = tuple(map(tuple, adj))
     g.nbr_mask = tuple(masks)
-    g._hash = hash((n, g.edges))
+    g._hash = hash((g.n, g.edges))
     return g
 
 
@@ -191,7 +198,13 @@ def is_biconnected(g: Graph) -> bool:
     Single iterative depth-first traversal with low-link values; the test
     suite validates it against the delete-one-vertex brute force.
     """
-    n = g.n
+    return _biconnected(g.adj)
+
+
+def _biconnected(adj: Sequence[Sequence[int]]) -> bool:
+    """``is_biconnected`` of the graph whose vertex v has the neighbours
+    ``adj[v]``."""
+    n = len(adj)
     if n < 3:
         return False
     disc = [-1] * n
@@ -200,10 +213,9 @@ def is_biconnected(g: Graph) -> bool:
     disc[0] = low[0] = 0
     counter = 1
     root_children = 0
-    stack = [(0, iter(g.adj[0]))]
+    stack = [(0, iter(adj[0]))]
     while stack:
         v, it = stack[-1]
-        advanced = False
         for w in it:
             if disc[w] == -1:
                 parent[w] = v
@@ -211,13 +223,12 @@ def is_biconnected(g: Graph) -> bool:
                 counter += 1
                 if v == 0:
                     root_children += 1
-                stack.append((w, iter(g.adj[w])))
-                advanced = True
+                stack.append((w, iter(adj[w])))
                 break
             elif w != parent[v]:
                 if disc[w] < low[v]:
                     low[v] = disc[w]
-        if not advanced:
+        else:  # v has no unvisited neighbour left
             stack.pop()
             if stack:
                 p = stack[-1][0]

@@ -109,7 +109,6 @@ class TripleFamilies:
     jump3: tuple[Member, ...]  # 3-jump family
 
 
-@dataclass(frozen=True)
 class CycleFamilies:
     """Longest-cycle families at one node of a full width-3 decomposition of
     g: the 2-crossing set, the fenced at-most-3-intersecting set, and
@@ -119,11 +118,19 @@ class CycleFamilies:
     G - bag, which only fencing and the pairwise-and-common check read, and
     each family are built on first read and kept."""
 
-    bag: tuple[int, ...]
-    cycles: LongestCycleSet
-    mask: int
-    inside: dict[tuple[int, ...], int]
-    g: Graph
+    def __init__(
+        self,
+        bag: tuple[int, ...],
+        cycles: LongestCycleSet,
+        mask: int,
+        inside: dict[tuple[int, ...], int],
+        g: Graph,
+    ):
+        self.bag = bag
+        self.cycles = cycles
+        self.mask = mask
+        self.inside = inside
+        self.g = g
 
     @cached_property
     def components(self) -> tuple[int, ...]:

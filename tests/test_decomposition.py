@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lctw.decomposition import (
     DEFAULT_TREEWIDTH_CAP,
@@ -612,3 +614,93 @@ def test_side_masks_match_branch_at_and_branch_union(small_corpus):
                 assert inside[delta] == vertex_mask(delta) | vertex_mask(branch_union(td, t, delta).vertices)
                 triples += 1
     assert edges > 1000 and triples > 1000
+
+
+class _ReferenceTreeDecomposition:
+    """``TreeDecomposition.__init__`` before ``is_full`` was derived on first
+    read, verbatim: the reference for every field the constructor sets."""
+
+    def __init__(self, bags, tree_edges):
+        self.bags = tuple(tuple(sorted(set(b))) for b in bags)
+        if not self.bags:
+            raise DecompositionError("a tree decomposition needs at least one node")
+        norm = set()
+        for a, b in tree_edges:
+            if a == b or not (0 <= a < len(self.bags) and 0 <= b < len(self.bags)):
+                raise DecompositionError(f"bad tree edge ({a},{b})")
+            norm.add((a, b) if a < b else (b, a))
+        self.tree_edges = frozenset(norm)
+        adj = [[] for _ in self.bags]
+        for a, b in norm:
+            adj[a].append(b)
+            adj[b].append(a)
+        self.node_adj = tuple(tuple(sorted(x)) for x in adj)
+        self.width = max(len(b) for b in self.bags) - 1
+        k = self.width
+        self.is_full = all(len(b) == k + 1 for b in self.bags) and all(
+            len(set(self.bags[a]) & set(self.bags[b])) == k for a, b in norm
+        )
+        self.valid_for = None
+        self.sides = None
+        self._masks = None
+
+
+def _constructed(cls, bags, edges):
+    """The fields ``cls(bags, edges)`` sets, by repr so that 1, 1.0 and True
+    differ, or the type and text of what it raises."""
+    try:
+        td = cls(bags, edges)
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = (td.bags, sorted(td.tree_edges), td.node_adj, td.width, td.is_full, td.valid_for, td.sides, td._masks)
+    return tuple(map(repr, fields))
+
+
+def _blob_mutations(td, n):
+    """The blob of td and mutated ones: bags and edges listed in reverse,
+    entries and edges repeated, a tree edge dropped, and a bag vertex replaced
+    by an id that is negative, out of range, huge, True or 1.0, first or last."""
+    bags, edges = [list(b) for b in td.bags], sorted(td.tree_edges)
+    yield bags, edges
+    yield [b[::-1] for b in bags], [(b, a) for a, b in reversed(edges)]
+    yield [b + b[:1] for b in bags], edges + edges[:1]
+    yield bags, edges[1:]
+    for bad in (-1, n, 10**12, True, 1.0):
+        yield [[bad] + bags[0][1:]] + bags[1:], edges
+        yield bags[:-1] + [bags[-1][:-1] + [bad]], edges
+
+
+def test_constructor_sets_the_fields_of_the_reference(small_corpus):
+    cases = list(_td3_corpus(small_corpus))
+    cases += [(g, exact_treewidth(g)[1]) for g, _ in small_corpus]
+    seen = set()
+    for g, td in cases:
+        for bags, edges in _blob_mutations(td, g.n):
+            mine = _constructed(TreeDecomposition, bags, edges)
+            assert mine == _constructed(_ReferenceTreeDecomposition, bags, edges), (bags, edges)
+            seen.add(mine[4])  # is_full
+    assert seen == {"True", "False"}
+
+
+_BLOB_VERTEX = st.one_of(
+    st.integers(-2, 9), st.sampled_from([10**12, 1.0, 2.5]), st.booleans(), st.none(), st.text(max_size=1)
+)
+_BLOB_BAG = st.one_of(
+    st.lists(st.integers(0, 9), max_size=5),
+    st.lists(_BLOB_VERTEX, max_size=5),
+    st.lists(st.lists(st.integers(0, 9), max_size=2), max_size=3),  # unhashable entries
+    _BLOB_VERTEX,
+)
+_BLOB_EDGE = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.integers(-1, 6), st.sampled_from([1.0, True, 7])),
+    st.lists(st.integers(0, 6), max_size=3),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bags=st.lists(_BLOB_BAG, max_size=7), edges=st.lists(_BLOB_EDGE, max_size=7))
+def test_constructor_matches_the_reference_on_any_blob(bags, edges):
+    # malformed blobs keep their fields or raise the same error as before
+    assert _constructed(TreeDecomposition, bags, edges) == _constructed(_ReferenceTreeDecomposition, bags, edges)

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import json
 import random
 import sys
 
 import networkx as nx
 import pytest
 
-from lctw.decomposition import exact_treewidth, validate
+from lctw.decomposition import TreeDecomposition, exact_treewidth, validate
 from lctw.fixtures import complete_graph, cycle_graph, path_graph
 from lctw.generate import (
     EXHAUSTIVE_CAP,
@@ -21,6 +22,7 @@ from lctw.generate import (
     generate_partial_k_tree,
 )
 from lctw.graph import Graph, is_biconnected, write_graph6
+from lctw.harness import corpus_tasks, parse_corpus_spec
 
 
 def _complement(g):
@@ -337,7 +339,11 @@ def test_exhaustive_walk_graphs_isomorphic_to_their_representative(monkeypatch):
 
 
 def test_generate_partial_k_tree_builds_one_decomposition(monkeypatch):
+    # rejected draws are tested on neighbour lists: only the accepted draw
+    # becomes a Graph (counted at object creation, whichever path builds it)
+    # and gets a decomposition
     import lctw.generate as generate
+    import lctw.graph
 
     built = []
     real = generate.TreeDecomposition
@@ -347,6 +353,17 @@ def test_generate_partial_k_tree_builds_one_decomposition(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(generate, "TreeDecomposition", counting)
+    graphs = []
+
+    class Counted(Graph):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            graphs.append(args)
+            return super().__new__(cls)
+
+    for module in (generate, lctw.graph):
+        monkeypatch.setattr(module, "Graph", Counted)
     draws = []
     real_k_tree = generate._k_tree
 
@@ -357,6 +374,113 @@ def test_generate_partial_k_tree_builds_one_decomposition(monkeypatch):
     monkeypatch.setattr(generate, "_k_tree", recording)
     spec = GenSpec(n=12, k=3, seed=3, delete_probability=0.45, require_biconnected=True)
     g, td = generate_partial_k_tree(spec)
-    assert len(draws) > 1 and len(built) == 1  # rejected draws build no decomposition
+    assert len(draws) > 1 and len(built) == 1 and len(graphs) == 1  # rejected draws build neither
+    assert td.valid_for is None  # not validated
     kt, natural = generate_k_tree(GenSpec(n=12, k=3, seed=draws[-1][2]))
     assert g.edges <= kt.edges and td.bags == natural.bags and td.tree_edges == natural.tree_edges
+
+
+def _reference_k_tree(n: int, k: int, seed: int) -> tuple[list, list, list]:
+    """``generate._k_tree`` before the generator moved to neighbour masks,
+    verbatim: edges as (u, v) with u < v, bags and tree edges."""
+    rng = random.Random(seed)
+    base = tuple(range(k))
+    edges = [(u, v) for u, v in itertools.combinations(base, 2)]
+    cliques = [base]
+    clique_home = {base: 0}
+    bags: list[tuple[int, ...]] = []
+    tree_edges: list[tuple[int, int]] = []
+    for v in range(k, n):
+        q = cliques[rng.randrange(len(cliques))]
+        node = len(bags)
+        bags.append(tuple(sorted(q + (v,))))
+        if node > 0:
+            tree_edges.append((clique_home[q], node))
+        edges.extend((u, v) for u in q)
+        for sub in itertools.combinations(q, k - 1):
+            newq = tuple(sorted(sub + (v,)))
+            cliques.append(newq)
+            clique_home[newq] = node
+    return edges, bags, tree_edges
+
+
+def _reference_generate_k_tree(spec):
+    edges, bags, tree_edges = _reference_k_tree(spec.n, spec.k, spec.seed)
+    return Graph(spec.n, edges), TreeDecomposition(bags, tree_edges)
+
+
+def _reference_generate_partial_k_tree(spec):
+    """The draw before the generator moved to neighbour masks, verbatim: a
+    normalised ``Graph`` per draw from the sorted edge list."""
+    rng = random.Random(spec.seed)
+    for _ in range(max(1, spec.retry_budget)):
+        edges, bags, tree_edges = _reference_k_tree(spec.n, spec.k, rng.getrandbits(64))
+        g = Graph(spec.n, [e for e in sorted(edges) if rng.random() >= spec.delete_probability])
+        if spec.require_biconnected and not is_biconnected(g):
+            continue
+        return g, TreeDecomposition(bags, tree_edges)
+    raise GenerationError(
+        f"no 2-connected draw within {spec.retry_budget} retries "
+        f"(n={spec.n}, k={spec.k}, p={spec.delete_probability})"
+    )
+
+
+def _outcome(generate, spec):
+    """Every field of the generated graph and decomposition, or the error text."""
+    try:
+        g, td = generate(spec)
+    except GenerationError as exc:
+        return str(exc)
+    return (g.n, g.edges, g.adj, g.nbr_mask, hash(g)), (td.bags, td.tree_edges, td.node_adj, td.width, td.is_full)
+
+
+def test_generator_matches_the_reference_draw():
+    # the same random stream decides the same k-tree and the same kept edges,
+    # and exhausting the retries raises the same error
+    errors = 0
+    for k in range(1, 6):
+        for n in range(k + 1, k + 10):
+            seed = 1000 * k + n
+            assert _outcome(generate_k_tree, GenSpec(n=n, k=k, seed=seed)) == _outcome(
+                _reference_generate_k_tree, GenSpec(n=n, k=k, seed=seed)
+            )
+            for p in (0.0, 0.25, 0.45):
+                for biconnected in (False, True):
+                    spec = GenSpec(
+                        n=n, k=k, seed=seed, delete_probability=p, require_biconnected=biconnected, retry_budget=15
+                    )
+                    mine = _outcome(generate_partial_k_tree, spec)
+                    assert mine == _outcome(_reference_generate_partial_k_tree, spec), spec
+                    errors += isinstance(mine, str)
+    assert 0 < errors < 200  # both outcomes are compared
+
+
+def test_retry_exhaustion_names_the_spec():
+    spec = GenSpec(n=11, k=2, seed=5, delete_probability=0.6, require_biconnected=True, retry_budget=7)
+    with pytest.raises(GenerationError) as exc:
+        generate_partial_k_tree(spec)
+    assert str(exc.value) == "no 2-connected draw within 7 retries (n=11, k=2, p=0.6)"
+    assert str(exc.value) == _outcome(_reference_generate_partial_k_tree, spec)
+
+
+# sha256 of json.dumps(corpus_tasks(parse_corpus_spec(spec, seed=seed)),
+# sort_keys=True), computed before the generator moved to neighbour masks:
+# the bench workloads at seed 0, the acceptance corpora, k = 1 without
+# 2-connectivity and k = 5
+CORPUS_TASK_DIGESTS = [
+    ("k=3,n=9..14,p=0.25,count=1000", 0, "7d4ef9ad0a440280507be50b1d5fd0ac6b771df737320f49b12da9a94799c546"),
+    ("k=4,n=8..13,p=0.3,count=2500", 0, "f5ed312bd9492c7f2401230701e0c4e66a00b03598772012618f644855b0054f"),
+    ("mode=exhaustive,k=3,nmax=7", 0, "fe10bd56fb41c1745a1b583699631d6957bd2395f54e5f4508fcfda36d34cf6c"),
+    ("k=3,n=9..14,count=1000,p=0.25", 20260808, "4a91e38f65be52c43249d1473656704f660db72e01d1f6f5bd044c0ac69f1383"),
+    ("k=3,n=5..9,count=10000,p=0.45", 206, "c49918d1aa4e6f74b562c595ebf7101267bc41543ba77eed6b40547066cbdb26"),
+    ("k=4,n=8..13,count=1000,p=0.3", 0, "5c65ac4c9324b3dc12de6c2df359509d287a193745c0a6639d0a08227e935eec"),
+    ("k=4,n=8..13,count=1000,p=0.3", 4071, "f2bdb5f5feb98f0bf5bd8cce15ac51dff792d0d3d019989d800c7f85dc088c56"),
+    ("k=1,n=2..12,count=300,p=0.2,biconnected=0", 0, "603a96a9af4e2ab0dc55ea9a373f427440902212d36a8518b1773e21a3e090e0"),
+    ("k=5,n=6..14,count=300,p=0.3", 0, "5c06b4b92dd9923325abbf7b6452175af8b74162fe1ecd91299940856236a949"),
+]
+
+
+@pytest.mark.parametrize("spec, seed, digest", CORPUS_TASK_DIGESTS)
+def test_corpus_task_streams_are_pinned(spec, seed, digest):
+    tasks = corpus_tasks(parse_corpus_spec(spec, seed=seed))
+    assert hashlib.sha256(json.dumps(tasks, sort_keys=True).encode()).hexdigest() == digest
