@@ -42,7 +42,7 @@ def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
         default=None,
     )
     p.add_argument("--seed", type=int, default=0, help="64-bit campaign seed")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default: CPU count)")
+    p.add_argument("--workers", type=_non_negative, default=None, help="worker processes (default: CPU count)")
     p.add_argument("--out", metavar="FILE", help="report file (default: stdout)")
     p.add_argument("--counterexample-dir", metavar="DIR", help="where failure bundles are persisted")
     _add_cap_flags(p)

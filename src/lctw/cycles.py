@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .decomposition import TreeDecomposition, require_valid
-from .graph import Graph, neighbour_unions
+from .graph import Graph, _relabelled, neighbour_unions
 
 __all__ = [
     "Cycle",
@@ -340,11 +340,8 @@ def enumerate_longest_cycles(
     """
     check_enumeration_cap(g.n, cap)
     n = g.n
-    order = _smallest_last_order(g.adj)
-    bit = [0] * n  # bit[v]: the bit of v's position in order, its id in the search
-    for i, v in enumerate(order):
-        bit[v] = 1 << i
-    nbr = tuple(sum(map(bit.__getitem__, g.adj[v])) for v in order)
+    order = _smallest_last_order(g.nbr_mask)
+    nbr = tuple(_relabelled(g.nbr_mask, order))  # vertex i of the search is order[i]
     h = n // 2
     low_half = (1 << h) - 1
     (ones0, twos0), (ones1, twos1) = _subset_tables(nbr[:h]), _subset_tables(nbr[h:])
@@ -458,20 +455,25 @@ def enumerate_longest_cycles(
     return LongestCycleSet._from_search(best, steps, tuple(vertex_sets), found, order)
 
 
-def _smallest_last_order(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The vertices of the graph with adjacency ``adj`` in the order the
-    smallest-last procedure (Matula & Beck, J. ACM 1983) removes them: each step
-    removes a vertex of least degree among those left, the lower id on ties.
-    So the first vertex has least degree, and each vertex has at most
+def _smallest_last_order(masks: tuple[int, ...]) -> list[int]:
+    """The vertices of the graph with neighbour masks ``masks`` in the order
+    the smallest-last procedure (Matula & Beck, J. ACM 1983) removes them: each
+    step removes a vertex of least degree among those left, the lower id on
+    ties.  So the first vertex has least degree, and each vertex has at most
     degeneracy-many neighbours after it."""
-    degree = [len(a) for a in adj]
+    degree = list(map(int.bit_count, masks))
     order = []
-    for _ in adj:
+    left = (1 << len(masks)) - 1
+    for _ in masks:
         v = degree.index(min(degree))
         order.append(v)
-        degree[v] = 2 * len(adj)  # stays above every degree left as v's neighbours go
-        for w in adj[v]:
-            degree[w] -= 1
+        degree[v] = 2 * len(masks)  # stays above every degree left as v's neighbours go
+        left ^= 1 << v
+        rest = masks[v] & left
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            degree[low.bit_length() - 1] -= 1
     return order
 
 
@@ -648,15 +650,17 @@ def _nice_ops(g: Graph, td: TreeDecomposition):
     ops = built[0] + moves(td.bags[0], ())
 
     # Place each edge once, right after the first post-order op whose bag has
-    # both ends; a valid decomposition leaves none unplaced.
-    unplaced = set(g.edges)
+    # both ends; a valid decomposition leaves none unplaced.  unplaced[u]
+    # holds the neighbours of u whose edge to it is still unplaced.
+    unplaced = list(g.nbr_mask)
     placed = []
     for op in ops:
         placed.append(op)
-        for uv in combinations(op[2], 2):
-            if uv in unplaced:
-                unplaced.remove(uv)
-                placed.append(("edge", uv, op[2]))
+        for u, v in combinations(op[2], 2):
+            if unplaced[u] >> v & 1:
+                unplaced[u] ^= 1 << v
+                unplaced[v] ^= 1 << u
+                placed.append(("edge", (u, v), op[2]))
     return placed
 
 

@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 from operator import lt
 from typing import Iterable
 
-from .graph import Graph, _bits, _spread, neighbour_unions, separates, vertex_mask
+from .graph import Graph, _bits, _relabelled, _spread, neighbour_unions, separates, vertex_mask
 
 __all__ = [
     "TreeDecomposition",
@@ -355,10 +355,7 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     earliest of those, else node i + 1 (joining components).  The result is
     built valid for g."""
     n = len(order)
-    at = [0] * n  # at[v]: the bit of v's position in the order
-    for i, v in enumerate(order):
-        at[v] = 1 << i
-    adj = [sum(map(at.__getitem__, g.adj[v])) for v in order]
+    adj = _relabelled(g.nbr_mask, order)
     bags = []
     edges = []
     for i, v in enumerate(order):
@@ -384,31 +381,26 @@ def has_treewidth_at_most_2(g: Graph) -> bool:
 
     Repeatedly delete vertices of degree <= 1 and contract degree-2 vertices
     into an edge between their neighbors; tw <= 2 iff this empties the graph.
+    Each pass tries the vertices left in ascending order, on neighbour masks
+    of the graph left.
     """
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    queue = sorted(adj)
-    while queue:
-        progressed = False
-        for v in queue:
-            if v not in adj:
+    nbr = list(g.nbr_mask)
+    left = (1 << g.n) - 1
+    while left:
+        before = left
+        for v in _bits(before):
+            m = nbr[v]
+            if m.bit_count() > 2:
                 continue
-            deg = len(adj[v])
-            if deg <= 1:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                del adj[v]
-                progressed = True
-            elif deg == 2:
-                x, y = sorted(adj[v])
-                adj[x].discard(v)
-                adj[y].discard(v)
-                adj[x].add(y)
-                adj[y].add(x)
-                del adj[v]
-                progressed = True
-        if not progressed:
+            left ^= 1 << v
+            x = m & -m
+            y = m ^ x  # the other neighbour, if any: contracting v joins x and y
+            for a, b in ((x, y), (y, x)):
+                if a:
+                    u = a.bit_length() - 1
+                    nbr[u] = nbr[u] & ~(1 << v) | b
+        if left == before:
             return False
-        queue = sorted(adj)
     return True
 
 

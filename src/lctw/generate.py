@@ -6,11 +6,10 @@ existing k-clique, drawn by its index in creation order and read off the bags
 (``_clique``, the one clique rule, which the exhaustive walk uses too); a
 fixed seed fully determines the output.  Every generated k-tree ships with its
 natural full decomposition (one bag per added vertex), which remains valid for
-any spanning subgraph.  A draw runs without objects: the k-tree comes as upper
-neighbour masks, and a partial k-tree's draw fills the sorted neighbour lists
-of the edges it keeps, on which its 2-connectivity is tested; only the
-accepted draw becomes a ``Graph``, from its neighbour masks, and gets its
-decomposition.
+any spanning subgraph.  A draw runs without objects: the k-tree comes as
+neighbour masks, and a partial k-tree's draw fills the neighbour masks of the
+edges it keeps, on which its 2-connectivity is tested; only the accepted draw
+becomes a ``Graph``, by ``graph._from_masks``, and gets its decomposition.
 
 Exhaustive corpora are deduplicated by an exact key: colour refinement splits
 the vertices into canonical classes, and a backtracking search takes the
@@ -19,20 +18,19 @@ order.  Each class found is sorted by ``canonical_key``, the same search over
 all orders.  Both searches keep only maximal rows, cut prefixes below the best
 string and try one of each set of twins; the cost of ``canonical_key`` still
 grows with the automorphism group, so exhaustive corpora are capped at 8
-vertices.  Above that, exhaustiveness is not claimed.  The walk keys and
-tests graphs as neighbour-mask tuples; only class representatives become
-``Graph`` objects.
+vertices.  Above that, exhaustiveness is not claimed.  The labelled k-trees
+the walk starts from, and every graph it keys and tests, are neighbour-mask
+tuples; only class representatives become ``Graph`` objects.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .decomposition import TreeDecomposition
-from .graph import Graph, _biconnected, _graph_of, _spread, is_biconnected
+from .graph import Graph, _biconnected, _bits, _from_masks, _spread, vertex_mask
 
 __all__ = [
     "GenSpec",
@@ -63,6 +61,10 @@ class GenSpec:
     retry_budget: int = 200
 
     def __post_init__(self):
+        if self.k < 1:
+            raise GenerationError(f"k must be at least 1, got {self.k}")
+        if self.retry_budget < 1:
+            raise GenerationError(f"retry budget must be at least 1, got {self.retry_budget}")
         if self.n < self.k + 1:
             raise GenerationError(f"k-tree generation needs n >= k+1, got n={self.n}, k={self.k}")
         if not 0.0 <= self.delete_probability < 1.0:
@@ -76,14 +78,13 @@ def generate_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
     random existing k-clique, adding a bag (clique + vertex) hung off a node
     whose bag contains that clique.
     """
-    up, bags, tree_edges = _k_tree(spec.n, spec.k, spec.seed)
-    return _kept_graph(*_subgraph(up, lambda: 1.0, 0.0)), TreeDecomposition(bags, tree_edges)
+    nbr, bags, tree_edges = _k_tree(spec.n, spec.k, spec.seed)
+    return _from_masks(nbr), TreeDecomposition(bags, tree_edges)
 
 
 def _k_tree(n: int, k: int, seed: int) -> tuple[list[int], list, list]:
-    """``generate_k_tree``'s upper neighbour masks (bit v of ``up[u]`` set for
-    each edge uv with u < v), bags and tree edges, before any object is built
-    from them.
+    """``generate_k_tree``'s neighbour masks, bags and tree edges, before any
+    object is built from them.
 
     Vertex v picks clique i of the 1 + k(v - k) cliques so far by one
     ``randrange``; ``_clique`` reads it off the bags, and its home, the node
@@ -91,7 +92,7 @@ def _k_tree(n: int, k: int, seed: int) -> tuple[list[int], list, list]:
     The bag is the clique plus v, sorted since v is the largest vertex so far.
     """
     randrange = random.Random(seed).randrange
-    up = [(1 << k) - (2 << u) for u in range(k)] + [0] * (n - k)  # the clique on 0..k-1
+    nbr = [((1 << k) - 1) ^ (1 << u) for u in range(k)] + [0] * (n - k)  # the clique on 0..k-1
     bags: list[tuple[int, ...]] = []
     tree_edges: list[tuple[int, int]] = []
     for v in range(k, n):
@@ -101,10 +102,12 @@ def _k_tree(n: int, k: int, seed: int) -> tuple[list[int], list, list]:
         bags.append(q + (v,))
         if node > 0:
             tree_edges.append(((i - 1) // k if i else 0, node))
-        bit = 1 << v
+        bit, own = 1 << v, 0
         for u in q:
-            up[u] |= bit
-    return up, bags, tree_edges
+            nbr[u] |= bit
+            own |= 1 << u
+        nbr[v] = own
+    return nbr, bags, tree_edges
 
 
 def _clique(bags: Sequence[tuple[int, ...]], i: int, k: int) -> tuple[int, ...]:
@@ -123,35 +126,21 @@ def _clique(bags: Sequence[tuple[int, ...]], i: int, k: int) -> tuple[int, ...]:
     return bag[: k - 1 - j] + bag[k - j :]
 
 
-def _subgraph(up: list[int], draw: Callable[[], float], p: float) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """The sorted neighbour lists and the edges (each as (u, v) with u < v) of
-    the spanning subgraph of the graph with upper neighbour masks ``up`` that
-    keeps an edge iff ``draw() >= p``.  The edges are asked in ascending
-    (u, v) order, u upward and then the bits of ``up[u]``, so each vertex gets
-    its lower neighbours before its upper ones, both ascending."""
-    adj: list[list[int]] = [[] for _ in up]
-    edges = []
-    for u, m in enumerate(up):
-        nbrs = adj[u]
-        while m:
-            low = m & -m
-            m ^= low
+def _subgraph(nbr: list[int], draw: Callable[[], float], p: float) -> list[int]:
+    """The neighbour masks of the spanning subgraph of the graph with
+    neighbour masks ``nbr`` that keeps an edge iff ``draw() >= p``.  The
+    edges are asked in ascending (u, v) order: u upward, then the neighbours
+    of u above it, ascending."""
+    kept = [0] * len(nbr)
+    for u, m in enumerate(nbr):
+        higher, bit = m >> u + 1 << u + 1, 1 << u
+        while higher:
+            low = higher & -higher
+            higher ^= low
             if draw() >= p:
-                v = low.bit_length() - 1
-                nbrs.append(v)
-                adj[v].append(u)
-                edges.append((u, v))
-    return adj, edges
-
-
-def _kept_graph(adj: list[list[int]], edges: list[tuple[int, int]]) -> Graph:
-    """The graph with sorted neighbour lists ``adj`` and edges ``edges``, built
-    from its neighbour masks without normalising again."""
-    masks = [0] * len(adj)
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return _graph_of(masks, adj, edges)
+                kept[u] |= low
+                kept[low.bit_length() - 1] |= bit
+    return kept
 
 
 def generate_partial_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
@@ -161,20 +150,19 @@ def generate_partial_k_tree(spec: GenSpec) -> tuple[Graph, TreeDecomposition]:
     ``random()`` per k-tree edge in ascending (u, v) order.  When
     2-connectivity is required, failed draws are retried with fresh derived
     seeds up to the retry budget; exhausting it signals an overly aggressive
-    deletion policy.  A draw fills only the neighbour lists and the edge list
-    of the edges it keeps, and its 2-connectivity is tested on those lists: a
-    vertex of degree below 2 rejects it before the low-link walk.  Only the
-    accepted draw becomes a ``Graph``, built from its masks without
-    normalising again, and only it gets the natural decomposition, not yet
+    deletion policy.  A draw fills only the neighbour masks of the edges it
+    keeps, and its 2-connectivity is tested on those masks: a vertex of degree
+    below 2 rejects it before the low-link walk.  Only the accepted draw
+    becomes a ``Graph``, and only it gets the natural decomposition, not yet
     validated.
     """
     rng = random.Random(spec.seed)
-    for _ in range(max(1, spec.retry_budget)):
-        up, bags, tree_edges = _k_tree(spec.n, spec.k, rng.getrandbits(64))
-        adj, edges = _subgraph(up, rng.random, spec.delete_probability)
-        if spec.require_biconnected and not (min(map(len, adj)) > 1 and _biconnected(adj)):
+    for _ in range(spec.retry_budget):
+        nbr, bags, tree_edges = _k_tree(spec.n, spec.k, rng.getrandbits(64))
+        kept = _subgraph(nbr, rng.random, spec.delete_probability)
+        if spec.require_biconnected and not (min(map(int.bit_count, kept)) > 1 and _biconnected(kept)):
             continue
-        return _kept_graph(adj, edges), TreeDecomposition(bags, tree_edges)
+        return _from_masks(kept), TreeDecomposition(bags, tree_edges)
     raise GenerationError(
         f"no 2-connected draw within {spec.retry_budget} retries "
         f"(n={spec.n}, k={spec.k}, p={spec.delete_probability})"
@@ -288,32 +276,30 @@ def _max_string(masks: tuple[int, ...], classes: Sequence[Sequence[int]]) -> int
     return best
 
 
-def _all_k_trees(n: int, k: int) -> list[Graph]:
-    """All k-trees on exactly n labeled vertices over all construction choices,
-    deduplicated up to isomorphism.  A state holds the edges and the bags so
-    far; each choice is the index of a clique, read by ``_clique`` as in
-    ``_k_tree``."""
-    base_edges = frozenset((u, v) for u, v in combinations(range(k), 2))
-    states = [(base_edges, ())]
+def _all_k_trees(n: int, k: int) -> list[tuple[int, ...]]:
+    """The neighbour masks of all k-trees on exactly n labeled vertices over
+    all construction choices, one per isomorphism class.  A state holds the
+    neighbour masks and the bags so far; each choice is the index of a
+    clique, read by ``_clique`` as in ``_k_tree``."""
+    states = [(tuple(((1 << k) - 1) ^ (1 << u) for u in range(k)) + (0,) * (n - k), ())]
     for v in range(k, n):
         nxt = []
-        for edges, bags in states:
+        bit = 1 << v
+        for masks, bags in states:
             for i in range(1 + k * (v - k)):
                 q = _clique(bags, i, k)
-                nxt.append((edges | frozenset((u, v) for u in q), bags + (q + (v,),)))
+                grown = list(masks)
+                for u in q:
+                    grown[u] |= bit
+                grown[v] = vertex_mask(q)
+                nxt.append((tuple(grown), bags + (q + (v,),)))
         states = nxt
-    seen_labeled = set()
-    seen_classes = set()
-    out = []
-    for edges, _ in states:
-        if edges in seen_labeled:
-            continue
-        seen_labeled.add(edges)
-        g = Graph(n, edges)
-        key = _class_key(g.nbr_mask)
-        if key not in seen_classes:
-            seen_classes.add(key)
-            out.append(g)
+    seen, out = set(), []
+    for masks in dict.fromkeys(masks for masks, _ in states):  # each labelled k-tree once
+        key = _class_key(masks)
+        if key not in seen:
+            seen.add(key)
+            out.append(masks)
     return out
 
 
@@ -357,7 +343,7 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
     for n in range(k, n_max + 1):
         visited: set[tuple[int, int]] = set()
         found: list[tuple[int, Graph]] = []
-        stack = [t.nbr_mask for t in _all_k_trees(n, k) if is_biconnected(t)]
+        stack = [masks for masks in _all_k_trees(n, k) if _biconnected(masks)]
         walked: set[tuple[int, ...]] = set()  # neighbour masks already keyed
         while stack:
             masks = stack.pop()
@@ -368,20 +354,15 @@ def exhaustive_small(n_max: int, k: int) -> Iterator[Graph]:
             if key in visited:
                 continue
             visited.add(key)
-            g = _graph(masks)
+            g = _from_masks(masks)
             found.append((canonical_key(g)[1], g))
-            for u, v in sorted(g.edges):
-                rest = list(masks)
-                rest[u] ^= 1 << v
-                rest[v] ^= 1 << u
-                rest = tuple(rest)
-                if rest not in walked and _biconnected_without(rest, u, v):
-                    stack.append(rest)
+            for u, m in enumerate(masks):  # each edge uv, u < v, in ascending order
+                for v in _bits(m >> u + 1 << u + 1):
+                    child = list(masks)
+                    child[u] ^= 1 << v
+                    child[v] ^= 1 << u
+                    child = tuple(child)
+                    if child not in walked and _biconnected_without(child, u, v):
+                        stack.append(child)
         found.sort(key=lambda kg: kg[0])  # keys are unique per class
         yield from (g for _, g in found)
-
-
-def _graph(masks: tuple[int, ...]) -> Graph:
-    """The graph with neighbour masks ``masks``."""
-    n = len(masks)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1])

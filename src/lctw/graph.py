@@ -1,8 +1,11 @@
 """Simple undirected graphs: construction, graph6 text I/O, separation predicates.
 
-Vertices are integer ids 0..n-1.  Graphs are immutable after construction and
-every operation in this module is a pure function of its inputs, so instances
-can be shared freely across concurrent workers.
+Vertices are integer ids 0..n-1.  A graph is stored only as its neighbour
+masks, one int per vertex; ``Graph(n, edges)`` checks and builds them, and
+``_from_masks`` is the one builder that takes masks as given.  Graphs are
+immutable after construction and every operation in this module is a pure
+function of its inputs, so instances can be shared freely across concurrent
+workers.
 """
 
 from __future__ import annotations
@@ -43,53 +46,63 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1.
+    """Immutable simple undirected graph on vertices 0..n-1, stored only as
+    its neighbour masks: bit v of ``nbr_mask[u]`` is set iff uv is an edge.
+    ``edges`` ((u, v) pairs with u < v), ``adj`` (sorted neighbour tuples) and
+    the rest are computed from the masks on each read, for callers outside
+    the package: its own algorithms read the masks."""
 
-    ``edges`` is a frozenset of (u, v) pairs with u < v; ``adj`` holds sorted
-    neighbor tuples and ``nbr_mask`` the same adjacency as bitmasks (bit v of
-    ``nbr_mask[u]`` set iff uv is an edge).
-    """
-
-    __slots__ = ("n", "edges", "adj", "nbr_mask", "_hash")
+    __slots__ = ("n", "nbr_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        norm = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        masks = [0] * n
-        for u, v in norm:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(norm)
-        self.adj = tuple(tuple(sorted(_bits(m))) for m in masks)
         self.nbr_mask = tuple(masks)
-        self._hash = hash((n, self.edges))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, m in enumerate(self.nbr_mask) for v in _bits(m >> u + 1 << u + 1))
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_bits(m)) for m in self.nbr_mask)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.nbr_mask)) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and self.nbr_mask[u] >> v & 1 == 1
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.nbr_mask == other.nbr_mask
 
     def __hash__(self):
-        return self._hash
+        return hash(self.nbr_mask)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _from_masks(masks: Iterable[int]) -> Graph:
+    """The graph with neighbour masks ``masks``, taken as given: the one
+    builder that trusts its input to be symmetric, loop-free and in range."""
+    g = Graph.__new__(Graph)
+    g.nbr_mask = masks = tuple(masks)
+    g.n = len(masks)
+    return g
 
 
 def _bits(mask: int):
@@ -108,8 +121,7 @@ def parse_graph6(text: str) -> Graph:
     order x(0,1), x(0,2), x(1,2), x(0,3), ...  Padding bits after the last
     matrix bit are ignored, set or not.  Only the set bits of the body are
     walked, each mapped to its (row, col) by a table per n, and the graph is
-    built from the neighbour masks and lists they fill, without normalising
-    its edges again.
+    built from the neighbour masks they fill.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -140,31 +152,13 @@ def parse_graph6(text: str) -> Graph:
     bits >>= 6 * nbytes - nbits  # drop padding
     cells = _graph6_cells(n)
     masks = [0] * n
-    adj = [[] for _ in range(n)]
-    edges = []
-    while bits:  # highest bit first: columns, then rows, ascending, so adj comes sorted
-        k = bits.bit_length() - 1
-        bits ^= 1 << k
-        row, col = cell = cells[k]
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        row, col = cells[low.bit_length() - 1]
         masks[row] |= 1 << col
         masks[col] |= 1 << row
-        adj[row].append(col)
-        adj[col].append(row)
-        edges.append(cell)
-    return _graph_of(masks, adj, edges)
-
-
-def _graph_of(masks: list[int], adj: list[list[int]], edges: list[tuple[int, int]]) -> Graph:
-    """``Graph(len(masks), edges)`` without checking or normalising again,
-    given its neighbour masks, its sorted neighbour lists and its edges, each
-    as (u, v) with u < v."""
-    g = Graph.__new__(Graph)
-    g.n = len(masks)
-    g.edges = frozenset(edges)
-    g.adj = tuple(map(tuple, adj))
-    g.nbr_mask = tuple(masks)
-    g._hash = hash((g.n, g.edges))
-    return g
+    return _from_masks(masks)
 
 
 @cache
@@ -176,17 +170,20 @@ def _graph6_cells(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a graph as one graph6 line; inverse of parse_graph6.  Each edge
-    sets its one bit of the body."""
-    if g.n > GRAPH6_MAX_N:
-        raise ValueError(f"graph6 single-byte size form caps n at {GRAPH6_MAX_N}, got {g.n}")
-    nbits = g.n * (g.n - 1) // 2
+    """Encode a graph as one graph6 line; inverse of parse_graph6.  Column col
+    of the matrix is the lower neighbour mask of vertex col, so the body's
+    matrix bits, last bit first, are those masks laid end to end; one string
+    reversal puts them in order."""
+    n = g.n
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 single-byte size form caps n at {GRAPH6_MAX_N}, got {n}")
+    nbits = n * (n - 1) // 2
     pad = (6 - nbits % 6) % 6
-    top = nbits + pad - 1  # the bit of x(0,1); x(row, col) sits col(col-1)/2 + row below it
-    bits = 0
-    for row, col in g.edges:
-        bits |= 1 << top - (col * (col - 1) // 2 + row)
-    out = [chr(g.n + 63)]
+    rev = 0  # bit col(col-1)/2 + row is x(row, col)
+    for col, m in enumerate(g.nbr_mask):
+        rev |= (m & (1 << col) - 1) << col * (col - 1) // 2
+    bits = int(f"{rev:0{nbits}b}"[::-1], 2) << pad
+    out = [chr(n + 63)]
     for shift in range(nbits + pad - 6, -1, -6):
         out.append(chr(((bits >> shift) & 0x3F) + 63))
     return "".join(out)
@@ -194,51 +191,51 @@ def write_graph6(g: Graph) -> str:
 
 def is_biconnected(g: Graph) -> bool:
     """True iff g is connected, has >= 3 vertices, and has no articulation vertex.
-
-    Single iterative depth-first traversal with low-link values; the test
-    suite validates it against the delete-one-vertex brute force.
-    """
-    return _biconnected(g.adj)
+    The test suite validates it against the delete-one-vertex brute force."""
+    return _biconnected(g.nbr_mask)
 
 
-def _biconnected(adj: Sequence[Sequence[int]]) -> bool:
-    """``is_biconnected`` of the graph whose vertex v has the neighbours
-    ``adj[v]``."""
-    n = len(adj)
-    if n < 3:
+def _biconnected(masks: Sequence[int]) -> bool:
+    """``is_biconnected`` of the graph with neighbour masks ``masks``: one
+    depth-first walk from vertex 0 with low-link values.  A finished vertex's
+    low value is the least depth its subtree reaches by an edge up the path,
+    to its parent included, so a non-root vertex cuts the graph iff a child's
+    low value is its own depth.  Once the root's first child is finished, an
+    unseen vertex means the graph is disconnected or the root cuts it."""
+    n = len(masks)
+    if n < 3 or not masks[0]:
         return False
-    disc = [-1] * n
+    depth = [0] * n
     low = [0] * n
-    parent = [-1] * n
-    disc[0] = low[0] = 0
-    counter = 1
-    root_children = 0
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if disc[w] == -1:
-                parent[w] = v
-                disc[w] = low[w] = counter
-                counter += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, iter(adj[w])))
-                break
-            elif w != parent[v]:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:  # v has no unvisited neighbour left
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
-                    return False  # p is an articulation vertex
-    if counter != n:
-        return False  # disconnected
-    return root_children <= 1
+    path = [0]
+    on_path, unseen = 1, (1 << n) - 2
+    while True:
+        v = path[-1]
+        nxt = masks[v] & unseen
+        if nxt:
+            wb = nxt & -nxt
+            w = wb.bit_length() - 1
+            unseen ^= wb
+            on_path |= wb
+            depth[w] = low[w] = len(path)
+            path.append(w)
+            continue
+        path.pop()
+        if len(path) == 1:
+            return not unseen
+        on_path ^= 1 << v
+        lo, up = low[v], masks[v] & on_path  # the parent and the back edges
+        while up:
+            ub = up & -up
+            up ^= ub
+            d = depth[ub.bit_length() - 1]
+            if d < lo:
+                lo = d
+        p = path[-1]
+        if lo == depth[p]:
+            return False  # p is an articulation vertex
+        if lo < low[p]:
+            low[p] = lo
 
 
 def components_after_removal(g: Graph, s: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -278,6 +275,23 @@ def _spread(masks: Sequence[int], seed: int, within: int) -> int:
         frontier = nxt & within & ~reach
         reach |= frontier
     return reach
+
+
+def _relabelled(masks: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The neighbour masks of the graph with neighbour masks ``masks``
+    relabelled so that its vertex ``order[i]`` becomes vertex i."""
+    at = [0] * len(order)  # at[v]: the bit of v's position in the order
+    for i, v in enumerate(order):
+        at[v] = 1 << i
+    out = []
+    for v in order:
+        m, r = masks[v], 0
+        while m:
+            low = m & -m
+            m ^= low
+            r |= at[low.bit_length() - 1]
+        out.append(r)
+    return out
 
 
 def neighbour_unions(masks: tuple[int, ...]) -> list[int]:

@@ -545,7 +545,7 @@ def run_verify(tasks, opts: CampaignOptions, out_stream, ce_dir=None, workers: i
 
 
 def run_conjecture(tasks, opts: CampaignOptions, out_stream, ce_dir=None, workers: int = 1):
-    bundle = partial(write_conjecture_bundle, cap=opts.enumeration_cap)
+    bundle = partial(write_conjecture_bundle, opts=opts)
     return _run_campaign(tasks, opts, evaluate_conjecture_task, out_stream, ce_dir, workers, bundle)
 
 
@@ -572,14 +572,15 @@ def write_failure_bundle(ce_dir, record) -> str:
     return path
 
 
-def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
+def write_conjecture_bundle(ce_dir, record, opts: CampaignOptions = CampaignOptions()) -> str:
     """Self-contained counterexample evidence: graph6, the longest-cycle family,
-    and for every vertex pair one longest cycle avoiding it.  ``cap`` is the
-    campaign's enumeration cap, under which the record was found; the bundle
-    records it for re-verification."""
+    and for every vertex pair one longest cycle avoiding it.  ``opts`` are the
+    campaign's, under whose enumeration cap and budgets the record was found:
+    the family is enumerated again under them, and the bundle records the cap
+    for re-verification."""
     path = _bundle_path(ce_dir, record)
     g = parse_graph6(record["graph6"])
-    cycles = enumerate_longest_cycles(g, cap=cap)
+    cycles = enumerate_longest_cycles(g, opts.enumeration_cap, opts.max_steps, opts.max_cycles)
     lines = [
         BUNDLE_SCHEMA,
         "kind: conjecture-counterexample",
@@ -587,7 +588,7 @@ def write_conjecture_bundle(ce_dir, record, cap: int = DEFAULT_ENUMERATION_CAP) 
         f"lct: {record['lct']}",
         f"longest-cycle-length: {record['L']}",
         f"longest-cycle-count: {record['longest_cycles']}",
-        f"enumeration-cap: {cap}",
+        f"enumeration-cap: {opts.enumeration_cap}",
         "cycles:",
     ]
     lines.extend("  " + " ".join(map(str, c)) for c in cycles.cycles)
@@ -604,7 +605,8 @@ def verify_conjecture_bundle(path: str) -> tuple[bool, str]:
     transversal number under the bundle's enumeration cap (18 when it names
     none), compare the bundled lct, length, count and family, each cycle
     listed once, and check every refutation line against the family.  A
-    malformed bundle is refused with its reason."""
+    malformed bundle is refused with its reason, and so is one whose family
+    the enumeration's default budgets cannot hold."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != BUNDLE_SCHEMA:
@@ -627,6 +629,8 @@ def verify_conjecture_bundle(path: str) -> tuple[bool, str]:
         res = compute_lct(g, family=family)
     except (KeyError, ValueError, EnumerationCapExceeded) as exc:
         return False, f"malformed bundle: {exc!r}"
+    except EnumerationBudgetExceeded as exc:
+        return False, f"cannot re-verify: {exc}"
     if res.lct != lct:
         return False, f"recomputed lct {res.lct} != bundled {lct}"
     if family.length != length:

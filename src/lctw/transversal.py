@@ -48,7 +48,7 @@ from .decomposition import (
     require_valid,
     side_masks,
 )
-from .graph import Graph, component_masks, is_biconnected, separates, vertex_mask
+from .graph import Graph, component_masks, is_biconnected, vertex_mask
 
 __all__ = [
     "PASS",
@@ -353,7 +353,8 @@ def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dic
     """When lct > 1 and every pair of the triple delta of node t has a
     2-jumping longest cycle, some longest cycle meets the bag at most once, or
     is outside the triple, or is inside and meets it twice, or is inside,
-    meets it three times and is fenced by it."""
+    meets it three times and is fenced by it: its vertices off the triple lie
+    in one component of G - triple."""
     if facts.lct.lct <= 1:
         return {"status": PREMISE_NOT_MET, "detail": "all longest cycles share a vertex (lct = 1)"}
     node = facts.families(t)
@@ -361,6 +362,7 @@ def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dic
     if (unmet := _jump_premise(fams)) is not None:
         return unmet
     dmask = vertex_mask(delta)
+    apart = component_masks(facts.g, ((1 << facts.g.n) - 1) & ~dmask)  # the components of G - triple
     for c, m in facts.cycles:
         if (m & node.mask).bit_count() <= 1:
             shape = "a longest cycle meets the bag at most once"
@@ -370,7 +372,7 @@ def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dic
             shape = "a longest cycle is outside the triple"
         elif tag is Posture.INSIDE and count == 2:
             shape = "an inside longest cycle meets the triple twice"
-        elif tag is Posture.INSIDE and count == 3 and not separates(facts.g, delta, c):
+        elif tag is Posture.INSIDE and count == 3 and any(not m & ~dmask & ~comp for comp in apart):
             shape = "an inside longest cycle meets the triple thrice, fenced by it"
         else:
             continue

@@ -142,7 +142,7 @@ def reference_longest_cycles(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP, max_s
     searched however often it is reached."""
     check_enumeration_cap(g.n, cap)
     n = g.n
-    order = _smallest_last_order(g.adj)
+    order = _smallest_last_order(g.nbr_mask)
     bit = [0] * n  # bit[v]: the bit of v's position in order, its id in the search
     for i, v in enumerate(order):
         bit[v] = 1 << i
@@ -381,7 +381,7 @@ def test_enumerate_is_invariant_under_vertex_permutation(small_corpus, petersen_
 def test_smallest_last_order(small_corpus, petersen_graph):
     rng = random.Random(13)
     for g in relabelling_corpus(small_corpus, petersen_graph, rng):
-        order = _smallest_last_order(g.adj)
+        order = _smallest_last_order(g.nbr_mask)
         assert sorted(order) == list(range(g.n))
         h = nx.Graph()
         h.add_nodes_from(range(g.n))

@@ -231,11 +231,19 @@ def test_decomposition_from_order_matches_the_set_construction():
 
 
 def test_treewidth_at_most_2_agrees_with_exact():
+    # the differential corpus holds the nmax = 7 exhaustive graphs, random
+    # graphs from sparse to dense and Petersen; edgeless graphs reduce to
+    # nothing, and so does the empty graph, whose treewidth is undefined here
     rng = random.Random(13)
-    for _ in range(150):
-        n = rng.randint(1, 9)
-        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.6]))
-        assert has_treewidth_at_most_2(g) == (exact_treewidth(g)[0] <= 2)
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.35, 0.6])) for _ in range(150)]
+    graphs += [*_differential_corpus(), *(Graph(n, []) for n in range(1, 8))]
+    verdicts = set()
+    for g in graphs:
+        verdict = has_treewidth_at_most_2(g)
+        assert verdict == (exact_treewidth(g)[0] <= 2), g.edges
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert has_treewidth_at_most_2(Graph(0, []))
 
 
 def test_full_tree_decomposition_k4(k4):

@@ -128,6 +128,22 @@ def test_generate_partial_4_tree_corpus():
         assert exact_treewidth(g)[0] <= 4
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 4, "k": 0}, "k must be at least 1, got 0"),
+        ({"n": 6, "k": -2}, "k must be at least 1, got -2"),
+        ({"n": 8, "k": 3, "retry_budget": 0}, "retry budget must be at least 1, got 0"),
+        ({"n": 8, "k": 3, "retry_budget": -5}, "retry budget must be at least 1, got -5"),
+    ],
+)
+def test_gen_spec_refuses_what_corpus_spec_refuses(fields, message):
+    # no edgeless "0-tree", and no draw that cannot be retried
+    with pytest.raises(GenerationError, match=message):
+        GenSpec(**fields)
+    assert generate_partial_k_tree(GenSpec(n=8, k=1, seed=2, retry_budget=1))[0].m == 7  # k = 1 and one retry still draw
+
+
 def test_generate_partial_k_tree_retry_exhaustion():
     spec = GenSpec(n=12, k=3, seed=0, delete_probability=0.9, require_biconnected=True, retry_budget=10)
     with pytest.raises(GenerationError):

@@ -226,6 +226,46 @@ def test_conjecture_bundle_enumerates_under_the_campaign_cap(tmp_path, monkeypat
     assert not ok and "lct" in detail
 
 
+def _family_budget_by_default(monkeypatch, budget):
+    """Make the harness's enumeration keep at most ``budget`` cycles unless
+    told otherwise, as the default budget does for a family past it."""
+    real = harness.enumerate_longest_cycles
+
+    def enumerate_within(g, cap=lctw.cycles.DEFAULT_ENUMERATION_CAP, max_steps=None, max_cycles=budget):
+        return real(g, cap=cap, max_steps=max_steps, max_cycles=max_cycles)
+
+    monkeypatch.setattr(harness, "enumerate_longest_cycles", enumerate_within)
+
+
+def test_conjecture_bundle_enumerates_under_the_campaign_budgets(tmp_path, monkeypatch):
+    # K6's 60 Hamiltonian cycles are past the default family budget but within
+    # the campaign's, so the bundle lists them all instead of the run ending in
+    # a traceback
+    _family_budget_by_default(monkeypatch, 5)
+
+    def fake_scan(g, **kw):
+        return {"finding": "COUNTEREXAMPLE", "lct": 3, "L": 6, "longest_cycles": 60, "witness": [0, 1, 2]}
+
+    monkeypatch.setattr(harness, "conjecture_scan", fake_scan)
+    tasks = [{"graph6": write_graph6(complete_graph(6))}]
+    code, summary = run_conjecture(tasks, CampaignOptions(max_cycles=60), io.StringIO(), ce_dir=str(tmp_path), workers=1)
+    assert code == EXIT_COUNTEREXAMPLE
+    lines = open(summary.bundles[0]).read().splitlines()
+    assert lines.index("refutation:") - lines.index("cycles:") - 1 == 60
+
+
+def test_a_bundle_past_the_enumeration_budget_is_refused(tmp_path, monkeypatch):
+    # re-verifying a bundle whose family the default budget cannot hold (as
+    # K11's 1,814,400 Hamiltonian cycles cannot) returns a reason, not a traceback
+    record = {"graph6": write_graph6(complete_graph(6)), "lct": 3, "L": 6, "longest_cycles": 60, "refutation": []}
+    path = write_conjecture_bundle(str(tmp_path), record)
+    _family_budget_by_default(monkeypatch, 5)
+    assert verify_conjecture_bundle(path) == (
+        False,
+        "cannot re-verify: enumeration kept more than 5 longest cycles; no partial results",
+    )
+
+
 def test_bundle_roundtrip_on_true_values(tmp_path):
     # a bundle holding the true facts for the Petersen graph re-verifies
     record = {
@@ -296,6 +336,30 @@ def test_a_malformed_or_inconsistent_bundle_is_refused(tmp_path, tamper, reason)
         fh.write(tamper(text))
     ok, detail = verify_conjecture_bundle(path)
     assert not ok and reason in detail
+
+
+def test_campaigns_read_only_the_neighbour_masks(monkeypatch):
+    # Graph.adj and Graph.edges rebuild the adjacency from the masks on every
+    # read, so the corpus build, every check and the conjecture scan must not
+    # read them
+    reads = []
+
+    def guarded(name):
+        def read(g):
+            reads.append(name)
+            pytest.fail(f"Graph.{name} read during a campaign")
+
+        return property(read)
+
+    for name in ("adj", "edges"):
+        monkeypatch.setattr(Graph, name, guarded(name))
+    every_check = CampaignOptions(checks=tuple(CHECKS))
+    for spec in ("k=3,n=7..10,count=40,p=0.25", "mode=exhaustive,k=3,nmax=6"):
+        tasks = corpus_tasks(parse_corpus_spec(spec, seed=5))
+        for run, opts in ((run_verify, every_check), (run_conjecture, CampaignOptions())):
+            _, summary = run(tasks, opts, io.StringIO(), workers=1)
+            assert summary.total == len(tasks) and summary.errors == 0, (spec, run.__name__)
+    assert reads == []
 
 
 def test_report_determinism_across_workers():
@@ -551,6 +615,15 @@ def test_cli_negative_cap_is_config_error(capsys, command, flag):
         main([command, *args, flag, "-1"])
     assert exc.value.code == EXIT_CONFIG
     assert f"{flag}: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+def test_cli_negative_workers_is_config_error(capsys, command):
+    # a negative count ran serially and exited 0
+    with pytest.raises(SystemExit) as exc:  # refused while parsing, before any graph is read
+        main([command, *CLI_CORPUS[command], "--workers", "-3"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--workers: must be >= 0, got -3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
