@@ -6,17 +6,22 @@ above by the min-degree elimination width and started from all vertices but
 0, since any vertex ends some optimal elimination order: sparse graphs visit
 few of the 2^n states, dense ones up to all of them, so n is capped.  Full
 decompositions (every bag of size k+1, adjacent bags sharing exactly k
-vertices) are produced constructively from any valid decomposition, on bag
-masks: contract subset bags (a heap of the nodes a merge or a padding may
-have made contractible), pad undersized bags from neighbors, then splice
-one-swap chains across edges whose intersection is still too small.  A decomposition built here, the exact
-one or a full one, is valid by construction: it is made from the bag masks it
-was built on and marked valid for its graph, so ``require_valid`` checks only
-decompositions from outside (``TreeDecomposition(bags, edges)``).  Bag masks
-(``masks``) are set when a decomposition is built here and built on first
-read otherwise; branch masks (``side_masks``) are built on first read; both
-are kept on the decomposition.  All tie-breaking is by ascending vertex/node
-id, so construction output is byte-for-byte reproducible.
+vertices) are produced constructively from any valid decomposition: contract
+subset bags (a heap of the nodes a merge or a padding may have made
+contractible), pad undersized bags from neighbours, then splice one-swap
+chains across edges whose intersection is still too small.  The construction
+works on two lists indexed by node id, one of bag masks and one of masks of
+neighbouring node ids; a node merged away is marked dead in a third list
+rather than removed, so ids stay put until the splice numbers the live nodes
+in ascending order.  Its loops walk masks lowest bit first, inline.  A
+decomposition built here, the exact one or a full one, is valid by
+construction: it is made from the bag masks it was built on and marked valid
+for its graph, so ``require_valid`` checks only decompositions from outside
+(``TreeDecomposition(bags, edges)``).  Bag masks (``masks``) are set when a
+decomposition is built here and built on first read otherwise; branch masks
+(``side_masks``) are built on first read; both are kept on the decomposition.
+All tie-breaking is by ascending vertex/node id, so construction output is
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from heapq import heappop, heappush
 from operator import lt
 from typing import Iterable
 
-from .graph import Graph, _bits, _relabelled, _spread, neighbour_unions, separates, vertex_mask
+from .graph import Graph, _bits, _spread, neighbour_unions, separates, vertex_mask
 
 __all__ = [
     "TreeDecomposition",
@@ -139,21 +144,38 @@ def _sorted_bag(bag: Iterable[int]) -> tuple:
 def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDecomposition:
     """The decomposition with bag masks ``masks`` and tree edges ``edges`` that
     a construction of this module built for g, so valid for g by construction:
-    its bags, width and fullness are read off the masks, and it is marked valid
-    for g without running ``validate``."""
+    one pass over the masks reads off the bags, the width and the bag sizes,
+    one over the sorted edges the node neighbours and the shared sizes, and it
+    is marked valid for g without running ``validate``."""
     td = TreeDecomposition.__new__(TreeDecomposition)
     td._masks = masks = tuple(masks)
-    td.bags = tuple(tuple(_bits(m)) for m in masks)
-    td.tree_edges = norm = frozenset((a, b) if a < b else (b, a) for a, b in edges)
+    bags = []
+    least = most = masks[0].bit_count()
+    for m in masks:
+        bag = []
+        while m:
+            low = m & -m
+            bag.append(low.bit_length() - 1)
+            m ^= low
+        bags.append(tuple(bag))
+        size = len(bag)
+        if size > most:
+            most = size
+        elif size < least:
+            least = size
+    td.bags = tuple(bags)
+    td.width = k = most - 1
+    full = least == most
+    norm = sorted((a, b) if a < b else (b, a) for a, b in edges)
+    td.tree_edges = frozenset(norm)
     adj = [[] for _ in masks]
-    for a, b in sorted(norm):  # each node gets its lower neighbours, then its upper ones, ascending
+    for a, b in norm:  # each node gets its lower neighbours, then its upper ones, ascending
         adj[a].append(b)
         adj[b].append(a)
+        if full and (masks[a] & masks[b]).bit_count() != k:
+            full = False
     td.node_adj = tuple(map(tuple, adj))
-    td.width = k = max(map(int.bit_count, masks)) - 1
-    td._is_full = all(m.bit_count() == k + 1 for m in masks) and all(
-        (masks[a] & masks[b]).bit_count() == k for a, b in norm
-    )
+    td._is_full = full
     td.valid_for = g
     td.sides = None
     return td
@@ -313,22 +335,22 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> tuple[int, Tr
 
     s_mask = size - 2  # every vertex but 0, eliminated before it
     width = solve(s_mask, _min_degree_width(nbr) + 1)
-    order = [0]
-    for _ in range(n - 1):
-        v = pick[s_mask]  # the vertex eliminated last within s_mask
-        order.append(v)
+    order = [0] * n  # vertex 0 is eliminated last
+    for i in range(n - 2, -1, -1):
+        order[i] = v = pick[s_mask]  # the vertex eliminated last within s_mask
         s_mask ^= 1 << v
-    order.reverse()
     return width, _decomposition_from_order(g, order)
 
 
 def _min_degree_width(nbr: tuple[int, ...]) -> int:
     """Width of the min-degree elimination order (least degree in the filled
-    graph, lower id on ties): an upper bound on the treewidth."""
+    graph, lower id on ties): an upper bound on the treewidth.  It stops once
+    at most width + 1 vertices are left: none of them can have more than
+    width neighbours left."""
     adj = list(nbr)
     left = (1 << len(adj)) - 1
     width = 0
-    while left:
+    while left.bit_count() > width + 1:
         v, least = -1, len(adj)
         rest = left
         while rest:
@@ -350,27 +372,32 @@ def _min_degree_width(nbr: tuple[int, ...]) -> int:
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """Tree decomposition induced by an elimination order (fill-in simulation).
 
-    Works on masks over positions in the order: the bag of the i-th vertex is
-    it and its filled neighbours eliminated later, and its tree parent is the
-    earliest of those, else node i + 1 (joining components).  The result is
-    built valid for g."""
+    Works on the filled neighbour masks: the bag of the i-th vertex is it and
+    its filled neighbours eliminated later (``left``), and its tree parent is
+    the node of the earliest of those, else node i + 1 (joining components).
+    The result is built valid for g."""
     n = len(order)
-    adj = _relabelled(g.nbr_mask, order)
+    adj = list(g.nbr_mask)
+    pos = [0] * n  # pos[v]: v's position in the order, so its node
+    for i, v in enumerate(order):
+        pos[v] = i
+    left = (1 << n) - 1
     bags = []
     edges = []
     for i, v in enumerate(order):
-        higher = adj[i] >> (i + 1) << (i + 1)
-        bag = 1 << v
-        rest = higher
+        left ^= 1 << v
+        higher = rest = adj[v] & left
+        parent = n
         while rest:
             low = rest & -rest
             rest ^= low
-            j = low.bit_length() - 1
-            bag |= 1 << order[j]
-            adj[j] |= higher
-        bags.append(bag)
+            u = low.bit_length() - 1
+            adj[u] |= higher
+            if pos[u] < parent:
+                parent = pos[u]
+        bags.append(higher | 1 << v)
         if higher:
-            edges.append((i, (higher & -higher).bit_length() - 1))
+            edges.append((i, parent))
         elif i + 1 < n:
             edges.append((i, i + 1))
     return _built(g, bags, edges)
@@ -436,9 +463,14 @@ def full_tree_decomposition(
             return base  # nothing to contract, pad or splice
 
     size = k + 1
-    bags = dict(enumerate(base.masks))
-    nbrs = {t: vertex_mask(adj) for t, adj in enumerate(base.node_adj)}  # node-id masks
-    dirty = list(bags)  # a heap of the nodes that may lie in a neighbour's bag
+    bags = list(base.masks)  # node id -> bag mask
+    nodes = len(bags)
+    nbrs = [0] * nodes  # node id -> mask of its neighbours' ids
+    for a, b in base.tree_edges:
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    live = [True] * nodes  # False once merged away
+    dirty = list(range(nodes))  # a heap of the nodes that may lie in a neighbour's bag
     while True:
         # Contract: merge the least node whose bag lies in a neighbour's bag
         # into the least such neighbour, until no bag lies in a neighbour's.
@@ -448,18 +480,30 @@ def full_tree_decomposition(
         # dirty node is popped first.
         while dirty:
             t = heappop(dirty)
-            if t not in bags:
-                continue  # merged away
-            u = next((u for u in _bits(nbrs[t]) if not bags[t] & ~bags[u]), -1)
-            if u < 0:
+            if not live[t]:
                 continue
-            for w in _bits(nbrs[t] & ~(1 << u)):
-                nbrs[w] = nbrs[w] & ~(1 << t) | 1 << u
+            bag = bags[t]
+            rest = nbrs[t]
+            while rest:
+                low = rest & -rest
+                if not bag & ~bags[low.bit_length() - 1]:
+                    break  # low is the least neighbour whose bag holds t's
+                rest ^= low
+            else:
+                continue  # no neighbour's bag holds t's
+            u = low.bit_length() - 1
+            t_bit = 1 << t
+            rest = nbrs[t] ^ low
+            while rest:
+                w_bit = rest & -rest
+                rest ^= w_bit
+                w = w_bit.bit_length() - 1
+                nbrs[w] = nbrs[w] ^ t_bit | low
                 heappush(dirty, w)
-            nbrs[u] = (nbrs[u] | nbrs[t]) & ~(1 << t | 1 << u)
+            nbrs[u] = (nbrs[u] | nbrs[t]) & ~(t_bit | low)
             heappush(dirty, u)
-            del bags[t], nbrs[t]
-        short = [t for t in sorted(bags) if bags[t].bit_count() < size]
+            live[t] = False
+        short = [t for t in range(nodes) if live[t] and bags[t].bit_count() < size]
         if not short:
             break
         # Pad each undersized bag with the lowest vertices of its neighbours'
@@ -468,29 +512,54 @@ def full_tree_decomposition(
         # padded node and its neighbours are dirty again.
         for t in short:
             pool = 0
-            for u in _bits(nbrs[t]):
+            rest = nbrs[t]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
                 pool |= bags[u]
                 heappush(dirty, u)
             heappush(dirty, t)
-            pool &= ~bags[t]
-            for _ in range(size - bags[t].bit_count()):
-                bags[t] |= pool & -pool
+            bag = bags[t]
+            pool &= ~bag
+            for _ in range(size - bag.bit_count()):
+                bag |= pool & -pool
                 pool &= pool - 1
+            bags[t] = bag
 
-    # Splice one-swap chains across edges sharing fewer than k vertices.
-    nodes = sorted(bags)
-    at = {t: i for i, t in enumerate(nodes)}
-    out_bags = [bags[t] for t in nodes]
+    # Splice one-swap chains across edges sharing fewer than k vertices, the
+    # edges in sorted order.  All bags now hold k+1 vertices, so an edge's two
+    # bags differ in as many vertices each way, and the chain swaps the
+    # lowest vertex off one side for the lowest onto the other, all but the
+    # last pair.
+    at = [0] * nodes  # live node id -> output node id
+    out_bags = []
+    for t in range(nodes):
+        if live[t]:
+            at[t] = len(out_bags)
+            out_bags.append(bags[t])
     out_edges = []
-    for a, b in sorted((a, b) for a in nodes for b in _bits(nbrs[a]) if a < b):
-        prev, cur = at[a], bags[a]
-        swaps = list(zip(_bits(bags[a] & ~bags[b]), _bits(bags[b] & ~bags[a])))
-        for drop, add in swaps[:-1]:
-            cur ^= 1 << drop | 1 << add
-            out_edges.append((prev, len(out_bags)))
-            prev = len(out_bags)
-            out_bags.append(cur)
-        out_edges.append((prev, at[b]))
+    for a in range(nodes):
+        if not live[a]:
+            continue
+        cur = bags[a]
+        upper = nbrs[a] >> a + 1 << a + 1
+        while upper:
+            low = upper & -upper
+            upper ^= low
+            b = low.bit_length() - 1
+            prev, other = at[a], bags[b]
+            drop, add = cur & ~other, other & ~cur
+            chain = cur
+            while drop & drop - 1:  # more than one swap left
+                d, e = drop & -drop, add & -add
+                drop ^= d
+                add ^= e
+                chain ^= d | e
+                out_edges.append((prev, len(out_bags)))
+                prev = len(out_bags)
+                out_bags.append(chain)
+            out_edges.append((prev, at[b]))
     return _built(g, out_bags, out_edges)
 
 

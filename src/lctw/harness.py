@@ -577,7 +577,7 @@ def write_conjecture_bundle(ce_dir, record, opts: CampaignOptions = CampaignOpti
     and for every vertex pair one longest cycle avoiding it.  ``opts`` are the
     campaign's, under whose enumeration cap and budgets the record was found:
     the family is enumerated again under them, and the bundle records the cap
-    for re-verification."""
+    and the family budget for re-verification."""
     path = _bundle_path(ce_dir, record)
     g = parse_graph6(record["graph6"])
     cycles = enumerate_longest_cycles(g, opts.enumeration_cap, opts.max_steps, opts.max_cycles)
@@ -589,6 +589,7 @@ def write_conjecture_bundle(ce_dir, record, opts: CampaignOptions = CampaignOpti
         f"longest-cycle-length: {record['L']}",
         f"longest-cycle-count: {record['longest_cycles']}",
         f"enumeration-cap: {opts.enumeration_cap}",
+        f"max-cycles: {opts.max_cycles}",
         "cycles:",
     ]
     lines.extend("  " + " ".join(map(str, c)) for c in cycles.cycles)
@@ -603,10 +604,11 @@ def write_conjecture_bundle(ce_dir, record, opts: CampaignOptions = CampaignOpti
 def verify_conjecture_bundle(path: str) -> tuple[bool, str]:
     """Re-verify a counterexample bundle from scratch: recompute the family and
     transversal number under the bundle's enumeration cap (18 when it names
-    none), compare the bundled lct, length, count and family, each cycle
-    listed once, and check every refutation line against the family.  A
-    malformed bundle is refused with its reason, and so is one whose family
-    the enumeration's default budgets cannot hold."""
+    none) and family budget (``DEFAULT_MAX_CYCLES`` when it names none),
+    compare the bundled lct, length, count and family, each cycle listed once,
+    and check every refutation line against the family.  A malformed bundle is
+    refused with its reason, and so is one whose family that budget cannot
+    hold."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != BUNDLE_SCHEMA:
@@ -625,7 +627,11 @@ def verify_conjecture_bundle(path: str) -> tuple[bool, str]:
         lct, length, count = (int(fields[key]) for key in ("lct", "longest-cycle-length", "longest-cycle-count"))
         listed = [Cycle(tuple(map(int, row))).vertices for row in rows["cycles:"]]
         refutation = [(int(u), int(v), Cycle(tuple(map(int, c))).vertices) for _, u, v, _, *c in rows["refutation:"]]
-        family = enumerate_longest_cycles(g, cap=int(fields.get("enumeration-cap", DEFAULT_ENUMERATION_CAP)))
+        family = enumerate_longest_cycles(
+            g,
+            cap=int(fields.get("enumeration-cap", DEFAULT_ENUMERATION_CAP)),
+            max_cycles=int(fields.get("max-cycles", DEFAULT_MAX_CYCLES)),
+        )
         res = compute_lct(g, family=family)
     except (KeyError, ValueError, EnumerationCapExceeded) as exc:
         return False, f"malformed bundle: {exc!r}"

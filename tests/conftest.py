@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from lctw.fixtures import complete_graph, cycle_graph, petersen, separation_fixture
@@ -34,3 +36,17 @@ def small_corpus():
         spec = GenSpec(n=6 + i % 7, k=3, seed=9000 + i, delete_probability=0.3, require_biconnected=True)
         out.append(generate_partial_k_tree(spec))
     return out
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """``corpus(spec, seed=0)``: the task list of a corpus spec at a seed, built
+    once per session however many tests read it.  Readers share the list, so
+    none may change it."""
+    from lctw.harness import corpus_tasks, parse_corpus_spec
+
+    @functools.cache
+    def build(spec: str, seed: int = 0) -> list[dict]:
+        return corpus_tasks(parse_corpus_spec(spec, seed=seed))
+
+    return build

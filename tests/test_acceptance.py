@@ -40,8 +40,6 @@ from lctw.generate import GenSpec, generate_partial_k_tree
 from lctw.graph import parse_graph6
 from lctw.harness import (
     CampaignOptions,
-    corpus_tasks,
-    parse_corpus_spec,
     run_conjecture,
     run_verify,
     verify_conjecture_bundle,
@@ -49,6 +47,7 @@ from lctw.harness import (
 from lctw.transversal import compute_lct
 
 WORKERS = 2
+CRIT1_EXHAUSTIVE = "mode=exhaustive,k=3,nmax=8"
 CRIT1_RANDOM = "k=3,n=9..14,count=1000,p=0.25"
 CRIT1_SEED = 20260808
 CRIT1_DIGEST = "a5d69c60ce3b7d9ed01c5c74502aeff2968a8bd44de99b58272c28eaecd2d091"
@@ -64,10 +63,8 @@ def _announce(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def corpus_tasks_c1():
-    exhaustive = corpus_tasks(parse_corpus_spec("mode=exhaustive,k=3,nmax=8"))
-    rand = corpus_tasks(parse_corpus_spec(CRIT1_RANDOM, seed=CRIT1_SEED))
-    return exhaustive, rand
+def corpus_tasks_c1(corpus):
+    return corpus(CRIT1_EXHAUSTIVE), corpus(CRIT1_RANDOM, CRIT1_SEED)
 
 
 def _strip(text):
@@ -225,8 +222,8 @@ def test_criterion_07_decomposition_invariants(campaign_c1, corpus_tasks_c1):
     )
 
 
-def test_criterion_08_premise_satisfying_search():
-    tasks = corpus_tasks(parse_corpus_spec(CRIT8_SPEC, seed=CRIT8_SEED))
+def test_criterion_08_premise_satisfying_search(corpus):
+    tasks = corpus(CRIT8_SPEC, CRIT8_SEED)
     buf = io.StringIO()
     opts = CampaignOptions(checks=("jump_families", "escape_cycle"))
     code, summary = run_verify(tasks, opts, buf, workers=WORKERS)
@@ -248,8 +245,8 @@ def test_criterion_08_premise_satisfying_search():
     )
 
 
-def test_criterion_09_two_vertex_transversal_scan(tmp_path):
-    tasks = corpus_tasks(parse_corpus_spec(CRIT9_SPEC, seed=CRIT9_SEED))
+def test_criterion_09_two_vertex_transversal_scan(tmp_path, corpus):
+    tasks = corpus(CRIT9_SPEC, CRIT9_SEED)
     report = tmp_path / "findings.jsonl"
     ce_dir = tmp_path / "ce"
     with open(report, "w") as out:

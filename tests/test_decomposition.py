@@ -25,7 +25,7 @@ from lctw.decomposition import (
 )
 from lctw.fixtures import complete_graph, path_graph, petersen
 from lctw.generate import GenSpec, exhaustive_small, generate_k_tree, generate_partial_k_tree
-from lctw.graph import Graph, component_masks, is_biconnected
+from lctw.graph import Graph, component_masks, is_biconnected, parse_graph6
 
 
 def random_graph(rng, n, p):
@@ -85,8 +85,9 @@ def test_exact_treewidth_decomposition_validates():
 def brute_force_treewidth(g):
     """Minimum over all elimination orders of the maximum elimination degree."""
     best = g.n
+    g_adj = g.adj  # built from the masks on every read: once per graph, not per order
     for order in itertools.permutations(range(g.n)):
-        adj = {v: set(g.adj[v]) for v in range(g.n)}
+        adj = {v: set(g_adj[v]) for v in range(g.n)}
         width = 0
         for v in order:
             width = max(width, len(adj[v]))
@@ -445,23 +446,35 @@ def set_full_tree_decomposition(
     )
 
 
+def _fields(td):
+    """Everything a decomposition answers about its shape."""
+    return td.bags, td.tree_edges, td.node_adj, td.width, td.is_full, td.masks
+
+
 def _full_outcome(build, g, k, base=None):
-    """The bags and tree edges ``build`` returns, or the refusal it raises."""
+    """The shape of the decomposition ``build`` returns, or the refusal it raises."""
     try:
         td = build(g, k, base)
     except DecompositionError as e:
         return "refused", str(e)
-    return td.bags, td.tree_edges
+    return _fields(td)
 
 
-def _full_differential_cases():
+@pytest.fixture(scope="module")
+def exhaustive_nmax8(corpus):
+    """Criterion 1's exhaustive corpus, every class of 2-connected partial
+    3-trees with n <= 8, as graphs."""
+    return [parse_graph6(task["graph6"]) for task in corpus("mode=exhaustive,k=3,nmax=8")]
+
+
+def _full_differential_cases(exhaustive):
     """(graph, k, base) triples on which the mask construction must return
-    the set reference's bags and tree edges, or refuse with its message: the
-    exhaustive k = 3, nmax = 7 corpus; 1,200 random G(n <= 13, p) with p from
-    0.05 to 0.6, each at k = 3, 4 and 5 (n < k+1 and treewidth > k refusals
-    among them); natural width-1 and width-2 bases of k-trees and partial
-    k-trees, padded to widths 3 and 4; an invalid base and a base too wide."""
-    for g in exhaustive_small(7, 3):
+    the set reference's decomposition, or refuse with its message: the graphs
+    ``exhaustive`` at k = 3; 1,200 random G(n <= 13, p) with p from 0.05 to
+    0.6, each at k = 3, 4 and 5 (n < k+1 and treewidth > k refusals among
+    them); natural width-1 and width-2 bases of k-trees and partial k-trees,
+    padded to widths 3 and 4; an invalid base and a base too wide."""
+    for g in exhaustive:
         yield g, 3, None
     rng = random.Random(1403)
     for _ in range(1200):
@@ -479,7 +492,7 @@ def _full_differential_cases():
     yield complete_graph(4), 3, TreeDecomposition([(0, 1, 2), (1, 2, 3)], [(0, 1)])
 
 
-def test_full_tree_decomposition_matches_the_set_reference(monkeypatch):
+def test_full_tree_decomposition_matches_the_set_reference(monkeypatch, exhaustive_nmax8):
     import lctw.decomposition as decomposition
 
     # both constructions start from the same exact decomposition of a graph:
@@ -488,14 +501,48 @@ def test_full_tree_decomposition_matches_the_set_reference(monkeypatch):
     monkeypatch.setattr(decomposition, "exact_treewidth", once)
     monkeypatch.setattr(sys.modules[__name__], "exact_treewidth", once)
     refused, built = set(), 0
-    for g, k, base in _full_differential_cases():
+    for g, k, base in _full_differential_cases(exhaustive_nmax8):
         out = _full_outcome(full_tree_decomposition, g, k, base)
         assert out == _full_outcome(set_full_tree_decomposition, g, k, base), (g.edges, k)
         if out[0] == "refused":
             refused.add(out[1].split(" ")[0])
         else:
             built += 1
-    assert refused == {"no", "treewidth", "base", "invalid"} and built > 2000, (refused, built)
+    assert refused == {"no", "treewidth", "base", "invalid"} and built > 5000, (refused, built)
+
+
+def test_built_decompositions_match_the_constructor(monkeypatch, exhaustive_nmax8):
+    import lctw.decomposition as decomposition
+
+    # every decomposition this module builds from masks, exact or full, reads
+    # as the constructor reads its bags and tree edges, and is valid: the
+    # constructor and validate are the independent path
+    real, built = decomposition._built, []
+
+    def recorded(g, masks, edges):
+        td = real(g, masks, edges)
+        built.append((g, td))
+        return td
+
+    monkeypatch.setattr(decomposition, "_built", recorded)
+    rng = random.Random(2604)
+    graphs = exhaustive_nmax8 + [
+        random_graph(rng, rng.randint(1, 13), rng.choice([0.05, 0.1, 0.2, 0.3, 0.45, 0.6])) for _ in range(600)
+    ]
+    for g in graphs:
+        width, td = exact_treewidth(g)
+        for k in range(max(width, 1), min(g.n - 1, 4) + 1):
+            full_tree_decomposition(g, k, base=td)
+    fulls = len(built) - len(graphs)  # one exact decomposition per graph, the rest full
+    assert fulls > 8000, fulls
+    # bags of one size whose tree edges share too little: no construction
+    # builds one (an exact decomposition ends in a singleton bag, a full one
+    # is full), so it is built here, for P6
+    decomposition._built(path_graph(6), [0b111, 0b11100, 0b111000], [(1, 0), (1, 2)])
+    assert not built[-1][1].is_full
+    for g, td in built:
+        assert _fields(td) == _fields(TreeDecomposition(td.bags, td.tree_edges)), g.edges
+        assert validate(g, td) == [] and td.valid_for is g
 
 
 def test_branch_at_path_decomposition():

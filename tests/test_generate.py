@@ -22,7 +22,6 @@ from lctw.generate import (
     generate_partial_k_tree,
 )
 from lctw.graph import Graph, is_biconnected, write_graph6
-from lctw.harness import corpus_tasks, parse_corpus_spec
 
 
 def _complement(g):
@@ -497,6 +496,6 @@ CORPUS_TASK_DIGESTS = [
 
 
 @pytest.mark.parametrize("spec, seed, digest", CORPUS_TASK_DIGESTS)
-def test_corpus_task_streams_are_pinned(spec, seed, digest):
-    tasks = corpus_tasks(parse_corpus_spec(spec, seed=seed))
+def test_corpus_task_streams_are_pinned(spec, seed, digest, corpus):
+    tasks = corpus(spec, seed)
     assert hashlib.sha256(json.dumps(tasks, sort_keys=True).encode()).hexdigest() == digest

@@ -126,10 +126,11 @@ def brute_biconnected(g):
         verts = [v for v in range(h.n) if v != skip]
         if not verts:
             return True
+        adj = h.adj  # built from the masks on every read
         seen = {verts[0]}
         stack = [verts[0]]
         while stack:
-            for w in h.adj[stack.pop()]:
+            for w in adj[stack.pop()]:
                 if w != skip and w not in seen:
                     seen.add(w)
                     stack.append(w)

@@ -12,7 +12,7 @@ import lctw.cycles
 import lctw.harness as harness
 import lctw.transversal as transversal
 from lctw.cli import main
-from lctw.cycles import Cycle, EnumerationCapExceeded, LongestCycleSet, enumerate_longest_cycles
+from lctw.cycles import DEFAULT_MAX_CYCLES, Cycle, EnumerationCapExceeded, LongestCycleSet, enumerate_longest_cycles
 from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
 from lctw.graph import Graph, parse_graph6, vertex_mask, write_graph6
 from lctw.harness import (
@@ -254,16 +254,31 @@ def test_conjecture_bundle_enumerates_under_the_campaign_budgets(tmp_path, monke
     assert lines.index("refutation:") - lines.index("cycles:") - 1 == 60
 
 
-def test_a_bundle_past_the_enumeration_budget_is_refused(tmp_path, monkeypatch):
-    # re-verifying a bundle whose family the default budget cannot hold (as
-    # K11's 1,814,400 Hamiltonian cycles cannot) returns a reason, not a traceback
+def test_a_bundle_past_the_enumeration_budget_is_refused(tmp_path):
+    # re-verifying a bundle whose family its budget cannot hold (as the
+    # default cannot hold K11's 1,814,400 Hamiltonian cycles) returns a
+    # reason, not a traceback
     record = {"graph6": write_graph6(complete_graph(6)), "lct": 3, "L": 6, "longest_cycles": 60, "refutation": []}
     path = write_conjecture_bundle(str(tmp_path), record)
-    _family_budget_by_default(monkeypatch, 5)
+    text = open(path).read()
+    assert f"max-cycles: {DEFAULT_MAX_CYCLES}\n" in text
+    with open(path, "w") as fh:
+        fh.write(text.replace(f"max-cycles: {DEFAULT_MAX_CYCLES}\n", "max-cycles: 5\n"))
     assert verify_conjecture_bundle(path) == (
         False,
         "cannot re-verify: enumeration kept more than 5 longest cycles; no partial results",
     )
+
+
+def test_a_bundle_re_verifies_under_the_budget_it_was_written_with(tmp_path, monkeypatch):
+    # K6's 60 Hamiltonian cycles, written under a campaign budget of 60 while
+    # the default budget keeps 5: the bundle names its budget, and
+    # re-verification enumerates under it, not under the default
+    _family_budget_by_default(monkeypatch, 5)
+    record = {"graph6": write_graph6(complete_graph(6)), "lct": 1, "L": 6, "longest_cycles": 60, "refutation": []}
+    path = write_conjecture_bundle(str(tmp_path), record, CampaignOptions(max_cycles=60))
+    assert "max-cycles: 60" in open(path).read().splitlines()
+    assert verify_conjecture_bundle(path) == (True, "bundle re-verified")
 
 
 def test_bundle_roundtrip_on_true_values(tmp_path):
