@@ -145,8 +145,11 @@ def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDeco
     """The decomposition with bag masks ``masks`` and tree edges ``edges`` that
     a construction of this module built for g, so valid for g by construction:
     one pass over the masks reads off the bags, the width and the bag sizes,
-    one over the sorted edges the node neighbours and the shared sizes, and it
-    is marked valid for g without running ``validate``."""
+    one over the sorted edges the node neighbours, and it is marked valid for
+    g without running ``validate``.  It is full when its bags are all of one
+    size, as both constructions ensure that adjacent bags of size k + 1 then
+    share k vertices: an exact decomposition ends in a singleton bag, so has
+    one bag size only at width 0, and a full one is full by construction."""
     td = TreeDecomposition.__new__(TreeDecomposition)
     td._masks = masks = tuple(masks)
     bags = []
@@ -164,18 +167,15 @@ def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDeco
         elif size < least:
             least = size
     td.bags = tuple(bags)
-    td.width = k = most - 1
-    full = least == most
+    td.width = most - 1
     norm = sorted((a, b) if a < b else (b, a) for a, b in edges)
     td.tree_edges = frozenset(norm)
     adj = [[] for _ in masks]
     for a, b in norm:  # each node gets its lower neighbours, then its upper ones, ascending
         adj[a].append(b)
         adj[b].append(a)
-        if full and (masks[a] & masks[b]).bit_count() != k:
-            full = False
     td.node_adj = tuple(map(tuple, adj))
-    td._is_full = full
+    td._is_full = least == most
     td.valid_for = g
     td.sides = None
     return td

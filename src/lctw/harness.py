@@ -39,18 +39,18 @@ from .decomposition import (
     side_masks,
 )
 from .generate import GenSpec, exhaustive_small, generate_partial_k_tree
-from .graph import Graph, component_masks, parse_graph6, vertex_mask, write_graph6
+from .graph import Graph, component_masks, parse_graph6, write_graph6
 from .transversal import (
     FAIL,
     PASS,
     PREMISE_NOT_MET,
+    VACUOUS_PASS,
     GraphFacts,
     Member,
     ScanOutOfScope,
     check_escape_cycle,
     check_equivalent_two_cross_jump,
     check_fenced_or_shared,
-    check_min_cycle_length_premise,
     check_pairwise_and_common,
     compute_lct,
     conjecture_scan,
@@ -270,27 +270,14 @@ def check_family_consistency(td: TreeDecomposition, families) -> dict:
 
 
 def _context_sweep(facts: GraphFacts, check) -> dict:
-    """Run a check at every (node, triple) of facts.td3 whose premise can hold
-    and count the contexts that meet it.  A context is skipped before any
-    family is built when a pair of its triple is not where some longest cycle
-    meets the triple."""
-    td, vertex_sets = facts.td3, facts.cycles.vertex_sets
-    premises = 0
+    """Run a per-triple check at every context of facts, naming the first that fails."""
     out: dict = {}
-    for t in range(td.node_count):
-        for delta in combinations(td.bags[t], 3):
-            dmask = vertex_mask(delta)
-            hits = {m & dmask for m in vertex_sets}
-            if any(dmask ^ (1 << v) not in hits for v in delta):
-                continue
-            entry = check(facts, t, delta)
-            if entry["status"] == PREMISE_NOT_MET:
-                continue
-            premises += 1
-            if entry["status"] == FAIL:
-                out.setdefault("first_failure", {"node": t, "delta": list(delta), "detail": entry["detail"]})
-    status = FAIL if "first_failure" in out else (PASS if premises else PREMISE_NOT_MET)
-    return {**out, "status": status, "premise_met": premises}
+    for t, delta in facts.contexts:
+        entry = check(facts, t, delta)
+        if entry["status"] == FAIL:
+            out.setdefault("first_failure", {"node": t, "delta": list(delta), "detail": entry["detail"]})
+    status = FAIL if "first_failure" in out else (PASS if facts.contexts else PREMISE_NOT_MET)
+    return {**out, "status": status, "premise_met": len(facts.contexts)}
 
 
 _CONTRADICTION_CANDIDATE = "contradiction configuration candidate: inspect manually"
@@ -374,8 +361,6 @@ def _pairwise_overlap(f: GraphFacts) -> dict:
 
 
 def _dforest(f: GraphFacts) -> dict:
-    if not f.tw_eq_3:
-        return {"status": PREMISE_NOT_MET, "detail": "treewidth below 3"}
     diag = directed_forest_diagnostic(f)
     out = {"status": PASS, "halt": diag["halt"], "arcs": diag["arc_count"]}
     # with lct > 1 a completed antipodal pair contradicts the theory checked
@@ -389,27 +374,49 @@ def _td_oracle(f: GraphFacts) -> dict:
     return {"status": PASS if dp_len == f.cycles.length else FAIL, "dp": dp_len, "enum": f.cycles.length}
 
 
-# Check name -> (scope gate, check).  _verify_graph resolves each gate to the
-# record of a check out of the graph's scope, or to None when the check runs.
-# Every check takes the graph's facts and returns its record entry, the dict
-# stored under record["checks"][name]; the per-triple checks run through
-# _context_sweep.  Lambdas look library functions up at each call, so patched
-# bindings apply.
+# Check name -> (scope gate, premise, check), the one place that says when a
+# check runs: _verify_graph applies the gate, then the premise, then the check.
+# A gate resolves to the entry of a graph out of the check's scope, or None; a
+# premise is None or a (predicate on the facts, entry when unmet) pair; a check
+# takes the facts and returns the entry stored under record["checks"][name],
+# per triple via _context_sweep.  The td3 gate gives the triangle out-of-scope
+# where the decomposition gate gives premise-not-met; the criterion-1 digest
+# pins that entry.  Lambdas look functions up at each call, so patches apply.
 CHECKS = {
-    "shared_vertex": ("partial_3_tree", lambda f: {"status": PASS if f.lct.lct == 1 else FAIL}),
-    "pairwise_overlap": ("cycle", _pairwise_overlap),
-    "fenced_or_shared": ("decomposition", lambda f: check_fenced_or_shared(f)),
-    "edge_separator": ("decomposition", lambda f: check_edge_separators(f.g, f.td3)),
-    "families": ("decomposition", lambda f: check_family_consistency(f.td3, f.families)),
-    "min_length_side": ("lct", lambda f: check_min_cycle_length_premise(f)),
-    "two_cross_jump": ("td3", lambda f: check_equivalent_two_cross_jump(f)),
+    "shared_vertex": ("partial_3_tree", None, lambda f: {"status": PASS if f.lct.lct == 1 else FAIL}),
+    "pairwise_overlap": ("cycle", None, _pairwise_overlap),
+    "fenced_or_shared": ("decomposition", None, lambda f: check_fenced_or_shared(f)),
+    "edge_separator": ("decomposition", None, lambda f: check_edge_separators(f.g, f.td3)),
+    "families": ("decomposition", None, lambda f: check_family_consistency(f.td3, f.families)),
+    "min_length_side": (  # the premise is provably empty: this counts vacuous passes
+        "lct",
+        (
+            lambda f: f.tw_eq_3 and f.lct.lct > 1,
+            {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1 or wrong width/connectivity"},
+        ),
+        lambda f: {"status": PASS if (L := f.cycles.length) >= 5 else FAIL, "detail": f"longest cycle length {L}"},
+    ),
+    "two_cross_jump": (
+        "td3",
+        (lambda f: f.lct.lct > 1, {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1"}),
+        lambda f: check_equivalent_two_cross_jump(f),
+    ),
     "jump_families": (  # four triples in each 4-vertex bag
         "decomposition",
+        None,
         lambda f: {**_context_sweep(f, check_pairwise_and_common), "contexts": 4 * f.td3.node_count},
     ),
-    "escape_cycle": ("decomposition", lambda f: _context_sweep(f, check_escape_cycle)),
-    "dforest": ("decomposition", _dforest),
-    "td_oracle": ("decomposition", _td_oracle),
+    "escape_cycle": (
+        "decomposition",
+        (lambda f: f.lct.lct > 1, {"status": PREMISE_NOT_MET, "premise_met": 0}),
+        lambda f: _context_sweep(f, check_escape_cycle),
+    ),
+    "dforest": (
+        "decomposition",
+        (lambda f: f.tw_eq_3, {"status": PREMISE_NOT_MET, "detail": "treewidth below 3"}),
+        _dforest,
+    ),
+    "td_oracle": ("decomposition", None, _td_oracle),
 }
 
 
@@ -475,8 +482,9 @@ def _verify_graph(facts: GraphFacts, record: dict, opts: CampaignOptions) -> Non
         "decomposition": (None if td3 else no_td3) if in_scope else out_of_scope,
     }
     for name in opts.checks:
-        gate, check = CHECKS[name]
-        checks[name] = dict(gates[gate]) if gates[gate] else check(facts)
+        gate, premise, check = CHECKS[name]
+        unmet = gates[gate] or (premise and not premise[0](facts) and premise[1])
+        checks[name] = dict(unmet) if unmet else check(facts)
     record["status"] = "fail" if any(c.get("status") == FAIL for c in checks.values()) else "ok"
 
 

@@ -14,12 +14,13 @@ and the conjecture scan take that object.
 
 Every checker returns its record entry: a dict with a "status" and, where it
 has them, a "detail" and a JSON-ready "witness".  A check on a whole graph
-takes the facts; a per-triple check takes the facts, a node t of
-``facts.td3`` and a triple of its bag.  "premise-not-met" is a status distinct
-from pass/fail so that a checker never reports a spurious failure on an
-instance outside its hypotheses, and "vacuous-pass" counts premise-empty side
-conditions separately.  The conjecture scan likewise returns the entries of
-its record: the finding and the facts it rests on.
+takes the facts; a per-triple check takes the facts and a context of
+``facts.contexts``: a node t of ``facts.td3`` and a triple of its bag where
+all three 2-jump families are nonempty, the per-triple premise.  A checker
+tests no premise, so it runs only where its hypotheses hold: the graph-level
+premises (lct > 1, treewidth 3) are rows of ``harness.CHECKS``, which record
+"premise-not-met", or "vacuous-pass" for a premise-empty side condition.  The
+conjecture scan likewise returns the entries of its record.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "check_pairwise_and_common",
     "check_escape_cycle",
     "conjecture_scan",
-    "check_min_cycle_length_premise",
     "check_equivalent_two_cross_jump",
 ]
 
@@ -294,6 +294,22 @@ class GraphFacts:
         g, td3, cycles = self.g, self.td3, self.cycles
         return cache(lambda t: build_families(g, td3, t, cycles))
 
+    @cached_property
+    def contexts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The (node, triple) contexts of td3 where all three 2-jump families
+        at the triple are nonempty, the per-triple lemmas' premise.  A pair's
+        2-jump cycles meet the triple at just that pair, so a triple with a
+        pair no longest cycle meets so is left out before any family is built."""
+        td, vertex_sets, families = self.td3, self.cycles.vertex_sets, self.families
+        out = []
+        for t in range(td.node_count):
+            for delta in combinations(td.bags[t], 3):
+                dmask = vertex_mask(delta)
+                hits = {m & dmask for m in vertex_sets}
+                if all(dmask ^ (1 << v) in hits for v in delta) and all(families(t).by_triple[delta].jump2.values()):
+                    out.append((t, delta))
+        return tuple(out)
+
 
 def check_fenced_or_shared(facts: GraphFacts) -> dict:
     """At every bag of ``facts.td3``: lct == 1, or some longest cycle is fenced
@@ -309,15 +325,9 @@ def check_fenced_or_shared(facts: GraphFacts) -> dict:
     return {"status": FAIL if failing else PASS, "failing_nodes": failing}
 
 
-def _jump_premise(fams: TripleFamilies) -> dict | None:
-    """Premise-not-met when some 2-jump family at the triple is empty."""
-    empty = [p for p in sorted(fams.jump2) if not fams.jump2[p]]
-    return {"status": PREMISE_NOT_MET, "detail": f"empty 2-jump families at pairs {empty}"} if empty else None
-
-
 def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dict:
-    """When all three 2-jump families at the triple delta of node t are
-    nonempty, verify that
+    """At a context (t, delta) of ``facts.contexts``, where all three 2-jump
+    families at the triple delta of node t are nonempty, verify that
 
     (i) some qualifying component contains a vertex of every pairwise
         intersection of the jump-family cycles, and
@@ -325,8 +335,6 @@ def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...])
     """
     node = facts.families(t)
     fams = node.by_triple[delta]
-    if (unmet := _jump_premise(fams)) is not None:
-        return unmet
     family = [c for p in sorted(fams.jump2) for c in fams.jump2[p]] + list(fams.jump3)
     inside = node.inside[delta]
     blocks = [b for b in node.components if b & inside]  # components in the triple's branch union
@@ -350,17 +358,13 @@ def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...])
 
 
 def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dict:
-    """When lct > 1 and every pair of the triple delta of node t has a
-    2-jumping longest cycle, some longest cycle meets the bag at most once, or
-    is outside the triple, or is inside and meets it twice, or is inside,
-    meets it three times and is fenced by it: its vertices off the triple lie
-    in one component of G - triple."""
-    if facts.lct.lct <= 1:
-        return {"status": PREMISE_NOT_MET, "detail": "all longest cycles share a vertex (lct = 1)"}
+    """On a graph with lct > 1, at a context (t, delta) of ``facts.contexts``,
+    where every pair of the triple delta of node t has a 2-jumping longest
+    cycle: some longest cycle meets the bag at most once, or is outside the
+    triple, or is inside and meets it twice, or is inside, meets it three
+    times and is fenced by it: its vertices off the triple lie in one
+    component of G - triple."""
     node = facts.families(t)
-    fams = node.by_triple[delta]
-    if (unmet := _jump_premise(fams)) is not None:
-        return unmet
     dmask = vertex_mask(delta)
     apart = component_masks(facts.g, ((1 << facts.g.n) - 1) & ~dmask)  # the components of G - triple
     for c, m in facts.cycles:
@@ -413,26 +417,12 @@ def conjecture_scan(facts: GraphFacts) -> dict:
     return {"finding": "COUNTEREXAMPLE", **found, "refutation": refutation}
 
 
-def check_min_cycle_length_premise(facts: GraphFacts) -> dict:
-    """Longest cycles have length >= 5 whenever the headline premises hold.
-
-    The premise (2-connected, treewidth 3, lct > 1) is provably empty, so on
-    real corpora this counts vacuous passes rather than testing anything."""
-    if not (facts.biconnected and facts.tw_eq_3 and facts.lct.lct > 1):
-        return {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1 or wrong width/connectivity"}
-    length = facts.cycles.length
-    return {"status": PASS if length >= 5 else FAIL, "detail": f"longest cycle length {length}"}
-
-
 def check_equivalent_two_cross_jump(facts: GraphFacts) -> dict:
-    """When lct > 1 and all 2-crossing longest cycles at a bag of
-    ``facts.td3`` meet it in the same pair, each of them must jump both
-    triples containing that pair.
-
-    Premise-gated like the length side condition; vacuous on every graph where
-    all longest cycles intersect."""
-    if facts.lct.lct <= 1:
-        return {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1"}
+    """On a graph with lct > 1: when all 2-crossing longest cycles at a bag
+    of ``facts.td3`` meet it in the same pair, each of them must jump both
+    triples containing that pair.  Vacuous when no bag has such a family;
+    the lct premise, empty on every graph where all longest cycles
+    intersect, is the check's row in ``harness.CHECKS``."""
     td = facts.td3
     met_anywhere = False
     for t in range(td.node_count):

@@ -535,11 +535,6 @@ def test_built_decompositions_match_the_constructor(monkeypatch, exhaustive_nmax
             full_tree_decomposition(g, k, base=td)
     fulls = len(built) - len(graphs)  # one exact decomposition per graph, the rest full
     assert fulls > 8000, fulls
-    # bags of one size whose tree edges share too little: no construction
-    # builds one (an exact decomposition ends in a singleton bag, a full one
-    # is full), so it is built here, for P6
-    decomposition._built(path_graph(6), [0b111, 0b11100, 0b111000], [(1, 0), (1, 2)])
-    assert not built[-1][1].is_full
     for g, td in built:
         assert _fields(td) == _fields(TreeDecomposition(td.bags, td.tree_edges)), g.edges
         assert validate(g, td) == [] and td.valid_for is g

@@ -1409,6 +1409,37 @@ def test_checks_are_looked_up_at_call_time(monkeypatch):
     assert calls == dict.fromkeys(calls, 1)
 
 
+def test_the_jump_sweeps_run_once_per_context(monkeypatch, corpus):
+    # the escape check's lct premise is its table row, so on an lct = 1
+    # corpus its body never runs; each sweep calls its check once per context
+    # of facts.contexts, in order, and with lct forced to 2 both sweeps do
+    calls = {"check_pairwise_and_common": [], "check_escape_cycle": []}
+    for name in calls:
+        real = getattr(harness, name)
+
+        def counting(facts, t, delta, _real=real, _name=name):
+            calls[_name].append((t, delta))
+            return _real(facts, t, delta)
+
+        monkeypatch.setattr(harness, name, counting)
+    opts = CampaignOptions(checks=("jump_families", "escape_cycle"))
+    swept = 0
+    for task in corpus("k=3,n=5..9,count=10000,p=0.45", seed=206)[:2000]:  # criterion 8's corpus
+        for forced in (False, True):
+            g = parse_graph6(task["graph6"])
+            facts = GraphFacts(g, harness._task_td(g, task, 3))
+            if forced:
+                facts.lct = TransversalResult(2, facts.lct.witness)
+            for made in calls.values():
+                made.clear()
+            harness._verify_graph(facts, {}, opts)
+            assert facts.lct.lct == (2 if forced else 1)
+            assert calls["check_escape_cycle"] == (list(facts.contexts) if forced else [])
+            assert calls["check_pairwise_and_common"] == list(facts.contexts)
+            swept += len(facts.contexts)
+    assert swept >= 10, swept
+
+
 @pytest.mark.parametrize("lct, status", [(1, PASS), (2, FAIL)])
 def test_dforest_fails_on_a_contradiction_candidate(lct, status):
     # stubbed fenced families give node 0 and node 1 of HSxoOEB's decomposition
@@ -1421,8 +1452,10 @@ def test_dforest_fails_on_a_contradiction_candidate(lct, status):
     fenced = {t: ((c, vertex_mask(c)),) for t, c in ((0, (0, 2, 4)), (1, (6, 7, 8)))}
     facts.families = lambda t: SimpleNamespace(fenced3=fenced.get(t, ()))
     facts.lct = TransversalResult(lct, facts.lct.witness)
-    out = CHECKS["dforest"][1](facts)
-    assert out["status"] == status and out["arcs"] == 2
+    record = {}
+    harness._verify_graph(facts, record, CampaignOptions(checks=("dforest",)))
+    out = record["checks"]["dforest"]
+    assert facts.tw_eq_3 and out["status"] == status and out["arcs"] == 2
     if lct == 1:
         assert out["halt"].startswith("all longest cycles share a vertex")
         assert "witness" not in out

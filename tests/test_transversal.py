@@ -8,6 +8,7 @@ from lctw.decomposition import DecompositionError, TreeDecomposition, exact_tree
 from lctw.fixtures import complete_graph, path_graph
 from lctw.generate import GenSpec, generate_partial_k_tree
 from lctw.graph import Graph
+from lctw.harness import CampaignOptions, _verify_graph
 from lctw.transversal import (
     FAIL,
     PASS,
@@ -17,10 +18,7 @@ from lctw.transversal import (
     ScanOutOfScope,
     TransversalResult,
     build_families,
-    check_escape_cycle,
-    check_equivalent_two_cross_jump,
     check_fenced_or_shared,
-    check_min_cycle_length_premise,
     check_pairwise_and_common,
     compute_lct,
     conjecture_scan,
@@ -158,13 +156,54 @@ def test_check_pairwise_and_common_k23(k23):
     assert component == [3] and common_vertex == 3
 
 
+def _table_entries(facts, *checks):
+    """The entries the check table records for ``checks`` on facts."""
+    record = {}
+    _verify_graph(facts, record, CampaignOptions(checks=checks))
+    return record["checks"]
+
+
 def test_check_pairwise_and_common_premise_not_met(k4, k23):
+    # a triple with an empty 2-jump family is no context, so no check runs there
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
-    out = check_pairwise_and_common(facts, 0, (0, 1, 2))
-    assert out["status"] == PREMISE_NOT_MET
+    assert facts.contexts == ()
     facts = GraphFacts(*k23)
-    out = check_pairwise_and_common(facts, 1, (0, 1, 4))
-    assert out["status"] == PREMISE_NOT_MET
+    assert (1, (0, 1, 4)) not in facts.contexts and (1, (0, 1, 2)) in facts.contexts
+
+
+def test_contexts_need_all_three_2_jump_families(k23):
+    # every pair of (0, 1, 2) is met by some longest cycle and jumped at both
+    # nodes; with one 2-jump family emptied at node 1 that context drops out
+    from dataclasses import replace
+    from types import SimpleNamespace
+
+    facts = GraphFacts(*k23)
+    assert facts.contexts == ((0, (0, 1, 2)), (1, (0, 1, 2)))
+    facts = GraphFacts(*k23)
+    real = facts.families
+
+    def emptied(t):
+        by_triple = dict(real(t).by_triple)
+        if t == 1:
+            fams = by_triple[0, 1, 2]
+            by_triple[0, 1, 2] = replace(fams, jump2={**fams.jump2, (0, 1): ()})
+        return SimpleNamespace(by_triple=by_triple)
+
+    facts.families = emptied
+    assert facts.contexts == ((0, (0, 1, 2)),)
+
+
+def test_contexts_build_no_family_where_no_pair_is_met(monkeypatch, k4):
+    # K4's longest cycles are Hamiltonian, so each meets a triple whole and no
+    # pair of it is met: contexts leaves every triple out before any family
+    # of the node is built
+    import lctw.transversal as transversal
+
+    def refuse(*args):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(transversal, "build_families", refuse)
+    assert GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], [])).contexts == ()
 
 
 def test_jump_checkers_state_the_empty_2_jump_premise_alike(k4):
@@ -172,19 +211,20 @@ def test_jump_checkers_state_the_empty_2_jump_premise_alike(k4):
     # that the escape check reaches the same premise
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
     facts.lct = TransversalResult(2, (0, 1))
-    for check in (check_pairwise_and_common, check_escape_cycle):
-        out = check(facts, 0, (0, 1, 2))
-        assert out["status"] == PREMISE_NOT_MET
-        assert out["detail"] == "empty 2-jump families at pairs [(0, 1), (0, 2), (1, 2)]"
+    assert facts.contexts == ()
+    assert _table_entries(facts, "jump_families", "escape_cycle") == {
+        "jump_families": {"status": PREMISE_NOT_MET, "premise_met": 0, "contexts": 4},
+        "escape_cycle": {"status": PREMISE_NOT_MET, "premise_met": 0},
+    }
 
 
 def test_check_escape_cycle_premises(k4, k23):
+    unmet = {"escape_cycle": {"status": PREMISE_NOT_MET, "premise_met": 0}}
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
-    out = check_escape_cycle(facts, 0, (0, 1, 2))
-    assert out["status"] == PREMISE_NOT_MET  # lct = 1
+    assert facts.lct.lct == 1 and _table_entries(facts, "escape_cycle") == unmet
     facts = GraphFacts(*k23)
-    out = check_escape_cycle(facts, 1, (0, 1, 2))
-    assert out["status"] == PREMISE_NOT_MET  # lct = 1 again
+    assert facts.lct.lct == 1 and facts.contexts  # lct = 1 again, though the jump premise holds
+    assert _table_entries(facts, "escape_cycle") == unmet
 
 
 def test_conjecture_scan_consistent(small_corpus, petersen_graph):
@@ -227,19 +267,21 @@ def _premise_facts(g, lct=None):
     return facts
 
 
-def test_min_cycle_length_premise_gate(k4, fig):
-    # (facts, 2-connected, lct, L, status); every graph has treewidth 3
+def test_min_cycle_length_premise_gate(k4, c5, fig):
+    # (facts, 2-connected, treewidth 3, lct, L, entry)
     k5_minus_edge = Graph(5, [e for e in combinations(range(5), 2) if e != (0, 1)])
     with_pendant = Graph(fig[0].n + 1, [*fig[0].edges, (0, fig[0].n)])  # a cut vertex
+    vacuous = {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1 or wrong width/connectivity"}
     cases = [
-        (_premise_facts(k4), True, 1, 4, VACUOUS_PASS),
-        (_premise_facts(k5_minus_edge, 2), True, 2, 5, PASS),
-        (_premise_facts(k4, 2), True, 2, 4, FAIL),
-        (_premise_facts(with_pendant, 2), False, 2, 9, VACUOUS_PASS),
+        (_premise_facts(k4), True, True, 1, 4, vacuous),
+        (_premise_facts(k5_minus_edge, 2), True, True, 2, 5, {"status": PASS, "detail": "longest cycle length 5"}),
+        (_premise_facts(k4, 2), True, True, 2, 4, {"status": FAIL, "detail": "longest cycle length 4"}),
+        (_premise_facts(c5, 2), True, False, 2, 5, vacuous),  # treewidth 2
+        (_premise_facts(with_pendant, 2), False, True, 2, 9, {"status": "out-of-scope"}),  # the lct gate
     ]
-    for facts, biconnected, lct, length, status in cases:
-        assert (facts.biconnected, facts.tw_eq_3, facts.lct.lct, facts.cycles.length) == (biconnected, True, lct, length)
-        assert check_min_cycle_length_premise(facts)["status"] == status
+    for facts, biconnected, tw_eq_3, lct, length, entry in cases:
+        assert (facts.biconnected, facts.tw_eq_3, facts.lct.lct, facts.cycles.length) == (biconnected, tw_eq_3, lct, length)
+        assert _table_entries(facts, "min_length_side") == {"min_length_side": entry}
 
 
 def test_two_cross_jump_vacuous(fig):
@@ -247,8 +289,8 @@ def test_two_cross_jump_vacuous(fig):
     td = full_tree_decomposition(g, 3)
     facts = GraphFacts(g, td)
     assert facts.lct.lct == 1
-    out = check_equivalent_two_cross_jump(facts)
-    assert out["status"] == VACUOUS_PASS
+    entry = {"status": VACUOUS_PASS, "detail": "premise empty: lct = 1"}
+    assert _table_entries(facts, "two_cross_jump") == {"two_cross_jump": entry}
 
 
 def test_graph_facts_are_freed_without_the_cyclic_collector(fig):
