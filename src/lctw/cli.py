@@ -42,7 +42,7 @@ def _add_corpus_flags(p: argparse.ArgumentParser, default_generate: str):
         default=None,
     )
     p.add_argument("--seed", type=int, default=0, help="64-bit campaign seed")
-    p.add_argument("--workers", type=_non_negative, default=None, help="worker processes (default: CPU count)")
+    p.add_argument("--workers", type=_non_negative, default=None, help="worker processes (default: CPUs available to the process)")
     p.add_argument("--out", metavar="FILE", help="report file (default: stdout)")
     p.add_argument("--counterexample-dir", metavar="DIR", help="where failure bundles are persisted")
     _add_cap_flags(p)
@@ -111,7 +111,10 @@ def _open_campaign_out(args):
 
 
 def _workers(args) -> int:
-    return args.workers if args.workers else (os.cpu_count() or 1)
+    """--workers, else the number of CPUs this process may run on."""
+    if args.workers:
+        return args.workers
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
 
 def cmd_verify(args) -> int:

@@ -4,8 +4,10 @@ counterexample bundles, and the auxiliary directed-forest diagnostic.
 Records are one JSON object per line, schema-versioned, and self-contained:
 every outcome is re-derivable from the graph6 string alone.  Reports are
 reproducible byte-for-byte for a fixed config and seed, except the timing
-field "ms".  Workers fan out over graphs; results merge back in input order
-through a single writer, so worker count never changes report content.
+field "ms".  Workers fan out over graphs in chunks sized to the corpus, each
+worker evaluating a chunk and handing back its finished report lines; the
+parent tallies them and writes them in input order, so worker count never
+changes report content.  A corpus of at most one graph runs in-process.
 
 Exit codes: 0 all checks passed or premise-not-met, 2 configuration error
 or a record with status error, 3 check failure, 4 conjecture counterexample
@@ -502,15 +504,6 @@ def evaluate_conjecture_task(task: dict, opts: CampaignOptions) -> dict:
     return _evaluate(task, opts, ("n",), 4, _scan_graph)
 
 
-def _run_tasks(tasks, opts, evaluate, workers: int):
-    evaluate_one = partial(evaluate, opts=opts)
-    if workers <= 1:
-        yield from map(evaluate_one, tasks)
-        return
-    with Pool(workers) as pool:
-        yield from pool.imap(evaluate_one, tasks, chunksize=8)
-
-
 @dataclass
 class CampaignSummary:
     total: int = 0
@@ -527,22 +520,43 @@ class CampaignSummary:
 _TALLY = {"fail": "failed", "COUNTEREXAMPLE": "counterexamples", "out-of-scope": "out_of_scope", "error": "errors"}
 
 
+def _report_line(task: dict, opts: CampaignOptions, evaluate) -> tuple[str, str, tuple[str, ...]]:
+    """One task's whole share of a campaign, run where the task is evaluated:
+    its report line, the summary count it adds to and the names of its
+    vacuous-pass checks, in check order."""
+    record = evaluate(task, opts)
+    count = _TALLY.get(record.get("finding")) or _TALLY.get(record.get("status"), "ok")
+    vacuous = tuple(name for name, chk in record.get("checks", {}).items() if chk.get("status") == VACUOUS_PASS)
+    return json.dumps(record, sort_keys=True) + "\n", count, vacuous
+
+
+def _run_tasks(tasks: list[dict], opts, evaluate, workers: int):
+    """``_report_line`` of every task, in input order.  At most one worker per
+    task is started, so a corpus of one task runs in this process; each
+    worker takes chunks of about a quarter of its share, as ``Pool.map`` does."""
+    report_line = partial(_report_line, opts=opts, evaluate=evaluate)
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        yield from map(report_line, tasks)
+        return
+    with Pool(workers) as pool:
+        yield from pool.imap(report_line, tasks, chunksize=-(-len(tasks) // (4 * workers)))
+
+
 def _run_campaign(tasks, opts, evaluate, out_stream, ce_dir, workers, bundle):
-    """Evaluate every task, tally and write its record, and persist a failing
+    """Tally and write the report line of every task, and persist a failing
     or counterexample record with ``bundle`` when ``ce_dir`` is set.  The exit
     code is 4 on a counterexample, else 3 on a check failure, else 2 on an
     error record, else 0."""
     summary = CampaignSummary()
-    for record in _run_tasks(tasks, opts, evaluate, workers):
+    for line, count, vacuous in _run_tasks(tasks, opts, evaluate, workers):
         summary.total += 1
-        count = _TALLY.get(record.get("finding")) or _TALLY.get(record.get("status"), "ok")
         setattr(summary, count, getattr(summary, count) + 1)
         if ce_dir and count in ("failed", "counterexamples"):
-            summary.bundles.append(bundle(ce_dir, record))
-        for name, chk in record.get("checks", {}).items():
-            if chk.get("status") == "vacuous-pass":
-                summary.vacuous[name] = summary.vacuous.get(name, 0) + 1
-        out_stream.write(json.dumps(record, sort_keys=True) + "\n")
+            summary.bundles.append(bundle(ce_dir, json.loads(line)))
+        for name in vacuous:
+            summary.vacuous[name] = summary.vacuous.get(name, 0) + 1
+        out_stream.write(line)
     if summary.counterexamples or summary.failed:
         return (EXIT_COUNTEREXAMPLE if summary.counterexamples else EXIT_CHECK_FAILURE), summary
     return (EXIT_CONFIG if summary.errors else EXIT_OK), summary

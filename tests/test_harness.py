@@ -1,8 +1,12 @@
+import dataclasses
 import io
 import json
+import multiprocessing
 import random
 from functools import partial
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -377,18 +381,106 @@ def test_campaigns_read_only_the_neighbour_masks(monkeypatch):
     assert reads == []
 
 
+def _mixed_tasks():
+    """A random corpus with an error, an out-of-scope and a tree task spread
+    through it: 44 tasks, chunks of 6 at workers=2, four chunks a worker."""
+    tasks = corpus_tasks(parse_corpus_spec("k=3,n=7..11,count=40,p=0.3", seed=77))
+    extra = [{"graph6": "~nope", "source": "bad"}, {"graph6": "?", "source": "empty"}]
+    extra += [{"graph6": write_graph6(g), "source": "extra"} for g in (path_graph(5), complete_graph(6))]
+    for i, task in zip((3, 17, 29, 41), extra):
+        tasks.insert(i, task)
+    return tasks
+
+
+def _stripped(buf):
+    return [{**r, "ms": None} for r in _records(buf)]
+
+
 def test_report_determinism_across_workers():
-    tasks = corpus_tasks(parse_corpus_spec("k=3,n=8..11,count=16,p=0.25", seed=77))
+    # exit code, every summary field and the report modulo ms agree between
+    # the serial path and a pool, for both campaigns
+    tasks = _mixed_tasks()
+    summaries = {}
+    for run in (run_verify, run_conjecture):
+        outs = []
+        for workers in (1, 2):
+            buf = io.StringIO()
+            code, summary = run(tasks, CampaignOptions(), buf, workers=workers)
+            outs.append((code, dataclasses.asdict(summary), _stripped(buf)))
+        assert outs[0] == outs[1], run.__name__
+        code, summaries[run], records = outs[0]
+        assert code == EXIT_CONFIG and len(records) == len(tasks) and summaries[run]["errors"] == 1
+    verify, scan = summaries[run_verify], summaries[run_conjecture]
+    assert verify["ok"] == len(tasks) - 2 and verify["out_of_scope"] == 1  # the empty graph
+    assert verify["vacuous"]["min_length_side"] > 0 and not scan["vacuous"]
+    assert scan["ok"] == len(tasks) - 4 and scan["out_of_scope"] == 3  # the empty graph, the tree and K6
+
+
+def _stub_clock(monkeypatch):
+    # every record's ms is 0, so records and bundles compare byte for byte
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: 0.0))
+
+
+def test_parallel_failure_bundles_match_the_serial_ones(monkeypatch, tmp_path):
+    # a bundle is written from the record the worker serialized: under fork,
+    # where the workers inherit the patched row, a pool writes the same
+    # bundles, report and summary as the serial path
+    _stub_clock(monkeypatch)
+    monkeypatch.setattr(harness, "Pool", multiprocessing.get_context("fork").Pool)
+    gate, premise, _ = CHECKS["shared_vertex"]
+    monkeypatch.setitem(CHECKS, "shared_vertex", (gate, premise, lambda f: {"status": FAIL, "detail": "forced"}))
+    tasks = _mixed_tasks()
     outs = []
     for workers in (1, 2):
-        buf = io.StringIO()
-        run_verify(tasks, CampaignOptions(), buf, workers=workers)
-        stripped = []
-        for r in _records(buf):
-            r.pop("ms", None)
-            stripped.append(json.dumps(r, sort_keys=True))
-        outs.append("\n".join(stripped))
+        buf, ce_dir = io.StringIO(), tmp_path / f"w{workers}"
+        code, summary = run_verify(tasks, CampaignOptions(), buf, ce_dir=str(ce_dir), workers=workers)
+        bundles = [(Path(path).name, Path(path).read_bytes()) for path in summary.bundles]
+        assert sorted(name for name, _ in bundles) == sorted(path.name for path in ce_dir.iterdir())
+        outs.append((code, summary.failed, summary.vacuous, buf.getvalue(), bundles))
     assert outs[0] == outs[1]
+    code, failed, _, report, bundles = outs[0]
+    assert code == EXIT_CHECK_FAILURE and failed == len(bundles) > 10
+    lines = report.splitlines()  # each bundle holds its record's report line as written
+    assert all(text.decode().splitlines()[-1].removeprefix("record: ") in lines for _, text in bundles)
+
+
+def test_campaigns_of_at_most_one_task_never_start_a_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness, "Pool", refuse)
+    task = {"graph6": write_graph6(complete_graph(4))}
+    for run in (run_verify, run_conjecture):
+        for tasks in ([task], []):
+            buf = io.StringIO()
+            code, summary = run(tasks, CampaignOptions(), buf, workers=2)
+            assert code == EXIT_OK and summary.total == summary.ok == len(tasks) == len(_records(buf))
+
+
+def test_pools_take_one_worker_per_task_and_chunks_of_a_quarter_share(monkeypatch):
+    # Pool.map's rule: len(tasks) / (4 * workers), rounded up
+    started = []
+
+    class SerialPool:
+        def __init__(self, workers):
+            self.workers = workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            started.append((self.workers, chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "Pool", SerialPool)
+    task = {"graph6": write_graph6(complete_graph(4))}
+    for count, workers in ((40, 2), (33, 2), (10, 8), (3, 8), (2, 2)):
+        _, summary = run_conjecture([task] * count, CampaignOptions(), io.StringIO(), workers=workers)
+        assert summary.ok == count
+    assert started == [(2, 5), (2, 5), (8, 1), (3, 1), (2, 1)]
 
 
 def test_directed_forest_diagnostic_instances(fig):
@@ -630,6 +722,21 @@ def test_cli_negative_cap_is_config_error(capsys, command, flag):
         main([command, *args, flag, "-1"])
     assert exc.value.code == EXIT_CONFIG
     assert f"{flag}: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_default_workers_are_the_cpus_the_process_may_use(monkeypatch):
+    # under taskset or a cpuset the affinity, not the machine, bounds the pool
+    import os
+
+    from lctw.cli import _workers
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert [_workers(SimpleNamespace(workers=w)) for w in (None, 0, 3)] == [1, 1, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _workers(SimpleNamespace(workers=None)) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _workers(SimpleNamespace(workers=None)) == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "conjecture"])
