@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .decomposition import TreeDecomposition, require_valid
-from .graph import Graph, _relabelled, neighbour_unions
+from .graph import Graph, _bits, _relabelled, neighbour_unions
 
 __all__ = [
     "Cycle",
@@ -635,14 +635,14 @@ def _nice_ops(g: Graph, td: TreeDecomposition):
     order = [0]
     parent = {0: None}
     for t in order:  # breadth-first, so reversed order builds children first
-        for w in td.node_adj[t]:
+        for w in _bits(td.node_nbr_mask[t]):
             if w != parent[t]:
                 parent[w] = t
                 order.append(w)
     built: dict[int, list] = {}
     for t in reversed(order):
         bag = td.bags[t]
-        subs = [built.pop(c) + moves(td.bags[c], bag) for c in td.node_adj[t] if c != parent[t]]
+        subs = [built.pop(c) + moves(td.bags[c], bag) for c in _bits(td.node_nbr_mask[t]) if c != parent[t]]
         ops = subs[0] if subs else [("leaf", None, ())] + moves((), bag)
         for sub in subs[1:]:
             ops = ops + sub + [("join", None, bag)]

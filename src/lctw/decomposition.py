@@ -14,14 +14,15 @@ works on two lists indexed by node id, one of bag masks and one of masks of
 neighbouring node ids; a node merged away is marked dead in a third list
 rather than removed, so ids stay put until the splice numbers the live nodes
 in ascending order.  Its loops walk masks lowest bit first, inline.  A
-decomposition built here, the exact one or a full one, is valid by
-construction: it is made from the bag masks it was built on and marked valid
-for its graph, so ``require_valid`` checks only decompositions from outside
-(``TreeDecomposition(bags, edges)``).  Bag masks (``masks``) are set when a
-decomposition is built here and built on first read otherwise; branch masks
-(``side_masks``) are built on first read; both are kept on the decomposition.
-All tie-breaking is by ascending vertex/node id, so construction output is
-byte-for-byte reproducible.
+decomposition holds its tree once, as node neighbour masks set by one helper
+for both constructors, and every tree walk but the set-based reference's
+(``_reach``) is ``_spread`` over them.  One built here, exact or full, is
+valid by construction: it is made from the bag masks it was built on, its
+bag tuples are read off them on first read, and it is marked valid for its
+graph, so ``require_valid`` checks only decompositions from outside
+(``TreeDecomposition(bags, edges)``), whose bag masks (``masks``) are built
+on first read, as branch masks (``side_masks``) are; both are kept.  All
+tie-breaking is by ascending vertex/node id, so output is reproducible.
 """
 
 from __future__ import annotations
@@ -70,7 +71,11 @@ class TreewidthCapExceeded(RuntimeError):
 class TreeDecomposition:
     """A tree of bags over a host graph's vertices.
 
-    Nodes are ids 0..len(bags)-1; ``tree_edges`` holds unordered node pairs.
+    Nodes are ids 0..node_count-1.  The tree is stored once, as node masks:
+    bit u of ``node_nbr_mask[t]`` is set iff tu is a tree edge, listed as a
+    (low, high) pair in ``tree_edges``; ``node_adj`` derives neighbour tuples
+    from the masks on each read, for callers outside the package.  ``bags``
+    of a decomposition built here are read off its masks on first read.
     ``width`` is max bag size minus one.  ``is_full`` is derived on first read
     and kept: every bag has width+1 vertices and every tree edge shares
     exactly width vertices.
@@ -79,28 +84,28 @@ class TreeDecomposition:
     ``side_masks`` table once read, or None.
     """
 
-    __slots__ = ("bags", "tree_edges", "width", "node_adj", "valid_for", "sides", "_masks", "_is_full")
+    __slots__ = ("_bags", "tree_edges", "node_nbr_mask", "width", "valid_for", "sides", "_masks", "_is_full")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
-        self.bags = bags = tuple(map(_sorted_bag, bags))
+        self._bags = bags = tuple(map(_sorted_bag, bags))
         if not bags:
             raise DecompositionError("a tree decomposition needs at least one node")
-        norm = set()
-        for a, b in tree_edges:
-            if a == b or not (0 <= a < len(bags) and 0 <= b < len(bags)):
-                raise DecompositionError(f"bad tree edge ({a},{b})")
-            norm.add((a, b) if a < b else (b, a))
-        self.tree_edges = frozenset(norm)
-        adj = [[] for _ in bags]
-        for a, b in sorted(norm):  # each node gets its lower neighbours, then its upper ones, ascending
-            adj[a].append(b)
-            adj[b].append(a)
-        self.node_adj = tuple(map(tuple, adj))
+        _set_tree(self, len(bags), tree_edges)
         self.width = max(map(len, bags)) - 1
         self.valid_for = None
         self.sides = None
         self._masks = None
         self._is_full = None
+
+    @property
+    def bags(self) -> tuple[tuple[int, ...], ...]:
+        if self._bags is None:
+            self._bags = tuple(tuple(_bits(m)) for m in self._masks)
+        return self._bags
+
+    @property
+    def node_adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_bits(m)) for m in self.node_nbr_mask)
 
     @property
     def is_full(self) -> bool:
@@ -122,10 +127,26 @@ class TreeDecomposition:
 
     @property
     def node_count(self) -> int:
-        return len(self.bags)
+        return len(self.node_nbr_mask)
 
     def __repr__(self):
         return f"TreeDecomposition(nodes={self.node_count}, width={self.width}, full={self.is_full})"
+
+
+def _set_tree(td: TreeDecomposition, nodes: int, edges: Iterable[tuple[int, int]]) -> None:
+    """Set the tree of td on nodes 0..nodes-1, its ``tree_edges`` and
+    ``node_nbr_mask``, from the node pairs ``edges``: a pair of ids that are
+    not distinct exact ints (so no bool or float) in range is refused."""
+    nbr = [0] * nodes
+    norm = set()
+    for a, b in edges:
+        if not (type(a) is type(b) is int and a != b and 0 <= a < nodes and 0 <= b < nodes):
+            raise DecompositionError(f"bad tree edge ({a},{b})")
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+        norm.add((a, b) if a < b else (b, a))
+    td.tree_edges = frozenset(norm)
+    td.node_nbr_mask = tuple(nbr)
 
 
 def _sorted_bag(bag: Iterable[int]) -> tuple:
@@ -144,38 +165,19 @@ def _sorted_bag(bag: Iterable[int]) -> tuple:
 def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDecomposition:
     """The decomposition with bag masks ``masks`` and tree edges ``edges`` that
     a construction of this module built for g, so valid for g by construction:
-    one pass over the masks reads off the bags, the width and the bag sizes,
-    one over the sorted edges the node neighbours, and it is marked valid for
-    g without running ``validate``.  It is full when its bags are all of one
+    the width and the bag sizes are read off the masks' bit counts, the bag
+    tuples only on first read of ``bags``, and it is marked valid for g
+    without running ``validate``.  It is full when its bags are all of one
     size, as both constructions ensure that adjacent bags of size k + 1 then
     share k vertices: an exact decomposition ends in a singleton bag, so has
     one bag size only at width 0, and a full one is full by construction."""
     td = TreeDecomposition.__new__(TreeDecomposition)
     td._masks = masks = tuple(masks)
-    bags = []
-    least = most = masks[0].bit_count()
-    for m in masks:
-        bag = []
-        while m:
-            low = m & -m
-            bag.append(low.bit_length() - 1)
-            m ^= low
-        bags.append(tuple(bag))
-        size = len(bag)
-        if size > most:
-            most = size
-        elif size < least:
-            least = size
-    td.bags = tuple(bags)
-    td.width = most - 1
-    norm = sorted((a, b) if a < b else (b, a) for a, b in edges)
-    td.tree_edges = frozenset(norm)
-    adj = [[] for _ in masks]
-    for a, b in norm:  # each node gets its lower neighbours, then its upper ones, ascending
-        adj[a].append(b)
-        adj[b].append(a)
-    td.node_adj = tuple(map(tuple, adj))
-    td._is_full = least == most
+    td._bags = None
+    sizes = list(map(int.bit_count, masks))
+    td.width = max(sizes) - 1
+    td._is_full = min(sizes) == td.width + 1
+    _set_tree(td, len(masks), edges)
     td.valid_for = g
     td.sides = None
     return td
@@ -190,27 +192,23 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     that need a valid decomposition call ``require_valid`` instead.
 
     It works on node masks: ``hold[v]`` has bit t set iff the bag of node t
-    holds v, where a bag entry counts as vertex v when it equals v (so ``1.0``
-    and ``True`` are vertex 1) and any other entry is out of range.  An edge
-    uv is covered iff ``hold[u] & hold[v]``, and the nodes holding v are
-    connected iff a walk over the tree's node masks from the first of them,
-    through them, reaches all of them.
+    holds v, where a bag entry names vertex v only when it is an exact int
+    equal to v, so ``1.0`` and ``True`` are out of range as any other entry
+    is.  An edge uv is covered iff ``hold[u] & hold[v]``, and the nodes
+    holding v are connected iff a walk over the tree's node masks from the
+    first of them, through them, reaches all of them.
     """
     out = []
     nodes = td.node_count
     if len(td.tree_edges) != nodes - 1:
         out.append(f"tree-shape: {nodes} nodes need {nodes - 1} edges, found {len(td.tree_edges)}")
-    node_adj = [0] * nodes  # node -> mask of its tree neighbours
-    for a, b in td.tree_edges:
-        node_adj[a] |= 1 << b
-        node_adj[b] |= 1 << a
-    reached = _spread(node_adj, 1, (1 << nodes) - 1).bit_count()
+    reached = _spread(td.node_nbr_mask, 1, (1 << nodes) - 1).bit_count()
     if reached != nodes:
         out.append(f"tree-shape: tree is disconnected (reached {reached} of {nodes} nodes)")
     hold = dict.fromkeys(range(g.n), 0)  # vertex -> mask of the nodes holding it
     for t, bag in enumerate(td.bags):
         for v in bag:
-            if v in hold:
+            if type(v) is int and v in hold:
                 hold[v] |= 1 << t
             else:
                 out.append(f"bag-range: node {t} holds out-of-range vertex {v}")
@@ -224,18 +222,19 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     out += [
         f"subtree-connectivity: nodes holding vertex {v} are disconnected"
         for v, ts in hold.items()
-        if _spread(node_adj, ts & -ts, ts) != ts
+        if _spread(td.node_nbr_mask, ts & -ts, ts) != ts
     ]
     return out
 
 
 def _reach(td: TreeDecomposition, start: int, inside=None, avoid: int = -1) -> set[int]:
     """Tree nodes reachable from ``start`` without entering node ``avoid``,
-    through nodes in ``inside`` when it is given."""
+    through nodes in ``inside`` when it is given: the set-based walk of the
+    ``branch_*`` reference only, independent of ``_spread``."""
     seen = {start}
     stack = [start]
     while stack:
-        for w in td.node_adj[stack.pop()]:
+        for w in _bits(td.node_nbr_mask[stack.pop()]):
             if w != avoid and w not in seen and (inside is None or w in inside):
                 seen.add(w)
                 stack.append(w)
@@ -465,10 +464,7 @@ def full_tree_decomposition(
     size = k + 1
     bags = list(base.masks)  # node id -> bag mask
     nodes = len(bags)
-    nbrs = [0] * nodes  # node id -> mask of its neighbours' ids
-    for a, b in base.tree_edges:
-        nbrs[a] |= 1 << b
-        nbrs[b] |= 1 << a
+    nbrs = list(base.node_nbr_mask)  # node id -> mask of its neighbours' ids
     live = [True] * nodes  # False once merged away
     dirty = list(range(nodes))  # a heap of the nodes that may lie in a neighbour's bag
     while True:
@@ -623,7 +619,7 @@ def branch_union(td: TreeDecomposition, t: int, delta: Iterable[int]) -> BranchU
     if not td.is_full or td.width != 3:
         raise DecompositionError("branch unions are defined on full width-3 decompositions")
     nodes: set[int] = set()
-    for u in td.node_adj[t]:
+    for u in _bits(td.node_nbr_mask[t]):
         if dset <= set(td.bags[u]):
             nodes.update(_reach(td, u, avoid=t))
     fnodes = frozenset(nodes)
@@ -654,13 +650,15 @@ def side_masks(td: TreeDecomposition) -> dict[tuple[int, int], int]:
     ``branch_at(td, t, u)`` as a mask: the vertices in the bags on u's side of
     T - t, off the bag of t.  Built on first read and kept on td (immutable)."""
     if td.sides is None:
-        masks = td.masks
+        masks, node_nbr = td.masks, td.node_nbr_mask
         td.sides = {}
-        for t, nbrs in enumerate(td.node_adj):
-            for u in nbrs:
-                side = 0
-                for x in _reach(td, u, avoid=t):
-                    side |= masks[x]
+        for t, nbrs in enumerate(node_nbr):
+            for u in _bits(nbrs):
+                side, nodes = 0, _spread(node_nbr, 1 << u, ~(1 << t))
+                while nodes:
+                    low = nodes & -nodes
+                    side |= masks[low.bit_length() - 1]
+                    nodes ^= low
                 td.sides[t, u] = side & ~masks[t]
     return td.sides
 

@@ -263,8 +263,8 @@ def component_masks(g: Graph, mask: int) -> list[int]:
 def _spread(masks: Sequence[int], seed: int, within: int) -> int:
     """The items reachable from the bitmask ``seed`` through the bitmask
     ``within`` (a negative one, ``~x``, allows all but x), where bit j of
-    ``masks[i]`` is set iff items i and j are adjacent: vertices of a graph
-    or nodes of a tree."""
+    ``masks[i]`` is set iff items i and j are adjacent: vertices of a graph,
+    or nodes of a decomposition's tree (every production walk of one)."""
     reach = frontier = seed
     while frontier:
         nxt = 0

@@ -34,6 +34,7 @@ from .cycles import (
     longest_cycle_length_td,
 )
 from .decomposition import (
+    DEFAULT_TREEWIDTH_CAP,
     DecompositionError,
     TreeDecomposition,
     TreewidthCapExceeded,
@@ -75,8 +76,8 @@ CAP_ERRORS = (EnumerationCapExceeded, EnumerationBudgetExceeded, TreewidthCapExc
 @dataclass(frozen=True)
 class CampaignOptions:
     checks: tuple[str, ...] = DEFAULT_CHECKS
-    enumeration_cap: int = 18
-    treewidth_cap: int = 24
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+    treewidth_cap: int = DEFAULT_TREEWIDTH_CAP
     max_steps: int | None = None
     max_cycles: int = DEFAULT_MAX_CYCLES
     strict_preconditions: bool = False

@@ -49,7 +49,7 @@ from .decomposition import (
     require_valid,
     side_masks,
 )
-from .graph import Graph, component_masks, is_biconnected, vertex_mask
+from .graph import Graph, _bits, component_masks, is_biconnected, vertex_mask
 
 __all__ = [
     "PASS",
@@ -203,7 +203,7 @@ def build_families(g: Graph, td: TreeDecomposition, t: int, cycles: LongestCycle
     bag, sides = masks[t], side_masks(td)
     by_mask = {bag ^ 1 << v: delta for v, delta in zip(reversed(vertices), combinations(vertices, 3))}
     inside = {delta: m for m, delta in by_mask.items()}
-    for u in td.node_adj[t]:
+    for u in _bits(td.node_nbr_mask[t]):
         inside[by_mask[bag & masks[u]]] |= sides[t, u]
     return CycleFamilies(vertices, cycles, bag, inside, g)
 

@@ -448,7 +448,7 @@ def set_full_tree_decomposition(
 
 def _fields(td):
     """Everything a decomposition answers about its shape."""
-    return td.bags, td.tree_edges, td.node_adj, td.width, td.is_full, td.masks
+    return td.bags, td.tree_edges, td.node_adj, td.node_nbr_mask, td.width, td.is_full, td.masks
 
 
 def _full_outcome(build, g, k, base=None):
@@ -514,9 +514,10 @@ def test_full_tree_decomposition_matches_the_set_reference(monkeypatch, exhausti
 def test_built_decompositions_match_the_constructor(monkeypatch, exhaustive_nmax8):
     import lctw.decomposition as decomposition
 
-    # every decomposition this module builds from masks, exact or full, reads
-    # as the constructor reads its bags and tree edges, and is valid: the
-    # constructor and validate are the independent path
+    # every decomposition this module builds from masks, exact or full, holds
+    # no bag tuples until its bags are read, then reads as the constructor
+    # reads its bags and tree edges, and is valid: the constructor and
+    # validate are the independent path
     real, built = decomposition._built, []
 
     def recorded(g, masks, edges):
@@ -536,6 +537,7 @@ def test_built_decompositions_match_the_constructor(monkeypatch, exhaustive_nmax
     fulls = len(built) - len(graphs)  # one exact decomposition per graph, the rest full
     assert fulls > 8000, fulls
     for g, td in built:
+        assert td._bags is None, g.edges
         assert _fields(td) == _fields(TreeDecomposition(td.bags, td.tree_edges)), g.edges
         assert validate(g, td) == [] and td.valid_for is g
 
@@ -668,7 +670,9 @@ def test_side_masks_match_branch_at_and_branch_union(small_corpus):
 
 class _ReferenceTreeDecomposition:
     """``TreeDecomposition.__init__`` before ``is_full`` was derived on first
-    read, verbatim: the reference for every field the constructor sets."""
+    read and the tree was stored as node masks, with a tree-edge end naming a
+    node only when it is an exact int (so not a bool or a float): the
+    reference for every field the constructor sets."""
 
     def __init__(self, bags, tree_edges):
         self.bags = tuple(tuple(sorted(set(b))) for b in bags)
@@ -676,7 +680,8 @@ class _ReferenceTreeDecomposition:
             raise DecompositionError("a tree decomposition needs at least one node")
         norm = set()
         for a, b in tree_edges:
-            if a == b or not (0 <= a < len(self.bags) and 0 <= b < len(self.bags)):
+            named = type(a) is int and type(b) is int
+            if not named or a == b or not (0 <= a < len(self.bags) and 0 <= b < len(self.bags)):
                 raise DecompositionError(f"bad tree edge ({a},{b})")
             norm.add((a, b) if a < b else (b, a))
         self.tree_edges = frozenset(norm)
@@ -685,6 +690,7 @@ class _ReferenceTreeDecomposition:
             adj[a].append(b)
             adj[b].append(a)
         self.node_adj = tuple(tuple(sorted(x)) for x in adj)
+        self.node_nbr_mask = tuple(sum(1 << u for u in x) for x in self.node_adj)
         self.width = max(len(b) for b in self.bags) - 1
         k = self.width
         self.is_full = all(len(b) == k + 1 for b in self.bags) and all(
@@ -702,14 +708,15 @@ def _constructed(cls, bags, edges):
         td = cls(bags, edges)
     except Exception as exc:
         return type(exc), str(exc)
-    fields = (td.bags, sorted(td.tree_edges), td.node_adj, td.width, td.is_full, td.valid_for, td.sides, td._masks)
+    fields = (td.bags, sorted(td.tree_edges), td.node_adj, td.node_nbr_mask, td.width, td.is_full, td.valid_for, td.sides, td._masks)
     return tuple(map(repr, fields))
 
 
 def _blob_mutations(td, n):
     """The blob of td and mutated ones: bags and edges listed in reverse,
-    entries and edges repeated, a tree edge dropped, and a bag vertex replaced
-    by an id that is negative, out of range, huge, True or 1.0, first or last."""
+    entries and edges repeated, a tree edge dropped, a bag vertex replaced
+    by an id that is negative, out of range, huge, True or 1.0, first or last,
+    and the ends of the first tree edge given as a float and as a bool."""
     bags, edges = [list(b) for b in td.bags], sorted(td.tree_edges)
     yield bags, edges
     yield [b[::-1] for b in bags], [(b, a) for a, b in reversed(edges)]
@@ -718,6 +725,10 @@ def _blob_mutations(td, n):
     for bad in (-1, n, 10**12, True, 1.0):
         yield [[bad] + bags[0][1:]] + bags[1:], edges
         yield bags[:-1] + [bags[-1][:-1] + [bad]], edges
+    if edges:
+        (a, b), rest = edges[0], edges[1:]
+        yield bags, [(a, float(b))] + rest
+        yield bags, [(bool(a), b)] + rest
 
 
 def test_constructor_sets_the_fields_of_the_reference(small_corpus):
@@ -728,8 +739,8 @@ def test_constructor_sets_the_fields_of_the_reference(small_corpus):
         for bags, edges in _blob_mutations(td, g.n):
             mine = _constructed(TreeDecomposition, bags, edges)
             assert mine == _constructed(_ReferenceTreeDecomposition, bags, edges), (bags, edges)
-            seen.add(mine[4])  # is_full
-    assert seen == {"True", "False"}
+            seen.add(mine[5] if len(mine) > 2 else mine[0])  # is_full, or the refusal
+    assert seen == {"True", "False", DecompositionError}
 
 
 _BLOB_VERTEX = st.one_of(

@@ -69,6 +69,23 @@ def test_parse_corpus_spec_reads_every_key():
         parse_corpus_spec("k=3,unknown=1")
 
 
+def test_campaign_options_graph_facts_and_cli_flags_share_their_cap_defaults():
+    import argparse
+    import inspect
+
+    from lctw.cli import _add_cap_flags, _caps
+    from lctw.cycles import DEFAULT_ENUMERATION_CAP
+    from lctw.decomposition import DEFAULT_TREEWIDTH_CAP
+
+    parser = argparse.ArgumentParser()
+    _add_cap_flags(parser)
+    flags = _caps(parser.parse_args([]))
+    facts = {name: inspect.signature(GraphFacts).parameters[name].default for name in flags}
+    options = {name: getattr(CampaignOptions(), name) for name in flags}
+    defaults = {"enumeration_cap": DEFAULT_ENUMERATION_CAP, "treewidth_cap": DEFAULT_TREEWIDTH_CAP}
+    assert flags == facts == options == {**defaults, "max_cycles": DEFAULT_MAX_CYCLES}
+
+
 def test_evaluate_task_fixture_record(fig):
     g, _ = fig
     rec = evaluate_task({"graph6": write_graph6(g), "source": "t"}, CampaignOptions())
@@ -357,21 +374,21 @@ def test_a_malformed_or_inconsistent_bundle_is_refused(tmp_path, tamper, reason)
     assert not ok and reason in detail
 
 
-def test_campaigns_read_only_the_neighbour_masks(monkeypatch):
-    # Graph.adj and Graph.edges rebuild the adjacency from the masks on every
-    # read, so the corpus build, every check and the conjecture scan must not
-    # read them
+def _campaigns_without(monkeypatch, cls, names):
+    """Run the corpus build, verify with every check and the conjecture scan
+    over a random k = 3 corpus and the nmax = 6 exhaustive corpus, with the
+    properties ``names`` of ``cls`` failing the test when read."""
     reads = []
 
     def guarded(name):
-        def read(g):
+        def read(obj):
             reads.append(name)
-            pytest.fail(f"Graph.{name} read during a campaign")
+            pytest.fail(f"{cls.__name__}.{name} read during a campaign")
 
         return property(read)
 
-    for name in ("adj", "edges"):
-        monkeypatch.setattr(Graph, name, guarded(name))
+    for name in names:
+        monkeypatch.setattr(cls, name, guarded(name))
     every_check = CampaignOptions(checks=tuple(CHECKS))
     for spec in ("k=3,n=7..10,count=40,p=0.25", "mode=exhaustive,k=3,nmax=6"):
         tasks = corpus_tasks(parse_corpus_spec(spec, seed=5))
@@ -379,6 +396,21 @@ def test_campaigns_read_only_the_neighbour_masks(monkeypatch):
             _, summary = run(tasks, opts, io.StringIO(), workers=1)
             assert summary.total == len(tasks) and summary.errors == 0, (spec, run.__name__)
     assert reads == []
+
+
+def test_campaigns_read_only_the_neighbour_masks(monkeypatch):
+    # Graph.adj and Graph.edges rebuild the adjacency from the masks on every
+    # read, so the corpus build, every check and the conjecture scan must not
+    # read them
+    _campaigns_without(monkeypatch, Graph, ("adj", "edges"))
+
+
+def test_campaigns_read_only_the_node_masks(monkeypatch):
+    # TreeDecomposition.node_adj rebuilds the tree's adjacency from its node
+    # masks on every read, so no campaign code may read it
+    from lctw.decomposition import TreeDecomposition
+
+    _campaigns_without(monkeypatch, TreeDecomposition, ("node_adj",))
 
 
 def _mixed_tasks():
@@ -904,7 +936,8 @@ def _family_consistency_reference(td, families):
 
 
 def _validate_reference(g, td):
-    """validate stated on node lists and sets."""
+    """validate stated on node lists and sets; a bag entry names a vertex
+    only when it is an exact int (so not a bool or a float)."""
     from lctw.decomposition import _reach
 
     out = []
@@ -917,7 +950,7 @@ def _validate_reference(g, td):
     holders: dict[int, list[int]] = {v: [] for v in range(g.n)}  # vertex -> nodes holding it
     for t, bag in enumerate(td.bags):
         for v in bag:
-            if v in holders:
+            if type(v) is int and v in holders:
                 holders[v].append(t)
             else:
                 out.append(f"bag-range: node {t} holds out-of-range vertex {v}")
@@ -1199,7 +1232,10 @@ def test_enumeration_cap_is_checked_before_treewidth(monkeypatch, capsys):
     assert err.count("enumeration needs n <=") == 3
 
 
+# a tree-edge end names a node only when it is an exact int, so 1.0 and True
+# name none, though both equal node 1
 MALFORMED_TD = [({"edges": []}, "'bags'"), ({"bags": [[0, 1, 2, 3, 4]], "edges": [[0, 5]]}, "bad tree edge (0,5)")]
+MALFORMED_TD += [({"bags": [[0, 1, 2, 3, 4]] * 2, "edges": [[0, bad]]}, f"bad tree edge (0,{bad})") for bad in (1.0, True)]
 
 
 @pytest.mark.parametrize("blob, error", MALFORMED_TD)
@@ -1210,23 +1246,26 @@ def test_malformed_td_blob_is_an_error_record_in_both_evaluators(blob, error):
         assert rec["status"] == "error" and rec["error"] == error
 
 
-@pytest.mark.parametrize("vertex", [-1, 10**12])
+@pytest.mark.parametrize("vertex", [-1, 10**12, 1.0, True])
 def test_td_blob_naming_a_vertex_off_the_graph_falls_back_to_exact_treewidth(vertex):
     # bag masks are built on first read, after validation: a bag vertex no
-    # mask can hold is a bag-range violation, and the graph gets the exact
-    # decomposition it would get without a blob
+    # mask can hold, or an entry that is not an exact int (1.0 and True in
+    # place of vertex 1), is a bag-range violation, and in both evaluators
+    # the graph gets the exact decomposition it would get without a blob
     from lctw.decomposition import TreeDecomposition, validate
     from lctw.generate import GenSpec, generate_k_tree
 
     g, td = generate_k_tree(GenSpec(n=7, k=3, seed=4))
     bags = [list(b) for b in td.bags]
-    bags[0][0] = vertex
+    assert bags[0][1] == 1
+    bags[0][1] = vertex
     assert f"bag-range: node 0 holds out-of-range vertex {vertex}" in validate(g, TreeDecomposition(bags, td.tree_edges))
     task = {"graph6": write_graph6(g), "td": {"bags": bags, "edges": [list(e) for e in sorted(td.tree_edges)]}}
-    rec = evaluate_task(task, CampaignOptions())
-    assert rec["status"] == "ok" and rec["tw"] == 3
-    bare = evaluate_task({"graph6": task["graph6"]}, CampaignOptions())
-    assert {**rec, "ms": None} == {**bare, "ms": None}
+    assert evaluate_task(task, CampaignOptions())["tw"] == 3
+    for evaluate in (evaluate_task, evaluate_conjecture_task):
+        rec = evaluate(task, CampaignOptions())
+        bare = evaluate({"graph6": task["graph6"]}, CampaignOptions())
+        assert rec["status"] == "ok" and {**rec, "ms": None} == {**bare, "ms": None}
 
 
 def test_td_wider_than_three_falls_back_to_the_optimal_decomposition():
