@@ -16,7 +16,7 @@ import sys
 from .cycles import DEFAULT_ENUMERATION_CAP, DEFAULT_MAX_CYCLES
 from .decomposition import DEFAULT_TREEWIDTH_CAP, DecompositionError, full_tree_decomposition
 from .generate import GenerationError
-from .graph import parse_graph6
+from .graph import _bits, parse_graph6
 from .harness import (
     CAP_ERRORS,
     DEFAULT_CHECKS,
@@ -90,24 +90,12 @@ def _tasks_from_args(args):
     return corpus_tasks(spec)
 
 
-def _campaign_options(args, checks=None) -> CampaignOptions:
-    return CampaignOptions(
-        checks=checks or DEFAULT_CHECKS,
-        strict_preconditions=getattr(args, "strict_preconditions", False),
-        **_caps(args),
-    )
-
-
 def _open_out(args):
-    return open(args.out, "w") if args.out else sys.stdout
-
-
-def _open_campaign_out(args):
-    """Create --counterexample-dir, then open --out; an OSError from either is
-    the caller's configuration error."""
-    if args.counterexample_dir:
+    """Create --counterexample-dir where the subcommand has one, then open
+    --out; an OSError from either is the caller's configuration error."""
+    if getattr(args, "counterexample_dir", None):
         os.makedirs(args.counterexample_dir, exist_ok=True)
-    return _open_out(args)
+    return open(args.out, "w") if args.out else sys.stdout
 
 
 def _workers(args) -> int:
@@ -117,49 +105,46 @@ def _workers(args) -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
 
-def cmd_verify(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
+def _run_campaign(args, run, checks, summarize) -> int:
+    """Build the options, tasks and output (a configuration error exits 2),
+    run the campaign, close the output and print the summary line that
+    ``summarize`` makes of the run's summary to stderr."""
     try:
-        opts = _campaign_options(args, checks)  # rejects unknown check names
+        strict = getattr(args, "strict_preconditions", False)
+        opts = CampaignOptions(checks=checks, strict_preconditions=strict, **_caps(args))  # rejects unknown checks
         tasks = _tasks_from_args(args)
-        out = _open_campaign_out(args)
+        out = _open_out(args)
     except (OSError, ValueError, GenerationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        code, summary = run_verify(tasks, opts, out, args.counterexample_dir, _workers(args))
+        code, summary = run(tasks, opts, out, args.counterexample_dir, _workers(args))
     finally:
         if out is not sys.stdout:
             out.close()
-    print(
-        f"verify: {summary.total} graphs, {summary.ok} ok, {summary.failed} failed, "
-        f"{summary.out_of_scope} out-of-scope, {summary.errors} errors; "
-        f"vacuous {summary.vacuous}",
-        file=sys.stderr,
-    )
+    print(summarize(summary), file=sys.stderr)
     return code
+
+
+def cmd_verify(args) -> int:
+    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
+    return _run_campaign(
+        args,
+        run_verify,
+        checks,
+        lambda s: f"verify: {s.total} graphs, {s.ok} ok, {s.failed} failed, "
+        f"{s.out_of_scope} out-of-scope, {s.errors} errors; vacuous {s.vacuous}",
+    )
 
 
 def cmd_conjecture(args) -> int:
-    try:
-        tasks = _tasks_from_args(args)
-        out = _open_campaign_out(args)
-    except (OSError, ValueError, GenerationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    opts = _campaign_options(args)
-    try:
-        code, summary = run_conjecture(tasks, opts, out, args.counterexample_dir, _workers(args))
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    print(
-        f"conjecture: {summary.total} graphs, {summary.ok} consistent, "
-        f"{summary.counterexamples} counterexamples, {summary.out_of_scope} out-of-scope, "
-        f"{summary.errors} errors",
-        file=sys.stderr,
+    return _run_campaign(
+        args,
+        run_conjecture,
+        DEFAULT_CHECKS,
+        lambda s: f"conjecture: {s.total} graphs, {s.ok} consistent, {s.counterexamples} counterexamples, "
+        f"{s.out_of_scope} out-of-scope, {s.errors} errors",
     )
-    return code
 
 
 def cmd_inspect(args) -> int:
@@ -199,10 +184,10 @@ def cmd_inspect(args) -> int:
             fams = facts.families(t)
             print(f"node {t} bag {{{','.join(map(str, td.bags[t]))}}}:")
             print(f"  2-crossing: {len(fams.x2)}  fenced<=3: {len(fams.fenced3)}")
-            for delta, tf in sorted(fams.by_triple.items()):
-                j2 = {f"{p[0]}{p[1]}": len(v) for p, v in sorted(tf.jump2.items())}
+            for dmask, tf in fams.by_triple.items():  # keyed in combinations order
+                j2 = {"".join(map(str, _bits(p))): len(v) for p, v in sorted(tf.jump2.items())}
                 print(
-                    f"  triple {{{','.join(map(str, delta))}}}: exact3 {len(tf.exact3)}, "
+                    f"  triple {{{','.join(map(str, _bits(dmask)))}}}: exact3 {len(tf.exact3)}, "
                     f"jump2 {j2}, jump3 {len(tf.jump3)}"
                 )
     return 0

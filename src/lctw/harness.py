@@ -42,7 +42,7 @@ from .decomposition import (
     side_masks,
 )
 from .generate import GenSpec, exhaustive_small, generate_partial_k_tree
-from .graph import Graph, component_masks, parse_graph6, write_graph6
+from .graph import Graph, _bits, component_masks, parse_graph6, write_graph6
 from .transversal import (
     FAIL,
     PASS,
@@ -199,11 +199,15 @@ def file_tasks(path: str) -> list[dict]:
 
 def _task_td(g: Graph, task: dict, max_width: int) -> TreeDecomposition | None:
     """The task's decomposition once it passes ``require_valid`` for g with
-    width <= max_width, else None: the caller computes one.  Only a malformed
-    blob raises."""
+    width <= max_width, else None: the caller computes one.  A bag entry that
+    is not an exact int is out of range, so such a blob is ignored before any
+    bag is sorted.  Only a malformed blob raises."""
     if not task.get("td"):
         return None
-    td = TreeDecomposition(task["td"]["bags"], task["td"]["edges"])
+    bags = task["td"]["bags"]
+    if any(type(v) is not int for bag in bags for v in bag):
+        return None
+    td = TreeDecomposition(bags, task["td"]["edges"])
     if td.width > max_width:
         return None
     try:
@@ -266,19 +270,19 @@ def check_family_consistency(td: TreeDecomposition, families) -> dict:
     for t in range(td.node_count):
         node = families(t)
         off = ((1 << node.g.n) - 1) & ~node.mask
-        for delta, inside in node.inside.items():
+        for dmask, inside in node.inside.items():
             if _joined(node.g.nbr_mask, inside & off, off & ~inside):
-                return {"status": FAIL, "detail": f"node {t}: a component straddles the inside set of {list(delta)}"}
+                return {"status": FAIL, "detail": f"node {t}: a component straddles the inside set of {list(_bits(dmask))}"}
     return {"status": PASS}
 
 
 def _context_sweep(facts: GraphFacts, check) -> dict:
     """Run a per-triple check at every context of facts, naming the first that fails."""
     out: dict = {}
-    for t, delta in facts.contexts:
-        entry = check(facts, t, delta)
+    for t, dmask in facts.contexts:
+        entry = check(facts, t, dmask)
         if entry["status"] == FAIL:
-            out.setdefault("first_failure", {"node": t, "delta": list(delta), "detail": entry["detail"]})
+            out.setdefault("first_failure", {"node": t, "delta": list(_bits(dmask)), "detail": entry["detail"]})
     status = FAIL if "first_failure" in out else (PASS if facts.contexts else PREMISE_NOT_MET)
     return {**out, "status": status, "premise_met": len(facts.contexts)}
 

@@ -21,6 +21,12 @@ tests no premise, so it runs only where its hypotheses hold: the graph-level
 premises (lct > 1, treewidth 3) are rows of ``harness.CHECKS``, which record
 "premise-not-met", or "vacuous-pass" for a premise-empty side condition.  The
 conjecture scan likewise returns the entries of its record.
+
+A triple is its vertex mask throughout: the triples of a bag with mask
+``bag`` are ``bag ^ 1 << v`` for v in the bag, listed by ``_triples``, and
+the pairs of a triple ``dmask`` are ``dmask ^ 1 << v``.  Vertex tuples of a
+triple or a pair are made only where text is written: a record's detail or
+first failure and ``lctw inspect``.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ class TripleFamilies:
     """Families attached to one triple of a bag."""
 
     exact3: tuple[Member, ...]  # longest cycles meeting the bag exactly at the triple
-    jump2: dict[tuple[int, int], tuple[Member, ...]]  # 2-jump families per pair
+    jump2: dict[int, tuple[Member, ...]]  # 2-jump families per pair, keyed by the pair's mask
     jump3: tuple[Member, ...]  # 3-jump family
 
 
@@ -114,19 +120,13 @@ class CycleFamilies:
     g: the 2-crossing set, the fenced at-most-3-intersecting set, and
     per-triple exact/jump families, each a tuple of the family's (vertex
     tuple, vertex mask) pairs.  Only the node's masks are built up front: the
-    bag and the inside set of each of the bag's triples.  The components of
+    bag's mask and ``inside``, the inside set of each of the bag's triples
+    keyed by the triple's mask in ``_triples`` order.  The components of
     G - bag, which only fencing and the pairwise-and-common check read, and
-    each family are built on first read and kept."""
+    each family are built on first read and kept; ``by_triple`` is keyed as
+    ``inside``."""
 
-    def __init__(
-        self,
-        bag: tuple[int, ...],
-        cycles: LongestCycleSet,
-        mask: int,
-        inside: dict[tuple[int, ...], int],
-        g: Graph,
-    ):
-        self.bag = bag
+    def __init__(self, cycles: LongestCycleSet, mask: int, inside: dict[int, int], g: Graph):
         self.cycles = cycles
         self.mask = mask
         self.inside = inside
@@ -143,20 +143,19 @@ class CycleFamilies:
         off = m & ~self.mask
         return sum(1 for comp in self.components if comp & off) <= 1
 
-    def posture(self, vertices: tuple[int, ...], m: int, delta: tuple[int, ...]) -> Posture:
+    def posture(self, vertices: tuple[int, ...], m: int, dmask: int) -> Posture:
         """The tag of ``cycle_posture`` for the cycle ``vertices``, with vertex
-        mask m, against a triple that it meets at least twice.  A part is
-        inside iff it is an edge within the triple or meets the inside set: on
-        a valid decomposition no component of G - bag straddles that set and
-        the fourth bag vertex has no inside neighbour, so each part off the bag
-        lies wholly on one side."""
+        mask m, against the triple with mask dmask, which it meets at least
+        twice.  A part is inside iff it is an edge within the triple or meets
+        the inside set: on a valid decomposition no component of G - bag
+        straddles that set and the fourth bag vertex has no inside neighbour,
+        so each part off the bag lies wholly on one side."""
         if not m & ~self.mask:
             return Posture.INSIDE
-        dmask = vertex_mask(delta)
-        off = m & ~dmask
-        if not off & ~self.inside[delta]:
+        off, inside = m & ~dmask, self.inside[dmask]
+        if not off & ~inside:
             return Posture.INSIDE
-        if off & self.inside[delta] or any(
+        if off & inside or any(
             (dmask >> u) & (dmask >> v) & 1 for u, v in zip(vertices, vertices[1:] + vertices[:1])
         ):
             return Posture.JUMP
@@ -171,41 +170,44 @@ class CycleFamilies:
         return tuple((c, m) for c, m in self.cycles if self.fenced(m) and (m & self.mask).bit_count() <= 3)
 
     @cached_property
-    def by_triple(self) -> dict[tuple[int, ...], TripleFamilies]:
-        by_triple: dict[tuple[int, ...], TripleFamilies] = {}
-        for delta in combinations(self.bag, 3):
-            dmask = vertex_mask(delta)
+    def by_triple(self) -> dict[int, TripleFamilies]:
+        by_triple: dict[int, TripleFamilies] = {}
+        for dmask in self.inside:
             exact3 = tuple((c, m) for c, m in self.cycles if m & self.mask == dmask)
-            jump2: dict[tuple[int, int], list[Member]] = {p: [] for p in combinations(delta, 2)}
+            jump2: dict[int, list[Member]] = {dmask ^ 1 << v: [] for v in _bits(dmask)}
             jump3: list[Member] = []
             for c, m in self.cycles:
                 hit = m & dmask
-                if hit.bit_count() < 2 or self.posture(c, m, delta) is not Posture.JUMP:
+                if hit.bit_count() < 2 or self.posture(c, m, dmask) is not Posture.JUMP:
                     continue
                 if hit == dmask:
                     jump3.append((c, m))
                 else:
-                    jump2[tuple(v for v in delta if hit >> v & 1)].append((c, m))
-            by_triple[delta] = TripleFamilies(exact3, {p: tuple(v) for p, v in jump2.items()}, tuple(jump3))
+                    jump2[hit].append((c, m))
+            by_triple[dmask] = TripleFamilies(exact3, {p: tuple(v) for p, v in jump2.items()}, tuple(jump3))
         return by_triple
+
+
+def _triples(bag: int) -> list[int]:
+    """The triple masks of the bag with mask ``bag`` in ascending order, the
+    ``combinations`` order of their vertex tuples: dropping a larger vertex
+    leaves a smaller mask."""
+    return sorted(bag ^ 1 << v for v in _bits(bag))
 
 
 def build_families(g: Graph, td: TreeDecomposition, t: int, cycles: LongestCycleSet) -> CycleFamilies:
     """The families of every longest cycle against the bag of node t of the
     full width-3 decomposition td and all four of its triples: the node's
-    masks now, each family on first read.  The i-th triple of the bag, in
-    ``combinations`` order, omits its i-th vertex from the end, so its mask
-    is the bag's minus that vertex.  A full decomposition's adjacent bags
-    share a triple, so each neighbour u adds its branch,
-    ``side_masks(td)[t, u]``, to the inside set of the triple its bag shares:
-    the triple's ``branch_union`` as masks."""
-    masks, vertices = td.masks, td.bags[t]
-    bag, sides = masks[t], side_masks(td)
-    by_mask = {bag ^ 1 << v: delta for v, delta in zip(reversed(vertices), combinations(vertices, 3))}
-    inside = {delta: m for m, delta in by_mask.items()}
+    masks now, each family on first read.  A full decomposition's adjacent
+    bags share a triple, their masks' intersection, so each neighbour u adds
+    its branch, ``side_masks(td)[t, u]``, to the inside set of that triple:
+    the triple's ``branch_union`` as masks.  No bag tuple is read."""
+    masks, sides = td.masks, side_masks(td)
+    bag = masks[t]
+    inside = {dmask: dmask for dmask in _triples(bag)}
     for u in _bits(td.node_nbr_mask[t]):
-        inside[by_mask[bag & masks[u]]] |= sides[t, u]
-    return CycleFamilies(vertices, cycles, bag, inside, g)
+        inside[bag & masks[u]] |= sides[t, u]
+    return CycleFamilies(cycles, bag, inside, g)
 
 
 class GraphFacts:
@@ -295,19 +297,19 @@ class GraphFacts:
         return cache(lambda t: build_families(g, td3, t, cycles))
 
     @cached_property
-    def contexts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The (node, triple) contexts of td3 where all three 2-jump families
-        at the triple are nonempty, the per-triple lemmas' premise.  A pair's
-        2-jump cycles meet the triple at just that pair, so a triple with a
-        pair no longest cycle meets so is left out before any family is built."""
-        td, vertex_sets, families = self.td3, self.cycles.vertex_sets, self.families
+    def contexts(self) -> tuple[tuple[int, int], ...]:
+        """The (node, triple mask) contexts of td3 where all three 2-jump
+        families at the triple are nonempty, the per-triple lemmas' premise,
+        by node and then in ``_triples`` order.  A pair's 2-jump cycles meet
+        the triple at just that pair, so a triple with a pair no longest cycle
+        meets so is left out before any family is built."""
+        vertex_sets, families = self.cycles.vertex_sets, self.families
         out = []
-        for t in range(td.node_count):
-            for delta in combinations(td.bags[t], 3):
-                dmask = vertex_mask(delta)
+        for t, bag in enumerate(self.td3.masks):
+            for dmask in _triples(bag):
                 hits = {m & dmask for m in vertex_sets}
-                if all(dmask ^ (1 << v) in hits for v in delta) and all(families(t).by_triple[delta].jump2.values()):
-                    out.append((t, delta))
+                if all(dmask ^ 1 << v in hits for v in _bits(dmask)) and all(families(t).by_triple[dmask].jump2.values()):
+                    out.append((t, dmask))
         return tuple(out)
 
 
@@ -325,18 +327,18 @@ def check_fenced_or_shared(facts: GraphFacts) -> dict:
     return {"status": FAIL if failing else PASS, "failing_nodes": failing}
 
 
-def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dict:
-    """At a context (t, delta) of ``facts.contexts``, where all three 2-jump
-    families at the triple delta of node t are nonempty, verify that
+def check_pairwise_and_common(facts: GraphFacts, t: int, dmask: int) -> dict:
+    """At a context (t, dmask) of ``facts.contexts``, where all three 2-jump
+    families at the triple with mask dmask of node t are nonempty, verify that
 
     (i) some qualifying component contains a vertex of every pairwise
         intersection of the jump-family cycles, and
     (ii) a single vertex inside the triple lies on all of them.
     """
     node = facts.families(t)
-    fams = node.by_triple[delta]
+    fams = node.by_triple[dmask]
     family = [c for p in sorted(fams.jump2) for c in fams.jump2[p]] + list(fams.jump3)
-    inside = node.inside[delta]
+    inside = node.inside[dmask]
     blocks = [b for b in node.components if b & inside]  # components in the triple's branch union
     pairs = list(combinations(family, 2))
     meets = [m & k for (_, m), (_, k) in pairs]
@@ -357,22 +359,21 @@ def check_pairwise_and_common(facts: GraphFacts, t: int, delta: tuple[int, ...])
     return {"status": PASS, "witness": [witness_component, (common & -common).bit_length() - 1]}  # least vertex
 
 
-def check_escape_cycle(facts: GraphFacts, t: int, delta: tuple[int, ...]) -> dict:
-    """On a graph with lct > 1, at a context (t, delta) of ``facts.contexts``,
-    where every pair of the triple delta of node t has a 2-jumping longest
-    cycle: some longest cycle meets the bag at most once, or is outside the
-    triple, or is inside and meets it twice, or is inside, meets it three
-    times and is fenced by it: its vertices off the triple lie in one
-    component of G - triple."""
+def check_escape_cycle(facts: GraphFacts, t: int, dmask: int) -> dict:
+    """On a graph with lct > 1, at a context (t, dmask) of ``facts.contexts``,
+    where every pair of the triple with mask dmask of node t has a
+    2-jumping longest cycle: some longest cycle meets the bag at most once,
+    or is outside the triple, or is inside and meets it twice, or is inside,
+    meets it three times and is fenced by it: its vertices off the triple lie
+    in one component of G - triple."""
     node = facts.families(t)
-    dmask = vertex_mask(delta)
     apart = component_masks(facts.g, ((1 << facts.g.n) - 1) & ~dmask)  # the components of G - triple
     for c, m in facts.cycles:
         if (m & node.mask).bit_count() <= 1:
             shape = "a longest cycle meets the bag at most once"
         elif (count := (m & dmask).bit_count()) < 2:
             continue
-        elif (tag := node.posture(c, m, delta)) is Posture.OUTSIDE:
+        elif (tag := node.posture(c, m, dmask)) is Posture.OUTSIDE:
             shape = "a longest cycle is outside the triple"
         elif tag is Posture.INSIDE and count == 2:
             shape = "an inside longest cycle meets the triple twice"
@@ -423,9 +424,8 @@ def check_equivalent_two_cross_jump(facts: GraphFacts) -> dict:
     triples containing that pair.  Vacuous when no bag has such a family;
     the lct premise, empty on every graph where all longest cycles
     intersect, is the check's row in ``harness.CHECKS``."""
-    td = facts.td3
     met_anywhere = False
-    for t in range(td.node_count):
+    for t in range(facts.td3.node_count):
         fams = facts.families(t)
         x2 = fams.x2
         if not x2:
@@ -434,14 +434,13 @@ def check_equivalent_two_cross_jump(facts: GraphFacts) -> dict:
         if any(m & fams.mask != meet for _, m in x2[1:]):
             continue
         met_anywhere = True
-        pair = tuple(v for v in td.bags[t] if meet >> v & 1)
-        triples = [tuple(sorted(set(pair) | {w})) for w in td.bags[t] if w not in pair]
         for c, m in x2:
-            for delta in triples:
-                if (c, m) not in fams.by_triple[delta].jump2[pair]:
+            for w in _bits(fams.mask & ~meet):
+                dmask = meet | 1 << w
+                if (c, m) not in fams.by_triple[dmask].jump2[meet]:
                     return {
                         "status": FAIL,
-                        "detail": f"2-crossing cycle fails to jump triple {delta} at node {t}",
+                        "detail": f"2-crossing cycle fails to jump triple {tuple(_bits(dmask))} at node {t}",
                         "witness": [list(c)],
                     }
     if not met_anywhere:

@@ -19,7 +19,7 @@ from lctw.cycles import Cycle, PathSegment, enumerate_longest_cycles, parts
 from lctw.decomposition import TreeDecomposition, exact_treewidth, full_tree_decomposition
 from lctw.fixtures import complete_graph
 from lctw.generate import GenSpec, generate_k_tree
-from lctw.graph import Graph, components_after_removal, separates
+from lctw.graph import Graph, components_after_removal, separates, vertex_mask
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,6 @@ def test_bag_masks_match_route_classification(small_corpus):
                 assert node.fenced(m) == (cross_or_fence(g, Cycle(c), td.bags[t]) is Fencing.FENCED)
                 for delta in combinations(td.bags[t], 3):
                     if len(set(c) & set(delta)) >= 2:
-                        assert node.posture(c, m, delta) is cycle_posture(BagContext(td, t, delta), Cycle(c)).tag
+                        assert node.posture(c, m, vertex_mask(delta)) is cycle_posture(BagContext(td, t, delta), Cycle(c)).tag
                         checked += 1
     assert checked > 1000

@@ -662,8 +662,10 @@ def test_side_masks_match_branch_at_and_branch_union(small_corpus):
             continue
         for t in range(td.node_count):
             inside = build_families(g, td, t, ()).inside  # no family is read
-            for delta in itertools.combinations(td.bags[t], 3):
-                assert inside[delta] == vertex_mask(delta) | vertex_mask(branch_union(td, t, delta).vertices)
+            bag_triples = list(itertools.combinations(td.bags[t], 3))
+            assert list(inside) == [vertex_mask(delta) for delta in bag_triples]  # keyed in combinations order
+            for delta in bag_triples:
+                assert inside[vertex_mask(delta)] == vertex_mask(delta) | vertex_mask(branch_union(td, t, delta).vertices)
                 triples += 1
     assert edges > 1000 and triples > 1000
 

@@ -374,10 +374,19 @@ def test_a_malformed_or_inconsistent_bundle_is_refused(tmp_path, tamper, reason)
     assert not ok and reason in detail
 
 
+def _run_campaigns(checks):
+    """Run the corpus build, verify with ``checks`` and the conjecture scan
+    over a random k = 3 corpus and the nmax = 6 exhaustive corpus."""
+    for spec in ("k=3,n=7..10,count=40,p=0.25", "mode=exhaustive,k=3,nmax=6"):
+        tasks = corpus_tasks(parse_corpus_spec(spec, seed=5))
+        for run, opts in ((run_verify, CampaignOptions(checks=checks)), (run_conjecture, CampaignOptions())):
+            _, summary = run(tasks, opts, io.StringIO(), workers=1)
+            assert summary.total == len(tasks) and summary.errors == 0, (spec, run.__name__)
+
+
 def _campaigns_without(monkeypatch, cls, names):
-    """Run the corpus build, verify with every check and the conjecture scan
-    over a random k = 3 corpus and the nmax = 6 exhaustive corpus, with the
-    properties ``names`` of ``cls`` failing the test when read."""
+    """``_run_campaigns`` with every check, with the properties ``names`` of
+    ``cls`` failing the test when read."""
     reads = []
 
     def guarded(name):
@@ -389,12 +398,7 @@ def _campaigns_without(monkeypatch, cls, names):
 
     for name in names:
         monkeypatch.setattr(cls, name, guarded(name))
-    every_check = CampaignOptions(checks=tuple(CHECKS))
-    for spec in ("k=3,n=7..10,count=40,p=0.25", "mode=exhaustive,k=3,nmax=6"):
-        tasks = corpus_tasks(parse_corpus_spec(spec, seed=5))
-        for run, opts in ((run_verify, every_check), (run_conjecture, CampaignOptions())):
-            _, summary = run(tasks, opts, io.StringIO(), workers=1)
-            assert summary.total == len(tasks) and summary.errors == 0, (spec, run.__name__)
+    _run_campaigns(tuple(CHECKS))
     assert reads == []
 
 
@@ -411,6 +415,27 @@ def test_campaigns_read_only_the_node_masks(monkeypatch):
     from lctw.decomposition import TreeDecomposition
 
     _campaigns_without(monkeypatch, TreeDecomposition, ("node_adj",))
+
+
+def test_campaigns_build_no_bag_tuples(monkeypatch):
+    # the exact and full decompositions hold bag masks only, and every check
+    # reads triples as masks: no campaign builds the bag tuples of a
+    # decomposition built here.  td_oracle's nice-op DP reads bag tuples by
+    # design, so it is left out
+    from lctw.decomposition import TreeDecomposition
+
+    built = []
+    read = TreeDecomposition.bags.fget
+
+    def bags(td):
+        if td._bags is None:
+            built.append(td)
+            pytest.fail("bag tuples built during a campaign")
+        return read(td)
+
+    monkeypatch.setattr(TreeDecomposition, "bags", property(bags))
+    _run_campaigns(tuple(name for name in CHECKS if name != "td_oracle"))
+    assert built == []
 
 
 def _mixed_tasks():
@@ -626,6 +651,51 @@ def test_cli_inspect_families(capsys):
     assert main(["inspect", "Dhc", "--families"]) == 0
     out = capsys.readouterr().out
     assert "triple" in out
+    assert main(["inspect", "FiuqO", "--families"]) == 0
+    assert capsys.readouterr().out == FIUQO_FAMILIES
+
+
+# nonzero exact3, jump2 and jump3 counts: the printed form of triples and pairs
+FIUQO_FAMILIES = """\
+graph6: FiuqO
+n: 7  m: 11
+biconnected: yes
+treewidth: 3
+full decomposition (width 3):
+  node 0: {0,1,4,6}
+  node 1: {0,2,3,5}
+  node 2: {0,1,3,4}
+  node 3: {0,1,2,3}
+  edges: 0-2 1-3 2-3
+longest cycle length: 6
+longest cycles: 6
+enumeration steps: 34
+lct: 1  witness: {1}
+node 0 bag {0,1,4,6}:
+  2-crossing: 0  fenced<=3: 3
+  triple {0,1,4}: exact3 2, jump2 {'01': 0, '04': 0, '14': 1}, jump3 3
+  triple {0,1,6}: exact3 0, jump2 {'01': 1, '06': 0, '16': 1}, jump3 3
+  triple {0,4,6}: exact3 0, jump2 {'04': 2, '06': 0, '46': 1}, jump3 3
+  triple {1,4,6}: exact3 1, jump2 {'14': 0, '16': 0, '46': 0}, jump3 4
+node 1 bag {0,2,3,5}:
+  2-crossing: 0  fenced<=3: 4
+  triple {0,2,3}: exact3 0, jump2 {'02': 1, '03': 2, '23': 1}, jump3 2
+  triple {0,2,5}: exact3 1, jump2 {'02': 0, '05': 2, '25': 1}, jump3 3
+  triple {0,3,5}: exact3 2, jump2 {'03': 0, '05': 1, '35': 1}, jump3 4
+  triple {2,3,5}: exact3 1, jump2 {'23': 0, '25': 1, '35': 2}, jump3 3
+node 2 bag {0,1,3,4}:
+  2-crossing: 0  fenced<=3: 0
+  triple {0,1,3}: exact3 0, jump2 {'01': 1, '03': 0, '13': 1}, jump3 4
+  triple {0,1,4}: exact3 1, jump2 {'01': 0, '04': 0, '14': 1}, jump3 5
+  triple {0,3,4}: exact3 0, jump2 {'03': 0, '04': 1, '34': 1}, jump3 4
+  triple {1,3,4}: exact3 1, jump2 {'13': 0, '14': 0, '34': 0}, jump3 5
+node 3 bag {0,1,2,3}:
+  2-crossing: 0  fenced<=3: 0
+  triple {0,1,2}: exact3 1, jump2 {'01': 1, '02': 0, '12': 1}, jump3 3
+  triple {0,1,3}: exact3 2, jump2 {'01': 1, '03': 0, '13': 1}, jump3 4
+  triple {0,2,3}: exact3 0, jump2 {'02': 1, '03': 2, '23': 1}, jump3 2
+  triple {1,2,3}: exact3 1, jump2 {'12': 1, '13': 1, '23': 0}, jump3 3
+"""
 
 
 def test_cli_inspect_petersen(capsys):
@@ -929,7 +999,8 @@ def _family_consistency_reference(td, families):
     """check_family_consistency stated on the components of G - bag."""
     for t in range(td.node_count):
         node = families(t)
-        for delta, inside in node.inside.items():
+        for delta in combinations(td.bags[t], 3):
+            inside = node.inside[vertex_mask(delta)]
             if any(comp & inside and comp & ~inside for comp in node.components):
                 return {"status": FAIL, "detail": f"node {t}: a component straddles the inside set of {list(delta)}"}
     return {"status": PASS}
@@ -1268,6 +1339,23 @@ def test_td_blob_naming_a_vertex_off_the_graph_falls_back_to_exact_treewidth(ver
         assert rec["status"] == "ok" and {**rec, "ms": None} == {**bare, "ms": None}
 
 
+@pytest.mark.parametrize("entry", [None, "a", [1]], ids=["null", "string", "list"])
+def test_td_blob_mixing_ints_with_other_entries_falls_back_to_exact_treewidth(entry):
+    # an entry that is not an exact int is out of range also beside ints it
+    # does not compare with, or when it is unhashable: the blob is ignored
+    # before any bag is sorted, and both evaluators give the bare graph's record
+    from lctw.generate import GenSpec, generate_k_tree
+
+    g, td = generate_k_tree(GenSpec(n=7, k=3, seed=4))
+    bags = [list(b) for b in td.bags]
+    bags[0][1] = entry
+    task = {"graph6": write_graph6(g), "td": {"bags": bags, "edges": [list(e) for e in sorted(td.tree_edges)]}}
+    for evaluate in (evaluate_task, evaluate_conjecture_task):
+        rec = evaluate(task, CampaignOptions())
+        bare = evaluate({"graph6": task["graph6"]}, CampaignOptions())
+        assert rec["status"] == "ok" and {**rec, "ms": None} == {**bare, "ms": None}
+
+
 def test_td_wider_than_three_falls_back_to_the_optimal_decomposition():
     # a valid one-bag decomposition of width 4 does not bound the treewidth
     # by 3: the verify task computes the optimal one, as without a blob
@@ -1563,9 +1651,9 @@ def test_the_jump_sweeps_run_once_per_context(monkeypatch, corpus):
     for name in calls:
         real = getattr(harness, name)
 
-        def counting(facts, t, delta, _real=real, _name=name):
-            calls[_name].append((t, delta))
-            return _real(facts, t, delta)
+        def counting(facts, t, dmask, _real=real, _name=name):
+            calls[_name].append((t, dmask))
+            return _real(facts, t, dmask)
 
         monkeypatch.setattr(harness, name, counting)
     opts = CampaignOptions(checks=("jump_families", "escape_cycle"))

@@ -7,7 +7,7 @@ from lctw.cycles import Cycle, enumerate_longest_cycles
 from lctw.decomposition import DecompositionError, TreeDecomposition, exact_treewidth, full_tree_decomposition
 from lctw.fixtures import complete_graph, path_graph
 from lctw.generate import GenSpec, generate_partial_k_tree
-from lctw.graph import Graph
+from lctw.graph import Graph, vertex_mask
 from lctw.harness import CampaignOptions, _verify_graph
 from lctw.transversal import (
     FAIL,
@@ -63,9 +63,10 @@ def test_build_families_disjoint_and_consistent(fig):
     for t in range(td.node_count):
         fams = build_families(g, td, t, lcs)
         assert not set(fams.x2) & set(fams.fenced3)
-        for delta, tf in fams.by_triple.items():
-            for pair, members in tf.jump2.items():
-                for c, _ in members:
+        for delta in combinations(td.bags[t], 3):
+            tf = fams.by_triple[vertex_mask(delta)]
+            for pair in combinations(delta, 2):
+                for c, _ in tf.jump2[vertex_mask(pair)]:
                     assert set(c) & set(delta) == set(pair)
             for c, _ in tf.jump3:
                 assert set(c) & set(delta) == set(delta)
@@ -98,6 +99,20 @@ def _route_families(g, td, t, cycles):
     return tuple(x2), tuple(fenced3), by_triple
 
 
+def _by_tuples(fams, bag):
+    """``fams.by_triple``, keyed by triple masks and its 2-jump families by
+    pair masks, as (exact3, jump2, jump3) keyed by vertex tuples."""
+    triples = list(combinations(bag, 3))
+    assert list(fams.by_triple) == [vertex_mask(delta) for delta in triples]
+    out = {}
+    for delta in triples:
+        tf = fams.by_triple[vertex_mask(delta)]
+        pairs = list(combinations(delta, 2))
+        assert sorted(tf.jump2) == sorted(map(vertex_mask, pairs))
+        out[delta] = (tf.exact3, {p: tf.jump2[vertex_mask(p)] for p in pairs}, tf.jump3)
+    return out
+
+
 def test_build_families_matches_route_reference(small_corpus, fig, k23):
     fg, _ = fig
     cases = [(g, full_tree_decomposition(g, 3, base=natural)) for g, natural in small_corpus]
@@ -107,8 +122,7 @@ def test_build_families_matches_route_reference(small_corpus, fig, k23):
         lcs = enumerate_longest_cycles(g)
         for t in range(td.node_count):
             fams = build_families(g, td, t, lcs)
-            by_triple = {d: (tf.exact3, tf.jump2, tf.jump3) for d, tf in fams.by_triple.items()}
-            assert (fams.x2, fams.fenced3, by_triple) == _route_families(g, td, t, lcs)
+            assert (fams.x2, fams.fenced3, _by_tuples(fams, td.bags[t])) == _route_families(g, td, t, lcs)
             nodes += 1
     assert nodes > 300
 
@@ -117,8 +131,8 @@ def test_build_families_k23(k23):
     g, td = k23
     lcs = enumerate_longest_cycles(g)
     fams = build_families(g, td, 1, lcs)
-    tf = fams.by_triple[(0, 1, 2)]
-    assert all(len(tf.jump2[p]) == 1 for p in ((0, 1), (0, 2), (1, 2)))
+    tf = fams.by_triple[vertex_mask((0, 1, 2))]
+    assert all(len(tf.jump2[vertex_mask(p)]) == 1 for p in ((0, 1), (0, 2), (1, 2)))
     assert tf.jump3 == ()
     assert fams.x2 == ()  # every longest cycle meets the bag 3 times
 
@@ -150,7 +164,7 @@ def test_check_fenced_or_shared_preconditions(petersen_graph, c5):
 def test_check_pairwise_and_common_k23(k23):
     g, td = k23
     facts = GraphFacts(g, td)
-    out = check_pairwise_and_common(facts, 1, (0, 1, 2))
+    out = check_pairwise_and_common(facts, 1, vertex_mask((0, 1, 2)))
     assert out["status"] == PASS
     component, common_vertex = out["witness"]
     assert component == [3] and common_vertex == 3
@@ -168,7 +182,7 @@ def test_check_pairwise_and_common_premise_not_met(k4, k23):
     facts = GraphFacts(k4, TreeDecomposition([(0, 1, 2, 3)], []))
     assert facts.contexts == ()
     facts = GraphFacts(*k23)
-    assert (1, (0, 1, 4)) not in facts.contexts and (1, (0, 1, 2)) in facts.contexts
+    assert (1, vertex_mask((0, 1, 4))) not in facts.contexts and (1, vertex_mask((0, 1, 2))) in facts.contexts
 
 
 def test_contexts_need_all_three_2_jump_families(k23):
@@ -177,20 +191,21 @@ def test_contexts_need_all_three_2_jump_families(k23):
     from dataclasses import replace
     from types import SimpleNamespace
 
+    triple = vertex_mask((0, 1, 2))
     facts = GraphFacts(*k23)
-    assert facts.contexts == ((0, (0, 1, 2)), (1, (0, 1, 2)))
+    assert facts.contexts == ((0, triple), (1, triple))
     facts = GraphFacts(*k23)
     real = facts.families
 
     def emptied(t):
         by_triple = dict(real(t).by_triple)
         if t == 1:
-            fams = by_triple[0, 1, 2]
-            by_triple[0, 1, 2] = replace(fams, jump2={**fams.jump2, (0, 1): ()})
+            fams = by_triple[triple]
+            by_triple[triple] = replace(fams, jump2={**fams.jump2, vertex_mask((0, 1)): ()})
         return SimpleNamespace(by_triple=by_triple)
 
     facts.families = emptied
-    assert facts.contexts == ((0, (0, 1, 2)),)
+    assert facts.contexts == ((0, triple),)
 
 
 def test_contexts_build_no_family_where_no_pair_is_met(monkeypatch, k4):
