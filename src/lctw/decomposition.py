@@ -16,13 +16,14 @@ rather than removed, so ids stay put until the splice numbers the live nodes
 in ascending order.  Its loops walk masks lowest bit first, inline.  A
 decomposition holds its tree once, as node neighbour masks set by one helper
 for both constructors, and every tree walk but the set-based reference's
-(``_reach``) is ``_spread`` over them.  One built here, exact or full, is
-valid by construction: it is made from the bag masks it was built on, its
-bag tuples are read off them on first read, and it is marked valid for its
-graph, so ``require_valid`` checks only decompositions from outside
-(``TreeDecomposition(bags, edges)``), whose bag masks (``masks``) are built
-on first read, as branch masks (``side_masks``) are; both are kept.  All
-tie-breaking is by ascending vertex/node id, so output is reproducible.
+(``_reach``) and the rooted pass of ``side_masks`` is ``_spread`` over them.
+One built here, exact or full, is valid by construction: it is made from the
+bag masks it was built on, its bag tuples are read off them on first read,
+and it is marked valid for its graph, so ``require_valid`` checks only
+decompositions from outside (``TreeDecomposition(bags, edges)``), whose bag
+masks (``masks``) are built on first read, as branch masks (``side_masks``,
+valid decompositions only) are; both are kept.  All tie-breaking is by
+ascending vertex/node id, so output is reproducible.
 """
 
 from __future__ import annotations
@@ -81,7 +82,10 @@ class TreeDecomposition:
     exactly width vertices.
     ``valid_for`` is the graph this decomposition last passed ``require_valid``
     for, or was built for by this module, or None; ``sides`` is its
-    ``side_masks`` table once read, or None.
+    ``side_masks`` table once read, or None.  Only a decomposition with
+    ``valid_for`` set has side masks, and only its ``is_full`` is read off
+    the bag masks, so the check path reads masks alone once ``require_valid``
+    has passed.
     """
 
     __slots__ = ("_bags", "tree_edges", "node_nbr_mask", "width", "valid_for", "sides", "_masks", "_is_full")
@@ -109,11 +113,20 @@ class TreeDecomposition:
 
     @property
     def is_full(self) -> bool:
+        """Read off the bag masks' bit counts once td is valid, whose bag
+        entries are then vertices; before that, off the bag tuples as sets."""
         if self._is_full is None:
-            k, bags = self.width, self.bags
-            self._is_full = all(len(b) == k + 1 for b in bags) and all(
-                len(set(bags[a]).intersection(bags[b])) == k for a, b in self.tree_edges
-            )
+            k = self.width
+            if self.valid_for is not None:
+                masks = self.masks
+                self._is_full = all(m.bit_count() == k + 1 for m in masks) and all(
+                    (masks[a] & masks[b]).bit_count() == k for a, b in self.tree_edges
+                )
+            else:
+                bags = self.bags
+                self._is_full = all(len(b) == k + 1 for b in bags) and all(
+                    len(set(bags[a]).intersection(bags[b])) == k for a, b in self.tree_edges
+                )
         return self._is_full
 
     @property
@@ -648,18 +661,38 @@ def branch_of_route(td: TreeDecomposition, t: int, vertices: Iterable[int]) -> B
 def side_masks(td: TreeDecomposition) -> dict[tuple[int, int], int]:
     """For every directed tree edge (t, u), the vertex set of
     ``branch_at(td, t, u)`` as a mask: the vertices in the bags on u's side of
-    T - t, off the bag of t.  Built on first read and kept on td (immutable)."""
+    T - t, off the bag of t.  Built on first read and kept on td (immutable).
+
+    Defined on a valid decomposition only: one that passed ``require_valid``
+    or was built here, else ``DecompositionError``.  One rooted pass builds
+    the table: a BFS order from node 0, then ``down[t]``, the union of the
+    bags in t's subtree, child before parent, and ``full = down[0]``.  For a
+    child c of p, ``sides[p, c] = down[c] - bag(p)`` and ``sides[c, p] =
+    full - down[c]``: by subtree connectivity the bags off c's subtree meet
+    ``down[c]`` only inside the bag of c."""
     if td.sides is None:
+        if td.valid_for is None:
+            raise DecompositionError("side masks need a decomposition that passed require_valid")
         masks, node_nbr = td.masks, td.node_nbr_mask
-        td.sides = {}
-        for t, nbrs in enumerate(node_nbr):
-            for u in _bits(nbrs):
-                side, nodes = 0, _spread(node_nbr, 1 << u, ~(1 << t))
-                while nodes:
-                    low = nodes & -nodes
-                    side |= masks[low.bit_length() - 1]
-                    nodes ^= low
-                td.sides[t, u] = side & ~masks[t]
+        order, parent, seen = [0], [0] * len(masks), 1
+        for p in order:  # grows while it is read: a BFS from node 0
+            rest = node_nbr[p] & ~seen
+            seen |= rest
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = low.bit_length() - 1
+                parent[c] = p
+                order.append(c)
+        down = list(masks)
+        for c in reversed(order[1:]):
+            down[parent[c]] |= down[c]
+        full = down[0]
+        td.sides = sides = {}
+        for c in order[1:]:
+            p = parent[c]
+            sides[p, c] = down[c] & ~masks[p]
+            sides[c, p] = full & ~down[c]
     return td.sides
 
 

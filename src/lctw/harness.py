@@ -221,25 +221,27 @@ def check_edge_separators(g: Graph, td: TreeDecomposition) -> dict:
     """Exhaustive separator-property sweep over all tree edges and vertex pairs:
     the branch of t toward t' is ``side_masks(td)[t, t']``, and a pair
     violates the property when both vertices lie in one component of G minus
-    the shared bag S.  For a tree edge (a, b) with sides A and B, both off S,
-    a component of G - S can meet both only if A and B meet, some vertex of
-    G - S lies in neither, or an edge of G joins A and B: otherwise A and B
-    split G - S with no edge between them.  That test reads the neighbour
-    masks, and only an edge that passes it has its components walked to list
-    pairs, so the sweep stays exact on invalid decompositions."""
+    the shared bag S.  td must have passed ``require_valid``, for g or for a
+    graph on g's vertices with fewer edges; ``side_masks`` refuses one that
+    never did.  For a tree edge (a, b) its sides A and B are then disjoint
+    and cover G - S, so a component of G - S meets both only if an edge of G
+    joins A and B.  That test reads the neighbour masks, and only an edge
+    that passes it has its components walked to list pairs."""
     sides = side_masks(td)
-    nbr_mask = g.nbr_mask
-    full = (1 << g.n) - 1
+    nbr_mask, masks = g.nbr_mask, td.masks
     violations = []
     pairs = 0
     for a, b in sorted(td.tree_edges):
-        side = {a: sides[a, b], b: sides[b, a]}
-        pairs += 2 * side[a].bit_count() * side[b].bit_count()
-        off = full & ~(td.masks[a] & td.masks[b])  # G - S
-        x, y = side[a] & off, side[b] & off
-        if not (x & y or off & ~(x | y) or _joined(nbr_mask, x, y)):
+        sa, sb = sides[a, b], sides[b, a]
+        pairs += 2 * sa.bit_count() * sb.bit_count()
+        # With c the child of p on this edge, the sides are down[c] - bag(p) and
+        # full - down[c] (``side_masks``), so they are disjoint, and their union
+        # is full - (down[c] & bag(p)) = V - S: every vertex is in some bag, and
+        # by subtree connectivity down[c] meets bag(p) inside bag(c) only.
+        if not _joined(nbr_mask, sa, sb):
             continue
-        leaks = [c for c in component_masks(g, off) if c & x and c & y]
+        side = {a: sa, b: sb}
+        leaks = [c for c in component_masks(g, ((1 << g.n) - 1) & ~(masks[a] & masks[b])) if c & sa and c & sb]
         for t, tp in ((a, b), (b, a)):
             for u in range(g.n):
                 for v in range(g.n):
@@ -269,9 +271,11 @@ def check_family_consistency(td: TreeDecomposition, families) -> dict:
     a component."""
     for t in range(td.node_count):
         node = families(t)
+        nbr_mask = node.g.nbr_mask
         off = ((1 << node.g.n) - 1) & ~node.mask
         for dmask, inside in node.inside.items():
-            if _joined(node.g.nbr_mask, inside & off, off & ~inside):
+            branch = inside & off  # 0 when no neighbour's bag holds the triple
+            if branch and _joined(nbr_mask, branch, off & ~inside):
                 return {"status": FAIL, "detail": f"node {t}: a component straddles the inside set of {list(_bits(dmask))}"}
     return {"status": PASS}
 

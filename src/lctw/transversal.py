@@ -190,9 +190,15 @@ class CycleFamilies:
 
 def _triples(bag: int) -> list[int]:
     """The triple masks of the bag with mask ``bag`` in ascending order, the
-    ``combinations`` order of their vertex tuples: dropping a larger vertex
-    leaves a smaller mask."""
-    return sorted(bag ^ 1 << v for v in _bits(bag))
+    ``combinations`` order of their vertex tuples: dropping a lower vertex
+    leaves a larger mask, so the list made low bit first is reversed."""
+    out, rest = [], bag
+    while rest:
+        low = rest & -rest
+        out.append(bag ^ low)
+        rest ^= low
+    out.reverse()
+    return out
 
 
 def build_families(g: Graph, td: TreeDecomposition, t: int, cycles: LongestCycleSet) -> CycleFamilies:
@@ -201,11 +207,16 @@ def build_families(g: Graph, td: TreeDecomposition, t: int, cycles: LongestCycle
     masks now, each family on first read.  A full decomposition's adjacent
     bags share a triple, their masks' intersection, so each neighbour u adds
     its branch, ``side_masks(td)[t, u]``, to the inside set of that triple:
-    the triple's ``branch_union`` as masks.  No bag tuple is read."""
+    the triple's ``branch_union`` as masks.  No bag tuple is read; like
+    ``side_masks``, it refuses a td that never passed ``require_valid``."""
     masks, sides = td.masks, side_masks(td)
     bag = masks[t]
     inside = {dmask: dmask for dmask in _triples(bag)}
-    for u in _bits(td.node_nbr_mask[t]):
+    rest = td.node_nbr_mask[t]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
         inside[bag & masks[u]] |= sides[t, u]
     return CycleFamilies(cycles, bag, inside, g)
 

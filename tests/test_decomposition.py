@@ -651,6 +651,7 @@ def test_side_masks_match_branch_at_and_branch_union(small_corpus):
 
     edges = triples = 0
     for g, td in _td3_corpus(small_corpus):
+        require_valid(g, td)  # side masks are defined on valid decompositions only
         sides = side_masks(td)
         assert side_masks(td) is sides  # kept on the decomposition
         assert sorted(sides) == sorted(e for a, b in td.tree_edges for e in ((a, b), (b, a)))
@@ -734,15 +735,22 @@ def _blob_mutations(td, n):
 
 
 def test_constructor_sets_the_fields_of_the_reference(small_corpus):
+    # a blob that passes require_valid reads the same is_full off its masks
     cases = list(_td3_corpus(small_corpus))
     cases += [(g, exact_treewidth(g)[1]) for g, _ in small_corpus]
+    two_k4 = ((0, 1, 2, 3), (2, 3, 4, 5))  # bags of one size sharing 2 < 3 vertices: not full
+    cases.append((Graph(6, [e for bag in two_k4 for e in itertools.combinations(bag, 2)]), TreeDecomposition(two_k4, [(0, 1)])))
     seen = set()
     for g, td in cases:
         for bags, edges in _blob_mutations(td, g.n):
             mine = _constructed(TreeDecomposition, bags, edges)
             assert mine == _constructed(_ReferenceTreeDecomposition, bags, edges), (bags, edges)
             seen.add(mine[5] if len(mine) > 2 else mine[0])  # is_full, or the refusal
-    assert seen == {"True", "False", DecompositionError}
+            if len(mine) > 2 and not validate(g, fresh := TreeDecomposition(bags, edges)):
+                require_valid(g, fresh)
+                assert repr(fresh.is_full) == mine[5], (bags, edges)
+                seen.add(("valid", mine[5]))
+    assert seen == {"True", "False", DecompositionError, ("valid", "True"), ("valid", "False")}
 
 
 _BLOB_VERTEX = st.one_of(

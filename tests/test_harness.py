@@ -351,6 +351,13 @@ def _list_first_cycle_twice(text):
     return f"{head}cycles:\n{cycles.splitlines()[0]}\n{cycles}"
 
 
+def _swap_first_cycle_for_a_non_member(text):
+    # (4, 5) is no edge of the Petersen graph, so no longest cycle of it runs
+    # 0 1 2 3 4 5 6 7 8: the rows stay distinct and only the family differs
+    head, cycles = text.split("cycles:\n")
+    return f"{head}cycles:\n" + cycles.replace(cycles.splitlines()[0], "  0 1 2 3 4 5 6 7 8", 1)
+
+
 @pytest.mark.parametrize(
     "tamper, reason",
     [
@@ -360,8 +367,11 @@ def _list_first_cycle_twice(text):
         (lambda text: text.replace("longest-cycle-count: 20", "longest-cycle-count: 21"), "longest-cycle count 20"),
         (_list_first_cycle_twice, "a cycle is listed twice"),
         (lambda text: text.replace("enumeration-cap: 18", "enumeration-cap: 9"), "EnumerationCapExceeded"),
+        (lambda text: text.replace("lctw.bundle/1\n", "lctw.bundle/2\n", 1), "unknown bundle schema"),
+        (lambda text: text.replace("longest-cycle-length: 9", "longest-cycle-length: 10"), "longest cycle length mismatch"),
+        (_swap_first_cycle_for_a_non_member, "cycle family mismatch"),
     ],
-    ids=["no-graph6", "two-vertex-cycle", "bad-graph6", "wrong-count", "cycle-twice", "cap-below-n"],
+    ids=["no-graph6", "two-vertex-cycle", "bad-graph6", "wrong-count", "cycle-twice", "cap-below-n", "schema", "wrong-length", "foreign-cycle"],
 )
 def test_a_malformed_or_inconsistent_bundle_is_refused(tmp_path, tamper, reason):
     record = {"graph6": write_graph6(petersen()), "lct": 2, "L": 9, "longest_cycles": 20, "refutation": []}
@@ -948,13 +958,16 @@ def test_cli_generation_retry_exhaustion_is_config_error():
 
 def _chain_with_uncovered_edge():
     """Three bags in a path, each a clique, plus the edge (0, 5) that no bag
-    covers: the decomposition is invalid for the graph, so separators leak."""
-    from lctw.decomposition import TreeDecomposition
+    covers: the decomposition passes ``require_valid`` for the graph without
+    that edge, but not for the graph returned, so separators leak."""
+    from lctw.decomposition import TreeDecomposition, require_valid
     from lctw.graph import Graph
 
     bags = [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]
-    edges = {(u, v) for bag in bags for u in bag for v in bag if u < v} | {(0, 5)}
-    return Graph(6, edges), TreeDecomposition(bags, [(0, 1), (1, 2)])
+    cliques = {(u, v) for bag in bags for u in bag for v in bag if u < v}
+    td = TreeDecomposition(bags, [(0, 1), (1, 2)])
+    require_valid(Graph(6, cliques), td)
+    return Graph(6, cliques | {(0, 5)}), td
 
 
 def _separator_reference(g, td):
@@ -1042,8 +1055,8 @@ def _validate_reference(g, td):
 def _vertex_on_both_sides_of_an_edge():
     """A path of four bags where vertex 0 is held by the two end bags only and
     its one neighbour by all four: across the middle tree edge vertex 0 lies
-    on both sides, so its component of G - S meets both, though no edge of G
-    joins the sides and no vertex lies in neither."""
+    on both sides, which subtree connectivity rules out, so ``require_valid``
+    refuses it and the mask checks never see it."""
     from lctw.decomposition import TreeDecomposition
 
     return Graph(2, [(0, 1)]), TreeDecomposition([(0, 1), (1,), (1,), (0, 1)], [(0, 1), (1, 2), (2, 3)])
@@ -1108,11 +1121,25 @@ def test_validate_matches_the_set_reference(small_corpus):
 
 def test_mask_checks_match_their_component_walks(small_corpus):
     # the separator sweep and the family check decide on neighbour masks and
-    # walk components only to list a failure; both agree with their walks on
-    # valid and broken decompositions, and both see failures there
+    # walk components only to list a failure.  A mutant that fails
+    # require_valid is refused by both; every other one, valid for its graph
+    # or, with an uncovered edge added, for the graph without it, agrees with
+    # the walks, and both checks see failures there (the family check on the
+    # chain alone)
+    from lctw.decomposition import DecompositionError, require_valid, side_masks
+
     seen = set()
     for g, td in _decomposition_cases(small_corpus):
         for label, h, mutant in _mutations(g, td):
+            if mutant.valid_for is None:
+                try:
+                    require_valid(h, mutant)
+                except DecompositionError:
+                    for read in (side_masks, partial(check_edge_separators, h), partial(build_families, h, t=0, cycles=())):
+                        with pytest.raises(DecompositionError, match="require_valid"):
+                            read(mutant)
+                    seen.add(("refused", label.split()[0]))  # "as" given, "vertex" or "tree" edge dropped
+                    continue
             sweep = check_edge_separators(h, mutant)
             assert sweep == _separator_reference(h, mutant), label
             seen.add(("separator", sweep["status"]))
@@ -1122,7 +1149,37 @@ def test_mask_checks_match_their_component_walks(small_corpus):
             out = check_family_consistency(mutant, families)
             assert out == _family_consistency_reference(mutant, families), label
             seen.add(("families", out["status"]))
-    assert seen == {(check, status) for check in ("separator", "families") for status in (PASS, FAIL)}
+    assert seen == {(check, status) for check in ("separator", "families") for status in (PASS, FAIL)} | {
+        ("refused", kind) for kind in ("as", "vertex", "tree")
+    }
+
+
+def test_side_mask_readers_refuse_a_decomposition_never_validated():
+    from lctw.decomposition import DecompositionError, TreeDecomposition, require_valid, side_masks
+
+    g, chain = _chain_with_uncovered_edge()
+    h = Graph(g.n, g.edges - {(0, 5)})
+    td = TreeDecomposition(chain.bags, chain.tree_edges)
+    reads = (side_masks, partial(build_families, h, t=1, cycles=()), partial(check_edge_separators, h))
+    for read in reads:
+        with pytest.raises(DecompositionError, match="require_valid"):
+            read(td)
+    assert td.sides is None
+    require_valid(h, td)
+    assert side_masks(td) == side_masks(chain)
+    assert build_families(h, td, 1, ()).inside == build_families(h, chain, 1, ()).inside
+    sweep = check_edge_separators(h, td)
+    assert sweep == _separator_reference(h, td) and sweep["status"] == PASS
+
+
+def test_the_joined_test_is_the_sweeps_only_fast_test(monkeypatch):
+    # with the edge test forced false the sweep skips every tree edge, so it
+    # misses the leak through the uncovered edge (0, 5) that the walk finds
+    g, td = _chain_with_uncovered_edge()
+    reference = _separator_reference(g, td)
+    assert check_edge_separators(g, td) == reference and reference["status"] == FAIL
+    monkeypatch.setattr(harness, "_joined", lambda nbr_mask, x, y: False)
+    assert check_edge_separators(g, td) != reference
 
 
 @pytest.mark.parametrize("checks", [DEFAULT_CHECKS, ("jump_families", "escape_cycle"), tuple(CHECKS)])

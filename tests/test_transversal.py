@@ -4,7 +4,13 @@ import pytest
 
 from lctw.classify import BagContext, Fencing, Posture, cross_or_fence, cycle_posture, k_intersect
 from lctw.cycles import Cycle, enumerate_longest_cycles
-from lctw.decomposition import DecompositionError, TreeDecomposition, exact_treewidth, full_tree_decomposition
+from lctw.decomposition import (
+    DecompositionError,
+    TreeDecomposition,
+    exact_treewidth,
+    full_tree_decomposition,
+    require_valid,
+)
 from lctw.fixtures import complete_graph, path_graph
 from lctw.generate import GenSpec, generate_partial_k_tree
 from lctw.graph import Graph, vertex_mask
@@ -17,6 +23,7 @@ from lctw.transversal import (
     GraphFacts,
     ScanOutOfScope,
     TransversalResult,
+    TripleFamilies,
     build_families,
     check_fenced_or_shared,
     check_pairwise_and_common,
@@ -29,6 +36,7 @@ from lctw.transversal import (
 def k23():
     g = Graph(5, [(0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)])
     td = TreeDecomposition([(0, 1, 2, 3), (0, 1, 2, 4)], [(0, 1)])
+    require_valid(g, td)  # build_families reads side masks, defined once td is validated
     return g, td
 
 
@@ -206,6 +214,40 @@ def test_contexts_need_all_three_2_jump_families(k23):
 
     facts.families = emptied
     assert facts.contexts == ((0, triple),)
+
+
+def _stub_context(cycles, components):
+    """Facts whose node 0 holds the triple (0, 1, 2) with inside set 0..5:
+    ``cycles`` are its 2-jump members, each filed under the pair it meets,
+    and ``components`` the components of G - bag, as vertex tuples."""
+    from types import SimpleNamespace
+
+    members = [(c, vertex_mask(c)) for c in cycles]
+    jump2 = {vertex_mask(p): tuple(m for m in members if m[1] & 7 == vertex_mask(p)) for p in ((0, 1), (0, 2), (1, 2))}
+    node = SimpleNamespace(
+        by_triple={7: TripleFamilies((), jump2, ())},
+        inside={7: 0b111111},
+        components=tuple(map(vertex_mask, components)),
+    )
+    return SimpleNamespace(g=Graph(6, []), families=lambda t: node)
+
+
+def test_check_pairwise_and_common_fails_both_ways():
+    # the first cycle meets the others in different components, and the last
+    # two meet at vertex 2 alone, in the bag
+    facts = _stub_context([(0, 1, 3, 4), (0, 2, 3), (1, 2, 4)], [(3,), (4,), (5,)])
+    assert check_pairwise_and_common(facts, 0, 7) == {
+        "status": FAIL,
+        "detail": "no qualifying component carries all pairwise intersections",
+        "witness": [[0, 2, 3], [1, 2, 4]],
+    }
+    # one component carries every pairwise meet, but no vertex lies on all three
+    facts = _stub_context([(0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5)], [(3, 4, 5)])
+    assert check_pairwise_and_common(facts, 0, 7) == {
+        "status": FAIL,
+        "detail": "jump families share no vertex inside the triple",
+        "witness": [[3, 4, 5]],
+    }
 
 
 def test_contexts_build_no_family_where_no_pair_is_met(monkeypatch, k4):
