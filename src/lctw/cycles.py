@@ -35,15 +35,18 @@ Two more savings change no branch's outcome, only how often it is worked out:
   prefix in place of a second search.  The table is emptied for each second
   vertex and holds at most one entry per state reached under it.
 
-The search runs on the graph relabelled in smallest-last removal order (Matula
-& Beck, J. ACM 1983): root 0 has least degree and every vertex has at most
-degeneracy-many neighbours above it, which bounds a root's second vertices and
-closing targets.  The search keeps the family's count and its distinct vertex
-sets, which is all that lct and the vertex-set checks read; the cycles are
-mapped back to the graph's own labels as canonical tuples, with their masks,
-only when a check first reads them.  The search emits only simple cycles, so
-a family member is a plain tuple and mask; ``Cycle`` is the validated type
-for routes given from outside the search.
+The search runs on the graph relabelled in degree order: by ascending degree,
+then ascending sum of the neighbours' degrees, then id.  So the early roots,
+which the later ones never revisit, have few second vertices and closing
+targets.  The order is chosen by measurement: on the seed-0 k = 3 random, k = 4
+random and exhaustive n <= 7 corpora the search takes 15%, 3% and 10% fewer
+steps in it than in smallest-last removal order.  The search keeps the
+family's count and its distinct vertex sets, which is all that lct and the
+vertex-set checks read; the cycles are mapped back to the graph's own labels
+as canonical tuples, with their masks, only when a check first reads them.
+The search emits only simple cycles, so a family member is a plain tuple and
+mask; ``Cycle`` is the validated type for routes given from outside the
+search.
 
 Under each root the search is one flat loop over arrays indexed by the
 path's length: the path, the untried successors, the last free component met
@@ -261,9 +264,9 @@ def enumerate_longest_cycles(
 ) -> LongestCycleSet:
     """All distinct longest cycles of g, canonically deduplicated and sorted.
 
-    The search runs on g relabelled along ``_smallest_last_order``: vertex i of
-    the search is ``order[i]``, so root 0 has least degree and each vertex has
-    at most degeneracy-many neighbours above it.
+    The search runs on g relabelled along ``_degree_order``: vertex i of the
+    search is ``order[i]``, so root 0 has least degree, and vertices of equal
+    degree come by the sum of their neighbours' degrees, then by id.
     ``steps``, and the ``max_steps`` budget, count successor tries of that
     relabelled search.  The search keeps the distinct vertex masks of the
     cycles of the best length so far: a closing adds its mask, a longer cycle
@@ -340,7 +343,7 @@ def enumerate_longest_cycles(
     """
     check_enumeration_cap(g.n, cap)
     n = g.n
-    order = _smallest_last_order(g.nbr_mask)
+    order = _degree_order(g.nbr_mask)
     nbr = tuple(_relabelled(g.nbr_mask, order))  # vertex i of the search is order[i]
     h = n // 2
     low_half = (1 << h) - 1
@@ -455,26 +458,19 @@ def enumerate_longest_cycles(
     return LongestCycleSet._from_search(best, steps, tuple(vertex_sets), found, order)
 
 
-def _smallest_last_order(masks: tuple[int, ...]) -> list[int]:
-    """The vertices of the graph with neighbour masks ``masks`` in the order
-    the smallest-last procedure (Matula & Beck, J. ACM 1983) removes them: each
-    step removes a vertex of least degree among those left, the lower id on
-    ties.  So the first vertex has least degree, and each vertex has at most
-    degeneracy-many neighbours after it."""
+def _degree_order(masks: tuple[int, ...]) -> list[int]:
+    """The vertices of the graph with neighbour masks ``masks`` by ascending
+    degree, then ascending sum of their neighbours' degrees, then id."""
     degree = list(map(int.bit_count, masks))
-    order = []
-    left = (1 << len(masks)) - 1
-    for _ in masks:
-        v = degree.index(min(degree))
-        order.append(v)
-        degree[v] = 2 * len(masks)  # stays above every degree left as v's neighbours go
-        left ^= 1 << v
-        rest = masks[v] & left
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            degree[low.bit_length() - 1] -= 1
-    return order
+    nbr_degrees = []
+    for m in masks:
+        total = 0
+        while m:
+            low = m & -m
+            m ^= low
+            total += degree[low.bit_length() - 1]
+        nbr_degrees.append(total)
+    return sorted(range(len(masks)), key=lambda v: (degree[v], nbr_degrees[v]))  # stable: ids break ties
 
 
 def _subset_tables(masks: tuple[int, ...]) -> tuple:

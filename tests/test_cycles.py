@@ -16,7 +16,7 @@ from lctw.cycles import (
     EnumerationCapExceeded,
     LongestCycleSet,
     PathSegment,
-    _smallest_last_order,
+    _degree_order,
     _subset_tables,
     check_enumeration_cap,
     enumerate_longest_cycles,
@@ -139,10 +139,11 @@ def reference_longest_cycles(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP, max_s
     """The search before siblings shared their free component and searched
     states were remembered, kept verbatim as the reference the search must
     match: every sibling walks its own reachable set, and every state is
-    searched however often it is reached."""
+    searched however often it is reached.  It runs in the search's own vertex
+    order, so its steps bound the search's graph by graph."""
     check_enumeration_cap(g.n, cap)
     n = g.n
-    order = _smallest_last_order(g.nbr_mask)
+    order = _degree_order(g.nbr_mask)
     bit = [0] * n  # bit[v]: the bit of v's position in order, its id in the search
     for i, v in enumerate(order):
         bit[v] = 1 << i
@@ -281,13 +282,16 @@ def test_a_stored_longest_cycle_is_a_vertex_tuple_and_a_mask():
 
 
 def test_remembered_states_stay_in_bounded_memory():
-    # Under one second vertex the search remembers up to 287 states of the
-    # seed-57 graph (1,259 before thin vertices were cut at every slack) and up
-    # to 2,653 of the seed-47 graph.  Both have L < n, so more than one root is
-    # searched.  They peaked at 0.10 MB and 0.28 MB.
-    for seed, length, steps, bound in [(57, 17, 595, 400_000), (47, 15, 8_652, 360_000)]:
+    # Under one second vertex the search remembers up to 179 states of the
+    # seed-57 graph and up to 2,664 of the seed-47 graph.  Both have L < n, so
+    # more than one root is searched.  Each graph is enumerated once
+    # untraced first, so the traced peak holds the search and not the
+    # interpreter's first-call allocations: the seed-47 peak is 0.29 MB warm
+    # against 0.41 MB cold.
+    for seed, length, steps, bound in [(57, 17, 397, 400_000), (47, 15, 9_679, 360_000)]:
         spec = GenSpec(n=18, k=4, seed=seed, delete_probability=0.4, require_biconnected=True)
         g, _ = generate_partial_k_tree(spec)
+        enumerate_longest_cycles(g)
         tracemalloc.start()
         try:
             lcs = enumerate_longest_cycles(g)
@@ -300,7 +304,7 @@ def test_remembered_states_stay_in_bounded_memory():
 
 def test_step_budget_boundary(petersen_graph, small_corpus):
     # K8's search copies remembered states, which take no steps.  The seed-47
-    # n = 18 graph takes 8,652 steps over several roots, so the last step is
+    # n = 18 graph takes 9,679 steps over several roots, so the last step is
     # tried deep under a later root.
     seed_47, _ = generate_partial_k_tree(GenSpec(n=18, k=4, seed=47, delete_probability=0.4, require_biconnected=True))
     for g in [petersen_graph, complete_graph(8), seed_47] + [g for g, _ in small_corpus[:4]]:
@@ -308,7 +312,7 @@ def test_step_budget_boundary(petersen_graph, small_corpus):
         assert enumerate_longest_cycles(g, max_steps=lcs.steps).cycles == lcs.cycles
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_longest_cycles(g, max_steps=lcs.steps - 1)
-    assert enumerate_longest_cycles(seed_47).steps == 8_652
+    assert enumerate_longest_cycles(seed_47).steps == 9_679
     # The first step tries a second vertex, so a budget of 0 refuses any graph
     # with a cycle; an acyclic path takes no step.
     with pytest.raises(EnumerationBudgetExceeded, match="exceeded 0 steps"):
@@ -333,9 +337,9 @@ def test_family_size_budget_boundary(petersen_graph):
 @pytest.mark.parametrize(
     "spec, steps, cycles",
     [
-        ("k=3,n=9..14,count=150,p=0.25", 35_492, 905),
-        ("k=4,n=8..13,count=120,p=0.3", 45_000, 3_999),
-        ("mode=exhaustive,k=3,nmax=7", 11_587, 1_473),
+        ("k=3,n=9..14,count=150,p=0.25", 29_863, 905),
+        ("k=4,n=8..13,count=120,p=0.3", 43_730, 3_999),
+        ("mode=exhaustive,k=3,nmax=7", 10_476, 1_473),
     ],
 )
 def test_search_work_is_pinned(spec, steps, cycles):
@@ -378,6 +382,58 @@ def test_enumerate_is_invariant_under_vertex_permutation(small_corpus, petersen_
         assert (permuted.length, mapped) == (family.length, list(family.cycles))
 
 
+def _smallest_last_order(masks: tuple[int, ...]) -> list[int]:
+    """The vertices of the graph with neighbour masks ``masks`` in the order
+    the smallest-last procedure (Matula & Beck, J. ACM 1983) removes them: each
+    step removes a vertex of least degree among those left, the lower id on
+    ties.  So the first vertex has least degree, and each vertex has at most
+    degeneracy-many neighbours after it.  The search ran in this order before
+    degree order, which takes fewer steps; it is kept as the alternate order
+    the search's families must not depend on."""
+    degree = list(map(int.bit_count, masks))
+    order = []
+    left = (1 << len(masks)) - 1
+    for _ in masks:
+        v = degree.index(min(degree))
+        order.append(v)
+        degree[v] = 2 * len(masks)  # stays above every degree left as v's neighbours go
+        left ^= 1 << v
+        rest = masks[v] & left
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            degree[low.bit_length() - 1] -= 1
+    return order
+
+
+def test_degree_order(small_corpus, petersen_graph):
+    rng = random.Random(14)
+    for g in relabelling_corpus(small_corpus, petersen_graph, rng):
+        adj = g.adj
+        key = {v: (len(adj[v]), sum(len(adj[u]) for u in adj[v]), v) for v in range(g.n)}
+        assert _degree_order(g.nbr_mask) == sorted(range(g.n), key=key.__getitem__)
+
+
+# The seed-0 corpora of the three bench workloads at their 20-second sizes.
+WORKLOAD_CORPORA = ["k=3,n=9..14,count=1000,p=0.25", "k=4,n=8..13,count=2500,p=0.3", "mode=exhaustive,k=3,nmax=7"]
+
+
+def test_families_do_not_depend_on_the_search_order(monkeypatch):
+    # Every cycle is rooted at its lowest search vertex and mapped back to the
+    # graph's labels, so the order changes only the work, never the family;
+    # degree order takes fewer steps than smallest-last order on each corpus.
+    for spec in WORKLOAD_CORPORA:
+        graphs = corpus_graphs(spec)
+        ours = [enumerate_longest_cycles(g) for g in graphs]
+        with monkeypatch.context() as m:
+            m.setattr(cycles_module, "_degree_order", _smallest_last_order)
+            theirs = [enumerate_longest_cycles(g) for g in graphs]
+        for a, b in zip(ours, theirs):
+            assert (a.length, len(a), a.vertex_sets) == (b.length, len(b), b.vertex_sets)
+            assert a.cycles == b.cycles
+        assert sum(f.steps for f in ours) < sum(f.steps for f in theirs)
+
+
 def test_smallest_last_order(small_corpus, petersen_graph):
     rng = random.Random(13)
     for g in relabelling_corpus(small_corpus, petersen_graph, rng):
@@ -402,6 +458,9 @@ SMALLEST_LAST_STEPS = {"k=4,n=8..13,count=300,p=0.3": (295_135, 0.6), "k=3,n=9..
 # The same totals before thin vertices were cut at every slack, and the share
 # of them now allowed.
 THIN_CUT_STEPS = {"k=4,n=8..13,count=300,p=0.3": (152_981, 0.75), "k=3,n=9..14,count=300,p=0.25": (97_013, 0.7)}
+# The same totals in smallest-last order after the thin-vertex cut, the last
+# order before degree order, and the share of them now allowed.
+DEGREE_ORDER_STEPS = {"k=4,n=8..13,count=300,p=0.3": (106_033, 0.97), "k=3,n=9..14,count=300,p=0.25": (63_201, 0.9)}
 
 
 @pytest.mark.parametrize(
@@ -412,7 +471,8 @@ def test_smallest_last_order_cuts_enumeration_steps(spec, label_order_steps, bou
     # Seed-0 step totals with the search in the generator's labels: 406,089
     # and 173,840.  In smallest-last order they were 295,135 and 144,627;
     # shared free components and remembered states cut them to 152,981 and
-    # 97,013, and the thin-vertex cut at every slack to 106,033 and 63,201.
+    # 97,013, the thin-vertex cut at every slack to 106,033 and 63,201, and
+    # degree order to 100,913 and 53,776.
     tasks = corpus_tasks(parse_corpus_spec(spec, seed=0))
     steps = sum(enumerate_longest_cycles(parse_graph6(t["graph6"])).steps for t in tasks)
     assert steps <= bound * label_order_steps
@@ -420,14 +480,17 @@ def test_smallest_last_order_cuts_enumeration_steps(spec, label_order_steps, bou
     assert steps <= cut * smallest_last_steps
     before_thin_cut_steps, thin_cut = THIN_CUT_STEPS[spec]
     assert steps <= thin_cut * before_thin_cut_steps
+    before_degree_order_steps, degree_cut = DEGREE_ORDER_STEPS[spec]
+    assert steps <= degree_cut * before_degree_order_steps
 
 
 def test_thin_vertex_cut_takes_the_smallest_last_order_below_label_order():
     # The verify_k3_random graph that set the smallest-last order's p99 (n = 14,
     # L = 11, 53 longest cycles) took 2,645 steps in label order and 3,120 in
-    # smallest-last order with shared components and remembered states.
+    # smallest-last order with shared components and remembered states; the
+    # thin-vertex cut took it to 1,325, and degree order to 1,227.
     lcs = enumerate_longest_cycles(parse_graph6("M~nCgio@``CCk?cG?"))
-    assert (lcs.length, len(lcs), lcs.steps) == (11, 53, 1_325)
+    assert (lcs.length, len(lcs), lcs.steps) == (11, 53, 1_227)
 
 
 def test_cycle_canonical_form():

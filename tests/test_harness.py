@@ -679,7 +679,7 @@ full decomposition (width 3):
   edges: 0-2 1-3 2-3
 longest cycle length: 6
 longest cycles: 6
-enumeration steps: 34
+enumeration steps: 33
 lct: 1  witness: {1}
 node 0 bag {0,1,4,6}:
   2-crossing: 0  fenced<=3: 3
