@@ -16,7 +16,7 @@ import sys
 from .cycles import DEFAULT_ENUMERATION_CAP, DEFAULT_MAX_CYCLES
 from .decomposition import DEFAULT_TREEWIDTH_CAP, DecompositionError, full_tree_decomposition
 from .generate import GenerationError
-from .graph import _bits, parse_graph6
+from .graph import _bits, parse_graph6, write_graph6
 from .harness import (
     CAP_ERRORS,
     DEFAULT_CHECKS,
@@ -153,7 +153,7 @@ def cmd_inspect(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"graph6: {args.graph6.strip()}")
+    print(f"graph6: {write_graph6(g)}")
     print(f"n: {g.n}  m: {g.m}")
     facts = _graph_facts(args, g)
     print(f"biconnected: {'yes' if facts.biconnected else 'no'}")

@@ -20,10 +20,15 @@ for both constructors, and every tree walk but the set-based reference's
 One built here, exact or full, is valid by construction: it is made from the
 bag masks it was built on, its bag tuples are read off them on first read,
 and it is marked valid for its graph, so ``require_valid`` checks only
-decompositions from outside (``TreeDecomposition(bags, edges)``), whose bag
-masks (``masks``) are built on first read, as branch masks (``side_masks``,
-valid decompositions only) are; both are kept.  All tie-breaking is by
-ascending vertex/node id, so output is reproducible.
+decompositions from outside.  A task blob's is read straight into bag masks
+(``_from_bag_masks``), and ``validate`` passes one made from bag masks at
+once when the masks show tree shape, vertex and edge cover and, by counting
+bag sizes against tree-edge intersections, subtree connectivity; only a
+failing one, or one built from bag tuples (``TreeDecomposition(bags,
+edges)``, whose bag masks ``masks`` are built on first read), is listed
+vertex by vertex.  Branch masks (``side_masks``, valid decompositions only)
+are built on first read and kept.  All tie-breaking is by ascending
+vertex/node id, so output is reproducible.
 """
 
 from __future__ import annotations
@@ -76,7 +81,8 @@ class TreeDecomposition:
     bit u of ``node_nbr_mask[t]`` is set iff tu is a tree edge, listed as a
     (low, high) pair in ``tree_edges``; ``node_adj`` derives neighbour tuples
     from the masks on each read, for callers outside the package.  ``bags``
-    of a decomposition built here are read off its masks on first read.
+    of a decomposition built here, or read from a task blob, are read off
+    its masks on first read.
     ``width`` is max bag size minus one.  ``is_full`` is derived on first read
     and kept: every bag has width+1 vertices and every tree edge shares
     exactly width vertices.
@@ -88,18 +94,17 @@ class TreeDecomposition:
     has passed.
     """
 
-    __slots__ = ("_bags", "tree_edges", "node_nbr_mask", "width", "valid_for", "sides", "_masks", "_is_full")
+    __slots__ = ("_bags", "tree_edges", "node_nbr_mask", "width", "valid_for", "sides", "_masks", "_is_full", "_from_masks")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
         self._bags = bags = tuple(map(_sorted_bag, bags))
-        if not bags:
-            raise DecompositionError("a tree decomposition needs at least one node")
         _set_tree(self, len(bags), tree_edges)
         self.width = max(map(len, bags)) - 1
         self.valid_for = None
         self.sides = None
         self._masks = None
         self._is_full = None
+        self._from_masks = False
 
     @property
     def bags(self) -> tuple[tuple[int, ...], ...]:
@@ -148,8 +153,11 @@ class TreeDecomposition:
 
 def _set_tree(td: TreeDecomposition, nodes: int, edges: Iterable[tuple[int, int]]) -> None:
     """Set the tree of td on nodes 0..nodes-1, its ``tree_edges`` and
-    ``node_nbr_mask``, from the node pairs ``edges``: a pair of ids that are
-    not distinct exact ints (so no bool or float) in range is refused."""
+    ``node_nbr_mask``, from the node pairs ``edges``: no nodes, or a pair of
+    ids that are not distinct exact ints (so no bool or float) in range, is
+    refused."""
+    if not nodes:
+        raise DecompositionError("a tree decomposition needs at least one node")
     nbr = [0] * nodes
     norm = set()
     for a, b in edges:
@@ -175,24 +183,32 @@ def _sorted_bag(bag: Iterable[int]) -> tuple:
     return tuple(sorted(distinct))
 
 
+def _from_bag_masks(masks: Iterable[int], edges: Iterable[tuple[int, int]]) -> TreeDecomposition:
+    """The decomposition with bag masks ``masks`` and tree edges ``edges``,
+    valid for no graph yet: its width is read off the masks' bit counts and
+    its bag tuples only on first read of ``bags``, and ``validate`` checks it
+    on its masks first.  No masks, or a tree edge the constructor refuses,
+    is refused with the constructor's message."""
+    td = TreeDecomposition.__new__(TreeDecomposition)
+    td._masks = masks = tuple(masks)
+    _set_tree(td, len(masks), edges)
+    td.width = max(map(int.bit_count, masks)) - 1
+    td._bags = td._is_full = td.valid_for = td.sides = None
+    td._from_masks = True
+    return td
+
+
 def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDecomposition:
     """The decomposition with bag masks ``masks`` and tree edges ``edges`` that
     a construction of this module built for g, so valid for g by construction:
-    the width and the bag sizes are read off the masks' bit counts, the bag
-    tuples only on first read of ``bags``, and it is marked valid for g
-    without running ``validate``.  It is full when its bags are all of one
-    size, as both constructions ensure that adjacent bags of size k + 1 then
-    share k vertices: an exact decomposition ends in a singleton bag, so has
-    one bag size only at width 0, and a full one is full by construction."""
-    td = TreeDecomposition.__new__(TreeDecomposition)
-    td._masks = masks = tuple(masks)
-    td._bags = None
-    sizes = list(map(int.bit_count, masks))
-    td.width = max(sizes) - 1
-    td._is_full = min(sizes) == td.width + 1
-    _set_tree(td, len(masks), edges)
+    it is marked valid for g without running ``validate``.  It is full when
+    its bags are all of one size, as both constructions ensure that adjacent
+    bags of size k + 1 then share k vertices: an exact decomposition ends in
+    a singleton bag, so has one bag size only at width 0, and a full one is
+    full by construction."""
+    td = _from_bag_masks(masks, edges)
+    td._is_full = min(map(int.bit_count, td._masks)) == td.width + 1
     td.valid_for = g
-    td.sides = None
     return td
 
 
@@ -204,13 +220,20 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     This is the unmemoised oracle: it checks afresh on every call.  Consumers
     that need a valid decomposition call ``require_valid`` instead.
 
-    It works on node masks: ``hold[v]`` has bit t set iff the bag of node t
-    holds v, where a bag entry names vertex v only when it is an exact int
-    equal to v, so ``1.0`` and ``True`` are out of range as any other entry
-    is.  An edge uv is covered iff ``hold[u] & hold[v]``, and the nodes
-    holding v are connected iff a walk over the tree's node masks from the
-    first of them, through them, reaches all of them.
+    A decomposition made from bag masks (``_from_bag_masks``: read from a
+    task blob, or built here) is checked on those masks first
+    (``_valid_on_masks``), and passes at once when they show all four
+    conditions.  One made from bag tuples, which may hold entries that are
+    no vertex at all, and any that fails there, is listed on node masks:
+    ``hold[v]`` has bit t set iff the bag of node t holds v, where a bag
+    entry names vertex v only when it is an exact int equal to v, so ``1.0``
+    and ``True`` are out of range as any other entry is.  An edge uv is
+    covered iff ``hold[u] & hold[v]``, and the nodes holding v are connected
+    iff a walk over the tree's node masks from the first of them, through
+    them, reaches all of them.
     """
+    if td._from_masks and _valid_on_masks(g, td):
+        return []
     out = []
     nodes = td.node_count
     if len(td.tree_edges) != nodes - 1:
@@ -238,6 +261,41 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
         if _spread(td.node_nbr_mask, ts & -ts, ts) != ts
     ]
     return out
+
+
+def _valid_on_masks(g: Graph, td: TreeDecomposition) -> bool:
+    """Whether td's bag masks make a decomposition of g: the tree has
+    nodes - 1 edges and ``_spread`` reaches every node; the masks' union is
+    exactly g's vertex set, so every bag is in range and every vertex
+    covered; no vertex u has a neighbour off ``cover[u]``, the union of the
+    bags holding u; and, counting, sum |B_t| - sum over tree edges
+    |B_a & B_b| = n.  On a tree the nodes holding v induce a forest whose
+    components number its nodes less its edges, that sum's share of v: at
+    least 1 once v is covered, and exactly 1 iff those nodes are connected."""
+    masks, edges, n = td._masks, td.tree_edges, g.n
+    nodes = len(masks)
+    if len(edges) != nodes - 1 or _spread(td.node_nbr_mask, 1, (1 << nodes) - 1).bit_count() != nodes:
+        return False
+    union = 0
+    for m in masks:
+        union |= m
+    if union != (1 << n) - 1:
+        return False
+    cover = [0] * n
+    count = 0  # sum |B_t|, less sum |B_a & B_b| once the edges are read
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cover[low.bit_length() - 1] |= m
+            count += 1
+    for nbr, c in zip(g.nbr_mask, cover):
+        if nbr & ~c:
+            return False
+    for a, b in edges:
+        count -= (masks[a] & masks[b]).bit_count()
+    return count == n
 
 
 def _reach(td: TreeDecomposition, start: int, inside=None, avoid: int = -1) -> set[int]:

@@ -38,6 +38,7 @@ from .decomposition import (
     DecompositionError,
     TreeDecomposition,
     TreewidthCapExceeded,
+    _from_bag_masks,
     require_valid,
     side_masks,
 )
@@ -199,16 +200,26 @@ def file_tasks(path: str) -> list[dict]:
 
 def _task_td(g: Graph, task: dict, max_width: int) -> TreeDecomposition | None:
     """The task's decomposition once it passes ``require_valid`` for g with
-    width <= max_width, else None: the caller computes one.  A bag entry that
-    is not an exact int is out of range, so such a blob is ignored before any
-    bag is sorted.  Only a malformed blob raises."""
+    width <= max_width, else None: the caller computes one.  Each bag entry
+    is read once, into its bag's mask: an entry that is not an exact int
+    makes the blob ignored at once, and one that is no vertex of g makes it
+    ignored once the tree edges are read.  Only a malformed blob raises: no
+    bags, or a tree edge the constructor refuses, with its message."""
     if not task.get("td"):
         return None
-    bags = task["td"]["bags"]
-    if any(type(v) is not int for bag in bags for v in bag):
-        return None
-    td = TreeDecomposition(bags, task["td"]["edges"])
-    if td.width > max_width:
+    n, masks, in_range = g.n, [], True
+    for bag in task["td"]["bags"]:
+        mask = 0
+        for v in bag:
+            if type(v) is not int:
+                return None
+            if 0 <= v < n:
+                mask |= 1 << v
+            else:
+                in_range = False
+        masks.append(mask)
+    td = _from_bag_masks(masks, task["td"]["edges"])
+    if not in_range or td.width > max_width:
         return None
     try:
         require_valid(g, td)

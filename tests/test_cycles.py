@@ -32,9 +32,7 @@ from lctw.graph import Graph, parse_graph6, vertex_mask
 from lctw.harness import corpus_tasks, parse_corpus_spec
 from lctw.transversal import compute_lct
 
-
-def random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from helpers import random_graph
 
 
 def brute_force_longest_cycles(g):

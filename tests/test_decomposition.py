@@ -27,9 +27,7 @@ from lctw.fixtures import complete_graph, path_graph, petersen
 from lctw.generate import GenSpec, exhaustive_small, generate_k_tree, generate_partial_k_tree
 from lctw.graph import Graph, component_masks, is_biconnected, parse_graph6
 
-
-def random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from helpers import BLOB_BAG, BLOB_EDGE, blob_mutations, random_graph
 
 
 def test_validate_single_bag_k4(k4):
@@ -56,6 +54,22 @@ def test_validate_reports_tree_shape():
     g = Graph(2, [(0, 1)])
     td = TreeDecomposition([(0, 1), (0, 1)], [])
     assert any("tree-shape" in p for p in validate(g, td))
+
+
+def test_validate_takes_the_mask_path_by_how_td_was_made(monkeypatch):
+    # one made from bag masks is checked on them, even once its bag tuples
+    # were read (repr reads is_full off them before validation); one made
+    # from bag tuples is listed
+    import lctw.decomposition as decomposition
+
+    seen = []
+    real = decomposition._valid_on_masks
+    monkeypatch.setattr(decomposition, "_valid_on_masks", lambda g, td: seen.append(real(g, td)) or seen[-1])
+    g = path_graph(5)
+    td = decomposition._from_bag_masks([0b111, 0b1110, 0b11100], [(0, 1), (1, 2)])
+    assert repr(td) == "TreeDecomposition(nodes=3, width=2, full=True)"
+    assert validate(g, td) == [] and seen == [True]
+    assert validate(g, TreeDecomposition(td.bags, td.tree_edges)) == [] and seen == [True]
 
 
 def test_exact_treewidth_known_values(k4, c5, petersen_graph, fig):
@@ -715,25 +729,6 @@ def _constructed(cls, bags, edges):
     return tuple(map(repr, fields))
 
 
-def _blob_mutations(td, n):
-    """The blob of td and mutated ones: bags and edges listed in reverse,
-    entries and edges repeated, a tree edge dropped, a bag vertex replaced
-    by an id that is negative, out of range, huge, True or 1.0, first or last,
-    and the ends of the first tree edge given as a float and as a bool."""
-    bags, edges = [list(b) for b in td.bags], sorted(td.tree_edges)
-    yield bags, edges
-    yield [b[::-1] for b in bags], [(b, a) for a, b in reversed(edges)]
-    yield [b + b[:1] for b in bags], edges + edges[:1]
-    yield bags, edges[1:]
-    for bad in (-1, n, 10**12, True, 1.0):
-        yield [[bad] + bags[0][1:]] + bags[1:], edges
-        yield bags[:-1] + [bags[-1][:-1] + [bad]], edges
-    if edges:
-        (a, b), rest = edges[0], edges[1:]
-        yield bags, [(a, float(b))] + rest
-        yield bags, [(bool(a), b)] + rest
-
-
 def test_constructor_sets_the_fields_of_the_reference(small_corpus):
     # a blob that passes require_valid reads the same is_full off its masks
     cases = list(_td3_corpus(small_corpus))
@@ -742,7 +737,7 @@ def test_constructor_sets_the_fields_of_the_reference(small_corpus):
     cases.append((Graph(6, [e for bag in two_k4 for e in itertools.combinations(bag, 2)]), TreeDecomposition(two_k4, [(0, 1)])))
     seen = set()
     for g, td in cases:
-        for bags, edges in _blob_mutations(td, g.n):
+        for bags, edges in blob_mutations(td, g.n):
             mine = _constructed(TreeDecomposition, bags, edges)
             assert mine == _constructed(_ReferenceTreeDecomposition, bags, edges), (bags, edges)
             seen.add(mine[5] if len(mine) > 2 else mine[0])  # is_full, or the refusal
@@ -753,25 +748,8 @@ def test_constructor_sets_the_fields_of_the_reference(small_corpus):
     assert seen == {"True", "False", DecompositionError, ("valid", "True"), ("valid", "False")}
 
 
-_BLOB_VERTEX = st.one_of(
-    st.integers(-2, 9), st.sampled_from([10**12, 1.0, 2.5]), st.booleans(), st.none(), st.text(max_size=1)
-)
-_BLOB_BAG = st.one_of(
-    st.lists(st.integers(0, 9), max_size=5),
-    st.lists(_BLOB_VERTEX, max_size=5),
-    st.lists(st.lists(st.integers(0, 9), max_size=2), max_size=3),  # unhashable entries
-    _BLOB_VERTEX,
-)
-_BLOB_EDGE = st.one_of(
-    st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    st.tuples(st.integers(-1, 6), st.sampled_from([1.0, True, 7])),
-    st.lists(st.integers(0, 6), max_size=3),
-    st.none(),
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(bags=st.lists(_BLOB_BAG, max_size=7), edges=st.lists(_BLOB_EDGE, max_size=7))
+@given(bags=st.lists(BLOB_BAG, max_size=7), edges=st.lists(BLOB_EDGE, max_size=7))
 def test_constructor_matches_the_reference_on_any_blob(bags, edges):
     # malformed blobs keep their fields or raise the same error as before
     assert _constructed(TreeDecomposition, bags, edges) == _constructed(_ReferenceTreeDecomposition, bags, edges)

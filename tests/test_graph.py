@@ -16,9 +16,7 @@ from lctw.graph import (
     write_graph6,
 )
 
-
-def random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from helpers import random_graph
 
 
 def test_graph_construction_rejects_bad_edges():

@@ -17,6 +17,7 @@ import lctw.harness as harness
 import lctw.transversal as transversal
 from lctw.cli import main
 from lctw.cycles import DEFAULT_MAX_CYCLES, Cycle, EnumerationCapExceeded, LongestCycleSet, enumerate_longest_cycles
+from lctw.decomposition import DecompositionError, TreeDecomposition, require_valid
 from lctw.fixtures import complete_graph, cycle_graph, path_graph, petersen
 from lctw.graph import Graph, parse_graph6, vertex_mask, write_graph6
 from lctw.harness import (
@@ -40,6 +41,8 @@ from lctw.harness import (
     write_conjecture_bundle,
 )
 from lctw.transversal import FAIL, PASS, PREMISE_NOT_MET, GraphFacts, TransversalResult, build_families, conjecture_scan
+
+from helpers import BLOB_BAG, BLOB_EDGE, blob_mutations, random_graph
 
 
 def _records(buf):
@@ -665,6 +668,35 @@ def test_cli_inspect_families(capsys):
     assert capsys.readouterr().out == FIUQO_FAMILIES
 
 
+@pytest.mark.parametrize(
+    "text, canonical", [(">>graph6<<C~", "C~"), (" C~\n", "C~"), ("Dhd", "Dhc"), ("Dhe", "Dhc"), (">>graph6<<Dhf\t", "Dhc")]
+)
+def test_cli_inspect_prints_the_graph6_text_of_the_record(capsys, text, canonical):
+    # a header, surrounding whitespace and set padding bits are all dropped
+    assert main(["inspect", text]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"graph6: {canonical}"
+    assert evaluate_task({"graph6": text}, CampaignOptions())["graph6"] == canonical
+
+
+def test_record_graph6_is_the_canonical_text():
+    # the record carries write_graph6 of the parsed graph, however the task
+    # wrote it, so a canonical text comes back as it came.  A treewidth cap
+    # of 0 leaves each graph out of scope once its text is read.
+    rng = random.Random(33)
+    opts = CampaignOptions(treewidth_cap=0)
+    sizes = set()
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 20), rng.random())
+        text = write_graph6(g)
+        pad = -(g.n * (g.n - 1) // 2) % 6
+        variants = [text, ">>graph6<<" + text, f" {text}\n", f"\t>>graph6<<{text} "]
+        variants += [text[:-1] + chr(ord(text[-1]) | 1 << bit) for bit in range(pad)]
+        for variant in variants:
+            assert evaluate_task({"graph6": variant}, opts)["graph6"] == write_graph6(parse_graph6(variant)) == text
+        sizes.add(g.n)
+    assert sizes == set(range(21))
+
+
 # nonzero exact3, jump2 and jump3 counts: the printed form of triples and pairs
 FIUQO_FAMILIES = """\
 graph6: FiuqO
@@ -1117,6 +1149,78 @@ def test_validate_matches_the_set_reference(small_corpus):
             assert problems == _validate_reference(h, mutant), label
             failing |= {p.split(":")[0] for p in problems}
     assert failing == {"tree-shape", "bag-range", "vertex-cover", "edge-cover", "subtree-connectivity"}
+
+
+def _reader_reference(g, bags, edges, max_width):
+    """The task reader before bag entries were read into masks: every entry
+    checked to be an exact int, then ``TreeDecomposition(bags, edges)``, the
+    width check and ``require_valid``.  That decomposition holds bag tuples,
+    so ``validate`` lists it and never takes the mask path under test."""
+    if any(type(v) is not int for bag in bags for v in bag):
+        return None
+    td = TreeDecomposition(bags, edges)
+    if td.width > max_width:
+        return None
+    try:
+        require_valid(g, td)
+    except DecompositionError:
+        return None
+    return td
+
+
+def _reader_outcome(read, g, bags, edges, max_width):
+    """None, the type and text of what ``read`` raises, or the fields of the
+    decomposition it returns."""
+    try:
+        td = read(g, bags, edges, max_width)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if td is None:
+        return None
+    return td.masks, td.bags, td.tree_edges, td.node_nbr_mask, td.width, td.is_full, td.valid_for is g
+
+
+def _task_reader(g, bags, edges, max_width):
+    return harness._task_td(g, {"td": {"bags": bags, "edges": edges}}, max_width)
+
+
+def _reader_blobs(small_corpus):
+    """(graph, bags, edges): every mutation of ``_mutations`` and
+    ``blob_mutations`` as a blob; a bag holding a vertex that only a
+    non-adjacent bag holds besides, so that subtree connectivity alone
+    fails; the premises of counting it, each broken where the count is right
+    all the same: two bags with no tree edge, and a vertex in no bag beside
+    one held by two non-adjacent bags; and a valid width-4 bag."""
+    for g, td in _decomposition_cases(small_corpus):
+        for _, h, mutant in _mutations(g, td, ids=True):
+            yield h, [list(b) for b in mutant.bags], [list(e) for e in sorted(mutant.tree_edges)]
+        yield from ((g, bags, edges) for bags, edges in blob_mutations(td, g.n))
+    path = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    yield path, [[0, 1, 2], [1, 2, 3], [2, 3, 4]], [[0, 1], [1, 2]]
+    yield path, [[0, 1, 2], [1, 2, 3], [0, 2, 3, 4]], [[0, 1], [1, 2]]
+    yield Graph(4, [(0, 1), (2, 3)]), [[0, 1], [2, 3]], []
+    yield Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1], [1, 2], [2, 3]]
+    yield complete_graph(5), [[0, 1, 2, 3, 4]], []
+
+
+def test_task_reader_matches_the_constructor_path(small_corpus):
+    # reading bag entries straight into masks and validating on masks gives
+    # what the tuple constructor, the width check and the listing gave
+    seen = set()
+    for g, bags, edges in _reader_blobs(small_corpus):
+        for max_width in (3, 4):
+            mine = _reader_outcome(_task_reader, g, bags, edges, max_width)
+            assert mine == _reader_outcome(_reader_reference, g, bags, edges, max_width), (bags, edges, max_width)
+            seen.add(None if mine is None else mine[0] if len(mine) == 2 else "td")  # ignored, raised or read
+    assert seen == {"td", None, DecompositionError}
+
+
+@settings(max_examples=300, deadline=None)
+@given(bags=st.lists(BLOB_BAG, max_size=7), edges=st.lists(BLOB_EDGE, max_size=7), max_width=st.integers(1, 4))
+def test_task_reader_matches_the_constructor_path_on_any_blob(bags, edges, max_width):
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)])
+    mine = _reader_outcome(_task_reader, g, bags, edges, max_width)
+    assert mine == _reader_outcome(_reader_reference, g, bags, edges, max_width)
 
 
 def test_mask_checks_match_their_component_walks(small_corpus):

@@ -20,11 +20,13 @@ from lctw.transversal import (
     PASS,
     PREMISE_NOT_MET,
     VACUOUS_PASS,
+    CycleFamilies,
     GraphFacts,
     ScanOutOfScope,
     TransversalResult,
     TripleFamilies,
     build_families,
+    check_escape_cycle,
     check_fenced_or_shared,
     check_pairwise_and_common,
     compute_lct,
@@ -282,6 +284,41 @@ def test_check_escape_cycle_premises(k4, k23):
     facts = GraphFacts(*k23)
     assert facts.lct.lct == 1 and facts.contexts  # lct = 1 again, though the jump premise holds
     assert _table_entries(facts, "escape_cycle") == unmet
+
+
+def _escape_context(cycles):
+    """Facts whose node 0 has the bag 0..3 and the triple (0, 1, 2), mask 7,
+    with inside set {0, 1, 2, 4, 5}; vertices 6 and 7 lie outside it.  G has
+    no edges, so G - triple splits into single vertices.  ``cycles``, vertex
+    tuples, are the longest cycles, and the node's families a real
+    ``CycleFamilies`` built on them by hand."""
+    from types import SimpleNamespace
+
+    g = Graph(8, [])
+    members = [(c, vertex_mask(c)) for c in cycles]
+    node = CycleFamilies(members, 0b1111, {7: 0b110111}, g)
+    return SimpleNamespace(g=g, cycles=members, families=lambda t: node)
+
+
+# cycles no shape takes: a jump, one meeting the triple once though the bag
+# twice, and an inside one meeting the triple thrice off which it visits two
+# components of G - triple
+_NO_ESCAPE = [(0, 4, 1, 6), (0, 3, 6), (0, 4, 1, 5, 2)]
+
+
+@pytest.mark.parametrize(
+    "cycle, shape",
+    [
+        ((0, 4, 5), "a longest cycle meets the bag at most once"),
+        ((0, 6, 1, 7), "a longest cycle is outside the triple"),
+        ((0, 4, 1, 5), "an inside longest cycle meets the triple twice"),
+        ((0, 4, 1, 2), "an inside longest cycle meets the triple thrice, fenced by it"),
+    ],
+)
+def test_check_escape_cycle_reaches_each_pass_shape(cycle, shape):
+    assert check_escape_cycle(_escape_context(_NO_ESCAPE), 0, 7)["status"] == FAIL
+    out = check_escape_cycle(_escape_context(_NO_ESCAPE + [cycle]), 0, 7)
+    assert out == {"status": PASS, "detail": shape, "witness": [list(cycle)]}
 
 
 def test_conjecture_scan_consistent(small_corpus, petersen_graph):
