@@ -73,7 +73,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .decomposition import TreeDecomposition, require_valid
+from .decomposition import TreeDecomposition, _rooted, require_valid
 from .graph import Graph, _bits, _relabelled, neighbour_unions
 
 __all__ = [
@@ -628,15 +628,9 @@ def _nice_ops(g: Graph, td: TreeDecomposition):
             out.append(("intro", v, tuple(sorted(cur))))
         return out
 
-    order = [0]
-    parent = {0: None}
-    for t in order:  # breadth-first, so reversed order builds children first
-        for w in _bits(td.node_nbr_mask[t]):
-            if w != parent[t]:
-                parent[w] = t
-                order.append(w)
+    order, parent = _rooted(td)
     built: dict[int, list] = {}
-    for t in reversed(order):
+    for t in reversed(order):  # breadth-first order reversed: children first
         bag = td.bags[t]
         subs = [built.pop(c) + moves(td.bags[c], bag) for c in _bits(td.node_nbr_mask[t]) if c != parent[t]]
         ops = subs[0] if subs else [("leaf", None, ())] + moves((), bag)

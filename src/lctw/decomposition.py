@@ -13,29 +13,28 @@ chains across edges whose intersection is still too small.  The construction
 works on two lists indexed by node id, one of bag masks and one of masks of
 neighbouring node ids; a node merged away is marked dead in a third list
 rather than removed, so ids stay put until the splice numbers the live nodes
-in ascending order.  Its loops walk masks lowest bit first, inline.  A
-decomposition holds its tree once, as node neighbour masks set by one helper
-for both constructors, and every tree walk but the set-based reference's
-(``_reach``) and the rooted pass of ``side_masks`` is ``_spread`` over them.
-One built here, exact or full, is valid by construction: it is made from the
-bag masks it was built on, its bag tuples are read off them on first read,
-and it is marked valid for its graph, so ``require_valid`` checks only
-decompositions from outside.  A task blob's is read straight into bag masks
-(``_from_bag_masks``), and ``validate`` passes one made from bag masks at
-once when the masks show tree shape, vertex and edge cover and, by counting
-bag sizes against tree-edge intersections, subtree connectivity; only a
-failing one, or one built from bag tuples (``TreeDecomposition(bags,
-edges)``, whose bag masks ``masks`` are built on first read), is listed
-vertex by vertex.  Branch masks (``side_masks``, valid decompositions only)
-are built on first read and kept.  All tie-breaking is by ascending
-vertex/node id, so output is reproducible.
+in ascending order.  Its loops walk masks lowest bit first, inline.
+
+A decomposition holds its tree once, as node neighbour masks, and its bags
+in the form it was made in: bag tuples (``TreeDecomposition(bags, edges)``)
+or bag masks (``_from_bag_masks``: a task blob, or one built here).  That
+form alone decides how ``validate`` and ``is_full`` read the bags; the other
+form is derived on first read.  ``validate`` is the one validator: it reads
+one mask per bag, passes at once when tree shape, vertex and edge cover and
+a count of bag sizes against tree-edge intersections show a decomposition,
+and else lists each violation off the same masks.  One built here, exact or
+full, is valid by construction and marked valid for its graph, so
+``require_valid`` checks only decompositions from outside.  Tree walks are
+``_spread`` over the node masks, but for the BFS order of ``_rooted`` and the
+set-based reference's ``_reach``.  Branch masks (``side_masks``, valid
+decompositions only) are built on first read and kept.  All tie-breaking is
+by ascending vertex/node id, so output is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import lt
 from typing import Iterable
 
 from .graph import Graph, _bits, _spread, neighbour_unions, separates, vertex_mask
@@ -80,30 +79,25 @@ class TreeDecomposition:
     Nodes are ids 0..node_count-1.  The tree is stored once, as node masks:
     bit u of ``node_nbr_mask[t]`` is set iff tu is a tree edge, listed as a
     (low, high) pair in ``tree_edges``; ``node_adj`` derives neighbour tuples
-    from the masks on each read, for callers outside the package.  ``bags``
-    of a decomposition built here, or read from a task blob, are read off
-    its masks on first read.
-    ``width`` is max bag size minus one.  ``is_full`` is derived on first read
-    and kept: every bag has width+1 vertices and every tree edge shares
-    exactly width vertices.
+    from the masks on each read, for callers outside the package.  The
+    constructor keeps each bag as ``tuple(sorted(set(bag)))`` and builds
+    ``masks`` on first read; one made from bag masks (``_from_masks``) builds
+    ``bags`` on first read.  ``width`` is max bag size minus one.  ``is_full``
+    is derived on first read and kept: every bag has width+1 vertices and
+    every tree edge shares exactly width vertices.
     ``valid_for`` is the graph this decomposition last passed ``require_valid``
     for, or was built for by this module, or None; ``sides`` is its
-    ``side_masks`` table once read, or None.  Only a decomposition with
-    ``valid_for`` set has side masks, and only its ``is_full`` is read off
-    the bag masks, so the check path reads masks alone once ``require_valid``
-    has passed.
+    ``side_masks`` table once read, or None, and only a decomposition with
+    ``valid_for`` set has one.
     """
 
     __slots__ = ("_bags", "tree_edges", "node_nbr_mask", "width", "valid_for", "sides", "_masks", "_is_full", "_from_masks")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
-        self._bags = bags = tuple(map(_sorted_bag, bags))
+        self._bags = bags = tuple(tuple(sorted(set(b))) for b in bags)
         _set_tree(self, len(bags), tree_edges)
         self.width = max(map(len, bags)) - 1
-        self.valid_for = None
-        self.sides = None
-        self._masks = None
-        self._is_full = None
+        self.valid_for = self.sides = self._masks = self._is_full = None
         self._from_masks = False
 
     @property
@@ -118,12 +112,12 @@ class TreeDecomposition:
 
     @property
     def is_full(self) -> bool:
-        """Read off the bag masks' bit counts once td is valid, whose bag
-        entries are then vertices; before that, off the bag tuples as sets."""
+        """Read off the bag masks' bit counts when td was made from bag masks,
+        else off its bag tuples as sets."""
         if self._is_full is None:
             k = self.width
-            if self.valid_for is not None:
-                masks = self.masks
+            if self._from_masks:
+                masks = self._masks
                 self._is_full = all(m.bit_count() == k + 1 for m in masks) and all(
                     (masks[a] & masks[b]).bit_count() == k for a, b in self.tree_edges
                 )
@@ -136,9 +130,8 @@ class TreeDecomposition:
 
     @property
     def masks(self) -> tuple[int, ...]:
-        """One vertex mask per bag, built on first read: a bag of a
-        decomposition not yet validated may name a vertex no mask can hold
-        (negative, or far beyond the graph)."""
+        """One vertex mask per bag, built on first read: a bag not yet validated
+        may name a vertex no mask can hold (negative, or far beyond the graph)."""
         if self._masks is None:
             self._masks = tuple(map(vertex_mask, self.bags))
         return self._masks
@@ -170,25 +163,11 @@ def _set_tree(td: TreeDecomposition, nodes: int, edges: Iterable[tuple[int, int]
     td.node_nbr_mask = tuple(nbr)
 
 
-def _sorted_bag(bag: Iterable[int]) -> tuple:
-    """``tuple(sorted(set(bag)))``, without the sort when the bag already
-    lists its entries in strictly ascending order."""
-    entries = tuple(bag)
-    distinct = set(entries)  # an unhashable entry raises here, as before
-    try:
-        if all(map(lt, entries, entries[1:])):
-            return entries
-    except TypeError:  # entries that do not compare: sorting raises as it would
-        pass
-    return tuple(sorted(distinct))
-
-
 def _from_bag_masks(masks: Iterable[int], edges: Iterable[tuple[int, int]]) -> TreeDecomposition:
     """The decomposition with bag masks ``masks`` and tree edges ``edges``,
     valid for no graph yet: its width is read off the masks' bit counts and
-    its bag tuples only on first read of ``bags``, and ``validate`` checks it
-    on its masks first.  No masks, or a tree edge the constructor refuses,
-    is refused with the constructor's message."""
+    its bag tuples only on first read of ``bags``.  No masks, or a tree edge
+    the constructor refuses, is refused with the constructor's message."""
     td = TreeDecomposition.__new__(TreeDecomposition)
     td._masks = masks = tuple(masks)
     _set_tree(td, len(masks), edges)
@@ -200,12 +179,10 @@ def _from_bag_masks(masks: Iterable[int], edges: Iterable[tuple[int, int]]) -> T
 
 def _built(g: Graph, masks: list[int], edges: list[tuple[int, int]]) -> TreeDecomposition:
     """The decomposition with bag masks ``masks`` and tree edges ``edges`` that
-    a construction of this module built for g, so valid for g by construction:
-    it is marked valid for g without running ``validate``.  It is full when
-    its bags are all of one size, as both constructions ensure that adjacent
-    bags of size k + 1 then share k vertices: an exact decomposition ends in
-    a singleton bag, so has one bag size only at width 0, and a full one is
-    full by construction."""
+    a construction of this module built for g, marked valid for g without
+    running ``validate``.  It is full when its bags are all of one size: both
+    constructions then make adjacent bags of size k + 1 share k vertices (an
+    exact one ends in a singleton bag, so has one bag size only at width 0)."""
     td = _from_bag_masks(masks, edges)
     td._is_full = min(map(int.bit_count, td._masks)) == td.width + 1
     td.valid_for = g
@@ -220,67 +197,34 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
     This is the unmemoised oracle: it checks afresh on every call.  Consumers
     that need a valid decomposition call ``require_valid`` instead.
 
-    A decomposition made from bag masks (``_from_bag_masks``: read from a
-    task blob, or built here) is checked on those masks first
-    (``_valid_on_masks``), and passes at once when they show all four
-    conditions.  One made from bag tuples, which may hold entries that are
-    no vertex at all, and any that fails there, is listed on node masks:
-    ``hold[v]`` has bit t set iff the bag of node t holds v, where a bag
-    entry names vertex v only when it is an exact int equal to v, so ``1.0``
-    and ``True`` are out of range as any other entry is.  An edge uv is
-    covered iff ``hold[u] & hold[v]``, and the nodes holding v are connected
-    iff a walk over the tree's node masks from the first of them, through
-    them, reaches all of them.
+    One mask per bag is read in the form td was made in: ``_masks``, or the
+    bag tuples, where only an exact int in range names a vertex (not ``1.0``
+    or ``True``).  td passes at once on tree shape, no out-of-range entry,
+    every vertex u in a bag and no neighbour of u off ``cover[u]``, the union
+    of the bags holding u, and sum |B_t| - sum over tree edges |B_a & B_b| =
+    n: each covered vertex adds the number of components of the forest its
+    holding nodes induce, 1 iff they are connected.  Else each fault is listed.
     """
-    if td._from_masks and _valid_on_masks(g, td):
-        return []
     out = []
-    nodes = td.node_count
+    nodes, node_nbr, n = td.node_count, td.node_nbr_mask, g.n
     if len(td.tree_edges) != nodes - 1:
         out.append(f"tree-shape: {nodes} nodes need {nodes - 1} edges, found {len(td.tree_edges)}")
-    reached = _spread(td.node_nbr_mask, 1, (1 << nodes) - 1).bit_count()
+    reached = _spread(node_nbr, 1, (1 << nodes) - 1).bit_count()
     if reached != nodes:
         out.append(f"tree-shape: tree is disconnected (reached {reached} of {nodes} nodes)")
-    hold = dict.fromkeys(range(g.n), 0)  # vertex -> mask of the nodes holding it
-    for t, bag in enumerate(td.bags):
-        for v in bag:
-            if type(v) is int and v in hold:
-                hold[v] |= 1 << t
-            else:
-                out.append(f"bag-range: node {t} holds out-of-range vertex {v}")
-    out += [f"vertex-cover: vertex {v} is in no bag" for v, ts in hold.items() if not ts]
-    out += [
-        f"edge-cover: edge ({u},{v}) is in no bag"
-        for u in range(g.n)
-        for v in _bits(g.nbr_mask[u] >> u + 1 << u + 1)
-        if not hold[u] & hold[v]
-    ]
-    out += [
-        f"subtree-connectivity: nodes holding vertex {v} are disconnected"
-        for v, ts in hold.items()
-        if _spread(td.node_nbr_mask, ts & -ts, ts) != ts
-    ]
-    return out
-
-
-def _valid_on_masks(g: Graph, td: TreeDecomposition) -> bool:
-    """Whether td's bag masks make a decomposition of g: the tree has
-    nodes - 1 edges and ``_spread`` reaches every node; the masks' union is
-    exactly g's vertex set, so every bag is in range and every vertex
-    covered; no vertex u has a neighbour off ``cover[u]``, the union of the
-    bags holding u; and, counting, sum |B_t| - sum over tree edges
-    |B_a & B_b| = n.  On a tree the nodes holding v induce a forest whose
-    components number its nodes less its edges, that sum's share of v: at
-    least 1 once v is covered, and exactly 1 iff those nodes are connected."""
-    masks, edges, n = td._masks, td.tree_edges, g.n
-    nodes = len(masks)
-    if len(edges) != nodes - 1 or _spread(td.node_nbr_mask, 1, (1 << nodes) - 1).bit_count() != nodes:
-        return False
-    union = 0
-    for m in masks:
-        union |= m
-    if union != (1 << n) - 1:
-        return False
+    if td._from_masks:
+        masks = td._masks
+        if max(masks) >> n:
+            out += [f"bag-range: node {t} holds out-of-range vertex {v}" for t, m in enumerate(masks) for v in _bits(m >> n << n)]
+            masks = [m & (1 << n) - 1 for m in masks]
+    else:
+        masks = [0] * nodes
+        for t, bag in enumerate(td.bags):
+            for v in bag:
+                if type(v) is int and 0 <= v < n:
+                    masks[t] |= 1 << v
+                else:
+                    out.append(f"bag-range: node {t} holds out-of-range vertex {v}")
     cover = [0] * n
     count = 0  # sum |B_t|, less sum |B_a & B_b| once the edges are read
     for m in masks:
@@ -290,12 +234,23 @@ def _valid_on_masks(g: Graph, td: TreeDecomposition) -> bool:
             rest ^= low
             cover[low.bit_length() - 1] |= m
             count += 1
-    for nbr, c in zip(g.nbr_mask, cover):
-        if nbr & ~c:
-            return False
-    for a, b in edges:
+    for a, b in td.tree_edges:
         count -= (masks[a] & masks[b]).bit_count()
-    return count == n
+    if not out and count == n and 0 not in cover and not any(nbr & ~c for nbr, c in zip(g.nbr_mask, cover)):
+        return []
+    out += [f"vertex-cover: vertex {v} is in no bag" for v, c in enumerate(cover) if not c]
+    out += [
+        f"edge-cover: edge ({u},{v}) is in no bag"
+        for u, (nbr, c) in enumerate(zip(g.nbr_mask, cover))
+        for v in _bits(nbr >> u + 1 << u + 1 & ~c)
+    ]
+    out += [
+        f"subtree-connectivity: nodes holding vertex {v} are disconnected"
+        for v in range(n)
+        for ts in [sum(1 << t for t, m in enumerate(masks) if m >> v & 1)]  # the nodes holding v
+        if _spread(node_nbr, ts & -ts, ts) != ts
+    ]
+    return out
 
 
 def _reach(td: TreeDecomposition, start: int, inside=None, avoid: int = -1) -> set[int]:
@@ -716,6 +671,24 @@ def branch_of_route(td: TreeDecomposition, t: int, vertices: Iterable[int]) -> B
     return br
 
 
+def _rooted(td: TreeDecomposition) -> tuple[list[int], list[int]]:
+    """A BFS order of td's tree from node 0, children in ascending id order,
+    and each node's parent in it (node 0's is 0): the rooted walk of
+    ``side_masks`` and of the nice refinement in ``cycles``."""
+    node_nbr = td.node_nbr_mask
+    order, parent, seen = [0], [0] * len(node_nbr), 1
+    for p in order:  # grows while it is read
+        rest = node_nbr[p] & ~seen
+        seen |= rest
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            parent[c] = p
+            order.append(c)
+    return order, parent
+
+
 def side_masks(td: TreeDecomposition) -> dict[tuple[int, int], int]:
     """For every directed tree edge (t, u), the vertex set of
     ``branch_at(td, t, u)`` as a mask: the vertices in the bags on u's side of
@@ -723,7 +696,7 @@ def side_masks(td: TreeDecomposition) -> dict[tuple[int, int], int]:
 
     Defined on a valid decomposition only: one that passed ``require_valid``
     or was built here, else ``DecompositionError``.  One rooted pass builds
-    the table: a BFS order from node 0, then ``down[t]``, the union of the
+    the table: the BFS order of ``_rooted``, then ``down[t]``, the union of the
     bags in t's subtree, child before parent, and ``full = down[0]``.  For a
     child c of p, ``sides[p, c] = down[c] - bag(p)`` and ``sides[c, p] =
     full - down[c]``: by subtree connectivity the bags off c's subtree meet
@@ -731,17 +704,8 @@ def side_masks(td: TreeDecomposition) -> dict[tuple[int, int], int]:
     if td.sides is None:
         if td.valid_for is None:
             raise DecompositionError("side masks need a decomposition that passed require_valid")
-        masks, node_nbr = td.masks, td.node_nbr_mask
-        order, parent, seen = [0], [0] * len(masks), 1
-        for p in order:  # grows while it is read: a BFS from node 0
-            rest = node_nbr[p] & ~seen
-            seen |= rest
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                c = low.bit_length() - 1
-                parent[c] = p
-                order.append(c)
+        masks = td.masks
+        order, parent = _rooted(td)
         down = list(masks)
         for c in reversed(order[1:]):
             down[parent[c]] |= down[c]

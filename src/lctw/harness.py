@@ -121,13 +121,19 @@ def _n_range(val: str) -> dict:
     return {"n_lo": int(lo), "n_hi": int(hi)}
 
 
+def _biconnected(val: str) -> dict:
+    if val not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"biconnected must be 1, true, yes, 0, false or no, got {val!r}")
+    return {"require_biconnected": val in ("1", "true", "yes")}
+
+
 # Corpus spec key -> the CorpusSpec fields its value sets.
 _SPEC_KEYS = {
     "k": lambda val: {"k": int(val)},
     "n": _n_range,
     "count": lambda val: {"count": int(val)},
     "p": lambda val: {"delete_probability": float(val)},
-    "biconnected": lambda val: {"require_biconnected": val not in ("0", "false", "no")},
+    "biconnected": _biconnected,
     "seed": lambda val: {"seed": int(val)},
     "nmax": lambda val: {"n_max_exhaustive": int(val)},
     "retries": lambda val: {"retry_budget": int(val)},
@@ -135,7 +141,8 @@ _SPEC_KEYS = {
 
 
 def parse_corpus_spec(text: str, seed: int = 0) -> CorpusSpec:
-    """Parse 'k=3,n=9..14,count=1000,p=0.25' style corpus descriptions."""
+    """Parse 'k=3,n=9..14,count=1000,p=0.25' style corpus descriptions; a
+    key given twice is refused."""
     fields: dict[str, str] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -143,10 +150,11 @@ def parse_corpus_spec(text: str, seed: int = 0) -> CorpusSpec:
             continue
         if "=" not in chunk:
             raise ValueError(f"bad corpus spec fragment {chunk!r}: expected key=value")
-        key, val = chunk.split("=", 1)
-        fields[key.strip()] = val.strip()
-    mode = fields.pop("mode", "random")
-    kw: dict = {"mode": mode, "seed": seed}
+        key, val = (part.strip() for part in chunk.split("=", 1))
+        if key in fields:
+            raise ValueError(f"corpus spec key {key!r} given twice")
+        fields[key] = val
+    kw: dict = {"mode": fields.pop("mode", "random"), "seed": seed}
     for key, val in fields.items():
         if key not in _SPEC_KEYS:
             raise ValueError(f"unknown corpus spec key {key!r}")

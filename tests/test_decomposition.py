@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lctw.cycles import PathSegment
 from lctw.decomposition import (
     DEFAULT_TREEWIDTH_CAP,
     DecompositionError,
@@ -56,20 +57,21 @@ def test_validate_reports_tree_shape():
     assert any("tree-shape" in p for p in validate(g, td))
 
 
-def test_validate_takes_the_mask_path_by_how_td_was_made(monkeypatch):
-    # one made from bag masks is checked on them, even once its bag tuples
-    # were read (repr reads is_full off them before validation); one made
-    # from bag tuples is listed
+def test_validate_builds_no_bag_tuples_of_a_decomposition_made_from_masks():
+    # one made from bag masks is read off them whether it passes or fails,
+    # and fails with what the same bags given as tuples fail with
     import lctw.decomposition as decomposition
 
-    seen = []
-    real = decomposition._valid_on_masks
-    monkeypatch.setattr(decomposition, "_valid_on_masks", lambda g, td: seen.append(real(g, td)) or seen[-1])
     g = path_graph(5)
     td = decomposition._from_bag_masks([0b111, 0b1110, 0b11100], [(0, 1), (1, 2)])
-    assert repr(td) == "TreeDecomposition(nodes=3, width=2, full=True)"
-    assert validate(g, td) == [] and seen == [True]
-    assert validate(g, TreeDecomposition(td.bags, td.tree_edges)) == [] and seen == [True]
+    assert validate(g, td) == [] and td._bags is None
+    for h, problems in (
+        (Graph(5, set(g.edges) | {(0, 4)}), ["edge-cover: edge (0,4) is in no bag"]),
+        (path_graph(4), ["bag-range: node 2 holds out-of-range vertex 4"]),
+        (path_graph(6), ["vertex-cover: vertex 5 is in no bag", "edge-cover: edge (4,5) is in no bag"]),
+    ):
+        assert validate(h, td) == problems and td._bags is None
+        assert validate(h, TreeDecomposition([(0, 1, 2), (1, 2, 3), (2, 3, 4)], td.tree_edges)) == problems
 
 
 def test_exact_treewidth_known_values(k4, c5, petersen_graph, fig):
@@ -642,6 +644,72 @@ def test_separator_property_precondition_errors(fig):
         check_separator_property(g, td, (a, b), u_bag, u_bag)
     with pytest.raises(DecompositionError):
         check_separator_property(g, td, (a, a), 0, 1)
+
+
+_PATH_TD = TreeDecomposition([(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (1, 2), (2, 3)])  # of path_graph(5)
+_SEPARATES = functools.partial(check_separator_property, path_graph(5), _PATH_TD)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: branch_at(_PATH_TD, 1, 1), DecompositionError, "branch undefined: node coincides with the removed node",
+            id="branch_at-same-node",
+        ),
+        pytest.param(
+            lambda: branch_of_vertex(_PATH_TD, 1, 2), DecompositionError,
+            "branch of vertex 2 at node 1 undefined: vertex is in the bag", id="branch_of_vertex-in-bag",
+        ),
+        pytest.param(
+            lambda: branch_of_vertex(_PATH_TD, 1, 7), DecompositionError, "vertex 7 appears in no bag",
+            id="branch_of_vertex-in-no-bag",
+        ),
+        pytest.param(
+            lambda: branch_union(_PATH_TD, 0, (0, 1)), DecompositionError, "delta must be a triple, got [0, 1]",
+            id="branch_union-not-a-triple",
+        ),
+        pytest.param(
+            lambda: branch_union(_PATH_TD, 0, (0, 1, 2)), DecompositionError, "delta must be contained in the bag of t",
+            id="branch_union-off-the-bag",
+        ),
+        pytest.param(
+            lambda: branch_union(TreeDecomposition([(0, 1, 2)], []), 0, (0, 1, 2)), DecompositionError,
+            "branch unions are defined on full width-3 decompositions", id="branch_union-not-full",
+        ),
+        pytest.param(
+            lambda: branch_of_route(_PATH_TD, 1, (0, 3)), DecompositionError, "route spans several branches at node 1: 0 vs 3",
+            id="branch_of_route-two-branches",
+        ),
+        pytest.param(
+            lambda: _SEPARATES((0, 2), 4, 4), DecompositionError, "(0,2) is not a tree edge", id="separator-not-a-tree-edge"
+        ),
+        pytest.param(
+            lambda: _SEPARATES((1, 2), 1, 4), DecompositionError, "u=1 must lie outside the bag of node 1",
+            id="separator-u-in-bag",
+        ),
+        pytest.param(
+            lambda: _SEPARATES((1, 2), 4, 3), DecompositionError, "v=3 must lie outside the bag of node 2",
+            id="separator-v-in-bag",
+        ),
+        pytest.param(
+            lambda: _SEPARATES((1, 2), 0, 0), DecompositionError, "u=0 is not in the branch of 1 toward 2",
+            id="separator-u-off-branch",
+        ),
+        pytest.param(
+            lambda: _SEPARATES((1, 2), 4, 4), DecompositionError, "v=4 is not in the branch of 2 toward 1",
+            id="separator-v-off-branch",
+        ),
+        pytest.param(lambda: PathSegment(()), ValueError, "a path segment needs at least one vertex", id="PathSegment-empty"),
+        pytest.param(
+            lambda: PathSegment((0, 1, 0)), ValueError, "path vertices must be pairwise distinct", id="PathSegment-repeated"
+        ),
+    ],
+)
+def test_reference_functions_refuse_with_their_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def _td3_corpus(small_corpus):

@@ -66,6 +66,8 @@ def test_parse_corpus_spec_reads_every_key():
     assert (spec.delete_probability, spec.require_biconnected, spec.seed) == (0.5, False, 9)
     assert (spec.n_max_exhaustive, spec.retry_budget) == (6, 17)
     assert parse_corpus_spec("biconnected=yes,,").require_biconnected
+    for val, required in (("1", True), ("true", True), ("yes", True), ("0", False), ("false", False), ("no", False)):
+        assert parse_corpus_spec(f"biconnected={val}").require_biconnected is required
     with pytest.raises(ValueError, match="bad corpus spec fragment 'bogus': expected key=value"):
         parse_corpus_spec("k=3,bogus")
     with pytest.raises(ValueError, match="unknown corpus spec key 'unknown'"):
@@ -972,8 +974,13 @@ def test_cli_conjecture(tmp_path):
         ("n=9..4,count=3", "n range 9..4 is empty"),
         ("count=-1", "count must be non-negative, got -1"),
         ("retries=0,count=3", "retries must be at least 1, got 0"),
+        ("k=3,n=9..14,n=5", "corpus spec key 'n' given twice"),
+        ("mode=random, k=3, mode=exhaustive", "corpus spec key 'mode' given twice"),
+        ("biconnected=False", "biconnected must be 1, true, yes, 0, false or no, got 'False'"),
+        ("biconnected=off", "biconnected must be 1, true, yes, 0, false or no, got 'off'"),
+        ("count=3,biconnected=", "biconnected must be 1, true, yes, 0, false or no, got ''"),
     ],
-    ids=["k", "n", "count", "retries"],
+    ids=["k", "n", "count", "retries", "n-twice", "mode-twice", "biconnected-False", "biconnected-off", "biconnected-empty"],
 )
 def test_cli_out_of_range_corpus_spec_is_config_error(tmp_path, capsys, spec, message):
     # refused when parsed, before any draw and before the output is opened
@@ -1154,8 +1161,8 @@ def test_validate_matches_the_set_reference(small_corpus):
 def _reader_reference(g, bags, edges, max_width):
     """The task reader before bag entries were read into masks: every entry
     checked to be an exact int, then ``TreeDecomposition(bags, edges)``, the
-    width check and ``require_valid``.  That decomposition holds bag tuples,
-    so ``validate`` lists it and never takes the mask path under test."""
+    width check and ``require_valid``.  That decomposition is made from bag
+    tuples, so ``validate`` and ``is_full`` read it off them, not off masks."""
     if any(type(v) is not int for bag in bags for v in bag):
         return None
     td = TreeDecomposition(bags, edges)
@@ -1190,7 +1197,8 @@ def _reader_blobs(small_corpus):
     non-adjacent bag holds besides, so that subtree connectivity alone
     fails; the premises of counting it, each broken where the count is right
     all the same: two bags with no tree edge, and a vertex in no bag beside
-    one held by two non-adjacent bags; and a valid width-4 bag."""
+    one held by two non-adjacent bags; a valid width-4 bag; and two K4 bags
+    sharing two vertices, valid but not full."""
     for g, td in _decomposition_cases(small_corpus):
         for _, h, mutant in _mutations(g, td, ids=True):
             yield h, [list(b) for b in mutant.bags], [list(e) for e in sorted(mutant.tree_edges)]
@@ -1201,6 +1209,8 @@ def _reader_blobs(small_corpus):
     yield Graph(4, [(0, 1), (2, 3)]), [[0, 1], [2, 3]], []
     yield Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1], [1, 2], [2, 3]]
     yield complete_graph(5), [[0, 1, 2, 3, 4]], []
+    two_k4 = [[0, 1, 2, 3], [2, 3, 4, 5]]
+    yield Graph(6, [e for bag in two_k4 for e in combinations(bag, 2)]), two_k4, [[0, 1]]
 
 
 def test_task_reader_matches_the_constructor_path(small_corpus):
